@@ -77,11 +77,12 @@ BENCHMARK(BM_DinicBell);
 void BM_CentralityBell(benchmark::State& state) {
   const auto& g = bell();
   const auto demands = demands_for(g, 4, 10.0);
-  auto unit = [](graph::EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
+  graph::ViewConfig config;
+  config.length = [](graph::EdgeId) { return 1.0; };
+  config.capacity = mcf::static_capacity(g);
+  const auto view = graph::GraphView::build(g, config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::demand_based_centrality(g, demands, unit, cap));
+    benchmark::DoNotOptimize(core::demand_based_centrality(view, demands));
   }
 }
 BENCHMARK(BM_CentralityBell);
@@ -107,12 +108,20 @@ void BM_RoutabilityCaida(benchmark::State& state) {
 BENCHMARK(BM_RoutabilityCaida);
 
 void BM_SplitLpBell(benchmark::State& state) {
+  // One cold probe per iteration: a fresh session, as ISP's first probe.
   const auto& g = bell();
   const auto demands = demands_for(g, 4, 10.0);
-  auto cap = mcf::static_capacity(g);
+  std::vector<mcf::PathLpSession::DemandSpec> specs;
+  for (std::size_t h = 0; h < demands.size(); ++h) {
+    specs.push_back({static_cast<int>(h), demands[h]});
+  }
+  graph::ViewConfig config;
+  config.capacity = mcf::static_capacity(g);
+  const auto view = graph::GraphView::build(g, config);
   for (auto _ : state) {
+    mcf::PathLpSession session(g, mcf::PathLpMode::kMaxSplit);
     benchmark::DoNotOptimize(
-        mcf::max_splittable_amount(g, demands, 0, 19, {}, cap));
+        mcf::max_splittable_amount(session, view, specs, 0, 19));
   }
 }
 BENCHMARK(BM_SplitLpBell);

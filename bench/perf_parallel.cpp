@@ -108,7 +108,7 @@ double time_kernel(int runs, bool& identity_ok, const Run& run,
   return timer.elapsed_seconds() / static_cast<double>(runs);
 }
 
-/// Broken ER instance with far-apart demands (perf_isp's construction).
+/// Broken ER instance with far-apart demands.
 core::RecoveryProblem er_problem(std::size_t nodes, double edge_prob,
                                  std::size_t pairs, double flow,
                                  util::Rng& rng) {
@@ -267,8 +267,7 @@ int run(int argc, char** argv) {
     graph::ViewConfig config;
     const graph::GraphView view = graph::GraphView::build(problem.graph,
                                                           config);
-    core::CentralityOptions serial_opt;
-    serial_opt.share_source_trees = true;
+    const core::CentralityOptions serial_opt;
     const core::CentralityResult reference =
         core::demand_based_centrality(view, problem.demands, serial_opt);
 

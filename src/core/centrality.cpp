@@ -44,20 +44,6 @@ std::vector<graph::NodeId> CentralityResult::ranking() const {
 }
 
 CentralityResult demand_based_centrality(
-    const graph::Graph& g, const std::vector<mcf::Demand>& demands,
-    const graph::EdgeWeight& length, const graph::EdgeWeight& residual,
-    const CentralityOptions& options) {
-  // The dynamic metric and residual capacities are constant for the duration
-  // of one centrality evaluation (one ISP iteration), so flatten them into a
-  // CSR snapshot once and collect every demand's P̂* on flat arrays.
-  graph::ViewConfig config;
-  config.length = length;
-  config.capacity = residual;
-  return demand_based_centrality(graph::GraphView::build(g, config), demands,
-                                 options);
-}
-
-CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
     const CentralityOptions& options) {
   const graph::Graph& g = view.graph();
@@ -66,32 +52,30 @@ CentralityResult demand_based_centrality(
       options.pool != nullptr && options.pool->size() > 1 ? options.pool
                                                           : nullptr;
 
-  // Fast path bookkeeping: one shared first-path tree per source that two
-  // or more demands start from (their first Dijkstras see identical
-  // inputs).  Each tree is a pure function of (view, source), so the set is
-  // built up front — in first-appearance order, fanning out on the pool
-  // when one is available — before the demand sweep reads it.
+  // One shared first-path tree per source that two or more demands start
+  // from (their first Dijkstras see identical inputs).  Each tree is a pure
+  // function of (view, source), so the set is built up front — in
+  // first-appearance order, fanning out on the pool when one is available —
+  // before the demand sweep reads it.
+  std::unordered_map<graph::NodeId, int> source_count;
+  std::vector<graph::NodeId> shared_sources;
+  for (const mcf::Demand& d : demands) {
+    if (d.amount <= 1e-9 || d.source == d.target) continue;
+    if (++source_count[d.source] == 2) shared_sources.push_back(d.source);
+  }
+  std::vector<graph::ShortestPathTree> trees(shared_sources.size());
+  const auto build_tree = [&](std::size_t i) {
+    trees[i] = graph::dijkstra_residual(view, shared_sources[i],
+                                        view.edge_capacities());
+  };
+  if (pool != nullptr && shared_sources.size() > 1) {
+    pool->parallel_for(shared_sources.size(), build_tree);
+  } else {
+    for (std::size_t i = 0; i < shared_sources.size(); ++i) build_tree(i);
+  }
   std::unordered_map<graph::NodeId, graph::ShortestPathTree> source_trees;
-  if (options.share_source_trees) {
-    std::unordered_map<graph::NodeId, int> source_count;
-    std::vector<graph::NodeId> shared_sources;
-    for (const mcf::Demand& d : demands) {
-      if (d.amount <= 1e-9 || d.source == d.target) continue;
-      if (++source_count[d.source] == 2) shared_sources.push_back(d.source);
-    }
-    std::vector<graph::ShortestPathTree> trees(shared_sources.size());
-    const auto build_tree = [&](std::size_t i) {
-      trees[i] = graph::dijkstra_residual(view, shared_sources[i],
-                                          view.edge_capacities());
-    };
-    if (pool != nullptr && shared_sources.size() > 1) {
-      pool->parallel_for(shared_sources.size(), build_tree);
-    } else {
-      for (std::size_t i = 0; i < shared_sources.size(); ++i) build_tree(i);
-    }
-    for (std::size_t i = 0; i < shared_sources.size(); ++i) {
-      source_trees.emplace(shared_sources[i], std::move(trees[i]));
-    }
+  for (std::size_t i = 0; i < shared_sources.size(); ++i) {
+    source_trees.emplace(shared_sources[i], std::move(trees[i]));
   }
 
   // Per-demand P̂* enumeration into pre-assigned slots: each demand's
@@ -102,17 +86,10 @@ CentralityResult demand_based_centrality(
   const auto enumerate = [&](std::size_t h) {
     const mcf::Demand& d = demands[h];
     if (d.amount <= 1e-9 || d.source == d.target) return;
-    if (options.share_source_trees) {
-      const graph::ShortestPathTree* tree = nullptr;
-      auto it = source_trees.find(d.source);
-      if (it != source_trees.end()) tree = &it->second;
-      selected[h] = graph::successive_shortest_paths_to(
-          view, d.source, d.target, d.amount, options.max_paths_per_demand,
-          tree);
-    } else {
-      selected[h] = graph::successive_shortest_paths(
-          view, d.source, d.target, d.amount, options.max_paths_per_demand);
-    }
+    const auto it = source_trees.find(d.source);
+    selected[h] = graph::successive_shortest_paths_to(
+        view, d.source, d.target, d.amount, options.max_paths_per_demand,
+        it == source_trees.end() ? nullptr : &it->second);
   };
   if (pool != nullptr && demands.size() > 1) {
     pool->parallel_for(demands.size(), enumerate);

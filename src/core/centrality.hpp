@@ -23,26 +23,15 @@ class ThreadPool;
 namespace netrec::core {
 
 struct CentralityOptions {
-  /// `const` term of the dynamic metric — the length of a working link.
-  double metric_const = 1.0;
   /// Cap on successive shortest paths collected per demand.
   std::size_t max_paths_per_demand = 64;
-  /// Fast path (bit-identical results): demands sharing a source reuse one
-  /// shortest-path tree for their first selected path — the tree is a pure
-  /// function of (view, source) since every demand's successive-shortest
-  /// enumeration starts from the same untouched residuals — and all
-  /// remaining single-pair lookups stop at their target instead of
-  /// settling the whole graph.  Enabled by ISP's session (LpReuse::kSession)
-  /// engine; off by default so the reference path stays byte-for-byte the
-  /// historical computation.
-  bool share_source_trees = false;
-  /// Intra-evaluation parallelism: the per-demand successive-shortest-path
-  /// enumerations (and, with share_source_trees, the shared first-path
-  /// trees) are pure functions of (view, demand), so they fan out on this
-  /// pool into per-demand slots; the eq.-(3) score accumulation then runs
-  /// serially in demand order.  Fixed merge order means the result is
-  /// bit-identical to the serial evaluation at any thread count.  nullptr
-  /// (the default) keeps the whole evaluation on the calling thread.
+  /// Intra-evaluation parallelism: the shared first-path trees and the
+  /// per-demand successive-shortest-path enumerations are pure functions of
+  /// (view, demand), so they fan out on this pool into per-demand slots;
+  /// the eq.-(3) score accumulation then runs serially in demand order.
+  /// Fixed merge order means the result is bit-identical to the serial
+  /// evaluation at any thread count.  nullptr (the default) keeps the whole
+  /// evaluation on the calling thread.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -90,17 +79,18 @@ class CentralityResult {
   std::vector<DemandPathSet> demand_paths_;
 };
 
-/// Computes ĉd over the *full* graph (broken elements included — centrality
-/// ranks repair candidates) with the supplied dynamic length metric and
-/// residual capacities.
-CentralityResult demand_based_centrality(
-    const graph::Graph& g, const std::vector<mcf::Demand>& demands,
-    const graph::EdgeWeight& length, const graph::EdgeWeight& residual,
-    const CentralityOptions& options = {});
-
-/// Same estimate on a borrowed (typically ViewCache-owned) snapshot whose
-/// lengths are the dynamic metric and capacities the residuals — ISP's
-/// per-iteration call without the per-call view build.
+/// Computes ĉd on a borrowed (typically ViewCache-owned) snapshot of the
+/// *full* graph (broken elements included — centrality ranks repair
+/// candidates) whose lengths are the dynamic metric and capacities the
+/// residuals.
+///
+/// Demands sharing a source reuse one shortest-path tree for their first
+/// selected path — the tree is a pure function of (view, source), since
+/// every enumeration starts from the same untouched residuals — and every
+/// later single-pair lookup stops at its target instead of settling the
+/// whole graph.  Both shortcuts select exactly the paths a full Dijkstra
+/// per round would (tests/golden/isp_corpus.txt was recorded while the two
+/// computations agreed).
 CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
     const CentralityOptions& options = {});

@@ -1,14 +1,5 @@
 #include "core/isp.hpp"
 
-// The kLegacy backend's call sites vanish from builds without the reference
-// kernels; the backend itself is rejected at construction below.
-#if defined(NETREC_ENABLE_LEGACY)
-#define NETREC_ISP_SELECT(view_expr, legacy_expr) \
-  (cached() ? (view_expr) : (legacy_expr))
-#else
-#define NETREC_ISP_SELECT(view_expr, legacy_expr) (view_expr)
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -27,6 +18,7 @@
 #include "graph/maxflow.hpp"
 #include "graph/traversal.hpp"
 #include "graph/view_cache.hpp"
+#include "mcf/path_lp_session.hpp"
 #include "mcf/routing.hpp"
 #include "mcf/split.hpp"
 #include "util/fault.hpp"
@@ -85,13 +77,10 @@ class Engine {
         stats_(stats),
         trace_(trace),
         state_(problem.graph),
-        residual_(problem.graph.num_edges()) {
-#if !defined(NETREC_ENABLE_LEGACY)
-    if (opt_.backend == IspBackend::kLegacy) {
-      throw std::logic_error(
-          "IspBackend::kLegacy requires a build with NETREC_ENABLE_LEGACY");
-    }
-#endif
+        residual_(problem.graph.num_edges()),
+        cache_(problem.graph),
+        lp_working_(problem.graph, mcf::PathLpMode::kMaxRouted, opt.lp),
+        lp_split_(problem.graph, mcf::PathLpMode::kMaxSplit, opt.lp) {
     for (std::size_t e = 0; e < g_.num_edges(); ++e) {
       residual_[e] = g_.edge_capacity(e);
     }
@@ -108,96 +97,72 @@ class Engine {
       demands_.push_back(
           {d.source, d.target, d.amount, static_cast<int>(h), next_uid_++});
     }
-    if (opt_.backend == IspBackend::kViewCache) {
-      // Cached snapshots for the whole solve.  Residual tests stay OUT of
-      // the filters (the algorithms skip drained arcs per call) so residual
-      // consumption is a weight refresh; repairs flip working-filter
-      // verdicts and rebuild exactly the slots whose membership changed.
-      cache_.emplace(g_);
-      graph::ViewConfig working_config;
-      working_config.edge_ok = [this](graph::EdgeId e) {
-        return state_.edge_ok(e);
+    // Cached snapshots for the whole solve.  Residual tests stay OUT of
+    // the filters (the algorithms skip drained arcs per call) so residual
+    // consumption is a weight refresh; repairs flip working-filter verdicts
+    // and rebuild exactly the slots whose membership changed.
+    graph::ViewConfig working_config;
+    working_config.edge_ok = [this](graph::EdgeId e) {
+      return state_.edge_ok(e);
+    };
+    working_config.capacity = residual_view();
+    slot_working_ = cache_.add_config("working", std::move(working_config));
+    graph::ViewConfig full_config;
+    full_config.capacity = residual_view();
+    slot_full_ = cache_.add_config("full", std::move(full_config));
+    graph::ViewConfig metric_config;
+    metric_config.length = dynamic_length();
+    metric_config.capacity = residual_view();
+    slot_metric_ = cache_.add_config("metric", std::move(metric_config));
+    if (opt_.use_classic_betweenness) {
+      // Residual-positive membership: a residual hitting zero flips the
+      // verdict and the cache escalates the refresh to a rebuild.
+      graph::ViewConfig usable_config;
+      usable_config.edge_ok = [this](graph::EdgeId e) {
+        return residual_[static_cast<std::size_t>(e)] > kEps;
       };
-      working_config.capacity = residual_view();
-      slot_working_ =
-          cache_->add_config("working", std::move(working_config));
-      graph::ViewConfig full_config;
-      full_config.capacity = residual_view();
-      slot_full_ = cache_->add_config("full", std::move(full_config));
-      graph::ViewConfig metric_config;
-      metric_config.length = dynamic_length();
-      metric_config.capacity = residual_view();
-      slot_metric_ = cache_->add_config("metric", std::move(metric_config));
-      if (opt_.use_classic_betweenness) {
-        // Residual-positive membership: a residual hitting zero flips the
-        // verdict and the cache escalates the refresh to a rebuild.
-        graph::ViewConfig usable_config;
-        usable_config.edge_ok = full_filter();
-        usable_config.length = dynamic_length();
-        slot_usable_ = cache_->add_config("usable", std::move(usable_config));
-      }
-      state_.publish_to(&*cache_);
-      // Intra-solve worker pool (kLegacy stays the all-serial reference).
-      // Borrowed or privately owned, every kernel below receives the same
-      // pool; results are thread-count-invariant by the kernels' fixed
-      // merge orders.
-      pool_ = util::ThreadPool::acquire(owned_pool_, opt_.solve_threads,
-                                        opt_.pool);
-      if (opt_.lp_reuse == mcf::LpReuse::kSession) {
-        // Persistent path-LP state for the per-iteration probes: the
-        // routability test (kMaxRouted on the working view) and the split
-        // probes (kMaxSplit on the full view).  Registered on the cache so
-        // the same repair/residual events that refresh the snapshots also
-        // invalidate columns and capacity rows.
-        lp_working_.emplace(g_, mcf::PathLpMode::kMaxRouted, opt_.lp);
-        lp_split_.emplace(g_, mcf::PathLpMode::kMaxSplit, opt_.lp);
-        lp_working_->set_thread_pool(pool_);
-        lp_split_->set_thread_pool(pool_);
-        cache_->add_listener(&*lp_working_);
-        cache_->add_listener(&*lp_split_);
-      }
+      usable_config.length = dynamic_length();
+      slot_usable_ = cache_.add_config("usable", std::move(usable_config));
     }
+    state_.publish_to(&cache_);
+    // Intra-solve worker pool.  Borrowed or privately owned, every kernel
+    // below receives the same pool; results are thread-count-invariant by
+    // the kernels' fixed merge orders.
+    pool_ = util::ThreadPool::acquire(owned_pool_, opt_.solve_threads,
+                                      opt_.pool);
+    // Persistent path-LP state for the per-iteration probes: the
+    // routability test (kMaxRouted on the working view) and the split
+    // probes (kMaxSplit on the full view).  Registered on the cache so the
+    // same repair/residual events that refresh the snapshots also
+    // invalidate columns and capacity rows.
+    lp_working_.set_thread_pool(pool_);
+    lp_split_.set_thread_pool(pool_);
+    cache_.add_listener(&lp_working_);
+    cache_.add_listener(&lp_split_);
   }
 
   RepairState& state() { return state_; }
 
   // --- cached views --------------------------------------------------------
 
-  bool cached() const { return cache_.has_value(); }
-  const graph::GraphView& working_view() {
-    return cache_->view(slot_working_);
-  }
-  const graph::GraphView& full_view() { return cache_->view(slot_full_); }
-  const graph::GraphView& metric_view() { return cache_->view(slot_metric_); }
-  const graph::GraphView& usable_view() { return cache_->view(slot_usable_); }
+  const graph::GraphView& working_view() { return cache_.view(slot_working_); }
+  const graph::GraphView& full_view() { return cache_.view(slot_full_); }
+  const graph::GraphView& metric_view() { return cache_.view(slot_metric_); }
+  const graph::GraphView& usable_view() { return cache_.view(slot_usable_); }
 
   /// Consumes residual capacity and publishes the (weight-only) mutation.
   void consume_residual(graph::EdgeId e, double amount) {
     auto& r = residual_[static_cast<std::size_t>(e)];
     r = std::max(0.0, r - amount);
     ++residual_epoch_;
-    if (cache_) cache_->invalidate_edge(e);
+    cache_.invalidate_edge(e);
   }
 
-  // --- capacity / filter views -------------------------------------------
+  // --- capacity / metric views --------------------------------------------
 
   graph::EdgeWeight residual_view() const {
     return [this](graph::EdgeId e) {
       return residual_[static_cast<std::size_t>(e)];
-    };
-  }
-
-  /// Edge filter of G(n): working-or-repaired with positive residual.
-  graph::EdgeFilter working_filter() const {
-    return [this](graph::EdgeId e) {
-      return state_.edge_ok(e) && residual_[static_cast<std::size_t>(e)] > kEps;
-    };
-  }
-
-  /// Full-graph filter: only positive residual required (broken usable).
-  graph::EdgeFilter full_filter() const {
-    return [this](graph::EdgeId e) {
-      return residual_[static_cast<std::size_t>(e)] > kEps;
     };
   }
 
@@ -239,32 +204,19 @@ class Engine {
     return out;
   }
 
-  bool lp_sessions() const { return lp_working_.has_value(); }
-
   bool demands_empty() const { return demands_.empty(); }
 
   // --- termination test ----------------------------------------------------
 
   bool routable_on_working() {
     if (demands_.empty()) return true;
-    if (lp_sessions()) {
-      return mcf::is_routable(*lp_working_, working_view(),
-                              current_demand_specs());
-    }
-    if (cached()) {
-      return mcf::is_routable(working_view(), current_demands(), opt_.lp);
-    }
-    return mcf::is_routable(g_, current_demands(), working_filter(),
-                            residual_view(), opt_.lp);
+    return mcf::is_routable(lp_working_, working_view(),
+                            current_demand_specs());
   }
 
   bool routable_on_full() {
     if (demands_.empty()) return true;
-    if (cached()) {
-      return mcf::is_routable(full_view(), current_demands(), opt_.lp);
-    }
-    return mcf::is_routable(g_, current_demands(), full_filter(),
-                            residual_view(), opt_.lp);
+    return mcf::is_routable(full_view(), current_demands(), opt_.lp);
   }
 
   // --- prune ---------------------------------------------------------------
@@ -290,47 +242,28 @@ class Engine {
 
     const auto blocked = bubble_walls(h);
 
-    // Modified BFS from s over working edges with residual capacity; other
-    // demands' endpoints are walls; t is absorbed but not expanded.
+    // Modified BFS from s over working arcs with residual capacity (the
+    // residual test is applied per arc); other demands' endpoints are
+    // walls; t is absorbed but not expanded.
     std::vector<char> in_s(g_.num_nodes(), 0);
     in_s[static_cast<std::size_t>(dem.source)] = 1;
     std::deque<graph::NodeId> queue{dem.source};
     bool reached_t = false;
-    if (cached()) {
-      // Cached working arcs (state-usable edges); the residual test the
-      // callback filter folded in is applied per arc.
-      const graph::GraphView& wv = working_view();
-      while (!queue.empty()) {
-        const graph::NodeId at = queue.front();
-        queue.pop_front();
-        if (at == dem.target) continue;  // do not grow the bubble past t
-        const graph::ArcId end = wv.arcs_end(at);
-        for (graph::ArcId a = wv.arcs_begin(at); a < end; ++a) {
-          const graph::EdgeId e = wv.arc_edge(a);
-          if (residual_[static_cast<std::size_t>(e)] <= kEps) continue;
-          const graph::NodeId to = wv.arc_target(a);
-          if (in_s[static_cast<std::size_t>(to)]) continue;
-          if (blocked[static_cast<std::size_t>(to)]) continue;  // wall
-          in_s[static_cast<std::size_t>(to)] = 1;
-          if (to == dem.target) reached_t = true;
-          queue.push_back(to);
-        }
-      }
-    } else {
-      const auto usable = working_filter();
-      while (!queue.empty()) {
-        const graph::NodeId at = queue.front();
-        queue.pop_front();
-        if (at == dem.target) continue;  // do not grow the bubble past t
-        for (graph::EdgeId e : g_.incident_edges(at)) {
-          if (!usable(e)) continue;
-          const graph::NodeId to = g_.other_endpoint(e, at);
-          if (in_s[static_cast<std::size_t>(to)]) continue;
-          if (blocked[static_cast<std::size_t>(to)]) continue;  // wall
-          in_s[static_cast<std::size_t>(to)] = 1;
-          if (to == dem.target) reached_t = true;
-          queue.push_back(to);
-        }
+    const graph::GraphView& wv = working_view();
+    while (!queue.empty()) {
+      const graph::NodeId at = queue.front();
+      queue.pop_front();
+      if (at == dem.target) continue;  // do not grow the bubble past t
+      const graph::ArcId end = wv.arcs_end(at);
+      for (graph::ArcId a = wv.arcs_begin(at); a < end; ++a) {
+        const graph::EdgeId e = wv.arc_edge(a);
+        if (residual_[static_cast<std::size_t>(e)] <= kEps) continue;
+        const graph::NodeId to = wv.arc_target(a);
+        if (in_s[static_cast<std::size_t>(to)]) continue;
+        if (blocked[static_cast<std::size_t>(to)]) continue;  // wall
+        in_s[static_cast<std::size_t>(to)] = 1;
+        if (to == dem.target) reached_t = true;
+        queue.push_back(to);
       }
     }
     if (!reached_t) return 0.0;
@@ -352,14 +285,8 @@ class Engine {
     }
 
     // Max flow inside the bubble on working edges and residual capacities.
-    const auto flow = NETREC_ISP_SELECT(
-        graph::max_flow(working_view(), dem.source, dem.target, residual_,
-                        in_s),
-        graph::legacy::max_flow(g_, dem.source, dem.target, residual_view(),
-                                working_filter(), [&in_s](graph::NodeId n) {
-                                  return in_s[static_cast<std::size_t>(n)] !=
-                                         0;
-                                }));
+    const auto flow = graph::max_flow(working_view(), dem.source, dem.target,
+                                      residual_, in_s);
     const double k = std::min(flow.value, dem.amount);
     if (k <= opt_.tolerance) return 0.0;
 
@@ -422,18 +349,15 @@ class Engine {
       if (!g_.edge_broken(e) || state_.edge_repaired(e)) continue;
       // "cannot be satisfied by any working path (including L(n))".
       // (Views re-fetched per demand: a repair below invalidates them.)
-      const auto flow = NETREC_ISP_SELECT(
-          graph::max_flow(working_view(), dem.source, dem.target, residual_),
-          graph::legacy::max_flow(g_, dem.source, dem.target, residual_view(),
-                                  working_filter()));
+      const auto flow =
+          graph::max_flow(working_view(), dem.source, dem.target, residual_);
       if (flow.value >= dem.amount - opt_.tolerance) continue;
       // Interpretation choice (documented in DESIGN.md): only repair the
       // direct edge when it is also a cheapest dynamic-metric route — with
       // the paper's homogeneous costs this always holds, but it stops the
       // rule from buying an expensive shortcut past a cheap corridor.
-      const auto tree = NETREC_ISP_SELECT(
-          graph::dijkstra_residual(metric_view(), dem.source, residual_),
-          graph::legacy::dijkstra(g_, dem.source, length, full_filter()));
+      const auto tree =
+          graph::dijkstra_residual(metric_view(), dem.source, residual_);
       if (tree.reached(dem.target) &&
           tree.distance[static_cast<std::size_t>(dem.target)] <
               length(e) - 1e-12) {
@@ -453,29 +377,20 @@ class Engine {
   // --- split ---------------------------------------------------------------
 
   bool split_phase() {
-    // Session mode turns on the result-preserving centrality shortcuts
-    // (shared source trees, target-stopped lookups); kNone keeps the
-    // byte-for-byte historical computation as the differential reference.
-    // The pool fans the per-demand enumerations out either way (fixed-order
-    // merge: bit-identical).
+    // The metric view carries the dynamic lengths and residual capacities;
+    // the pool fans the per-demand enumerations out (fixed-order merge:
+    // bit-identical).
     CentralityOptions copt;
-    copt.metric_const = opt_.metric_const;
     copt.max_paths_per_demand = opt_.centrality_max_paths;
-    copt.share_source_trees = lp_sessions();
     copt.pool = pool_;
-    const auto centrality = NETREC_ISP_SELECT(
-        demand_based_centrality(metric_view(), current_demands(), copt),
-        demand_based_centrality(g_, current_demands(), dynamic_length(),
-                                residual_view(), copt));
+    const auto centrality =
+        demand_based_centrality(metric_view(), current_demands(), copt);
     std::vector<graph::NodeId> ranking;
     std::vector<double> ranking_score;
     if (opt_.use_classic_betweenness) {
       // Ablation: classic betweenness ignores demands and capacities; the
       // demand path sets are still needed for split-candidate selection.
-      ranking_score = NETREC_ISP_SELECT(
-          graph::betweenness_centrality(usable_view(), pool_),
-          graph::legacy::betweenness_centrality(g_, dynamic_length(),
-                                                full_filter()));
+      ranking_score = graph::betweenness_centrality(usable_view(), pool_);
       ranking.resize(g_.num_nodes());
       std::iota(ranking.begin(), ranking.end(), 0);
       std::stable_sort(ranking.begin(), ranking.end(),
@@ -510,29 +425,18 @@ class Engine {
         const double through =
             centrality.capacity_through(h, vbc, g_);
         if (through <= kEps) continue;
-        double flow_value;
-        if (lp_sessions()) {
-          // The full view has no filters, so its max flows depend only on
-          // the residual capacities: one value per demand uid stays exact
-          // until the next consume_residual (value-identical reuse across
-          // candidate nodes *and* across prune-free iterations).
-          auto [it, fresh] = full_flow_cache_.try_emplace(dem.uid);
-          if (fresh || it->second.first != residual_epoch_) {
-            it->second = {residual_epoch_,
-                          graph::max_flow(full_view(), dem.source, dem.target,
-                                          residual_)
-                              .value};
-          }
-          flow_value = it->second.second;
-        } else {
-          flow_value = NETREC_ISP_SELECT(
-                           graph::max_flow(full_view(), dem.source,
-                                           dem.target, residual_),
-                           graph::legacy::max_flow(g_, dem.source, dem.target,
-                                                   residual_view(),
-                                                   full_filter()))
-                           .value;
+        // The full view has no filters, so its max flows depend only on
+        // the residual capacities: one value per demand uid stays exact
+        // until the next consume_residual (value-identical reuse across
+        // candidate nodes *and* across prune-free iterations).
+        auto [it, fresh] = full_flow_cache_.try_emplace(dem.uid);
+        if (fresh || it->second.first != residual_epoch_) {
+          it->second = {
+              residual_epoch_,
+              graph::max_flow(full_view(), dem.source, dem.target, residual_)
+                  .value};
         }
+        const double flow_value = it->second.second;
         if (flow_value <= kEps) continue;  // infeasible even on full graph
         candidates.push_back(
             {static_cast<std::size_t>(h),
@@ -553,19 +457,9 @@ class Engine {
         // full_view() re-fetched per candidate: repairing v_BC above only
         // refreshed weights, but staying synced is the cache's job, not
         // this loop's.
-        const double dx =
-            lp_sessions()
-                ? mcf::max_splittable_amount(
-                      *lp_split_, full_view(), current_demand_specs(),
-                      static_cast<int>(cand.demand), vbc)
-                : NETREC_ISP_SELECT(
-                      mcf::max_splittable_amount(
-                          full_view(), current_demands(),
-                          static_cast<int>(cand.demand), vbc, opt_.lp),
-                      mcf::max_splittable_amount(
-                          g_, current_demands(),
-                          static_cast<int>(cand.demand), vbc, full_filter(),
-                          residual_view(), opt_.lp));
+        const double dx = mcf::max_splittable_amount(
+            lp_split_, full_view(), current_demand_specs(),
+            static_cast<int>(cand.demand), vbc);
         if (dx <= opt_.tolerance) continue;
         apply_split(cand.demand, vbc, std::min(dx, dem.amount));
         return true;
@@ -632,10 +526,8 @@ class Engine {
     double worst_gap = opt_.tolerance;
     for (std::size_t h = 0; h < demands_.size(); ++h) {
       const auto& dem = demands_[h];
-      const auto flow = NETREC_ISP_SELECT(
-          graph::max_flow(working_view(), dem.source, dem.target, residual_),
-          graph::legacy::max_flow(g_, dem.source, dem.target, residual_view(),
-                                  working_filter()));
+      const auto flow =
+          graph::max_flow(working_view(), dem.source, dem.target, residual_);
       const double gap = dem.amount - flow.value;
       if (gap > worst_gap) {
         worst_gap = gap;
@@ -648,12 +540,9 @@ class Engine {
       return exact_completion();
     }
     const auto& dem = demands_[worst];
-    const auto path = NETREC_ISP_SELECT(
+    const auto path =
         graph::dijkstra_residual(metric_view(), dem.source, residual_)
-            .path_to(g_, dem.target),
-        graph::legacy::dijkstra(g_, dem.source, dynamic_length(),
-                                full_filter())
-            .path_to(g_, dem.target));
+            .path_to(g_, dem.target);
     bool repaired = false;
     if (path) {
       graph::NodeId at = path->start;
@@ -693,28 +582,16 @@ class Engine {
       }
       return c;
     };
-    const mcf::PathLpResult result = [&] {
-      if (lp_sessions()) {
-        // Per-call session context: the completion re-prices every column
-        // against the live repair state and its witness support drives
-        // discrete repair choices, so nothing is carried across calls —
-        // the session API is used for the shared machinery (pool install,
-        // warm rounds within this one converging solve), not persistence.
-        mcf::PathLpSession lp(g_, mcf::PathLpMode::kMinCost, opt_.lp);
-        lp.set_min_cost_objective(pending_cost);
-        lp.set_thread_pool(pool_);
-        return lp.solve(full_view(), current_demand_specs());
-      }
-      if (cached()) {
-        mcf::PathLp lp(full_view(), current_demands(), opt_.lp);
-        lp.set_min_cost(pending_cost);
-        return lp.solve();
-      }
-      mcf::PathLp lp(g_, current_demands(), full_filter(), residual_view(),
-                     opt_.lp);
-      lp.set_min_cost(pending_cost);
-      return lp.solve();
-    }();
+    // Per-call session: the completion re-prices every column against the
+    // live repair state and its witness support drives discrete repair
+    // choices, so nothing is carried across calls — the session API is
+    // used for the shared machinery (pool install, warm rounds within this
+    // one converging solve), not persistence.
+    mcf::PathLpSession lp(g_, mcf::PathLpMode::kMinCost, opt_.lp);
+    lp.set_min_cost_objective(pending_cost);
+    lp.set_thread_pool(pool_);
+    const mcf::PathLpResult result =
+        lp.solve(full_view(), current_demand_specs());
     if (!result.routing.fully_routed) return false;
 
     // Candidate repairs: every pending element the witness routing touches.
@@ -747,18 +624,11 @@ class Engine {
       return edge_fixed && node_ok(eu) && node_ok(ev);
     };
     auto still_routable = [&]() {
-      if (lp_sessions()) {
-        // One snapshot instead of the callback pipeline's three (reach
-        // view, greedy view, PathLp owned view); owned-vs-borrowed PathLp
-        // equivalence makes the verdict identical.
-        graph::ViewConfig config;
-        config.edge_ok = hypothetical;
-        config.capacity = residual_view();
-        return mcf::is_routable(graph::GraphView::build(g_, config),
-                                current_demands(), opt_.lp);
-      }
-      return mcf::is_routable(g_, current_demands(), hypothetical,
-                              residual_view(), opt_.lp);
+      graph::ViewConfig config;
+      config.edge_ok = hypothetical;
+      config.capacity = residual_view();
+      return mcf::is_routable(graph::GraphView::build(g_, config),
+                              current_demands(), opt_.lp);
     };
     // Drop candidates greedily (most expensive first) while routability
     // holds; each keep/drop decision is one exact test.
@@ -823,9 +693,9 @@ class Engine {
   std::vector<double> residual_;
   std::vector<double> jitter_;
   std::vector<mcf::PathFlow> pruned_flows_;
-  /// Engaged iff opt_.backend == kViewCache; RepairState publishes repairs
-  /// into it and consume_residual publishes capacity updates.
-  std::optional<graph::ViewCache> cache_;
+  /// RepairState publishes repairs into it and consume_residual publishes
+  /// capacity updates.
+  graph::ViewCache cache_;
   graph::ViewCache::SlotId slot_working_ = 0;
   graph::ViewCache::SlotId slot_full_ = 0;
   graph::ViewCache::SlotId slot_metric_ = 0;
@@ -836,15 +706,15 @@ class Engine {
   /// destruction keeps the pool alive past its borrowers).
   std::optional<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;
-  /// Engaged iff additionally opt_.lp_reuse == kSession: persistent path-LP
-  /// masters, fed by the cache's mutation fan-out.  Declared after cache_
-  /// (they are registered listeners; both die with the Engine, cache last).
-  std::optional<mcf::PathLpSession> lp_working_;
-  std::optional<mcf::PathLpSession> lp_split_;
+  /// Persistent path-LP masters, fed by the cache's mutation fan-out.
+  /// Declared after cache_ (they are registered listeners; both die with
+  /// the Engine, cache last).
+  mcf::PathLpSession lp_working_;
+  mcf::PathLpSession lp_split_;
   int next_uid_ = 0;
   /// Bumped by consume_residual; versions the full-graph flow memo below.
   std::uint64_t residual_epoch_ = 0;
-  /// uid -> (residual epoch, full-view max-flow value); session mode only.
+  /// uid -> (residual epoch, full-view max-flow value).
   std::unordered_map<int, std::pair<std::uint64_t, double>> full_flow_cache_;
 };
 

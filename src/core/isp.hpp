@@ -19,6 +19,15 @@
 // cheapest path when an iteration makes no progress; it never fires on the
 // paper's scenario families (asserted in tests) but guarantees termination
 // on adversarial input.
+//
+// One engine runs the loop: a graph::ViewCache keeps the working, full and
+// metric snapshots alive across iterations (residual updates refresh them,
+// repairs rebuild exactly the slots whose membership changed), and two
+// persistent mcf::PathLpSession masters answer the routability and split
+// probes with pooled columns and warm bases.  tests/golden/isp_corpus.txt
+// freezes its outputs on seeded scenarios; the corpus was recorded while
+// this engine agreed bit for bit with the callback-kernel and one-shot-LP
+// implementations it replaced.
 #pragma once
 
 #include <stdexcept>
@@ -28,7 +37,6 @@
 #include "core/centrality.hpp"
 #include "core/problem.hpp"
 #include "mcf/path_lp.hpp"
-#include "mcf/path_lp_session.hpp"
 #include "util/timer.hpp"
 
 namespace netrec::core {
@@ -39,21 +47,6 @@ namespace netrec::core {
 class DeadlineExceeded : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// Which graph-query machinery the ISP engine drives its inner loop with.
-enum class IspBackend {
-  /// Cached GraphViews (graph::ViewCache): the working/full/metric snapshots
-  /// persist across iterations and sync through RepairState/residual
-  /// mutation events — refresh on residual-weight changes, rebuild on
-  /// repairs.  The default and the fast path.
-  kViewCache,
-  /// The pre-ViewCache reference: graph::legacy kernels for the direct
-  /// dijkstra/max-flow call sites and the view-materialising callback entry
-  /// points for the composite ones (routability, PathLp, centrality) — a
-  /// fresh snapshot or callback sweep per call.  Kept so the differential
-  /// test harness can pin bit-identical behaviour between the two paths.
-  kLegacy,
 };
 
 struct IspOptions {
@@ -76,17 +69,6 @@ struct IspOptions {
   double length_jitter = 0.0;
   std::uint64_t jitter_seed = 1;
   mcf::PathLpOptions lp;
-  /// See IspBackend; kLegacy exists for the differential harness and the
-  /// perf_isp before/after bench.
-  IspBackend backend = IspBackend::kViewCache;
-  /// Path-LP state reuse across iterations (mcf::PathLpSession): the
-  /// routability probe and the split probes keep their column pools and
-  /// warm bases for the whole solve, synced through the same ViewCache
-  /// mutation events the snapshots consume.  kNone is the one-shot
-  /// PathLp-per-call reference the differential harness compares against.
-  /// Sessions need cached views, so the option only takes effect with
-  /// backend == kViewCache (kLegacy always runs one-shot LPs).
-  mcf::LpReuse lp_reuse = mcf::LpReuse::kSession;
   /// Intra-solve parallelism: fans the hot kernels of ONE solve — Brandes
   /// source passes, per-demand centrality path enumeration, per-binding LP
   /// pricing Dijkstras — out on a thread pool.  Every parallel kernel
@@ -96,7 +78,7 @@ struct IspOptions {
   /// share one across solves); when null and solve_threads != 1 the solver
   /// owns a private pool for the solve's duration (0 = auto: NETREC_THREADS
   /// or hardware concurrency).  The default, solve_threads == 1 with no
-  /// pool, is the all-serial reference; kLegacy ignores both knobs.
+  /// pool, is the all-serial reference.
   util::ThreadPool* pool = nullptr;
   std::size_t solve_threads = 1;
   /// Cooperative solve deadline, checked once at the top of every ISP

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
-#include <stack>
 
 #include "graph/heap.hpp"
 #include "util/thread_pool.hpp"
@@ -177,80 +175,5 @@ std::vector<double> betweenness_centrality(const Graph& g,
   config.length = length;
   return betweenness_centrality(GraphView::build(g, config));
 }
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-std::vector<double> betweenness_centrality(const Graph& g,
-                                           const EdgeWeight& length,
-                                           const EdgeFilter& edge_ok,
-                                           const NodeFilter& node_ok) {
-  const std::size_t n = g.num_nodes();
-  std::vector<double> centrality(n, 0.0);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  std::vector<double> dist(n);
-  std::vector<double> sigma(n);  // number of shortest paths
-  std::vector<double> delta(n);  // dependency accumulator
-  std::vector<std::vector<NodeId>> predecessors(n);
-
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto source = static_cast<NodeId>(s);
-    if (node_ok && !node_ok(source)) continue;
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
-    for (auto& p : predecessors) p.clear();
-
-    dist[s] = 0.0;
-    sigma[s] = 1.0;
-    using Item = std::pair<double, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-    heap.emplace(0.0, source);
-    std::stack<NodeId> order;  // nodes in non-decreasing distance
-    std::vector<char> settled(n, 0);
-
-    while (!heap.empty()) {
-      const auto [d, at] = heap.top();
-      heap.pop();
-      if (settled[static_cast<std::size_t>(at)]) continue;
-      settled[static_cast<std::size_t>(at)] = 1;
-      order.push(at);
-      for (EdgeId e : g.incident_edges(at)) {
-        if (edge_ok && !edge_ok(e)) continue;
-        const NodeId to = g.other_endpoint(e, at);
-        if (node_ok && !node_ok(to)) continue;
-        const double candidate = d + length(e);
-        const auto ti = static_cast<std::size_t>(to);
-        if (candidate < dist[ti] - 1e-12) {
-          dist[ti] = candidate;
-          sigma[ti] = sigma[static_cast<std::size_t>(at)];
-          predecessors[ti].assign(1, at);
-          heap.emplace(candidate, to);
-        } else if (std::abs(candidate - dist[ti]) <= 1e-12) {
-          sigma[ti] += sigma[static_cast<std::size_t>(at)];
-          predecessors[ti].push_back(at);
-        }
-      }
-    }
-
-    while (!order.empty()) {
-      const NodeId w = order.top();
-      order.pop();
-      const auto wi = static_cast<std::size_t>(w);
-      for (NodeId v : predecessors[wi]) {
-        const auto vi = static_cast<std::size_t>(v);
-        delta[vi] += sigma[vi] / sigma[wi] * (1.0 + delta[wi]);
-      }
-      if (w != source) centrality[wi] += delta[wi];
-    }
-  }
-  // Undirected graph: each pair counted from both endpoints.
-  for (double& c : centrality) c /= 2.0;
-  return centrality;
-}
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
 
 }  // namespace netrec::graph

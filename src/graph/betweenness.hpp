@@ -9,8 +9,8 @@
 //
 // Brandes runs |V| Dijkstra passes, so it is the workload that gains most
 // from the CSR GraphView: the view overload touches flat arrays only.  The
-// callback signature wraps it; the reference callback implementation lives
-// in namespace `legacy` for the equivalence tests and bench/perf_graph.
+// callback signature wraps it.  Scores are frozen in
+// tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <cstddef>
@@ -53,18 +53,5 @@ std::vector<double> betweenness_centrality(const Graph& g,
                                            const EdgeWeight& length,
                                            const EdgeFilter& edge_ok = {},
                                            const NodeFilter& node_ok = {});
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-/// Reference std::function-based implementation (bit-identical scores),
-/// preserved for the view-equivalence tests and the perf comparison.
-std::vector<double> betweenness_centrality(const Graph& g,
-                                           const EdgeWeight& length,
-                                           const EdgeFilter& edge_ok = {},
-                                           const NodeFilter& node_ok = {});
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
 
 }  // namespace netrec::graph

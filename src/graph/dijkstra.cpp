@@ -252,100 +252,4 @@ std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
   return widest_path(GraphView::build(g, config), source, target);
 }
 
-// --- legacy reference implementations --------------------------------------
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeWeight& length, const EdgeFilter& edge_ok,
-                          const NodeFilter& node_ok) {
-  g.check_node(source);
-  ShortestPathTree tree;
-  tree.source = source;
-  tree.distance.assign(g.num_nodes(), kInf);
-  tree.parent_edge.assign(g.num_nodes(), kInvalidEdge);
-  tree.distance[static_cast<std::size_t>(source)] = 0.0;
-
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [dist, at] = heap.top();
-    heap.pop();
-    if (dist > tree.distance[static_cast<std::size_t>(at)]) continue;
-    for (EdgeId e : g.incident_edges(at)) {
-      if (edge_ok && !edge_ok(e)) continue;
-      const NodeId to = g.other_endpoint(e, at);
-      if (node_ok && !node_ok(to)) continue;
-      const double w = length(e);
-      if (!(w >= 0.0)) {
-        throw std::invalid_argument("dijkstra: negative or NaN edge length");
-      }
-      const double candidate = dist + w;
-      if (candidate < tree.distance[static_cast<std::size_t>(to)]) {
-        tree.distance[static_cast<std::size_t>(to)] = candidate;
-        tree.parent_edge[static_cast<std::size_t>(to)] = e;
-        heap.emplace(candidate, to);
-      }
-    }
-  }
-  return tree;
-}
-
-std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
-                                const EdgeWeight& capacity,
-                                const EdgeFilter& edge_ok,
-                                const NodeFilter& node_ok) {
-  g.check_node(source);
-  g.check_node(target);
-  std::vector<double> width(g.num_nodes(), 0.0);
-  std::vector<EdgeId> parent(g.num_nodes(), kInvalidEdge);
-  width[static_cast<std::size_t>(source)] = kInf;
-
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item> heap;  // max-heap on bottleneck
-  heap.emplace(kInf, source);
-  while (!heap.empty()) {
-    const auto [w, at] = heap.top();
-    heap.pop();
-    if (w < width[static_cast<std::size_t>(at)]) continue;
-    if (at == target) break;
-    for (EdgeId e : g.incident_edges(at)) {
-      if (edge_ok && !edge_ok(e)) continue;
-      const NodeId to = g.other_endpoint(e, at);
-      if (node_ok && !node_ok(to)) continue;
-      const double cap = capacity(e);
-      if (!(cap >= 0.0)) {
-        throw std::invalid_argument(
-            "widest_path: negative or NaN edge capacity");
-      }
-      const double bottleneck = std::min(w, cap);
-      if (bottleneck > width[static_cast<std::size_t>(to)]) {
-        width[static_cast<std::size_t>(to)] = bottleneck;
-        parent[static_cast<std::size_t>(to)] = e;
-        heap.emplace(bottleneck, to);
-      }
-    }
-  }
-  if (width[static_cast<std::size_t>(target)] <= 0.0 && source != target) {
-    return std::nullopt;
-  }
-  Path path;
-  path.start = source;
-  std::vector<EdgeId> reversed;
-  NodeId at = target;
-  while (at != source) {
-    const EdgeId e = parent[static_cast<std::size_t>(at)];
-    if (e == kInvalidEdge) return std::nullopt;
-    reversed.push_back(e);
-    at = g.other_endpoint(e, at);
-  }
-  path.edges.assign(reversed.rbegin(), reversed.rend());
-  return path;
-}
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
-
 }  // namespace netrec::graph

@@ -8,9 +8,8 @@
 // Two call families exist.  The GraphView overloads are the hot path: they
 // traverse a flat CSR snapshot with no per-edge indirection and are what the
 // algorithm consumers use.  The callback overloads keep the historical
-// signatures as thin wrappers that materialise a view; the verbatim callback
-// implementations survive in namespace `legacy` as the reference the
-// equivalence tests and bench/perf_graph compare against.
+// signatures as thin wrappers that materialise a view.  Outputs are frozen
+// in tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <optional>
@@ -110,24 +109,5 @@ std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
                                 const EdgeWeight& capacity,
                                 const EdgeFilter& edge_ok = {},
                                 const NodeFilter& node_ok = {});
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-/// Reference std::function-based implementations, preserved for the
-/// view-equivalence property tests and the bench/perf_graph comparison.
-/// Semantically identical to the view path (bit-identical outputs).
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeWeight& length,
-                          const EdgeFilter& edge_ok = {},
-                          const NodeFilter& node_ok = {});
-
-std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
-                                const EdgeWeight& capacity,
-                                const EdgeFilter& edge_ok = {},
-                                const NodeFilter& node_ok = {});
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
 
 }  // namespace netrec::graph

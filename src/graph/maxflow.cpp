@@ -285,33 +285,4 @@ std::vector<std::pair<Path, double>> decompose_flow(
   return out;
 }
 
-// --- legacy reference ------------------------------------------------------
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-MaxflowResult max_flow(const Graph& g, NodeId source, NodeId sink,
-                       const EdgeWeight& capacity, const EdgeFilter& edge_ok,
-                       const NodeFilter& node_ok) {
-  const bool endpoints_ok =
-      !node_ok || (node_ok(source) && node_ok(sink));
-  return run_max_flow(
-      g, source, sink, endpoints_ok,
-      [&](Dinic& net, std::vector<std::pair<int, double>>& arc_of_edge) {
-        for (std::size_t e = 0; e < g.num_edges(); ++e) {
-          const auto id = static_cast<EdgeId>(e);
-          if (edge_ok && !edge_ok(id)) continue;
-          const auto [eu, ev] = g.edge_endpoints(id);
-          if (node_ok && (!node_ok(eu) || !node_ok(ev))) continue;
-          const double cap = capacity(id);
-          if (cap <= kFlowEps) continue;
-          arc_of_edge[e] = {static_cast<int>(net.arcs.size()), cap};
-          net.add_undirected(eu, ev, cap, id);
-        }
-      });
-}
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
-
 }  // namespace netrec::graph

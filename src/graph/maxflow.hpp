@@ -11,8 +11,8 @@
 // usability bitset and capacity array (no per-edge callbacks); the
 // residual-capacity overload lets greedy routing re-run flows against a
 // mutating residual array without rebuilding the view.  The callback
-// signature wraps the view path; the reference implementation survives in
-// namespace `legacy` for the equivalence tests.
+// signature wraps the view path.  Flows are frozen in
+// tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <utility>
@@ -67,18 +67,5 @@ MaxflowResult max_flow(const Graph& g, NodeId source, NodeId sink,
 std::vector<std::pair<Path, double>> decompose_flow(
     const Graph& g, NodeId source, NodeId sink,
     const std::vector<double>& edge_flow);
-
-#if defined(NETREC_ENABLE_LEGACY)
-namespace legacy {
-
-/// Reference std::function-based implementation (bit-identical flows),
-/// preserved for the view-equivalence tests.
-MaxflowResult max_flow(const Graph& g, NodeId source, NodeId sink,
-                       const EdgeWeight& capacity,
-                       const EdgeFilter& edge_ok = {},
-                       const NodeFilter& node_ok = {});
-
-}  // namespace legacy
-#endif  // NETREC_ENABLE_LEGACY
 
 }  // namespace netrec::graph

@@ -50,13 +50,13 @@ std::vector<Path> all_simple_paths(const GraphView& view, NodeId s, NodeId t,
 
 /// successive_shortest_paths with every Dijkstra stopped at `t` once it is
 /// settled.  Selects bit-identical paths in the identical order (the
-/// settle prefix up to the target matches the full run); used by the
-/// session fast paths, while the unbounded variant below remains the
-/// byte-for-byte reference computation.  When `first_tree` is non-null it
-/// must be a shortest-path tree from `s` over the view's untouched
-/// capacities — exactly what the first enumeration round computes — and
-/// that round reads it instead of running its own Dijkstra (demand-based
-/// centrality shares one tree across demands with a common source).
+/// settle prefix up to the target matches the full run); demand-based
+/// centrality enumerates its path sets this way.  When `first_tree` is
+/// non-null it must be a shortest-path tree from `s` over the view's
+/// untouched capacities — exactly what the first enumeration round
+/// computes — and that round reads it instead of running its own Dijkstra
+/// (demand-based centrality shares one tree across demands with a common
+/// source).
 SuccessivePathsResult successive_shortest_paths_to(
     const GraphView& view, NodeId s, NodeId t, double demand,
     std::size_t max_paths, const ShortestPathTree* first_tree = nullptr);

@@ -45,9 +45,9 @@
 //
 // The session is an accelerator, not a new algorithm: it converges by the
 // same exact pricing rule as PathLp, so objectives, routability verdicts
-// and split amounts agree with the one-shot path (LpReuse::kNone) — the
-// ISP differential harness pins the two bit-identical across seeded
-// scenario families.
+// and split amounts agree with a one-shot PathLp (tests/test_path_lp.cpp
+// pins the two against each other; tests/golden/isp_corpus.txt was
+// recorded while ISP on sessions and ISP on one-shot LPs agreed exactly).
 #pragma once
 
 #include <cstdint>
@@ -68,15 +68,6 @@ class ThreadPool;
 }  // namespace netrec::util
 
 namespace netrec::mcf {
-
-/// How a solver loop reuses path-LP state across its iterations.
-enum class LpReuse {
-  /// One-shot mcf::PathLp per call: fresh seeds, cold simplex — the
-  /// reference path (and the only choice for callback-backed solvers).
-  kNone,
-  /// Persistent PathLpSession per call site: pooled columns, warm basis.
-  kSession,
-};
 
 class PathLpSession : public graph::MutationListener {
  public:

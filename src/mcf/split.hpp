@@ -6,39 +6,22 @@
 // (typically full, residual-capacity) supply graph.
 #pragma once
 
-#include "graph/graph.hpp"
 #include "graph/view.hpp"
-#include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
-#include "mcf/types.hpp"
 
 namespace netrec::mcf {
 
-/// Same LP on a persistent kMaxSplit session: the columns of the unsplit
-/// demands and of earlier (via, half) probes persist across calls, and the
-/// master warm-starts from the previous probe's basis — the hottest call in
-/// ISP's split phase (one probe per centrality candidate per iteration).
+/// Runs the LP on a persistent kMaxSplit session: the columns of the
+/// unsplit demands and of earlier (via, half) probes persist across calls,
+/// and the master warm-starts from the previous probe's basis — the hottest
+/// call in ISP's split phase (one probe per centrality candidate per
+/// iteration).  The routable network is the view's edges with positive
+/// capacity.  Returns dx in [0, demands[split_index].amount]; 0 when even
+/// the unsplit demand is not routable (ISP treats that as "pick a different
+/// candidate").
 double max_splittable_amount(
     PathLpSession& session, const graph::GraphView& view,
     const std::vector<PathLpSession::DemandSpec>& demands, int split_index,
     graph::NodeId via);
-
-/// Returns dx in [0, demands[split_index].amount]; 0 when even the unsplit
-/// demand is not routable under the filter/capacities (ISP treats that as
-/// "pick a different candidate").
-double max_splittable_amount(const graph::Graph& g,
-                             const std::vector<Demand>& demands,
-                             int split_index, graph::NodeId via,
-                             const graph::EdgeFilter& edge_ok,
-                             const graph::EdgeWeight& capacity,
-                             const PathLpOptions& options = {});
-
-/// Same LP on a borrowed (typically ViewCache-owned) snapshot; the routable
-/// network is the view's edges with positive capacity (see PathLp's
-/// borrowed-view constructor).
-double max_splittable_amount(const graph::GraphView& view,
-                             const std::vector<Demand>& demands,
-                             int split_index, graph::NodeId via,
-                             const PathLpOptions& options = {});
 
 }  // namespace netrec::mcf

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "graph/view_cache.hpp"
-#include "mcf/routing.hpp"
+#include "mcf/path_lp_session.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -46,12 +46,16 @@ std::size_t TimelineResult::stages_to_restore(double fraction) const {
 namespace {
 
 /// The engine's per-run measurement state: the live problem, one cached
-/// "operational" snapshot, and (in session mode) one persistent kMaxRouted
-/// PathLpSession fed by the cache's mutation fan-out.
+/// "operational" snapshot, and one persistent kMaxRouted PathLpSession fed
+/// by the cache's mutation fan-out.
 class Runtime {
  public:
   Runtime(core::RecoveryProblem& live, const TimelineOptions& opt)
-      : live_(live), g_(live.graph), opt_(opt), cache_(live.graph) {
+      : live_(live),
+        g_(live.graph),
+        opt_(opt),
+        cache_(live.graph),
+        session_(live.graph, mcf::PathLpMode::kMaxRouted, opt.lp) {
     graph::ViewConfig operational;
     // Endpoints folded into the edge filter (no node filter): a node break
     // or repair reaches the cache as invalidate_node, which queues the
@@ -60,16 +64,13 @@ class Runtime {
     slot_ = cache_.add_config("operational", std::move(operational));
     pool_ = util::ThreadPool::acquire(owned_pool_, opt_.solve_threads,
                                       opt_.pool);
-    if (opt_.lp_reuse == mcf::LpReuse::kSession) {
-      session_.emplace(g_, mcf::PathLpMode::kMaxRouted, opt_.lp);
-      session_->set_thread_pool(pool_);
-      cache_.add_listener(&*session_);
-      specs_.reserve(live_.demands.size());
-      // Demand amounts never change across stages, so the original index
-      // is a stable session uid.
-      for (std::size_t h = 0; h < live_.demands.size(); ++h) {
-        specs_.push_back({static_cast<int>(h), live_.demands[h]});
-      }
+    session_.set_thread_pool(pool_);
+    cache_.add_listener(&session_);
+    specs_.reserve(live_.demands.size());
+    // Demand amounts never change across stages, so the original index is
+    // a stable session uid.
+    for (std::size_t h = 0; h < live_.demands.size(); ++h) {
+      specs_.push_back({static_cast<int>(h), live_.demands[h]});
     }
     edge_died_.assign(g_.num_edges(), 0);
   }
@@ -78,11 +79,8 @@ class Runtime {
   /// Memoized until the next repair or dynamics break.
   double measure() {
     if (!measure_stale_) return last_routed_;
-    const graph::GraphView& view = cache_.view(slot_);
     last_routed_ =
-        session_ ? session_->solve(view, specs_).routing.total_routed
-                 : mcf::max_routed_flow(view, live_.demands, opt_.lp)
-                       .total_routed;
+        session_.solve(cache_.view(slot_), specs_).routing.total_routed;
     measure_stale_ = false;
     return last_routed_;
   }
@@ -112,7 +110,7 @@ class Runtime {
     // leave stale dead verdicts — and the pricing duplicate guard would
     // treat a re-derived copy of such a path as converged — so the engine
     // pays one full reset instead.  Never fires under static dynamics.
-    if (revive && session_) {
+    if (revive) {
       cache_.bump_epoch();
       std::fill(edge_died_.begin(), edge_died_.end(), 0);
     }
@@ -165,9 +163,9 @@ class Runtime {
   /// before the session that borrows it.
   std::optional<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;
-  /// Engaged iff lp_reuse == kSession; registered cache listener.  Declared
-  /// after cache_ (both die with the Runtime, cache last).
-  std::optional<mcf::PathLpSession> session_;
+  /// Registered cache listener.  Declared after cache_ (both die with the
+  /// Runtime, cache last).
+  mcf::PathLpSession session_;
   std::vector<mcf::PathLpSession::DemandSpec> specs_;
   /// Edges whose operational status a dynamics event killed since the last
   /// session reset (see apply_repair).

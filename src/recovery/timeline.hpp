@@ -26,10 +26,9 @@
 // repaired once; re-repairing it costs again).  An element is operational
 // iff not broken.
 //
-// Measurement reuse (why this engine rides PRs 3-4): all routed-demand
-// queries go through one ViewCache slot ("operational") and, by default
-// (TimelineOptions::lp_reuse == kSession), one persistent kMaxRouted
-// PathLpSession registered on that cache.  Repairs and dynamics breaks
+// Measurement reuse: all routed-demand queries go through one ViewCache
+// slot ("operational") and one persistent kMaxRouted PathLpSession
+// registered on that cache.  Repairs and dynamics breaks
 // publish invalidate_node/invalidate_edge; breaks stay warm — the session
 // deactivates exactly the columns whose paths cross a dead edge, which is
 // the first workload exercising warm reuse across *disruption* events, not
@@ -50,7 +49,6 @@
 #include "core/problem.hpp"
 #include "disruption/disruption.hpp"
 #include "mcf/path_lp.hpp"
-#include "mcf/path_lp_session.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::util {
@@ -112,11 +110,9 @@ struct TimelineOptions {
   std::size_t max_stages = 64;
   /// Repairs per stage (crew budget); 0 means unlimited.
   std::size_t stage_budget = 1;
-  /// Routed-demand measurement machinery: kSession keeps one persistent
-  /// PathLpSession across all stages (warm re-solves through repairs *and*
-  /// disruption events); kNone solves a one-shot PathLp per measurement —
-  /// the differential reference.
-  mcf::LpReuse lp_reuse = mcf::LpReuse::kSession;
+  /// Options of the routed-demand measurement LP (one persistent
+  /// PathLpSession across all stages: warm re-solves through repairs *and*
+  /// disruption events).
   mcf::PathLpOptions lp;
   /// Intra-run parallelism for the measurement LP's pricing sweeps (and any
   /// policy that routes its embedded core::IspOptions::pool here).  Fixed

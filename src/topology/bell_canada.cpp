@@ -120,17 +120,4 @@ graph::Graph bell_canada_impl(const BellCanadaOptions& options) {
 
 }  // namespace detail
 
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-graph::Graph bell_canada_like(const BellCanadaOptions& options) {
-  return detail::bell_canada_impl(options);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace netrec::topology

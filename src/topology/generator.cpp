@@ -196,22 +196,4 @@ GeneratorParams params_for(std::string_view family) {
   return params;
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-graph::Graph rmat(const RmatOptions& options, util::Rng& rng) {
-  return detail::rmat_impl(options, rng);
-}
-
-graph::Graph barabasi_albert(const BarabasiAlbertOptions& options,
-                             util::Rng& rng) {
-  return detail::barabasi_albert_impl(options, rng);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace netrec::topology

@@ -4,11 +4,6 @@
 // uniformly — by params value or by family name via params_for() — instead
 // of hard-wiring one of the ad-hoc free functions.
 //
-// The per-family free functions (bell_canada_like, erdos_renyi, caida_like,
-// rmat, barabasi_albert) survive as thin deprecated wrappers for one
-// release; they call the same detail:: implementations as make_topology, so
-// the two paths are bit-identical stream-for-stream.
-//
 // The scale families (rmat, barabasi_albert) construct through
 // graph::Builder — O(1) appends, batch dedup at finalize — and are the feed
 // for bench/fig_scale's n=10^6 sweep.  Their nodes are unnamed and sit at
@@ -64,8 +59,7 @@ struct GeneratorParams {
 graph::Graph make_topology(const GeneratorParams& params);
 
 /// Same, drawing from a caller-owned stream: for scenario factories that
-/// thread one Rng through problem construction.  Consumes exactly the same
-/// variates as the deprecated per-family functions did.
+/// thread one Rng through problem construction.
 graph::Graph make_topology(const GeneratorOptions& options, util::Rng& rng);
 
 /// Family name of the selected alternative: "bell_canada", "erdos_renyi",
@@ -76,17 +70,9 @@ std::string family_name(const GeneratorOptions& options);
 /// shorthands "er" and "ba").  Throws std::invalid_argument on unknown.
 GeneratorParams params_for(std::string_view family);
 
-/// R-MAT (recursive matrix) graph with heavy-tailed degrees.
-/// \deprecated Use make_topology(); kept for one release.
-[[deprecated("use topology::make_topology")]] graph::Graph rmat(
-    const RmatOptions& options, util::Rng& rng);
-
-/// Barabási–Albert preferential attachment, connected by construction.
-/// \deprecated Use make_topology(); kept for one release.
-[[deprecated("use topology::make_topology")]] graph::Graph barabasi_albert(
-    const BarabasiAlbertOptions& options, util::Rng& rng);
-
 namespace detail {
+// R-MAT (recursive matrix) graph with heavy-tailed degrees; Barabási–Albert
+// preferential attachment, connected by construction.
 graph::Graph rmat_impl(const RmatOptions& options, util::Rng& rng);
 graph::Graph barabasi_albert_impl(const BarabasiAlbertOptions& options,
                                   util::Rng& rng);

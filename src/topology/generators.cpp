@@ -87,22 +87,4 @@ graph::Graph caida_like_impl(const CaidaLikeOptions& options,
 
 }  // namespace detail
 
-// Deprecated wrappers: one release of grace for out-of-tree callers.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-graph::Graph erdos_renyi(const ErdosRenyiOptions& options, util::Rng& rng) {
-  return detail::erdos_renyi_impl(options, rng);
-}
-
-graph::Graph caida_like(const CaidaLikeOptions& options, util::Rng& rng) {
-  return detail::caida_like_impl(options, rng);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace netrec::topology

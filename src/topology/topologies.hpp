@@ -1,16 +1,19 @@
-// Topology suite for the paper's three experiment scenarios (Section VII).
+// Topology suite for the paper's three experiment scenarios (Section VII),
+// built through topology::make_topology (topology/generator.hpp).
 //
-//  * bell_canada_like(): 48 nodes / 64 edges with geographic coordinates
+//  * Bell-Canada-like: 48 nodes / 64 edges with geographic coordinates
 //    over Canadian cities and the paper's capacity plan — two backbones at
 //    50 and 30 units, access links at 20, unit repair costs.  The Internet
 //    Topology Zoo original is not distributable offline; this synthetic
 //    stand-in preserves size, the backbone+access structure and rough
 //    planarity (see DESIGN.md substitution #2).  Real Topology Zoo GML files
 //    load through graph::load_gml_file when available.
-//  * erdos_renyi(): G(n, p) with uniform capacities (Section VII-B).
-//  * caida_like(): preferential-attachment AS-style graph trimmed to exactly
+//  * Erdős–Rényi: G(n, p) with uniform capacities and node coordinates
+//    uniform in [0, 100]^2 (Section VII-B).
+//  * CAIDA-like: preferential-attachment AS-style graph trimmed to exactly
 //    825 nodes / 1018 edges — the size of CAIDA AS28717's giant component
-//    (Section VII-C, substitution #3).
+//    (Section VII-C, substitution #3); heavy-tailed degrees, connected by
+//    construction.
 #pragma once
 
 #include "graph/graph.hpp"
@@ -25,22 +28,12 @@ struct BellCanadaOptions {
   double repair_cost = 1.0;
 };
 
-/// 48-node / 64-edge Bell-Canada-like topology (deterministic).
-/// \deprecated Use make_topology() (topology/generator.hpp).
-[[deprecated("use topology::make_topology")]] graph::Graph bell_canada_like(
-    const BellCanadaOptions& options = {});
-
 struct ErdosRenyiOptions {
   std::size_t nodes = 100;
   double edge_probability = 0.5;
   double capacity = 1000.0;
   double repair_cost = 1.0;
 };
-
-/// G(n, p); node coordinates uniform in [0, 100]^2.
-/// \deprecated Use make_topology() (topology/generator.hpp).
-[[deprecated("use topology::make_topology")]] graph::Graph erdos_renyi(
-    const ErdosRenyiOptions& options, util::Rng& rng);
 
 struct CaidaLikeOptions {
   std::size_t nodes = 825;
@@ -49,15 +42,8 @@ struct CaidaLikeOptions {
   double repair_cost = 1.0;
 };
 
-/// AS-like sparse graph with heavy-tailed degrees, connected by
-/// construction, trimmed to exactly the requested node/edge counts.
-/// \deprecated Use make_topology() (topology/generator.hpp).
-[[deprecated("use topology::make_topology")]] graph::Graph caida_like(
-    const CaidaLikeOptions& options, util::Rng& rng);
-
 namespace detail {
-// Shared implementations behind make_topology and the deprecated wrappers
-// (bit-identical streams either way).
+// The family implementations behind make_topology (topology/generator.hpp).
 graph::Graph bell_canada_impl(const BellCanadaOptions& options);
 graph::Graph erdos_renyi_impl(const ErdosRenyiOptions& options,
                               util::Rng& rng);

@@ -227,29 +227,6 @@ TEST(Ntb, RejectsCorruptImages) {
 
 // --- unified generator API -------------------------------------------------
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Generators, WrappersMatchMakeTopology) {
-  // The deprecated free functions and make_topology must consume identical
-  // RNG variates and emit bit-identical graphs.
-  graph::Graph via_api = topology::make_topology({});
-  graph::Graph via_wrapper = topology::bell_canada_like();
-  expect_bit_identical(via_api, via_wrapper);
-
-  util::Rng rng_a(42), rng_b(42);
-  topology::ErdosRenyiOptions er{.nodes = 80};
-  expect_bit_identical(topology::make_topology(er, rng_a),
-                       topology::erdos_renyi(er, rng_b));
-
-  util::Rng rng_c(42), rng_d(42);
-  topology::CaidaLikeOptions caida;
-  expect_bit_identical(topology::make_topology(caida, rng_c),
-                       topology::caida_like(caida, rng_d));
-}
-
-#pragma GCC diagnostic pop
-
 TEST(Generators, SeededParamsAreDeterministic) {
   topology::GeneratorParams params = topology::params_for("rmat");
   params.seed = 123;

@@ -14,6 +14,16 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
+/// Centrality over a snapshot with the given lengths and static capacities.
+CentralityResult centrality_of(const Graph& g,
+                               const std::vector<mcf::Demand>& demands,
+                               const graph::EdgeWeight& length) {
+  graph::ViewConfig config;
+  config.length = length;
+  config.capacity = mcf::static_capacity(g);
+  return demand_based_centrality(graph::GraphView::build(g, config), demands);
+}
+
 Graph path_graph(int n, double capacity = 10.0) {
   Graph g;
   for (int i = 0; i < n; ++i) g.add_node("p" + std::to_string(i));
@@ -64,8 +74,7 @@ TEST(Centrality, MiddleNodeDominatesOnPathGraph) {
   Graph g = path_graph(5);
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}};
   auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = centrality_of(g, demands, ones);
   // Single path: every node on it receives the full demand share.
   for (NodeId v = 0; v <= 4; ++v) EXPECT_NEAR(c.score(v), 5.0, 1e-9);
   EXPECT_EQ(c.contributors(2).size(), 1u);
@@ -87,8 +96,7 @@ TEST(Centrality, SharedCorridorScoresHigherThanPrivateBranches) {
   g.add_edge(3, 5, 10.0);
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}, {1, 5, 5.0}};
   auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = centrality_of(g, demands, ones);
   EXPECT_NEAR(c.score(2), 10.0, 1e-9);  // both demands
   EXPECT_NEAR(c.score(3), 10.0, 1e-9);
   EXPECT_NEAR(c.score(0), 5.0, 1e-9);  // own demand only
@@ -109,8 +117,7 @@ TEST(Centrality, SplitsShareAcrossParallelPaths) {
   g.add_edge(2, 3, 3.0);
   const std::vector<mcf::Demand> demands{{0, 3, 12.0}};
   auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = centrality_of(g, demands, ones);
   EXPECT_NEAR(c.score(1), 9.0, 1e-9);   // 9/12 of 12
   EXPECT_NEAR(c.score(2), 3.0, 1e-9);   // 3/12 of 12
   EXPECT_NEAR(c.score(0), 12.0, 1e-9);  // endpoint on both paths
@@ -131,9 +138,8 @@ TEST(Centrality, DynamicMetricSteersAwayFromExpensiveRepairs) {
     return (1.0 + (g.edge_broken(e) ? g.edge_repair_cost(e) : 0.0)) /
            g.edge_capacity(e);
   };
-  auto cap = mcf::static_capacity(g);
   const std::vector<mcf::Demand> demands{{0, 3, 5.0}};
-  const auto c = demand_based_centrality(g, demands, metric, cap);
+  const auto c = centrality_of(g, demands, metric);
   EXPECT_NEAR(c.score(1), 5.0, 1e-9);  // detour carries everything
   EXPECT_EQ(c.contributors(1).size(), 1u);
 }

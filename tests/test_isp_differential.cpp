@@ -1,210 +1,51 @@
-// ISP differential harness: the ViewCache-backed engine must be
-// bit-identical to the graph::legacy-backed reference across seeded broken
-// scenarios and every option combination — repair sequences (order
-// included), traced event streams (prune/split amounts, i.e. the flows the
-// engine committed), referee routing and objective values, all compared
-// with exact equality.  This is the executable form of the cache's
-// invalidation audit: any stale view, missed invalidation or over-eager
-// rebuild shows up as a diverging action sequence.
+// ISP golden harness: every solve must reproduce its frozen record in
+// tests/golden/isp_corpus.txt bit for bit — repair sequences (order
+// included), solver counters, objectives, referee routing and a digest of
+// the traced event stream (prune/split amounts, i.e. the flows the engine
+// committed).  The corpus was recorded while the callback-kernel engine,
+// the cached-view engine with one-shot LPs and the cached-view engine with
+// persistent LP sessions agreed on every record, so these suites hold the
+// one remaining engine to all three references: any stale view, missed
+// invalidation, over-eager rebuild or warm-start drift shows up as a
+// diverging record.
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/isp.hpp"
-#include "core/problem.hpp"
-#include "disruption/disruption.hpp"
-#include "graph/traversal.hpp"
-#include "scenario/scenario.hpp"
-#include "topology/generator.hpp"
-#include "util/rng.hpp"
+#include "golden.hpp"
 
 namespace {
 
 using namespace netrec;
 
-/// Broken connected-ish ER instance with far-apart demands.
-core::RecoveryProblem er_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 104729 + 13);
-  core::RecoveryProblem p;
-  topology::ErdosRenyiOptions eopt;
-  eopt.nodes = 24;
-  eopt.edge_probability = 0.18;
-  eopt.capacity = 10.0;
-  std::size_t attempts = 0;
-  do {
-    p.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(p.graph) < 0 && ++attempts < 50);
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 3, 4.0, demand_rng);
-  // Heavy but not complete destruction, so prune bubbles exist.
-  for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-    if (rng.chance(0.55)) {
-      p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-    }
+/// Compares every corpus record whose key starts with `prefix`, solving
+/// with `solve_threads` intra-solve workers.
+void expect_isp_golden(const std::string& prefix, std::size_t solve_threads) {
+  bool matched = false;
+  for (const test::IspCase& c : test::isp_cases()) {
+    if (c.key.rfind(prefix, 0) != 0) continue;
+    matched = true;
+    core::IspOptions options = c.options;
+    options.solve_threads = solve_threads;
+    const std::string diff = test::golden_diff(
+        test::kIspCorpus, c.key, test::isp_record(c.problem(), options));
+    if (!diff.empty()) ADD_FAILURE() << diff;
   }
-  for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-    if (rng.chance(0.6)) {
-      p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-    }
-  }
-  return p;
+  EXPECT_TRUE(matched) << "no corpus record matches '" << prefix << "'";
 }
 
-/// Bell-Canada under regional or complete destruction.
-core::RecoveryProblem bell_canada_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 7907 + 5);
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::BellCanadaOptions{}});
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 4, 3.0, demand_rng);
-  if (seed % 2 == 0) {
-    disruption::complete_destruction(p.graph);
-  } else {
-    for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-      if (rng.chance(0.5)) {
-        p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-      }
-    }
-    for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-      if (rng.chance(0.5)) {
-        p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-      }
-    }
-  }
-  return p;
+std::string seed_prefix(int seed, const char* family) {
+  return std::to_string(seed) + " " + family + " ";
 }
 
-void expect_same_events(const std::vector<core::IspEvent>& cached,
-                        const std::vector<core::IspEvent>& reference) {
-  ASSERT_EQ(cached.size(), reference.size()) << "event counts diverge";
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].kind, reference[i].kind) << "event " << i;
-    EXPECT_EQ(cached[i].demand, reference[i].demand) << "event " << i;
-    EXPECT_EQ(cached[i].node, reference[i].node) << "event " << i;
-    EXPECT_EQ(cached[i].edge, reference[i].edge) << "event " << i;
-    EXPECT_EQ(cached[i].amount, reference[i].amount)
-        << "event " << i << " (" << cached[i].to_string() << " vs "
-        << reference[i].to_string() << ")";
-  }
-}
-
-/// Runs the solver under two option sets on the same problem and asserts
-/// bitwise-identical behaviour: repair lists in decision order, event
-/// trace, iteration and action counters, referee routing and objective
-/// values.
-void expect_options_agree(const core::RecoveryProblem& problem,
-                          const core::IspOptions& candidate,
-                          const core::IspOptions& reference_options,
-                          const std::string& label) {
-  core::IspSolver cached_solver(problem, candidate);
-  cached_solver.set_trace(true);
-  const core::RecoverySolution cached = cached_solver.solve();
-
-  core::IspSolver reference_solver(problem, reference_options);
-  reference_solver.set_trace(true);
-  const core::RecoverySolution reference = reference_solver.solve();
-
-  SCOPED_TRACE(label);
-  // Repair sequences: identical elements in the identical decision order.
-  EXPECT_EQ(cached.repaired_nodes, reference.repaired_nodes);
-  EXPECT_EQ(cached.repaired_edges, reference.repaired_edges);
-  // Objectives and referee scoring, exact.
-  EXPECT_EQ(cached.repair_cost, reference.repair_cost);
-  EXPECT_EQ(cached.satisfied_fraction, reference.satisfied_fraction);
-  EXPECT_EQ(cached.instance_feasible, reference.instance_feasible);
-  EXPECT_EQ(cached.iterations, reference.iterations);
-  // Referee routing (the flows scored against the solution).
-  EXPECT_EQ(cached.routing.total_routed, reference.routing.total_routed);
-  EXPECT_EQ(cached.routing.routed, reference.routing.routed);
-  // Engine action counters.
-  EXPECT_EQ(cached_solver.stats().prunes, reference_solver.stats().prunes);
-  EXPECT_EQ(cached_solver.stats().splits, reference_solver.stats().splits);
-  EXPECT_EQ(cached_solver.stats().direct_edge_repairs,
-            reference_solver.stats().direct_edge_repairs);
-  EXPECT_EQ(cached_solver.stats().watchdog_activations,
-            reference_solver.stats().watchdog_activations);
-  // The full action stream, amounts included (prune flows, split dx).
-  expect_same_events(cached_solver.stats().events,
-                     reference_solver.stats().events);
-}
-
-/// ViewCache backend (with its default LpReuse::kSession) against the
-/// graph::legacy reference.
-void expect_backends_agree(const core::RecoveryProblem& problem,
-                           core::IspOptions options,
-                           const std::string& label) {
-  core::IspOptions cached = options;
-  cached.backend = core::IspBackend::kViewCache;
-  core::IspOptions reference = options;
-  reference.backend = core::IspBackend::kLegacy;
-  expect_options_agree(problem, cached, reference, label);
-}
-
-/// LpReuse::kSession against LpReuse::kNone, both on the ViewCache
-/// backend: isolates the PathLpSession machinery (pooled columns, warm
-/// bases, appended-row partial restarts, session-only centrality/flow
-/// shortcuts) as the only difference under test.
-void expect_lp_reuse_agrees(const core::RecoveryProblem& problem,
-                            core::IspOptions options,
-                            const std::string& label) {
-  options.backend = core::IspBackend::kViewCache;
-  core::IspOptions session = options;
-  session.lp_reuse = mcf::LpReuse::kSession;
-  core::IspOptions one_shot = options;
-  one_shot.lp_reuse = mcf::LpReuse::kNone;
-  expect_options_agree(problem, session, one_shot, label);
-}
-
-/// The option matrix: default engine, both centrality modes, the LP in
-/// eager and lazy capacity-row regimes, prune/direct-repair ablations and
-/// jittered metrics.
-std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
-  std::vector<std::pair<std::string, core::IspOptions>> combos;
-  combos.emplace_back("default", core::IspOptions{});
-  {
-    core::IspOptions o;
-    o.use_classic_betweenness = true;
-    combos.emplace_back("classic-betweenness", o);
-  }
-  {
-    core::IspOptions o;
-    o.lp.eager_capacity_threshold = 0;  // force lazy capacity rows
-    combos.emplace_back("lp-lazy-rows", o);
-  }
-  {
-    core::IspOptions o;
-    o.lp.seed_paths_per_demand = 0;  // LP starts from an empty column pool
-    combos.emplace_back("lp-no-seeds", o);
-  }
-  {
-    core::IspOptions o;
-    o.enable_prune = false;
-    combos.emplace_back("no-prune", o);
-  }
-  {
-    core::IspOptions o;
-    o.enable_direct_edge_repair = false;
-    combos.emplace_back("no-direct-repair", o);
-  }
-  {
-    core::IspOptions o;
-    o.length_jitter = 0.15;
-    o.jitter_seed = 99;
-    combos.emplace_back("jittered-metric", o);
-  }
-  return combos;
-}
-
-// ≥ 20 seeded scenarios under the default options: 12 ER + 8 Bell-Canada.
+// Serial solves: 12 ER + 8 Bell-Canada seeds under default options, then
+// seeds 101-103 of both families under every option combination.
 
 class IspDifferentialEr : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspDifferentialEr, CachedMatchesLegacyReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_backends_agree(er_scenario(seed), core::IspOptions{},
-                        "er seed " + std::to_string(seed));
+  expect_isp_golden(seed_prefix(GetParam(), "er"), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspDifferentialEr, ::testing::Range(1, 13));
@@ -212,45 +53,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspDifferentialEr, ::testing::Range(1, 13));
 class IspDifferentialBellCanada : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspDifferentialBellCanada, CachedMatchesLegacyReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_backends_agree(bell_canada_scenario(seed), core::IspOptions{},
-                        "bell-canada seed " + std::to_string(seed));
+  expect_isp_golden(seed_prefix(GetParam(), "bell-canada"), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspDifferentialBellCanada,
                          ::testing::Range(1, 9));
 
-// Every option combination over a rotating subset of both families.
-
 class IspDifferentialOptions : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspDifferentialOptions, AllCombosMatchLegacyReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const auto& [name, options] : option_combos()) {
-    expect_backends_agree(er_scenario(seed + 100), options,
-                          "er seed " + std::to_string(seed + 100) + " / " +
-                              name);
-    expect_backends_agree(bell_canada_scenario(seed + 100), options,
-                          "bell-canada seed " + std::to_string(seed + 100) +
-                              " / " + name);
-  }
+  expect_isp_golden(std::to_string(GetParam() + 100) + " ", 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspDifferentialOptions,
                          ::testing::Range(1, 4));
 
-// PathLpSession vs one-shot PathLp (LpReuse::kSession vs kNone, both on
-// the ViewCache backend) across >= 20 seeded scenarios: 12 ER + 8
-// Bell-Canada under default options, plus every option combination on a
-// rotating subset.  Pins the session's column pool, warm-basis reuse and
-// invalidation hooks bit-identical to the per-iteration reference.
+// The same records solved with a two-worker intra-solve pool: the LP
+// sessions' concurrent pricing, the shared-tree centrality and parallel
+// Brandes must land on the frozen one-shot reference too.  Seeds 201-203
+// carry the option matrix here.
 
 class IspSessionDifferentialEr : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspSessionDifferentialEr, SessionMatchesOneShotReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_lp_reuse_agrees(er_scenario(seed), core::IspOptions{},
-                         "er seed " + std::to_string(seed));
+  expect_isp_golden(seed_prefix(GetParam(), "er"), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspSessionDifferentialEr,
@@ -260,9 +86,7 @@ class IspSessionDifferentialBellCanada
     : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspSessionDifferentialBellCanada, SessionMatchesOneShotReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_lp_reuse_agrees(bell_canada_scenario(seed), core::IspOptions{},
-                         "bell-canada seed " + std::to_string(seed));
+  expect_isp_golden(seed_prefix(GetParam(), "bell-canada"), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspSessionDifferentialBellCanada,
@@ -271,15 +95,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspSessionDifferentialBellCanada,
 class IspSessionDifferentialOptions : public ::testing::TestWithParam<int> {};
 
 TEST_P(IspSessionDifferentialOptions, AllCombosMatchOneShotReference) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const auto& [name, options] : option_combos()) {
-    expect_lp_reuse_agrees(er_scenario(seed + 200), options,
-                           "er seed " + std::to_string(seed + 200) + " / " +
-                               name);
-    expect_lp_reuse_agrees(bell_canada_scenario(seed + 200), options,
-                           "bell-canada seed " + std::to_string(seed + 200) +
-                               " / " + name);
-  }
+  expect_isp_golden(std::to_string(GetParam() + 200) + " ", 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspSessionDifferentialOptions,

@@ -22,6 +22,20 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
+/// Split LP on a fresh session over the static-capacity graph.
+double splittable(const Graph& g, const std::vector<Demand>& demands,
+                  int split_index, NodeId via) {
+  graph::ViewConfig config;
+  config.capacity = static_capacity(g);
+  std::vector<PathLpSession::DemandSpec> specs;
+  for (std::size_t h = 0; h < demands.size(); ++h) {
+    specs.push_back({static_cast<int>(h), demands[h]});
+  }
+  PathLpSession session(g, PathLpMode::kMaxSplit);
+  return max_splittable_amount(session, graph::GraphView::build(g, config),
+                               specs, split_index, via);
+}
+
 Graph make_square_with_diagonal() {
   Graph g;
   for (int i = 0; i < 4; ++i) g.add_node();
@@ -154,9 +168,8 @@ TEST(Split, FullSplitWhenViaOnOnlyPath) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, 10.0);
   g.add_edge(1, 2, 10.0);
-  auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 8.0}};
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 8.0, 1e-6);
+  EXPECT_NEAR(splittable(g, demands, 0, 1), 8.0, 1e-6);
 }
 
 TEST(Split, LimitedByViaCapacity) {
@@ -168,9 +181,8 @@ TEST(Split, LimitedByViaCapacity) {
   g.add_edge(1, 3, 4.0);
   g.add_edge(0, 2, 10.0);
   g.add_edge(2, 3, 10.0);
-  auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 3, 12.0}};
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 4.0, 1e-6);
+  EXPECT_NEAR(splittable(g, demands, 0, 1), 4.0, 1e-6);
 }
 
 TEST(Split, RespectsOtherDemandsRoutability) {
@@ -187,7 +199,7 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
   // fights with (0,1)=6 on edge 0-1: dx <= 4 via 0-1 plus nothing else ...
   // the LP may route the (0,1) demand the long way (0-3-2-1), freeing 0-1.
-  const double dx = max_splittable_amount(g, demands, 0, 1, {}, cap);
+  const double dx = splittable(g, demands, 0, 1);
   EXPECT_GE(dx, 4.0 - 1e-6);
   EXPECT_LE(dx, 10.0 + 1e-6);
   // Whatever dx was chosen, the split instance must remain routable.
@@ -202,9 +214,8 @@ TEST(Split, ZeroWhenInstanceUnroutable) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
-  auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 5.0}};  // cap is only 1
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 0.0, 1e-6);
+  EXPECT_NEAR(splittable(g, demands, 0, 1), 0.0, 1e-6);
 }
 
 // --- eq. (8) relaxation ----------------------------------------------------

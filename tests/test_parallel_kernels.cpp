@@ -12,7 +12,6 @@
 // tolerance-based.
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,16 +20,13 @@
 
 #include "core/centrality.hpp"
 #include "core/isp.hpp"
-#include "core/problem.hpp"
 #include "disruption/disruption.hpp"
+#include "golden.hpp"
 #include "graph/betweenness.hpp"
-#include "graph/traversal.hpp"
 #include "graph/view.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
-#include "scenario/scenario.hpp"
-#include "topology/generator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,57 +36,8 @@ using namespace netrec;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-/// Broken connected-ish ER instance with far-apart demands (the ISP
-/// differential harness's construction).
-core::RecoveryProblem er_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 104729 + 13);
-  core::RecoveryProblem p;
-  topology::ErdosRenyiOptions eopt;
-  eopt.nodes = 24;
-  eopt.edge_probability = 0.18;
-  eopt.capacity = 10.0;
-  std::size_t attempts = 0;
-  do {
-    p.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(p.graph) < 0 && ++attempts < 50);
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 3, 4.0, demand_rng);
-  for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-    if (rng.chance(0.55)) {
-      p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-    }
-  }
-  for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-    if (rng.chance(0.6)) {
-      p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-    }
-  }
-  return p;
-}
-
-/// Bell-Canada under regional or complete destruction.
-core::RecoveryProblem bell_canada_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 7907 + 5);
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::BellCanadaOptions{}});
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 4, 3.0, demand_rng);
-  if (seed % 2 == 0) {
-    disruption::complete_destruction(p.graph);
-  } else {
-    for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-      if (rng.chance(0.5)) {
-        p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-      }
-    }
-    for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-      if (rng.chance(0.5)) {
-        p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-      }
-    }
-  }
-  return p;
-}
+using test::bell_canada_scenario;
+using test::er_scenario;
 
 // --- ThreadPool: chunked overload + nesting (satellite coverage) -----------
 
@@ -228,7 +175,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsBellCanada,
 // --- batched demand-based centrality ---------------------------------------
 
 void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
-                                        bool share_source_trees,
                                         const std::string& label) {
   SCOPED_TRACE(label);
   graph::ViewConfig config;
@@ -236,8 +182,7 @@ void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
     return p.graph.edge_capacity(e);
   };
   const graph::GraphView view = graph::GraphView::build(p.graph, config);
-  core::CentralityOptions copt;
-  copt.share_source_trees = share_source_trees;
+  const core::CentralityOptions copt;
   const core::CentralityResult serial =
       core::demand_based_centrality(view, p.demands, copt);
   for (const std::size_t threads : kThreadCounts) {
@@ -270,70 +215,29 @@ class CentralityThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(CentralityThreads, BitIdenticalAtAnyThreadCount) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const bool share : {false, true}) {
-    const std::string mode = share ? " shared-trees" : " plain";
-    expect_centrality_thread_invariant(
-        er_scenario(seed), share, "er seed " + std::to_string(seed) + mode);
-    expect_centrality_thread_invariant(
-        bell_canada_scenario(seed), share,
-        "bell-canada seed " + std::to_string(seed) + mode);
-  }
+  expect_centrality_thread_invariant(er_scenario(seed),
+                                     "er seed " + std::to_string(seed));
+  expect_centrality_thread_invariant(
+      bell_canada_scenario(seed), "bell-canada seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CentralityThreads, ::testing::Range(1, 5));
 
 // --- ISP end-to-end: concurrent LP pricing + all kernels combined ----------
 
-void expect_same_events(const std::vector<core::IspEvent>& parallel,
-                        const std::vector<core::IspEvent>& reference) {
-  ASSERT_EQ(parallel.size(), reference.size()) << "event counts diverge";
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel[i].kind, reference[i].kind) << "event " << i;
-    EXPECT_EQ(parallel[i].demand, reference[i].demand) << "event " << i;
-    EXPECT_EQ(parallel[i].node, reference[i].node) << "event " << i;
-    EXPECT_EQ(parallel[i].edge, reference[i].edge) << "event " << i;
-    EXPECT_EQ(parallel[i].amount, reference[i].amount)
-        << "event " << i << " (" << parallel[i].to_string() << " vs "
-        << reference[i].to_string() << ")";
-  }
-}
-
 /// One serial reference solve, then one solve per thread count — repair
-/// sequences, event streams, counters and referee routing all exactly
-/// equal (the ISP differential harness's comparison).
+/// sequences, counters, referee routing and the traced event stream all
+/// exactly equal (the golden corpus's record of a solve).
 void expect_isp_thread_invariant(const core::RecoveryProblem& problem,
                                  core::IspOptions options,
                                  const std::string& label) {
   SCOPED_TRACE(label);
-  core::IspSolver reference_solver(problem, options);
-  reference_solver.set_trace(true);
-  const core::RecoverySolution reference = reference_solver.solve();
-
+  const std::string reference = test::isp_record(problem, options);
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
-    core::IspOptions parallel_options = options;
-    parallel_options.pool = &pool;
-    core::IspSolver parallel_solver(problem, parallel_options);
-    parallel_solver.set_trace(true);
-    const core::RecoverySolution parallel = parallel_solver.solve();
-
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_EQ(parallel.repaired_nodes, reference.repaired_nodes);
-    EXPECT_EQ(parallel.repaired_edges, reference.repaired_edges);
-    EXPECT_EQ(parallel.repair_cost, reference.repair_cost);
-    EXPECT_EQ(parallel.satisfied_fraction, reference.satisfied_fraction);
-    EXPECT_EQ(parallel.instance_feasible, reference.instance_feasible);
-    EXPECT_EQ(parallel.iterations, reference.iterations);
-    EXPECT_EQ(parallel.routing.total_routed, reference.routing.total_routed);
-    EXPECT_EQ(parallel.routing.routed, reference.routing.routed);
-    EXPECT_EQ(parallel_solver.stats().prunes, reference_solver.stats().prunes);
-    EXPECT_EQ(parallel_solver.stats().splits, reference_solver.stats().splits);
-    EXPECT_EQ(parallel_solver.stats().direct_edge_repairs,
-              reference_solver.stats().direct_edge_repairs);
-    EXPECT_EQ(parallel_solver.stats().watchdog_activations,
-              reference_solver.stats().watchdog_activations);
-    expect_same_events(parallel_solver.stats().events,
-                       reference_solver.stats().events);
+    options.pool = &pool;
+    EXPECT_EQ(test::isp_record(problem, options), reference)
+        << "threads " << threads;
   }
 }
 
@@ -359,18 +263,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsBellCanada, ::testing::Range(1, 6));
 
 TEST(IspThreadsOptions, VariantEnginePathsStayThreadInvariant) {
   // The kernels sit behind different engine paths depending on options:
-  // classic betweenness exercises the parallel Brandes ranking, kNone
-  // reuse the one-shot LP path (centrality still pools), empty seed pools
-  // force pricing to derive every column.  Each must be thread-invariant.
+  // classic betweenness exercises the parallel Brandes ranking, empty seed
+  // pools force pricing to derive every column, lazy capacity rows grow
+  // the master mid-pricing.  Each must be thread-invariant.
   {
     core::IspOptions o;
     o.use_classic_betweenness = true;
     expect_isp_thread_invariant(er_scenario(301), o, "classic-betweenness");
-  }
-  {
-    core::IspOptions o;
-    o.lp_reuse = mcf::LpReuse::kNone;
-    expect_isp_thread_invariant(er_scenario(302), o, "lp-reuse-none");
   }
   {
     core::IspOptions o;

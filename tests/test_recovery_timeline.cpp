@@ -5,13 +5,15 @@
 //     configuration (single stage, unlimited budget, static dynamics,
 //     replay policy) must reproduce the one-shot IspSolver +
 //     schedule_repairs pipeline bit-identically: same repair order, same
-//     per-step routed demand, for both measurement backends
-//     (LpReuse::kNone one-shot reference and the kSession default).
-//   * TimelineSessionDifferential — kSession vs kNone under *evolving*
-//     dynamics (aftershocks, cascades, scripted re-breaks of repaired
-//     elements): the persistent session's warm reuse across disruption
-//     events — including the epoch-bump reset on non-monotone revival —
-//     must not change any recorded number.
+//     per-step routed demand.
+//   * TimelineSessionDifferential — restoration curves under *evolving*
+//     dynamics (aftershocks, cascades) must reproduce
+//     tests/golden/timeline_restoration.txt, recorded while the persistent
+//     measurement session and one-shot LPs agreed exactly: its warm reuse
+//     across disruption events must not change any recorded number.
+//   * TimelineRevival — scripted re-breaks of repaired elements, where the
+//     engine's epoch-bump reset on non-monotone revival must keep every
+//     measurement exact.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,7 +23,7 @@
 
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
-#include "graph/traversal.hpp"
+#include "golden.hpp"
 #include "heuristics/schedule.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
@@ -35,72 +37,20 @@ namespace {
 
 using namespace netrec;
 
-/// Broken connected-ish ER instance with far-apart demands (the ISP
-/// differential harness's construction).
-core::RecoveryProblem er_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 104729 + 13);
-  core::RecoveryProblem p;
-  topology::ErdosRenyiOptions eopt;
-  eopt.nodes = 24;
-  eopt.edge_probability = 0.18;
-  eopt.capacity = 10.0;
-  std::size_t attempts = 0;
-  do {
-    p.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(p.graph) < 0 && ++attempts < 50);
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 3, 4.0, demand_rng);
-  for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-    if (rng.chance(0.55)) {
-      p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-    }
-  }
-  for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-    if (rng.chance(0.6)) {
-      p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-    }
-  }
-  return p;
-}
-
-/// Bell-Canada under regional or complete destruction.
-core::RecoveryProblem bell_canada_scenario(std::uint64_t seed) {
-  util::Rng rng(seed * 7907 + 5);
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::BellCanadaOptions{}});
-  util::Rng demand_rng = rng.fork();
-  p.demands = scenario::far_apart_demands(p.graph, 4, 3.0, demand_rng);
-  if (seed % 2 == 0) {
-    disruption::complete_destruction(p.graph);
-  } else {
-    for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
-      if (rng.chance(0.5)) {
-        p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
-      }
-    }
-    for (std::size_t e = 0; e < p.graph.num_edges(); ++e) {
-      if (rng.chance(0.5)) {
-        p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
-      }
-    }
-  }
-  return p;
-}
+using test::bell_canada_scenario;
+using test::er_scenario;
 
 /// Timeline in the one-shot configuration with the given replay policy.
 recovery::TimelineResult run_one_shot(const core::RecoveryProblem& problem,
-                                      mcf::LpReuse lp_reuse,
                                       recovery::ReplayPolicy& policy) {
   recovery::StaticDynamics statics;
   recovery::TimelineOptions topt;
   topt.stage_budget = 0;  // unlimited
-  topt.lp_reuse = lp_reuse;
   util::Rng rng(0);
   return recovery::Timeline(problem, policy, statics, topt).run(rng);
 }
 
 void expect_matches_schedule(const core::RecoveryProblem& problem,
-                             mcf::LpReuse lp_reuse,
                              const std::string& label) {
   SCOPED_TRACE(label);
   // Reference: the one-shot pipeline, executed by hand.
@@ -112,7 +62,7 @@ void expect_matches_schedule(const core::RecoveryProblem& problem,
   recovery::ReplayOptions ropt;
   ropt.schedule.exact_scoring = true;
   recovery::ReplayPolicy policy(ropt);
-  const auto result = run_one_shot(problem, lp_reuse, policy);
+  const auto result = run_one_shot(problem, policy);
 
   // Single stage executed everything; nothing evolved.
   if (!schedule.steps.empty()) {
@@ -156,11 +106,8 @@ class TimelineDifferentialEr : public ::testing::TestWithParam<int> {};
 
 TEST_P(TimelineDifferentialEr, OneShotConfigMatchesSchedulePipeline) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const auto problem = er_scenario(seed);
-  expect_matches_schedule(problem, mcf::LpReuse::kNone,
-                          "er seed " + std::to_string(seed) + " / one-shot");
-  expect_matches_schedule(problem, mcf::LpReuse::kSession,
-                          "er seed " + std::to_string(seed) + " / session");
+  expect_matches_schedule(er_scenario(seed),
+                          "er seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineDifferentialEr,
@@ -171,118 +118,24 @@ class TimelineDifferentialBellCanada : public ::testing::TestWithParam<int> {
 
 TEST_P(TimelineDifferentialBellCanada, OneShotConfigMatchesSchedulePipeline) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const auto problem = bell_canada_scenario(seed);
-  expect_matches_schedule(
-      problem, mcf::LpReuse::kNone,
-      "bell-canada seed " + std::to_string(seed) + " / one-shot");
-  expect_matches_schedule(
-      problem, mcf::LpReuse::kSession,
-      "bell-canada seed " + std::to_string(seed) + " / session");
+  expect_matches_schedule(bell_canada_scenario(seed),
+                          "bell-canada seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineDifferentialBellCanada,
                          ::testing::Range(1, 6));
 
-// --- kSession vs kNone under evolving dynamics ------------------------------
-
-void expect_lp_reuse_agrees(const core::RecoveryProblem& problem,
-                            const std::function<std::unique_ptr<
-                                recovery::Policy>()>& policy_factory,
-                            const std::function<std::unique_ptr<
-                                recovery::Dynamics>()>& dynamics_factory,
-                            recovery::TimelineOptions topt,
-                            std::uint64_t rng_seed, const std::string& label) {
-  SCOPED_TRACE(label);
-  recovery::TimelineResult results[2];
-  const mcf::LpReuse modes[2] = {mcf::LpReuse::kSession, mcf::LpReuse::kNone};
-  for (int m = 0; m < 2; ++m) {
-    auto policy = policy_factory();
-    auto dynamics = dynamics_factory();
-    topt.lp_reuse = modes[m];
-    util::Rng rng(rng_seed);
-    results[m] =
-        recovery::Timeline(problem, *policy, *dynamics, topt).run(rng);
-  }
-  const auto& session = results[0];
-  const auto& one_shot = results[1];
-  EXPECT_EQ(session.initial_routed, one_shot.initial_routed);
-  EXPECT_EQ(session.final_routed, one_shot.final_routed);
-  EXPECT_EQ(session.total_repairs, one_shot.total_repairs);
-  EXPECT_EQ(session.total_repair_cost, one_shot.total_repair_cost);
-  EXPECT_EQ(session.shock_breaks, one_shot.shock_breaks);
-  ASSERT_EQ(session.stages.size(), one_shot.stages.size());
-  for (std::size_t s = 0; s < session.stages.size(); ++s) {
-    const auto& a = session.stages[s];
-    const auto& b = one_shot.stages[s];
-    SCOPED_TRACE("stage " + std::to_string(s));
-    ASSERT_EQ(a.repairs.size(), b.repairs.size());
-    for (std::size_t i = 0; i < a.repairs.size(); ++i) {
-      EXPECT_EQ(a.repairs[i].is_node, b.repairs[i].is_node);
-      EXPECT_EQ(a.repairs[i].node, b.repairs[i].node);
-      EXPECT_EQ(a.repairs[i].edge, b.repairs[i].edge);
-    }
-    EXPECT_EQ(a.routed_after, b.routed_after);
-    EXPECT_EQ(a.routed_end, b.routed_end);
-    EXPECT_EQ(a.shock.broken_nodes, b.shock.broken_nodes);
-    EXPECT_EQ(a.shock.broken_edges, b.shock.broken_edges);
-    EXPECT_EQ(a.repair_cost, b.repair_cost);
-  }
-}
-
-recovery::TimelineOptions evolving_options() {
-  recovery::TimelineOptions topt;
-  topt.stage_budget = 3;
-  topt.max_stages = 32;
-  return topt;
-}
-
-std::unique_ptr<recovery::Dynamics> make_aftershocks() {
-  disruption::AftershockOptions opts;
-  opts.first.variance = 40.0;
-  opts.decay = 0.5;
-  opts.max_shocks = 3;
-  return std::make_unique<recovery::AftershockDynamics>(opts);
-}
-
-std::unique_ptr<recovery::Dynamics> make_cascade() {
-  // Tight overload factor so the 3-4 unit demand flows overload the
-  // ER/Bell-Canada capacities and the cascade actually fires.
-  disruption::CascadeOptions opts;
-  opts.overload_factor = 0.15;
-  return std::make_unique<recovery::CascadeDynamics>(opts);
-}
+// --- restoration under evolving dynamics -----------------------------------
 
 class TimelineSessionDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(TimelineSessionDifferential, SessionMatchesOneShotUnderDynamics) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const auto make_replan = [] {
-    return std::make_unique<recovery::ReplanPolicy>();
-  };
-  const auto make_list = [] {
-    return std::make_unique<recovery::ListOrderPolicy>();
-  };
-  {
-    const auto problem = er_scenario(seed + 40);
-    expect_lp_reuse_agrees(problem, make_replan, make_aftershocks,
-                           evolving_options(), seed * 31 + 7,
-                           "er seed " + std::to_string(seed + 40) +
-                               " / replan+aftershock");
-    expect_lp_reuse_agrees(problem, make_list, make_cascade,
-                           evolving_options(), seed * 31 + 7,
-                           "er seed " + std::to_string(seed + 40) +
-                               " / list+cascade");
-  }
-  {
-    const auto problem = bell_canada_scenario(seed + 40);
-    expect_lp_reuse_agrees(problem, make_replan, make_cascade,
-                           evolving_options(), seed * 17 + 3,
-                           "bell-canada seed " + std::to_string(seed + 40) +
-                               " / replan+cascade");
-    expect_lp_reuse_agrees(problem, make_list, make_aftershocks,
-                           evolving_options(), seed * 17 + 3,
-                           "bell-canada seed " + std::to_string(seed + 40) +
-                               " / list+aftershock");
+  // ER and Bell-Canada seed N+40, each under replan/list-order policies
+  // against aftershocks and cascades.
+  for (const std::string& diff :
+       test::golden_diffs(test::kTimelineRestoration, test::timeline_cases(),
+                          std::to_string(GetParam() + 40) + " ")) {
+    ADD_FAILURE() << diff;
   }
 }
 
@@ -369,30 +222,21 @@ TEST(TimelineRevival, RepairedEdgeRebrokenAndRepairedAgainStaysExact) {
 
   recovery::TimelineOptions topt;
   topt.stage_budget = 1;
-  recovery::TimelineResult results[2];
-  const mcf::LpReuse modes[2] = {mcf::LpReuse::kSession, mcf::LpReuse::kNone};
-  for (int m = 0; m < 2; ++m) {
-    recovery::ListOrderPolicy policy;
-    ScriptedDynamics dynamics({rebreak});
-    topt.lp_reuse = modes[m];
-    util::Rng rng(1);
-    results[m] =
-        recovery::Timeline(problem, policy, dynamics, topt).run(rng);
-  }
-  for (const auto& result : results) {
-    // Stage 0: repair sa (still cut).  Stage 1: repair at (routed, then sa
-    // re-breaks).  Stage 2: repair sa again — service back.
-    ASSERT_GE(result.stages.size(), 3u);
-    EXPECT_EQ(result.stages[0].routed_end, 0.0);
-    EXPECT_EQ(result.stages[1].routed_after.back(), 5.0);
-    EXPECT_EQ(result.stages[1].routed_end, 0.0);  // re-broken
-    EXPECT_EQ(result.stages[2].routed_after.back(), 5.0);
-    EXPECT_EQ(result.final_routed, 5.0);
-    // sa, at, sa again, then the three detour edges.
-    EXPECT_EQ(result.total_repairs, 6u);
-  }
-  EXPECT_EQ(results[0].step_series(), results[1].step_series());
-  EXPECT_EQ(results[0].stage_series(), results[1].stage_series());
+  recovery::ListOrderPolicy policy;
+  ScriptedDynamics dynamics({rebreak});
+  util::Rng rng(1);
+  const auto result =
+      recovery::Timeline(problem, policy, dynamics, topt).run(rng);
+  // Stage 0: repair sa (still cut).  Stage 1: repair at (routed, then sa
+  // re-breaks).  Stage 2: repair sa again — service back.
+  ASSERT_GE(result.stages.size(), 3u);
+  EXPECT_EQ(result.stages[0].routed_end, 0.0);
+  EXPECT_EQ(result.stages[1].routed_after.back(), 5.0);
+  EXPECT_EQ(result.stages[1].routed_end, 0.0);  // re-broken
+  EXPECT_EQ(result.stages[2].routed_after.back(), 5.0);
+  EXPECT_EQ(result.final_routed, 5.0);
+  // sa, at, sa again, then the three detour edges.
+  EXPECT_EQ(result.total_repairs, 6u);
 }
 
 // --- engine semantics --------------------------------------------------------
