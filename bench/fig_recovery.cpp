@@ -219,7 +219,9 @@ int run(int argc, char** argv) {
         std::size_t attempts = 0;
         do {
           problem.graph = topology::make_topology(eopt, rng);
-        } while (graph::hop_diameter(problem.graph) < 0 && ++attempts < 50);
+        } while (graph::hop_diameter(
+                     graph::GraphView::build(problem.graph)) < 0 &&
+                 ++attempts < 50);
         util::Rng demand_rng = rng.fork();
         problem.demands = scenario::far_apart_demands(problem.graph, pairs,
                                                       flow, demand_rng);

@@ -120,7 +120,8 @@ core::RecoveryProblem er_problem(std::size_t nodes, double edge_prob,
   std::size_t attempts = 0;
   do {
     problem.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(problem.graph) < 0 && ++attempts < 50);
+  } while (graph::hop_diameter(graph::GraphView::build(problem.graph)) < 0 &&
+           ++attempts < 50);
   util::Rng demand_rng = rng.fork();
   problem.demands =
       scenario::far_apart_demands(problem.graph, pairs, flow, demand_rng);

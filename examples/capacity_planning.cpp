@@ -26,24 +26,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::RecoveryProblem problem;
-  problem.graph = topology::make_topology({topology::BellCanadaOptions{}});
-  graph::Graph& g = problem.graph;
-
-  auto find = [&](const char* name) {
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-      if (g.node_name(static_cast<graph::NodeId>(i)) == name) {
-        return static_cast<graph::NodeId>(i);
-      }
-    }
-    return graph::kInvalidNode;
-  };
-  const auto winnipeg = find("Winnipeg");
-  const auto halifax = find("Halifax");
-  const auto toronto = find("Toronto");
-  const auto montreal = find("Montreal");
-  const auto quebec = find("QuebecCity");
-  const auto thunderbay = find("ThunderBay");
+  const graph::Graph base =
+      topology::make_topology({topology::BellCanadaOptions{}});
+  const auto winnipeg = base.find_node("Winnipeg");
+  const auto halifax = base.find_node("Halifax");
+  const auto toronto = base.find_node("Toronto");
+  const auto montreal = base.find_node("Montreal");
+  const auto quebec = base.find_node("QuebecCity");
+  const auto thunderbay = base.find_node("ThunderBay");
 
   // Candidate express links: broken=true means "not built yet"; the repair
   // cost is the build cost.  MinR decides which subset to erect.
@@ -58,10 +48,26 @@ int main(int argc, char** argv) {
       {montreal, halifax, 40.0, 5.0},
       {quebec, halifax, 40.0, 3.0},
   };
-  std::printf("candidate builds:\n");
+
+  // The backbone's columns plus the candidate links, as one topology.
+  graph::Builder builder;
+  builder.adopt_nodes(base.node_xs(), base.node_ys(), base.node_repair_costs(),
+                      base.node_broken_flags(), base.name_blob(),
+                      base.name_offsets());
+  builder.adopt_edges(base.edge_sources(), base.edge_targets(),
+                      base.edge_capacities(), base.edge_repair_costs(),
+                      base.edge_broken_flags());
   for (const Candidate& c : candidates) {
-    const graph::EdgeId e = g.add_edge(c.u, c.v, c.capacity, c.build_cost);
-    g.set_edge_broken(e, true);  // must be "repaired" (= built) to be used
+    builder.add_edge(c.u, c.v, c.capacity, c.build_cost);
+  }
+  core::RecoveryProblem problem;
+  problem.graph = builder.finalize();
+  graph::Graph& g = problem.graph;
+
+  std::printf("candidate builds:\n");
+  auto candidate_edge = static_cast<graph::EdgeId>(base.num_edges());
+  for (const Candidate& c : candidates) {
+    g.set_edge_broken(candidate_edge++, true);  // "repaired" = built
     std::printf("  %-12s - %-12s cap %.0f, cost %.0f\n",
                 std::string(g.node_name(c.u)).c_str(),
                 std::string(g.node_name(c.v)).c_str(),

@@ -3,7 +3,8 @@
 //
 //   $ ./quickstart
 //
-// This walks the library's core loop in ~60 lines: Graph -> demands ->
+// This walks the library's core loop in ~60 lines: Builder -> Graph ->
+// demands ->
 // disruption -> IspSolver -> RecoverySolution.
 #include <cstdio>
 #include <string>
@@ -14,21 +15,23 @@ int main() {
   using namespace netrec;
 
   // 1. Supply graph: a ring of six sites with one cross link.
+  graph::Builder builder;
+  const auto a = builder.add_node("alpha", 0, 0);
+  const auto b = builder.add_node("bravo", 1, 1);
+  const auto c = builder.add_node("charlie", 2, 1);
+  const auto d = builder.add_node("delta", 3, 0);
+  const auto e = builder.add_node("echo", 2, -1);
+  const auto f = builder.add_node("foxtrot", 1, -1);
+  builder.add_edge(a, b, 10.0);
+  builder.add_edge(b, c, 10.0);
+  builder.add_edge(c, d, 10.0);
+  builder.add_edge(d, e, 10.0);
+  builder.add_edge(e, f, 10.0);
+  builder.add_edge(f, a, 10.0);
+  builder.add_edge(b, e, 5.0);  // cross link
   core::RecoveryProblem problem;
+  problem.graph = builder.finalize();
   graph::Graph& g = problem.graph;
-  const auto a = g.add_node("alpha", 0, 0);
-  const auto b = g.add_node("bravo", 1, 1);
-  const auto c = g.add_node("charlie", 2, 1);
-  const auto d = g.add_node("delta", 3, 0);
-  const auto e = g.add_node("echo", 2, -1);
-  const auto f = g.add_node("foxtrot", 1, -1);
-  g.add_edge(a, b, 10.0);
-  g.add_edge(b, c, 10.0);
-  g.add_edge(c, d, 10.0);
-  g.add_edge(d, e, 10.0);
-  g.add_edge(e, f, 10.0);
-  g.add_edge(f, a, 10.0);
-  g.add_edge(b, e, 5.0);  // cross link
 
   // 2. Mission-critical demand: alpha <-> delta needs 8 units.
   problem.demands.push_back(mcf::Demand{a, d, 8.0});

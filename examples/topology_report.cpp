@@ -20,7 +20,8 @@ void report(const char* name, const graph::Graph& g) {
               g.num_edges(),
               static_cast<double>(g.num_edges()) /
                   static_cast<double>(g.num_nodes()));
-  std::printf("  hop diameter: %d\n", graph::hop_diameter(g));
+  const graph::GraphView view = graph::GraphView::build(g);
+  std::printf("  hop diameter: %d\n", graph::hop_diameter(view));
 
   std::vector<std::size_t> degree(g.num_nodes());
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
@@ -41,7 +42,7 @@ void report(const char* name, const graph::Graph& g) {
   std::printf("  capacity min/mean/max: %.0f / %.1f / %.0f\n", min_cap,
               total_capacity / static_cast<double>(g.num_edges()), max_cap);
 
-  const auto labels = graph::connected_components(g);
+  const auto labels = graph::connected_components(view);
   int components = 0;
   for (int l : labels) components = std::max(components, l + 1);
   std::printf("  connected components: %d\n", components);

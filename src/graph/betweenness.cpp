@@ -165,15 +165,4 @@ std::vector<double> betweenness_centrality(const GraphView& view,
   return brandes(view, pool, source_limit);
 }
 
-std::vector<double> betweenness_centrality(const Graph& g,
-                                           const EdgeWeight& length,
-                                           const EdgeFilter& edge_ok,
-                                           const NodeFilter& node_ok) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  config.length = length;
-  return betweenness_centrality(GraphView::build(g, config));
-}
-
 }  // namespace netrec::graph

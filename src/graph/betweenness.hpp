@@ -7,10 +7,8 @@
 // scores nodes by shortest-path participation over *all* vertex pairs,
 // ignoring both demand endpoints and capacities.
 //
-// Brandes runs |V| Dijkstra passes, so it is the workload that gains most
-// from the CSR GraphView: the view overload touches flat arrays only.  The
-// callback signature wraps it.  Scores are frozen in
-// tests/golden/graph_kernels.txt.
+// Brandes runs |V| Dijkstra passes over the CSR GraphView's flat arrays.
+// Scores are frozen in tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +24,9 @@ class ThreadPool;
 namespace netrec::graph {
 
 /// Brandes betweenness over the view, under the view's edge lengths (>= 0).
-/// Nodes outside the view score 0 and contribute no source pass.
+/// Runs |V| Dijkstra passes: O(V * (E log V)).  Nodes outside the view
+/// score 0 and contribute no source pass.  Endpoint pairs contribute to
+/// intermediate nodes only (standard definition).
 std::vector<double> betweenness_centrality(const GraphView& view);
 
 /// Parallel Brandes: the |V| independent source passes fan out on `pool`
@@ -44,14 +44,5 @@ std::vector<double> betweenness_centrality(const GraphView& view);
 std::vector<double> betweenness_centrality(const GraphView& view,
                                            util::ThreadPool* pool,
                                            std::size_t source_limit = 0);
-
-/// Brandes betweenness for all nodes under the given edge lengths (>= 0).
-/// Runs |V| Dijkstra passes: O(V * (E log V)).  Filtered elements are
-/// treated as absent.  Endpoint pairs contribute to intermediate nodes only
-/// (standard definition).  Materialises a GraphView.
-std::vector<double> betweenness_centrality(const Graph& g,
-                                           const EdgeWeight& length,
-                                           const EdgeFilter& edge_ok = {},
-                                           const NodeFilter& node_ok = {});
 
 }  // namespace netrec::graph

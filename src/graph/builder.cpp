@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace netrec::graph {
 
@@ -19,6 +20,22 @@ void Builder::reserve(std::size_t nodes, std::size_t edges) {
   g_.edge_broken_.reserve(edges);
 }
 
+void Builder::append_name(std::string_view name) {
+  if (g_.name_off_.empty()) {
+    if (name.empty()) return;  // stay lazy while everything is unnamed
+    // First named node: materialise empty slices for every prior node.  The
+    // node being named is already pushed, so node count is V_prior + 1 and
+    // assign() writes exactly the V_prior + 1 slice starts (all zero); the
+    // push below adds the new name's end boundary -> V + 1 offsets total.
+    g_.name_off_.assign(g_.num_nodes(), 0);
+  }
+  g_.name_blob_.append(name.data(), name.size());
+  if (g_.name_blob_.size() > 0xffffffffull) {
+    throw std::length_error("Builder: node name arena exceeds 4 GiB");
+  }
+  g_.name_off_.push_back(static_cast<std::uint32_t>(g_.name_blob_.size()));
+}
+
 NodeId Builder::add_node(std::string_view name, double x, double y,
                          double repair_cost) {
   if (!(repair_cost >= 0.0)) {
@@ -31,7 +48,7 @@ NodeId Builder::add_node(std::string_view name, double x, double y,
   g_.node_y_.push_back(y);
   g_.node_repair_cost_.push_back(repair_cost);
   g_.node_broken_.push_back(0);
-  g_.append_name(name);
+  append_name(name);
   return static_cast<NodeId>(g_.num_nodes() - 1);
 }
 
@@ -170,16 +187,11 @@ void Builder::check_duplicates() const {
   const std::size_t m = g_.edge_u_.size();
   std::vector<std::uint64_t> keys(m);
   for (std::size_t e = 0; e < m; ++e) {
-    const auto a = static_cast<std::uint32_t>(
-        std::min(g_.edge_u_[e], g_.edge_v_[e]));
-    const auto b = static_cast<std::uint32_t>(
-        std::max(g_.edge_u_[e], g_.edge_v_[e]));
-    keys[e] = (static_cast<std::uint64_t>(a) << 32) | b;
+    keys[e] = endpoint_key(g_.edge_u_[e], g_.edge_v_[e]);
   }
-  std::vector<std::uint64_t> sorted = keys;
-  std::sort(sorted.begin(), sorted.end());
-  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-  if (dup != sorted.end()) {
+  std::sort(keys.begin(), keys.end());
+  const auto dup = std::adjacent_find(keys.begin(), keys.end());
+  if (dup != keys.end()) {
     const auto u = static_cast<NodeId>(*dup >> 32);
     const auto v = static_cast<NodeId>(*dup & 0xffffffffu);
     throw std::invalid_argument("Builder: duplicate edge between " +
@@ -242,9 +254,59 @@ void Builder::apply_degree_order() {
   }
 }
 
+void Builder::pack_incidence() {
+  const std::size_t n = g_.num_nodes();
+  const std::size_t m = g_.num_edges();
+  // Counting-sort the edges into CSR slices.  Appending edges in id order
+  // makes each node's slice increasing in edge id.
+  g_.inc_off_.assign(n + 1, 0);
+  for (std::size_t e = 0; e < m; ++e) {
+    ++g_.inc_off_[static_cast<std::size_t>(g_.edge_u_[e]) + 1];
+    ++g_.inc_off_[static_cast<std::size_t>(g_.edge_v_[e]) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) g_.inc_off_[i + 1] += g_.inc_off_[i];
+  g_.inc_edge_.resize(2 * m);
+  std::vector<std::uint32_t> cursor(g_.inc_off_.begin(), g_.inc_off_.end() - 1);
+  for (std::size_t e = 0; e < m; ++e) {
+    g_.inc_edge_[cursor[static_cast<std::size_t>(g_.edge_u_[e])]++] =
+        static_cast<EdgeId>(e);
+    g_.inc_edge_[cursor[static_cast<std::size_t>(g_.edge_v_[e])]++] =
+        static_cast<EdgeId>(e);
+  }
+  // Neighbour-sorted secondary index over the same offsets: a per-node sort
+  // of (neighbour, edge) pairs.  Duplicates were rejected, so neighbours
+  // within a slice are unique and the order is fixed by the neighbour id.
+  g_.sorted_nbr_.resize(2 * m);
+  g_.sorted_edge_.resize(2 * m);
+  std::vector<std::pair<NodeId, EdgeId>> scratch;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t lo = g_.inc_off_[i];
+    const std::size_t hi = g_.inc_off_[i + 1];
+    scratch.clear();
+    scratch.reserve(hi - lo);
+    for (std::size_t a = lo; a < hi; ++a) {
+      const auto e = static_cast<std::size_t>(g_.inc_edge_[a]);
+      const NodeId head = g_.edge_u_[e] == static_cast<NodeId>(i)
+                              ? g_.edge_v_[e]
+                              : g_.edge_u_[e];
+      scratch.emplace_back(head, g_.inc_edge_[a]);
+    }
+    std::sort(scratch.begin(), scratch.end());
+    for (std::size_t k = 0; k < scratch.size(); ++k) {
+      g_.sorted_nbr_[lo + k] = scratch[k].first;
+      g_.sorted_edge_[lo + k] = scratch[k].second;
+    }
+  }
+}
+
 Graph Builder::finalize() {
-  validate_columns();
-  check_duplicates();
+  try {
+    validate_columns();
+    check_duplicates();
+  } catch (...) {
+    g_ = Graph{};  // a rejected batch is discarded, not kept for a retry
+    throw;
+  }
   if (options_.degree_order) {
     apply_degree_order();
   } else {
@@ -259,7 +321,7 @@ Graph Builder::finalize() {
       std::count(g_.node_broken_.begin(), g_.node_broken_.end(), 1));
   g_.broken_edge_count_ = static_cast<std::size_t>(
       std::count(g_.edge_broken_.begin(), g_.edge_broken_.end(), 1));
-  g_.finalize();
+  pack_incidence();
   Graph out = std::move(g_);
   g_ = Graph{};
   return out;

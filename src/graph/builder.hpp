@@ -1,19 +1,17 @@
-// Two-phase graph construction: Builder accumulates flat SoA columns with
-// O(1) appends (no adjacency maintenance, no per-edge duplicate scan), then
-// finalize() validates the whole batch at once — duplicate edges, id range,
-// 32-bit overflow — and emits a finalized Graph whose incidence is already
-// CSR-packed and neighbour-sorted.
+// The one construction path for a Graph: Builder accumulates flat SoA
+// columns with O(1) appends (no adjacency maintenance, no per-edge duplicate
+// scan), then finalize() validates the whole batch at once — duplicate
+// edges, id range, 32-bit overflow — and emits a Graph whose incidence is
+// CSR-packed and neighbour-sorted.  Uniqueness costs one O(E log E) sort at
+// finalize rather than a probe per insert, which keeps 10^6-node
+// RMAT/Barabási–Albert draws linear-ish on their hubs.  The generators
+// (topology/), the GML, edge-list and binary (ntb.hpp) loaders and every
+// hand-built test graph go through here.
 //
-// This is the construction path for internet-scale instances: Graph::add_edge
-// pays an O(d) duplicate probe per insert (quadratic on hubs of a 10^6-node
-// RMAT/Barabási–Albert draw), while Builder defers uniqueness to one
-// O(E log E) sort at finalize.  The binary topology loader (ntb.hpp) and the
-// scale generators (topology/generator.hpp) build exclusively through here.
-//
-// Options::degree_order relabels node ids by descending finalized degree
-// (ties by original id) before packing — the GAPBS-style layout that puts
-// hub adjacency slices at the front of the arc array for locality.  Edge ids
-// keep their insertion order either way; node_permutation() exposes the
+// Options::degree_order relabels node ids by descending degree (ties by
+// original id) before packing — the GAPBS-style layout that puts hub
+// adjacency slices at the front of the arc array for locality.  Edge ids
+// keep their append order either way; node_permutation() exposes the
 // old-id -> new-id map so callers can translate externally-held ids.
 #pragma once
 
@@ -25,6 +23,15 @@
 #include "graph/graph.hpp"
 
 namespace netrec::graph {
+
+/// Orientation-free key of the endpoint pair {u, v}: (min << 32) | max.
+/// Builder's duplicate check uses it; so do loaders and generators that
+/// must skip a parallel edge while they build.
+inline std::uint64_t endpoint_key(NodeId u, NodeId v) {
+  const auto a = static_cast<std::uint32_t>(u < v ? u : v);
+  const auto b = static_cast<std::uint32_t>(u < v ? v : u);
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
 
 class Builder {
  public:
@@ -71,7 +78,7 @@ class Builder {
   std::size_t num_edges() const { return g_.num_edges(); }
 
   /// Validates the batch (column sizes, endpoint ranges, finite nonnegative
-  /// metrics, duplicate edges, 2^31 id ceiling) and returns the finalized
+  /// metrics, duplicate edges, 2^31 id ceiling) and returns the packed
   /// graph.  Throws std::invalid_argument/std::length_error with the first
   /// offending element named; the Builder is left empty either way.
   Graph finalize();
@@ -81,12 +88,14 @@ class Builder {
   const std::vector<NodeId>& node_permutation() const { return permutation_; }
 
  private:
+  void append_name(std::string_view name);
   void validate_columns() const;
   void check_duplicates() const;
   void apply_degree_order();
+  void pack_incidence();
 
   Options options_;
-  Graph g_;  // used as an SoA column store; adjacency built at finalize only
+  Graph g_;  // used as an SoA column store; incidence packed at finalize only
   std::vector<NodeId> permutation_;
 };
 

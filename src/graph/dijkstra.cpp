@@ -95,8 +95,6 @@ std::optional<Path> ShortestPathTree::path_to(const Graph& g,
   return path;
 }
 
-// --- view-based ------------------------------------------------------------
-
 ShortestPathTree dijkstra(const GraphView& view, NodeId source) {
   return run_dijkstra(
       view, source,
@@ -219,37 +217,6 @@ std::optional<Path> widest_path(const GraphView& view, NodeId source,
   }
   path.edges.assign(reversed.rbegin(), reversed.rend());
   return path;
-}
-
-// --- callback wrappers -----------------------------------------------------
-
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeWeight& length, const EdgeFilter& edge_ok,
-                          const NodeFilter& node_ok) {
-  g.check_node(source);
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  config.length = length;
-  return dijkstra(GraphView::build(g, config), source);
-}
-
-std::optional<Path> shortest_path(const Graph& g, NodeId source, NodeId target,
-                                  const EdgeWeight& length,
-                                  const EdgeFilter& edge_ok,
-                                  const NodeFilter& node_ok) {
-  return dijkstra(g, source, length, edge_ok, node_ok).path_to(g, target);
-}
-
-std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
-                                const EdgeWeight& capacity,
-                                const EdgeFilter& edge_ok,
-                                const NodeFilter& node_ok) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  config.capacity = capacity;
-  return widest_path(GraphView::build(g, config), source, target);
 }
 
 }  // namespace netrec::graph

@@ -1,15 +1,13 @@
-// Dijkstra shortest paths with pluggable (dynamic) edge lengths.
+// Dijkstra shortest paths and widest paths over a GraphView.
 //
 // ISP's path metric (Section IV-D) changes every iteration — repaired
-// elements become "short", pruned capacity raises lengths — so lengths are a
-// callback rather than stored weights.  The same routine also serves column-
-// generation pricing in the MCF solver (lengths = simplex duals).
-//
-// Two call families exist.  The GraphView overloads are the hot path: they
-// traverse a flat CSR snapshot with no per-edge indirection and are what the
-// algorithm consumers use.  The callback overloads keep the historical
-// signatures as thin wrappers that materialise a view.  Outputs are frozen
-// in tests/golden/graph_kernels.txt.
+// elements become "short", pruned capacity raises lengths — so lengths are
+// not stored on the Graph: they come from the view's build-time metric
+// (ViewConfig::length) or from a caller-owned per-edge array.  The same
+// routine also serves column-generation pricing in the MCF solver
+// (lengths = simplex duals).  Every overload traverses the view's flat CSR
+// arrays with no per-edge indirection.  Outputs are frozen in
+// tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <optional>
@@ -31,8 +29,6 @@ struct ShortestPathTree {
   /// Reconstructs source -> target; std::nullopt when unreachable.
   std::optional<Path> path_to(const Graph& g, NodeId target) const;
 };
-
-// --- view-based (hot path) -------------------------------------------------
 
 /// Dijkstra from `source` over the view, using the view's edge lengths.
 /// Lengths must be >= 0 and not NaN for every traversed edge
@@ -85,29 +81,5 @@ std::optional<Path> shortest_path(const GraphView& view, NodeId source,
 /// Capacities must be >= 0 and not NaN (std::invalid_argument otherwise).
 std::optional<Path> widest_path(const GraphView& view, NodeId source,
                                 NodeId target);
-
-// --- callback wrappers (historical signatures) -----------------------------
-
-/// Runs Dijkstra from `source`.  `length` must be >= 0 for every usable edge
-/// (negative or NaN lengths throw std::invalid_argument at first encounter).
-/// Materialises a GraphView; prefer the view overloads in loops.
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeWeight& length,
-                          const EdgeFilter& edge_ok = {},
-                          const NodeFilter& node_ok = {});
-
-/// Shortest path source -> target, or nullopt if disconnected.
-std::optional<Path> shortest_path(const Graph& g, NodeId source,
-                                  NodeId target, const EdgeWeight& length,
-                                  const EdgeFilter& edge_ok = {},
-                                  const NodeFilter& node_ok = {});
-
-/// Widest (maximum-bottleneck-capacity) path source -> target under the
-/// capacity view; used by greedy routing pre-passes.  Negative or NaN
-/// capacities throw std::invalid_argument at first encounter.
-std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
-                                const EdgeWeight& capacity,
-                                const EdgeFilter& edge_ok = {},
-                                const NodeFilter& node_ok = {});
 
 }  // namespace netrec::graph

@@ -19,9 +19,9 @@ struct EdgeListOptions {
   double node_repair_cost = 1.0;
 };
 
-/// Parses edge-list text through Builder (batch duplicate detection);
-/// returns a finalized Graph.  Throws std::runtime_error naming the line on
-/// malformed input, std::invalid_argument on duplicate/self-loop edges.
+/// Parses edge-list text through Builder (batch duplicate detection).
+/// Throws std::runtime_error naming the line on malformed input,
+/// std::invalid_argument on duplicate/self-loop edges.
 Graph parse_edge_list(const std::string& text,
                       const EdgeListOptions& options = {});
 

@@ -2,13 +2,17 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 #include <variant>
 #include <vector>
+
+#include "graph/builder.hpp"
 
 namespace netrec::graph {
 
@@ -165,11 +169,12 @@ std::optional<std::string> get_string(const Record& r,
   return std::nullopt;
 }
 
-/// Guard in the Graph::add_node/add_edge style (PR 2): numeric attributes
-/// that feed capacities, repair costs or coordinates must be finite, and
-/// the first two nonnegative — `nan`/`inf` lex as identifiers and quoted
-/// numbers pass std::stod, so without this check they would flow straight
-/// into the algorithms as UB fuel.
+/// Guard with the same rules Builder::finalize() enforces: numeric
+/// attributes that feed capacities, repair costs or coordinates must be
+/// finite, and the first two nonnegative — `nan`/`inf` lex as identifiers
+/// and quoted numbers pass std::stod, so without this check they would flow
+/// straight into the algorithms as UB fuel.  Failing here names the GML
+/// element instead of the Builder's internal id.
 double checked_number(double value, const char* what, const char* element,
                       long long id, bool require_nonnegative) {
   if (!std::isfinite(value) || (require_nonnegative && value < 0.0)) {
@@ -214,8 +219,12 @@ Graph parse_gml(const std::string& text, const GmlOptions& options) {
   std::vector<std::pair<std::string, Record>> blocks;
   parse_block(lexer, &blocks);
 
-  Graph g;
+  Builder builder;
   std::map<long long, NodeId> id_map;
+  // Broken flags are state, not topology: collected here, applied to the
+  // built graph.
+  std::vector<NodeId> broken_nodes;
+  std::vector<EdgeId> broken_edges;
   // First pass: nodes (GML allows interleaving, so collect then wire edges).
   for (const auto& [kind, record] : blocks) {
     if (kind != "node") continue;
@@ -234,15 +243,16 @@ Graph parse_gml(const std::string& text, const GmlOptions& options) {
     const double cost = checked_number(
         get_number(record, "cost").value_or(options.default_repair_cost),
         "cost", "node", id_key, /*require_nonnegative=*/true);
-    const NodeId node = g.add_node(label, x, y, cost);
+    const NodeId node = builder.add_node(label, x, y, cost);
     if (!id_map.emplace(id_key, node).second) {
       throw std::runtime_error("GML: duplicate node id " +
                                std::to_string(id_key));
     }
     if (get_number(record, "broken").value_or(0.0) != 0.0) {
-      g.set_node_broken(node, true);
+      broken_nodes.push_back(node);
     }
   }
+  std::unordered_set<std::uint64_t> placed;  // endpoint pairs wired so far
   for (const auto& [kind, record] : blocks) {
     if (kind != "edge") continue;
     const auto source_key =
@@ -257,8 +267,8 @@ Graph parse_gml(const std::string& text, const GmlOptions& options) {
       throw std::runtime_error("GML: edge references unknown node");
     }
     if (su->second == sv->second) continue;               // drop self-loops
-    // Dedupe parallel edges.
-    if (g.find_edge(su->second, sv->second) != kInvalidEdge) continue;
+    // Dedupe parallel edges: the first one wins.
+    if (!placed.insert(endpoint_key(su->second, sv->second)).second) continue;
     const double capacity = checked_number(
         get_number(record, "capacity")
             .value_or(get_number(record, "LinkSpeed")
@@ -268,11 +278,15 @@ Graph parse_gml(const std::string& text, const GmlOptions& options) {
     const double cost = checked_number(
         get_number(record, "cost").value_or(options.default_repair_cost),
         "cost", "edge from node", source_key, /*require_nonnegative=*/true);
-    const EdgeId edge = g.add_edge(su->second, sv->second, capacity, cost);
+    const EdgeId edge =
+        builder.add_edge(su->second, sv->second, capacity, cost);
     if (get_number(record, "broken").value_or(0.0) != 0.0) {
-      g.set_edge_broken(edge, true);
+      broken_edges.push_back(edge);
     }
   }
+  Graph g = builder.finalize();
+  for (NodeId n : broken_nodes) g.set_node_broken(n, true);
+  for (EdgeId e : broken_edges) g.set_edge_broken(e, true);
   return g;
 }
 

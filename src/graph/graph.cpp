@@ -1,83 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace netrec::graph {
-
-void Graph::require_mutable_topology(const char* op) const {
-  if (finalized_) {
-    throw std::logic_error(std::string("Graph: ") + op +
-                           " on a finalized graph (topology is immutable "
-                           "after finalize(); state setters remain valid)");
-  }
-}
-
-void Graph::append_name(std::string_view name) {
-  if (name_off_.empty()) {
-    if (name.empty()) return;  // stay lazy while everything is unnamed
-    // First named node: materialise empty slices for every prior node.  The
-    // node being named is already pushed, so node count is V_prior + 1 and
-    // assign() writes exactly the V_prior + 1 slice starts (all zero); the
-    // push below adds the new name's end boundary -> V + 1 offsets total.
-    name_off_.assign(node_x_.size(), 0);
-  }
-  name_blob_.append(name.data(), name.size());
-  if (name_blob_.size() > 0xffffffffull) {
-    throw std::length_error("Graph: node name arena exceeds 4 GiB");
-  }
-  name_off_.push_back(static_cast<std::uint32_t>(name_blob_.size()));
-}
-
-NodeId Graph::add_node(std::string_view name, double x, double y,
-                       double repair_cost) {
-  require_mutable_topology("add_node");
-  if (!(repair_cost >= 0.0)) {  // rejects NaN and negatives alike
-    throw std::invalid_argument("Graph: node repair cost must be >= 0");
-  }
-  if (num_nodes() >= kMaxGraphElements) {
-    throw std::length_error("Graph: node count exceeds 2^31 (32-bit ids)");
-  }
-  node_x_.push_back(x);
-  node_y_.push_back(y);
-  node_repair_cost_.push_back(repair_cost);
-  node_broken_.push_back(0);
-  dyn_adjacency_.emplace_back();
-  append_name(name);
-  return static_cast<NodeId>(node_x_.size() - 1);
-}
-
-EdgeId Graph::add_edge(NodeId u, NodeId v, double capacity,
-                       double repair_cost) {
-  require_mutable_topology("add_edge");
-  check_node(u);
-  check_node(v);
-  if (u == v) throw std::invalid_argument("Graph: self-loops not supported");
-  if (find_edge(u, v) != kInvalidEdge) {
-    throw std::invalid_argument("Graph: parallel edge between " +
-                                std::to_string(u) + " and " +
-                                std::to_string(v));
-  }
-  if (!(capacity >= 0.0)) {  // rejects NaN and negatives alike
-    throw std::invalid_argument("Graph: capacity must be >= 0 and not NaN");
-  }
-  if (!(repair_cost >= 0.0)) {
-    throw std::invalid_argument("Graph: edge repair cost must be >= 0");
-  }
-  if (num_edges() >= kMaxGraphElements) {
-    throw std::length_error("Graph: edge count exceeds 2^31 (32-bit ids)");
-  }
-  edge_u_.push_back(u);
-  edge_v_.push_back(v);
-  edge_capacity_.push_back(capacity);
-  edge_repair_cost_.push_back(repair_cost);
-  edge_broken_.push_back(0);
-  const auto id = static_cast<EdgeId>(edge_u_.size() - 1);
-  dyn_adjacency_[static_cast<std::size_t>(u)].push_back(id);
-  dyn_adjacency_[static_cast<std::size_t>(v)].push_back(id);
-  return id;
-}
 
 std::string_view Graph::node_name(NodeId id) const {
   check_node(id);
@@ -160,22 +86,14 @@ EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   // Search from the lower-degree endpoint.
   const NodeId base = degree(u) <= degree(v) ? u : v;
   const NodeId target = base == u ? v : u;
-  if (finalized_) {
-    // Binary search over the neighbour-sorted secondary index.
-    const std::size_t lo = inc_off_[index(base)];
-    const std::size_t hi = inc_off_[index(base) + 1];
-    const NodeId* first = sorted_nbr_.data() + lo;
-    const NodeId* last = sorted_nbr_.data() + hi;
-    const NodeId* it = std::lower_bound(first, last, target);
-    if (it != last && *it == target) {
-      return sorted_edge_[lo + static_cast<std::size_t>(it - first)];
-    }
-    return kInvalidEdge;
-  }
-  for (EdgeId id : dyn_adjacency_[index(base)]) {
-    const std::size_t e = index_e(id);
-    const NodeId head = edge_u_[e] == base ? edge_v_[e] : edge_u_[e];
-    if (head == target) return id;
+  // Binary search over the neighbour-sorted secondary index.
+  const std::size_t lo = inc_off_[index(base)];
+  const std::size_t hi = inc_off_[index(base) + 1];
+  const NodeId* first = sorted_nbr_.data() + lo;
+  const NodeId* last = sorted_nbr_.data() + hi;
+  const NodeId* it = std::lower_bound(first, last, target);
+  if (it != last && *it == target) {
+    return sorted_edge_[lo + static_cast<std::size_t>(it - first)];
   }
   return kInvalidEdge;
 }
@@ -186,60 +104,6 @@ std::size_t Graph::max_degree() const {
     best = std::max(best, degree(static_cast<NodeId>(i)));
   }
   return best;
-}
-
-void Graph::build_sorted_index() {
-  const std::size_t arcs = inc_edge_.size();
-  sorted_nbr_.resize(arcs);
-  sorted_edge_.resize(arcs);
-  // Per-node sort of (neighbour, edge) pairs; parallel edges are rejected at
-  // construction, so neighbours within a slice are unique and the order is
-  // fully determined by the neighbour id.
-  std::vector<std::pair<NodeId, EdgeId>> scratch;
-  for (std::size_t i = 0; i + 1 < inc_off_.size(); ++i) {
-    const std::size_t lo = inc_off_[i];
-    const std::size_t hi = inc_off_[i + 1];
-    scratch.clear();
-    scratch.reserve(hi - lo);
-    for (std::size_t a = lo; a < hi; ++a) {
-      const std::size_t e = index_e(inc_edge_[a]);
-      const NodeId head = edge_u_[e] == static_cast<NodeId>(i) ? edge_v_[e]
-                                                               : edge_u_[e];
-      scratch.emplace_back(head, inc_edge_[a]);
-    }
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t k = 0; k < scratch.size(); ++k) {
-      sorted_nbr_[lo + k] = scratch[k].first;
-      sorted_edge_[lo + k] = scratch[k].second;
-    }
-  }
-}
-
-void Graph::finalize() {
-  if (finalized_) return;
-  const std::size_t n = num_nodes();
-  const std::size_t m = num_edges();
-  // Counting-sort the edges into CSR slices.  Appending edges in id order
-  // reproduces the per-node insertion order exactly (dynamic adjacency push
-  // order is edge-creation order), so iteration contracts are unchanged.
-  inc_off_.assign(n + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++inc_off_[static_cast<std::size_t>(edge_u_[e]) + 1];
-    ++inc_off_[static_cast<std::size_t>(edge_v_[e]) + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) inc_off_[i + 1] += inc_off_[i];
-  inc_edge_.resize(2 * m);
-  std::vector<std::uint32_t> cursor(inc_off_.begin(), inc_off_.end() - 1);
-  for (std::size_t e = 0; e < m; ++e) {
-    inc_edge_[cursor[static_cast<std::size_t>(edge_u_[e])]++] =
-        static_cast<EdgeId>(e);
-    inc_edge_[cursor[static_cast<std::size_t>(edge_v_[e])]++] =
-        static_cast<EdgeId>(e);
-  }
-  build_sorted_index();
-  dyn_adjacency_.clear();
-  dyn_adjacency_.shrink_to_fit();
-  finalized_ = true;
 }
 
 void Graph::break_everything() {

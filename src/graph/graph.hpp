@@ -1,4 +1,4 @@
-// Undirected capacitated multigraph — the supply-network substrate.
+// Undirected capacitated graph — the supply-network substrate.
 //
 // Matches the paper's model (Section III): the supply graph G = (V, E) has
 // per-edge capacities c_ij and per-element repair costs k^v_i / k^e_ij;
@@ -11,25 +11,21 @@
 // std::string, no per-element allocation in the hot structure.  The class
 // stores full topology including broken elements: ISP's centrality (eq. 3)
 // is computed on the complete graph, while routing runs on the working
-// subgraph.  Algorithms therefore take explicit usability filters rather
-// than operating on a mutated copy.
+// subgraph.  The kernels therefore run on a GraphView (view.hpp) whose
+// filters select the subgraph, never on a mutated copy.
 //
-// Two topology phases exist:
-//   * dynamic — add_node/add_edge grow per-node adjacency vectors; this is
-//     the historical construction path every generator and loader uses.
-//   * finalized — finalize() (or graph::Builder, see builder.hpp) packs the
-//     incidence lists into a CSR pair (offsets + edge ids, insertion order
-//     preserved) plus a neighbour-sorted secondary index, making degree O(1)
-//     and find_edge O(log d).  The topology becomes immutable (add_* throws)
-//     while element *state* — broken flags, costs, capacities — stays
-//     mutable.  GraphView::build takes a no-callback fast path over the
-//     packed arrays, so snapshotting a finalized graph is a flat copy rather
-//     than an adjacency re-flatten.
+// Topology is fixed at construction, as in the paper's model, where
+// disruption and repair only flip element state.  graph::Builder
+// (builder.hpp) is the one way to make a Graph: it validates a batch of node
+// and edge columns and packs the incidence lists into a CSR pair (offsets +
+// edge ids) plus a neighbour-sorted secondary index, making degree O(1) and
+// find_edge O(log d).  Element *state* — broken flags, costs, capacities —
+// stays mutable through the setters below.
 //
-// Iteration order contracts are identical in both phases: incident_edges
-// yields edge ids in insertion order, so every downstream floating-point
-// tie-break (Dijkstra, Brandes, the LP column order) is bit-identical
-// whether or not the graph was finalized.
+// incident_edges yields a node's edge ids in increasing id order, i.e. the
+// order the edges were appended to the Builder, so every downstream
+// floating-point tie-break (Dijkstra, Brandes, the LP column order) is fixed
+// by the construction order alone.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +48,8 @@ inline constexpr EdgeId kInvalidEdge = -1;
 inline constexpr std::size_t kMaxGraphElements =
     static_cast<std::size_t>(1) << 31;
 
-/// Non-owning view over a node's incident edge ids (insertion order).  Backed
-/// by the per-node adjacency vector in the dynamic phase and by the packed
-/// CSR slice after finalize(); either way it is a contiguous [begin, end).
+/// Non-owning view over a node's incident edge ids (increasing id order): a
+/// contiguous [begin, end) slice of the packed CSR incidence array.
 class EdgeSpan {
  public:
   EdgeSpan() = default;
@@ -76,18 +71,8 @@ class Builder;
 
 class Graph {
  public:
+  /// The empty graph; every other Graph comes from Builder::finalize().
   Graph() = default;
-
-  /// Adds an isolated node; returns its id (ids are dense, 0-based).
-  /// Throws std::logic_error on a finalized graph.
-  NodeId add_node(std::string_view name = {}, double x = 0.0, double y = 0.0,
-                  double repair_cost = 1.0);
-
-  /// Adds an undirected edge; parallel edges and self-loops are rejected
-  /// (the paper's model has neither).  Returns the new edge id.
-  /// Throws std::logic_error on a finalized graph.
-  EdgeId add_edge(NodeId u, NodeId v, double capacity,
-                  double repair_cost = 1.0);
 
   std::size_t num_nodes() const { return node_x_.size(); }
   std::size_t num_edges() const { return edge_u_.size(); }
@@ -95,7 +80,7 @@ class Graph {
   // --- per-node attributes ----------------------------------------------
 
   /// Interned name ("" for unnamed nodes); the view stays valid until the
-  /// next add_node call.
+  /// Graph is destroyed or assigned to.
   std::string_view node_name(NodeId id) const;
   double node_x(NodeId id) const { return node_x_[index(id)]; }
   double node_y(NodeId id) const { return node_y_[index(id)]; }
@@ -131,42 +116,27 @@ class Graph {
 
   // --- topology queries --------------------------------------------------
 
-  /// Edge ids incident to `node`, in insertion order.
+  /// Edge ids incident to `node`, in increasing id order.
   EdgeSpan incident_edges(NodeId node) const {
     const std::size_t i = index(node);
-    if (finalized_) {
-      return {inc_edge_.data() + inc_off_[i], inc_edge_.data() + inc_off_[i + 1]};
-    }
-    const auto& adj = dyn_adjacency_[i];
-    return {adj.data(), adj.data() + adj.size()};
+    return {inc_edge_.data() + inc_off_[i], inc_edge_.data() + inc_off_[i + 1]};
   }
 
   /// The endpoint of `edge` that is not `from`.
   NodeId other_endpoint(EdgeId edge, NodeId from) const;
 
   /// The edge between u and v (either orientation), or kInvalidEdge.
-  /// O(log d) on a finalized graph (binary search over the neighbour-sorted
-  /// index), O(d) linear scan in the dynamic phase.
+  /// O(log d): binary search over the neighbour-sorted index.
   EdgeId find_edge(NodeId u, NodeId v) const;
 
   /// Degree counting all incident edges (broken included).  O(1).
   std::size_t degree(NodeId node) const {
     const std::size_t i = index(node);
-    if (finalized_) return inc_off_[i + 1] - inc_off_[i];
-    return dyn_adjacency_[i].size();
+    return inc_off_[i + 1] - inc_off_[i];
   }
 
   /// Maximum degree over all nodes (the paper's eta_max).
   std::size_t max_degree() const;
-
-  // --- finalization ------------------------------------------------------
-
-  bool finalized() const { return finalized_; }
-
-  /// Packs the incidence structure into the immutable CSR core (idempotent).
-  /// Preserves ids and per-node insertion order exactly; only the lookup
-  /// complexity changes.  After this call add_node/add_edge throw.
-  void finalize();
 
   // --- disruption bookkeeping -------------------------------------------
 
@@ -225,10 +195,6 @@ class Graph {
   std::size_t index(NodeId id) const { return static_cast<std::size_t>(id); }
   std::size_t index_e(EdgeId id) const { return static_cast<std::size_t>(id); }
 
-  void require_mutable_topology(const char* op) const;
-  void append_name(std::string_view name);
-  void build_sorted_index();
-
   // node SoA
   std::vector<double> node_x_;
   std::vector<double> node_y_;
@@ -249,20 +215,18 @@ class Graph {
   std::size_t broken_node_count_ = 0;
   std::size_t broken_edge_count_ = 0;
 
-  // dynamic-phase incidence
-  std::vector<std::vector<EdgeId>> dyn_adjacency_;
-
-  // finalized core: CSR incidence (insertion order) + neighbour-sorted
-  // secondary index sharing the same offsets (find_edge binary search).
-  bool finalized_ = false;
+  // CSR incidence (increasing edge id per node) + neighbour-sorted
+  // secondary index sharing the same offsets (find_edge binary search);
+  // packed by Builder::finalize().
   std::vector<std::uint32_t> inc_off_;  ///< size V+1
   std::vector<EdgeId> inc_edge_;        ///< size 2E
   std::vector<NodeId> sorted_nbr_;      ///< size 2E
   std::vector<EdgeId> sorted_edge_;     ///< size 2E
 };
 
-/// Predicate types used by the traversal/flow algorithms.  A default-
-/// constructed filter accepts everything.
+/// Element predicates and metrics: the ViewConfig inputs a GraphView
+/// evaluates once per element (view.hpp), also taken by the mcf and steiner
+/// entry points.  A default-constructed filter accepts everything.
 using NodeFilter = std::function<bool(NodeId)>;
 using EdgeFilter = std::function<bool(EdgeId)>;
 using EdgeWeight = std::function<double(EdgeId)>;

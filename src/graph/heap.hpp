@@ -1,4 +1,4 @@
-// 4-ary min-heap used by the view-based traversal kernels.
+// 4-ary min-heap used by the graph kernels.
 //
 // The Dijkstra-family loops order work by (distance, node) pairs — a total
 // order, so every correct min-priority-queue pops the exact same sequence

@@ -131,8 +131,6 @@ MaxflowResult run_max_flow(const Graph& g, NodeId source, NodeId sink,
 
 }  // namespace
 
-// --- view-based ------------------------------------------------------------
-
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink) {
   return max_flow(view, source, sink, view.edge_capacities());
 }
@@ -140,8 +138,8 @@ MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink) {
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
                        const std::vector<double>& edge_capacity) {
   const Graph& g = view.graph();
-  // Validate before the bitset lookups: an out-of-range id must throw (as
-  // the callback path always did), not index node_in_view_ out of bounds.
+  // Validate before the bitset lookups: an out-of-range id must throw, not
+  // index node_in_view_ out of bounds.
   g.check_node(source);
   g.check_node(sink);
   const bool endpoints_ok =
@@ -188,18 +186,6 @@ MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
           net.add_undirected(eu, ev, cap, id);
         }
       });
-}
-
-// --- callback wrapper ------------------------------------------------------
-
-MaxflowResult max_flow(const Graph& g, NodeId source, NodeId sink,
-                       const EdgeWeight& capacity, const EdgeFilter& edge_ok,
-                       const NodeFilter& node_ok) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  config.capacity = capacity;
-  return max_flow(GraphView::build(g, config), source, sink);
 }
 
 std::vector<std::pair<Path, double>> decompose_flow(

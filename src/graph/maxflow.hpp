@@ -7,12 +7,10 @@
 // per-edge flow is net (opposite directions cancelled), so a flow
 // decomposition into simple paths always exists.
 //
-// The GraphView overloads assemble the Dinic network from the view's flat
-// usability bitset and capacity array (no per-edge callbacks); the
-// residual-capacity overload lets greedy routing re-run flows against a
-// mutating residual array without rebuilding the view.  The callback
-// signature wraps the view path.  Flows are frozen in
-// tests/golden/graph_kernels.txt.
+// The Dinic network is assembled from the view's flat usability bitset and
+// capacity array; the residual-capacity overloads let greedy routing re-run
+// flows against a mutating residual array without rebuilding the view.
+// Flows are frozen in tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <utility>
@@ -31,8 +29,6 @@ struct MaxflowResult {
   std::vector<double> edge_flow;
 };
 
-// --- view-based (hot path) -------------------------------------------------
-
 /// Max flow source -> sink over the view's edges and capacities.
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink);
 
@@ -49,17 +45,6 @@ MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
                        const std::vector<double>& edge_capacity,
                        const std::vector<char>& node_ok);
-
-// --- callback wrapper (historical signature) -------------------------------
-
-/// Max flow from `source` to `sink`.  `capacity` supplies per-edge capacity
-/// (residual capacities during ISP differ from static ones); filters restrict
-/// the network (e.g. to working elements, or to a bubble's node set).
-/// Materialises a GraphView.
-MaxflowResult max_flow(const Graph& g, NodeId source, NodeId sink,
-                       const EdgeWeight& capacity,
-                       const EdgeFilter& edge_ok = {},
-                       const NodeFilter& node_ok = {});
 
 /// Decomposes a net edge flow (as produced by max_flow) into simple paths
 /// with positive amounts summing to the flow value.  The input flow must be

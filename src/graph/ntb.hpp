@@ -12,9 +12,9 @@
 //   * save_ntb/to_ntb serialise topology, coordinates, capacities, repair
 //     costs, broken flags and interned names — everything to_gml carries —
 //     so GML -> NTB -> Graph round-trips bit-identically.
-//   * load_ntb returns a *finalized* graph (built through graph::Builder,
-//     full batch validation: section bounds, endpoint ranges, finite
-//     metrics, duplicate edges, 2^31 id ceiling).  Truncated or corrupt
+//   * load_ntb builds its graph through graph::Builder (full batch
+//     validation: section bounds, endpoint ranges, finite metrics,
+//     duplicate edges, 2^31 id ceiling).  Truncated or corrupt
 //     input throws std::runtime_error naming the first offence.
 //   * The format is strictly little-endian; a file written on a big-endian
 //     host carries a mismatched endianness tag and is rejected rather than
@@ -34,7 +34,6 @@ inline constexpr std::uint32_t kNtbVersion = 1;
 std::string to_ntb(const Graph& g);
 
 /// Parses an NTB image; throws std::runtime_error on malformed input.
-/// The returned graph is finalized.
 Graph parse_ntb(const void* data, std::size_t size);
 
 /// Writes to_ntb(g) to `path`; throws std::runtime_error on I/O failure.

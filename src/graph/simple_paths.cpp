@@ -36,8 +36,6 @@ void dfs_paths(const GraphView& view, NodeId at, NodeId t,
 
 }  // namespace
 
-// --- view-based ------------------------------------------------------------
-
 std::vector<Path> all_simple_paths(const GraphView& view, NodeId s, NodeId t,
                                    const SimplePathLimits& limits) {
   const Graph& g = view.graph();
@@ -109,36 +107,6 @@ SuccessivePathsResult successive_shortest_paths_to(
     std::size_t max_paths, const ShortestPathTree* first_tree) {
   return run_successive_shortest_paths(view, s, t, demand, max_paths,
                                        /*stop_at_target=*/true, first_tree);
-}
-
-// --- callback wrappers -----------------------------------------------------
-
-std::vector<Path> all_simple_paths(const Graph& g, NodeId s, NodeId t,
-                                   const SimplePathLimits& limits,
-                                   const EdgeFilter& edge_ok,
-                                   const NodeFilter& node_ok) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  if (node_ok) {
-    // Historical semantics: the node filter never blocks entering the
-    // target itself, only intermediate nodes.
-    config.node_ok = [&node_ok, t](NodeId n) { return n == t || node_ok(n); };
-  }
-  return all_simple_paths(GraphView::build(g, config), s, t, limits);
-}
-
-SuccessivePathsResult successive_shortest_paths(
-    const Graph& g, NodeId s, NodeId t, double demand,
-    const EdgeWeight& length, const EdgeWeight& capacity,
-    const EdgeFilter& edge_ok, const NodeFilter& node_ok,
-    std::size_t max_paths) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  config.length = length;
-  config.capacity = capacity;
-  return successive_shortest_paths(GraphView::build(g, config), s, t, demand,
-                                   max_paths);
 }
 
 }  // namespace netrec::graph

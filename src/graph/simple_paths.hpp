@@ -11,9 +11,8 @@
 // bottleneck capacity from the residual view, until accumulated path
 // capacity covers the demand.
 //
-// The GraphView overloads are the hot path (ISP recomputes P̂* for every
-// demand every iteration); build the view once per round and enumerate per
-// demand pair.  The callback signatures wrap them.
+// Both run on a GraphView (ISP recomputes P̂* for every demand every
+// iteration): build the view once per round and enumerate per demand pair.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +40,6 @@ struct SuccessivePathsResult {
   double total_capacity = 0.0;
 };
 
-// --- view-based (hot path) -------------------------------------------------
-
 /// All simple paths s -> t in the view (DFS over the CSR arcs), subject to
 /// limits.  Emitted in DFS (adjacency) order.
 std::vector<Path> all_simple_paths(const GraphView& view, NodeId s, NodeId t,
@@ -64,31 +61,11 @@ SuccessivePathsResult successive_shortest_paths_to(
 /// P̂*(s,t) over the view: shortest paths under the view's lengths collected
 /// until their combined capacity (from the view's capacities) reaches
 /// `demand`, reducing each chosen path's bottleneck from an internal
-/// residual copy between iterations.
+/// residual copy between iterations.  Stops early when s and t disconnect;
+/// `max_paths` guards pathological instances.
 SuccessivePathsResult successive_shortest_paths(const GraphView& view,
                                                 NodeId s, NodeId t,
                                                 double demand,
                                                 std::size_t max_paths = 64);
-
-// --- callback wrappers (historical signatures) -----------------------------
-
-/// All simple paths between s and t (DFS), subject to limits.  Paths are
-/// emitted in DFS order; callers typically re-sort by their own weight.
-/// Materialises a GraphView (the target is admitted even when `node_ok`
-/// rejects it, matching the historical semantics).
-std::vector<Path> all_simple_paths(const Graph& g, NodeId s, NodeId t,
-                                   const SimplePathLimits& limits = {},
-                                   const EdgeFilter& edge_ok = {},
-                                   const NodeFilter& node_ok = {});
-
-/// P̂*(s,t): shortest paths (under `length`) collected until their combined
-/// capacity reaches `demand`, reducing each chosen path's bottleneck from a
-/// residual copy of `capacity` between iterations.  Stops early when s and t
-/// disconnect; `max_paths` guards pathological instances.
-SuccessivePathsResult successive_shortest_paths(
-    const Graph& g, NodeId s, NodeId t, double demand,
-    const EdgeWeight& length, const EdgeWeight& capacity,
-    const EdgeFilter& edge_ok = {}, const NodeFilter& node_ok = {},
-    std::size_t max_paths = 64);
 
 }  // namespace netrec::graph

@@ -5,20 +5,6 @@
 
 namespace netrec::graph {
 
-namespace {
-
-GraphView filtered_view(const Graph& g, const EdgeFilter& edge_ok,
-                        const NodeFilter& node_ok = {}) {
-  ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.node_ok = node_ok;
-  return GraphView::build(g, config);
-}
-
-}  // namespace
-
-// --- view-based ------------------------------------------------------------
-
 std::vector<int> bfs_hops(const GraphView& view, NodeId source) {
   view.graph().check_node(source);
   std::vector<int> dist(view.num_nodes(), -1);
@@ -132,42 +118,6 @@ std::vector<std::vector<int>> all_pairs_hops(const GraphView& view) {
     out.push_back(bfs_hops(view, static_cast<NodeId>(s)));
   }
   return out;
-}
-
-// --- callback wrappers -----------------------------------------------------
-
-std::vector<int> bfs_hops(const Graph& g, NodeId source,
-                          const EdgeFilter& edge_ok,
-                          const NodeFilter& node_ok) {
-  g.check_node(source);
-  return bfs_hops(filtered_view(g, edge_ok, node_ok), source);
-}
-
-bool reachable(const Graph& g, NodeId source, NodeId target,
-               const EdgeFilter& edge_ok, const NodeFilter& node_ok) {
-  if (source == target) return true;
-  const auto dist = bfs_hops(g, source, edge_ok, node_ok);
-  return dist[static_cast<std::size_t>(target)] != -1;
-}
-
-std::vector<int> connected_components(const Graph& g,
-                                      const EdgeFilter& edge_ok,
-                                      const NodeFilter& node_ok) {
-  return connected_components(filtered_view(g, edge_ok, node_ok));
-}
-
-std::vector<NodeId> giant_component(const Graph& g, const EdgeFilter& edge_ok,
-                                    const NodeFilter& node_ok) {
-  return giant_component(filtered_view(g, edge_ok, node_ok));
-}
-
-int hop_diameter(const Graph& g, const EdgeFilter& edge_ok) {
-  return hop_diameter(filtered_view(g, edge_ok));
-}
-
-std::vector<std::vector<int>> all_pairs_hops(const Graph& g,
-                                             const EdgeFilter& edge_ok) {
-  return all_pairs_hops(filtered_view(g, edge_ok));
 }
 
 }  // namespace netrec::graph

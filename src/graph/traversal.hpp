@@ -1,12 +1,8 @@
 // Breadth-first traversal utilities: reachability, hop distances, connected
-// components, diameter.  All routines honour optional node/edge filters so
-// they can run on the working subgraph, the full graph, or ISP's bubble
-// search space without copying the graph.
-//
-// The GraphView overloads traverse a flat CSR snapshot (no per-edge callback
-// indirection) and amortise one view build over many sources — hop_diameter
-// and all_pairs_hops use them internally.  The callback signatures remain as
-// thin wrappers that materialise a view per call.
+// components, diameter.  Every routine runs on a GraphView, so the view's
+// filters decide whether it sees the working subgraph, the full graph, or
+// ISP's bubble search space — without copying the graph — and one view
+// build is amortised over many sources (hop_diameter, all_pairs_hops).
 #pragma once
 
 #include <vector>
@@ -15,8 +11,6 @@
 #include "graph/view.hpp"
 
 namespace netrec::graph {
-
-// --- view-based (hot path) -------------------------------------------------
 
 /// Hop distance from `source` to every node (-1 when unreachable).  The
 /// source is always distance 0, even when it fails the view's node filter
@@ -43,37 +37,5 @@ int hop_diameter(const GraphView& view);
 
 /// BFS hop distances from every source over one shared view.
 std::vector<std::vector<int>> all_pairs_hops(const GraphView& view);
-
-// --- callback wrappers (historical signatures) -----------------------------
-
-/// Hop distance from `source` to every node (-1 when unreachable).
-/// Edges failing `edge_ok` and nodes failing `node_ok` are not traversed;
-/// the source itself is always distance 0 (even if `node_ok(source)` fails).
-std::vector<int> bfs_hops(const Graph& g, NodeId source,
-                          const EdgeFilter& edge_ok = {},
-                          const NodeFilter& node_ok = {});
-
-/// True iff `target` is reachable from `source` under the filters.
-bool reachable(const Graph& g, NodeId source, NodeId target,
-               const EdgeFilter& edge_ok = {}, const NodeFilter& node_ok = {});
-
-/// Component label per node (-1 for nodes failing node_ok); dense labels.
-std::vector<int> connected_components(const Graph& g,
-                                      const EdgeFilter& edge_ok = {},
-                                      const NodeFilter& node_ok = {});
-
-/// Node ids of the largest component under the filters.
-std::vector<NodeId> giant_component(const Graph& g,
-                                    const EdgeFilter& edge_ok = {},
-                                    const NodeFilter& node_ok = {});
-
-/// Hop diameter (max eccentricity over the graph); -1 if disconnected.
-/// O(V * (V + E)) — fine for the paper's topologies.
-int hop_diameter(const Graph& g, const EdgeFilter& edge_ok = {});
-
-/// All-pairs hop distance from a single source, convenience for demand
-/// generation (pairs at distance >= diameter/2, Section VII-A).
-std::vector<std::vector<int>> all_pairs_hops(const Graph& g,
-                                             const EdgeFilter& edge_ok = {});
 
 }  // namespace netrec::graph

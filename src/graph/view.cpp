@@ -16,8 +16,8 @@ GraphView GraphView::build(const Graph& g, const ViewConfig& config) {
   }
 
   // Edge verdicts and weights, one callback evaluation per edge.  Weights
-  // are consulted for edges passing the edge filter only (the callback
-  // algorithms' contract); filtered edges keep 0.
+  // are consulted for edges passing the edge filter only; filtered edges
+  // keep 0.
   view.edge_pass_.assign(m, 1);
   view.edge_in_view_.assign(m, 0);
   view.edge_lengths_.assign(m, 0.0);
@@ -40,7 +40,7 @@ GraphView GraphView::build(const Graph& g, const ViewConfig& config) {
   }
 
   // CSR over directed arcs: u -> v present iff the edge passes and the
-  // *head* endpoint passes (legacy traversal semantics; see header).
+  // *head* endpoint passes (see header).
   view.offsets_.assign(n + 1, 0);
   for (std::size_t e = 0; e < m; ++e) {
     if (!view.edge_pass_[e]) continue;
@@ -58,8 +58,8 @@ GraphView GraphView::build(const Graph& g, const ViewConfig& config) {
   view.arcs_.resize(arcs);
   view.arc_capacities_.resize(arcs);
   view.edge_arcs_.assign(m, {kInvalidArc, kInvalidArc});
-  // Fill per node in adjacency (insertion) order so arc order — and with it
-  // every floating-point tie-break downstream — matches the callback path.
+  // Fill per node in incidence order (increasing edge id): arc order fixes
+  // every floating-point tie-break downstream.
   std::vector<ArcId> cursor(view.offsets_.begin(), view.offsets_.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
     const auto u = static_cast<NodeId>(i);

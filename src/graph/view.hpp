@@ -1,26 +1,23 @@
-// Immutable CSR snapshot of a Graph under a filter/weight configuration.
+// Immutable CSR snapshot of a Graph under a filter/weight configuration —
+// the one input every graph kernel takes.
 //
-// Every traversal in the reproduction (Dijkstra, widest path, Brandes
-// betweenness, Dinic max flow, the MCF pricing loop) historically paid a
-// std::function call per edge for EdgeFilter / NodeFilter / EdgeWeight,
-// re-evaluating usability and lengths that are constant for the duration of
-// an algorithm round.  GraphView::build flattens the configured subgraph
-// once, in O(V + E), into four parallel arrays (CSR offsets / arc targets /
-// arc edge ids / arc weights) plus node and edge usability bitsets; the
-// view-based algorithm overloads in graph/dijkstra.hpp, graph/traversal.hpp,
-// graph/betweenness.hpp, graph/maxflow.hpp and graph/simple_paths.hpp then
-// run on flat memory with zero per-edge indirection.
+// The usability filters and per-edge metrics of an algorithm round are
+// constant for the duration of the round, so GraphView::build evaluates the
+// ViewConfig callbacks once per element, in O(V + E), into four parallel
+// arrays (CSR offsets / arc targets / arc edge ids / arc weights) plus node
+// and edge usability bitsets.  The kernels in graph/dijkstra.hpp,
+// graph/traversal.hpp, graph/betweenness.hpp, graph/maxflow.hpp and
+// graph/simple_paths.hpp then run on flat memory with zero per-edge
+// indirection.
 //
-// Arc semantics match the callback algorithms exactly: the directed arc
-// u -> v of edge e is present iff edge_ok(e) passes and node_ok(v) passes.
-// Only the *head* endpoint is node-filtered — precisely the check the
-// legacy traversals apply — so a node excluded by the filter can still act
-// as a traversal source (its outgoing arcs exist) but is never reached
-// (arcs into it are dropped).  edge_in_view() additionally requires both
-// endpoints, which is the per-edge test the flow/LP layers use.  Arcs of a
-// node appear in the graph's adjacency (insertion) order, so view-based
-// algorithms settle ties in the same order as the callback path and produce
-// bit-identical distances, parents, scores and flows.
+// Arc semantics: the directed arc u -> v of edge e is present iff edge_ok(e)
+// passes and node_ok(v) passes.  Only the *head* endpoint is node-filtered,
+// so a node excluded by the filter can still act as a traversal source (its
+// outgoing arcs exist) but is never reached (arcs into it are dropped).
+// edge_in_view() additionally requires both endpoints, which is the
+// per-edge test the flow/LP layers use.  Arcs of a node appear in the
+// graph's incidence order (increasing edge id), which fixes every
+// floating-point tie-break downstream: distances, parents, scores and flows.
 //
 // Immutability / invalidation contract:
 //   * A GraphView is immutable through its public interface; all accessors
@@ -28,17 +25,17 @@
 //     The one mutation path is graph::ViewCache (a friend), which may patch
 //     per-edge lengths/capacities in place between algorithm rounds — see
 //     view_cache.hpp for the refresh-vs-rebuild rules.
-//   * The view borrows the Graph (no copy).  Any mutation of the graph —
-//     add_node/add_edge, flipping broken flags, editing capacities — leaves
-//     the view dangling or semantically stale; rebuild it (or route the
-//     mutation through a ViewCache, which rebuilds or refreshes for you).
-//     Bare views are cheap (one O(V+E) pass) and meant to be materialised
-//     once per algorithm round.
+//   * The view borrows the Graph (no copy).  Destroying or assigning to the
+//     graph leaves the view dangling; a state mutation — flipping broken
+//     flags, editing capacities or costs — leaves it semantically stale.
+//     Rebuild it (or route the mutation through a ViewCache, which rebuilds
+//     or refreshes for you).  Bare views are cheap (one O(V+E) pass) and
+//     meant to be materialised once per algorithm round.
 //   * Filter and weight callbacks are evaluated exactly once per element at
 //     build time and never retained by the view itself, so temporaries may
 //     be passed freely (a ViewCache *does* retain its configs; see there).
-//     Weights are evaluated only for edges passing edge_ok, matching the
-//     callback algorithms' promise to consult weights on usable edges only.
+//     Weights are evaluated only for edges passing edge_ok, so a metric may
+//     assume it is consulted on usable edges only.
 #pragma once
 
 #include <array>
@@ -57,12 +54,15 @@ inline constexpr ArcId kInvalidArc = static_cast<ArcId>(-1);
 
 /// Build-time configuration: which elements are in the view and what the
 /// per-edge length / capacity metrics are.  Empty callbacks mean "accept
-/// everything" / "length 1" / "static graph capacity".
+/// everything" / "length 1" / "static graph capacity".  The `{}`
+/// initializers let a one-off call name only the fields it sets —
+/// `GraphView::build(g, {.length = metric})` — without a
+/// -Wmissing-field-initializers warning.
 struct ViewConfig {
-  EdgeFilter edge_ok;
-  NodeFilter node_ok;
-  EdgeWeight length;
-  EdgeWeight capacity;
+  EdgeFilter edge_ok{};
+  NodeFilter node_ok{};
+  EdgeWeight length{};
+  EdgeWeight capacity{};
 };
 
 class GraphView {

@@ -40,11 +40,6 @@ const GraphView& ViewCache::view(std::string_view name) {
 
 void ViewCache::mark_edge(Slot& slot, EdgeId e) {
   if (slot.rebuild) return;  // a rebuild re-evaluates everything anyway
-  // Edges may have been added to the graph (followed by bump_epoch) since
-  // add_config sized the bitmap; grow it in step.
-  if (static_cast<std::size_t>(e) >= slot.dirty_mark.size()) {
-    slot.dirty_mark.resize(g_->num_edges(), 0);
-  }
   if (slot.dirty_mark[static_cast<std::size_t>(e)]) return;
   slot.dirty_mark[static_cast<std::size_t>(e)] = 1;
   slot.dirty.push_back(e);
@@ -91,14 +86,9 @@ void ViewCache::remove_listener(MutationListener* listener) {
 
 void ViewCache::sync(Slot& slot) {
   // A queued dirty edge whose live filter verdict differs from the built
-  // one changes arc membership: escalate to a rebuild.  So does an edge id
-  // beyond the built view's range (graph grew without a bump_epoch).
+  // one changes arc membership: escalate to a rebuild.
   if (!slot.rebuild && !slot.dirty.empty()) {
     for (EdgeId e : slot.dirty) {
-      if (static_cast<std::size_t>(e) >= slot.view.num_edges()) {
-        slot.rebuild = true;
-        break;
-      }
       if (slot.config.edge_ok &&
           slot.config.edge_ok(e) != slot.view.edge_passes_filter(e)) {
         slot.rebuild = true;

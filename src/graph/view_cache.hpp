@@ -1,11 +1,11 @@
 // Mutation-aware GraphView reuse: an epoch-based cache of named view
 // configurations over one Graph.
 //
-// PR 2's GraphView made every traversal kernel run on flat CSR memory, but a
-// consumer that *mutates* shared state mid-algorithm (ISP's residual_ /
-// RepairState bookkeeping, the repair scheduler's emit loop) still had to
-// rebuild an O(V + E) snapshot per call through the view-materialising
-// wrappers.  ViewCache closes that gap: the consumer registers each view
+// Every graph kernel runs on a GraphView, but a consumer that *mutates*
+// shared state mid-algorithm (ISP's residual_ / RepairState bookkeeping, the
+// repair scheduler's emit loop) would otherwise rebuild an O(V + E)
+// snapshot per kernel call.  ViewCache closes that gap: the consumer
+// registers each view
 // configuration once, publishes its mutations through three explicit hooks,
 // and every view() call returns an up-to-date snapshot that was either
 // served unchanged (hit), patched edge-by-edge (refresh) or — only when a
@@ -30,8 +30,10 @@
 //     incident to n (their filter verdicts and weights may all depend on
 //     n).  Slots with a node filter rebuild conservatively: node verdicts
 //     shape the CSR itself.
-//   * bump_epoch() — anything may have changed (topology edits, wholesale
-//     state swaps); every slot rebuilds on next use.
+//   * bump_epoch() — any element state may have changed (a wholesale state
+//     swap such as a Timeline revival); every slot rebuilds on next use.
+//     Topology itself never changes: a Graph's node and edge sets are fixed
+//     when graph::Builder makes it.
 //
 // Epochs: every published mutation advances epoch(); each slot records the
 // epoch it last synced to.  Consumers that hold derived data (not the view

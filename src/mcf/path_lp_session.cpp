@@ -89,13 +89,6 @@ void PathLpSession::on_epoch_bumped() {
 }
 
 void PathLpSession::mark_dirty(graph::EdgeId e) {
-  if (static_cast<std::size_t>(e) >= dirty_mark_.size()) {
-    // The graph grew; size the per-edge maps up (callers normally follow
-    // topology edits with bump_epoch, which resets everything anyway).
-    dirty_mark_.resize(g_.num_edges(), 0);
-    columns_of_edge_.resize(g_.num_edges());
-    capacity_row_.resize(g_.num_edges(), -1);
-  }
   if (dirty_mark_[static_cast<std::size_t>(e)]) return;
   dirty_mark_[static_cast<std::size_t>(e)] = 1;
   dirty_.push_back(e);

@@ -5,7 +5,8 @@
 //
 // Typical flow:
 //   core::RecoveryProblem problem;            // supply graph + demand graph
-//   ... build problem.graph, problem.demands, mark broken elements ...
+//   problem.graph = topology::make_topology(params);  // or graph::Builder
+//   ... add problem.demands, mark broken elements ...
 //   core::RecoverySolution plan = core::IspSolver(problem).solve();
 //
 // Baselines (heuristics::solve_srt / solve_grd_com / solve_grd_nc /
@@ -18,6 +19,7 @@
 #include "core/problem.hpp"
 #include "core/repair_state.hpp"
 #include "disruption/disruption.hpp"
+#include "graph/builder.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/gml.hpp"
 #include "graph/graph.hpp"

@@ -1,5 +1,6 @@
 #include <stdexcept>
 
+#include "graph/builder.hpp"
 #include "topology/topologies.hpp"
 
 namespace netrec::topology {
@@ -102,20 +103,20 @@ constexpr Link kLinks[] = {
 namespace detail {
 
 graph::Graph bell_canada_impl(const BellCanadaOptions& options) {
-  graph::Graph g;
+  graph::Builder builder;
   for (const City& city : kCities) {
-    g.add_node(city.name, city.lon, city.lat, options.repair_cost);
+    builder.add_node(city.name, city.lon, city.lat, options.repair_cost);
   }
   for (const Link& link : kLinks) {
     double capacity = options.access_capacity;
     if (link.tier == 0) capacity = options.backbone_capacity;
     if (link.tier == 1) capacity = options.secondary_capacity;
-    g.add_edge(link.u, link.v, capacity, options.repair_cost);
+    builder.add_edge(link.u, link.v, capacity, options.repair_cost);
   }
-  if (g.num_nodes() != 48 || g.num_edges() != 64) {
+  if (builder.num_nodes() != 48 || builder.num_edges() != 64) {
     throw std::logic_error("bell_canada_like: node/edge table corrupted");
   }
-  return g;
+  return builder.finalize();
 }
 
 }  // namespace detail

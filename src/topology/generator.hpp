@@ -23,7 +23,7 @@ namespace netrec::topology {
 struct RmatOptions {
   std::size_t nodes = 1024;
   /// Target edge draws = edge_factor * nodes; duplicate draws are discarded
-  /// (Graph500 style), so the finalized edge count lands a little below.
+  /// (Graph500 style), so the built edge count lands a little below.
   double edge_factor = 8.0;
   /// Recursive-partition probabilities (Graph500 defaults); d = 1 - a-b-c.
   double a = 0.57;

@@ -27,12 +27,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/isp.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/gml.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/simple_paths.hpp"
 #include "graph/traversal.hpp"
@@ -67,6 +69,11 @@ class Fnv1a64 {
   }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
   void add_id(std::int64_t id) { add(static_cast<std::uint64_t>(id)); }
+  /// Length word, then one word per byte.
+  void add_text(std::string_view s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const unsigned char c : s) add(static_cast<std::uint64_t>(c));
+  }
   std::string str() const {
     char buf[24];
     std::snprintf(buf, sizeof buf, "%016llx",
@@ -341,25 +348,25 @@ inline std::string tree_digest(const graph::ShortestPathTree& tree) {
 
 /// Trees from every 7th source, with working-element filters and without.
 inline std::string dijkstra_record(const graph::Graph& g) {
-  const auto length = test_length();
+  graph::ViewConfig working;
+  working.edge_ok = graph::working_edge_filter(g);
+  working.node_ok = working_node_filter(g);
+  working.length = test_length();
+  const auto filtered = graph::GraphView::build(g, working);
+  const auto unfiltered = graph::GraphView::build(g, {.length = test_length()});
   std::ostringstream out;
   for (graph::NodeId s = 0; s < static_cast<graph::NodeId>(g.num_nodes());
        s += 7) {
     out << "source " << s << " filtered "
-        << tree_digest(graph::dijkstra(g, s, length,
-                                       graph::working_edge_filter(g),
-                                       working_node_filter(g)))
-        << " unfiltered " << tree_digest(graph::dijkstra(g, s, length))
-        << "\n";
+        << tree_digest(graph::dijkstra(filtered, s)) << " unfiltered "
+        << tree_digest(graph::dijkstra(unfiltered, s)) << "\n";
   }
   return out.str();
 }
 
 inline std::string widest_path_record(const graph::Graph& g) {
-  const auto path = graph::widest_path(
-      g, 0, static_cast<graph::NodeId>(g.num_nodes() - 1),
-      [&g](graph::EdgeId e) { return g.edge_capacity(e); },
-      graph::working_edge_filter(g));
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  const auto path = graph::widest_path(graph::GraphView::working(g), 0, last);
   if (!path) return "path none\n";
   return "path " + std::to_string(path->start) + " edges" +
          join_ids(path->edges) + "\n";
@@ -367,18 +374,21 @@ inline std::string widest_path_record(const graph::Graph& g) {
 
 inline std::string betweenness_record(const graph::Graph& g,
                                       bool node_filter) {
-  return "scores" +
-         join_hex(graph::betweenness_centrality(
-             g, test_length(), graph::working_edge_filter(g),
-             node_filter ? working_node_filter(g) : graph::NodeFilter{})) +
-         "\n";
+  graph::ViewConfig config;
+  config.edge_ok = graph::working_edge_filter(g);
+  if (node_filter) config.node_ok = working_node_filter(g);
+  config.length = test_length();
+  const auto view = graph::GraphView::build(g, config);
+  return "scores" + join_hex(graph::betweenness_centrality(view)) + "\n";
 }
 
 inline std::string max_flow_record(const graph::Graph& g) {
-  const auto flow = graph::max_flow(
-      g, 0, static_cast<graph::NodeId>(g.num_nodes() - 1),
-      [&g](graph::EdgeId e) { return g.edge_capacity(e); },
-      graph::working_edge_filter(g), working_node_filter(g));
+  graph::ViewConfig working;
+  working.edge_ok = graph::working_edge_filter(g);
+  working.node_ok = working_node_filter(g);
+  const auto view = graph::GraphView::build(g, working);
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  const auto flow = graph::max_flow(view, 0, last);
   std::ostringstream out;
   out << "value " << hex(flow.value) << "\nedge_flow";
   for (std::size_t e = 0; e < flow.edge_flow.size(); ++e) {
@@ -390,10 +400,12 @@ inline std::string max_flow_record(const graph::Graph& g) {
 
 /// Successive shortest paths 0 -> last covering 30 units.
 inline std::string successive_paths_record(const graph::Graph& g) {
-  const auto sp = graph::successive_shortest_paths(
-      g, 0, static_cast<graph::NodeId>(g.num_nodes() - 1), 30.0,
-      test_length(), [&g](graph::EdgeId e) { return g.edge_capacity(e); },
-      graph::working_edge_filter(g));
+  graph::ViewConfig config;
+  config.edge_ok = graph::working_edge_filter(g);
+  config.length = test_length();
+  const auto view = graph::GraphView::build(g, config);
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  const auto sp = graph::successive_shortest_paths(view, 0, last, 30.0);
   std::ostringstream out;
   out << "total_capacity " << hex(sp.total_capacity) << "\n";
   for (std::size_t p = 0; p < sp.paths.size(); ++p) {
@@ -403,12 +415,84 @@ inline std::string successive_paths_record(const graph::Graph& g) {
   return out.str();
 }
 
+/// Topology identity: sizes, every node and edge column, and the per-node
+/// incidence order that fixes every downstream tie-break.
+inline std::string topology_record(const graph::Graph& g) {
+  Fnv1a64 nodes;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    const auto n = static_cast<graph::NodeId>(i);
+    nodes.add_text(g.node_name(n));
+    nodes.add(g.node_x(n));
+    nodes.add(g.node_y(n));
+    nodes.add(g.node_repair_cost(n));
+    nodes.add_id(g.node_broken(n) ? 1 : 0);
+  }
+  Fnv1a64 edges;
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    const auto e = static_cast<graph::EdgeId>(i);
+    edges.add_id(g.edge_u(e));
+    edges.add_id(g.edge_v(e));
+    edges.add(g.edge_capacity(e));
+    edges.add(g.edge_repair_cost(e));
+    edges.add_id(g.edge_broken(e) ? 1 : 0);
+  }
+  Fnv1a64 incidence;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    const auto span = g.incident_edges(static_cast<graph::NodeId>(i));
+    incidence.add_id(static_cast<std::int64_t>(span.size()));
+    for (graph::EdgeId e : span) incidence.add_id(e);
+  }
+  std::ostringstream out;
+  out << "nodes " << g.num_nodes() << " edges " << g.num_edges() << "\n"
+      << "node_columns " << nodes.str() << "\n"
+      << "edge_columns " << edges.str() << "\n"
+      << "incidence " << incidence.str() << "\n";
+  return out.str();
+}
+
+/// GML fixture exercising the loader's rules: a dropped self-loop, a
+/// reversed duplicate edge (the first one wins), node ids that are not
+/// dense, label and coordinate fallbacks, and broken flags on both kinds.
+inline constexpr const char* kTopologyGml = R"(graph [
+  directed 0
+  node [ id 10 label "a" x 1.5 y -2 cost 3 ]
+  node [ id 20 label "b" Longitude 4.25 Latitude 7 broken 1 ]
+  node [ id 30 x 9 y 9 ]
+  node [ id 40 label "d" cost 0.5 ]
+  edge [ source 10 target 20 capacity 12 cost 2 ]
+  edge [ source 20 target 20 capacity 99 ]
+  edge [ source 20 target 10 capacity 77 broken 1 ]
+  edge [ source 20 target 30 LinkSpeed 40 broken 1 ]
+  edge [ source 30 target 40 ]
+  edge [ source 40 target 10 cost 4 ]
+]
+)";
+
 inline std::vector<GoldenCase> graph_kernel_cases() {
   std::vector<GoldenCase> cases;
   const auto add = [&](const std::string& key,
                        std::function<std::string()> compute) {
     cases.push_back({key, std::move(compute)});
   };
+  add("topology bell-canada", [] {
+    return topology_record(
+        topology::make_topology({topology::BellCanadaOptions{}}));
+  });
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    add("topology er " + std::to_string(s), [s] {
+      return topology_record(
+          topology::make_topology({topology::ErdosRenyiOptions{}, s}));
+    });
+  }
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    add("topology caida " + std::to_string(s), [s] {
+      return topology_record(
+          topology::make_topology({topology::CaidaLikeOptions{}, s}));
+    });
+  }
+  add("topology gml", [] {
+    return topology_record(graph::parse_gml(kTopologyGml));
+  });
   for (std::uint64_t s = 1; s <= 8; ++s) {
     add("dijkstra er " + std::to_string(s),
         [s] { return dijkstra_record(broken_er(s)); });

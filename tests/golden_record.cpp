@@ -63,7 +63,14 @@ int main() {
             "# seeded broken ER and Bell-Canada graphs (tests/golden.hpp:\n"
             "# graph_kernel_cases), checked by tests/test_graph_view.cpp.\n"
             "# First recorded while the CSR GraphView kernels and the\n"
-            "# callback reference kernels agreed exactly.\n") +
+            "# callback reference kernels agreed exactly.\n"
+            "#\n"
+            "# `topology` records pin what the generators and the GML loader\n"
+            "# build: sizes, FNV-1a-64 digests of every node column (name,\n"
+            "# x, y, cost, broken) and edge column (u, v, capacity, cost,\n"
+            "# broken), and of each node's incident-edge order.  First\n"
+            "# recorded while Graph still had an incremental add_node /\n"
+            "# add_edge construction path next to graph::Builder.\n") +
             kRegenerate,
         test::graph_kernel_cases());
     test::write_golden(

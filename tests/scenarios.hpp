@@ -26,7 +26,8 @@ inline core::RecoveryProblem er_scenario(std::uint64_t seed) {
   std::size_t attempts = 0;
   do {
     p.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(p.graph) < 0 && ++attempts < 50);
+  } while (graph::hop_diameter(graph::GraphView::build(p.graph)) < 0 &&
+           ++attempts < 50);
   util::Rng demand_rng = rng.fork();
   p.demands = scenario::far_apart_demands(p.graph, 3, 4.0, demand_rng);
   // Heavy but not complete destruction, so prune bubbles exist.

@@ -6,6 +6,7 @@
 
 #include "core/isp.hpp"
 #include "graph/betweenness.hpp"
+#include "graph/builder.hpp"
 #include "heuristics/schedule.hpp"
 #include "mcf/routing.hpp"
 #include "util/rng.hpp"
@@ -17,15 +18,12 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-graph::EdgeWeight unit() {
-  return [](EdgeId) { return 1.0; };
-}
-
 TEST(Betweenness, PathGraphCenterDominates) {
-  Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node();
-  for (int i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  graph::Builder builder;
+  for (int i = 0; i < 5; ++i) builder.add_node();
+  for (int i = 0; i + 1 < 5; ++i) builder.add_edge(i, i + 1, 1.0);
+  Graph g = builder.finalize();
+  const auto c = graph::betweenness_centrality(graph::GraphView::build(g));
   // Known values on P5: endpoints 0, then 3, 4, 3.
   EXPECT_NEAR(c[0], 0.0, 1e-9);
   EXPECT_NEAR(c[1], 3.0, 1e-9);
@@ -35,10 +33,11 @@ TEST(Betweenness, PathGraphCenterDominates) {
 }
 
 TEST(Betweenness, StarHubTakesEverything) {
-  Graph g;
-  for (int i = 0; i < 5; ++i) g.add_node();
-  for (int leaf = 1; leaf < 5; ++leaf) g.add_edge(0, leaf, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  graph::Builder builder;
+  for (int i = 0; i < 5; ++i) builder.add_node();
+  for (int leaf = 1; leaf < 5; ++leaf) builder.add_edge(0, leaf, 1.0);
+  Graph g = builder.finalize();
+  const auto c = graph::betweenness_centrality(graph::GraphView::build(g));
   EXPECT_NEAR(c[0], 6.0, 1e-9);  // C(4,2) leaf pairs
   for (int leaf = 1; leaf < 5; ++leaf) EXPECT_NEAR(c[leaf], 0.0, 1e-9);
 }
@@ -46,40 +45,48 @@ TEST(Betweenness, StarHubTakesEverything) {
 TEST(Betweenness, SplitsAcrossEqualShortestPaths) {
   // 4-cycle: each pair of opposite nodes has two shortest paths; every node
   // carries half a pair -> betweenness 0.5 each.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  g.add_edge(3, 0, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  builder.add_edge(2, 3, 1.0);
+  builder.add_edge(3, 0, 1.0);
+  Graph g = builder.finalize();
+  const auto c = graph::betweenness_centrality(graph::GraphView::build(g));
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(c[i], 0.5, 1e-9);
 }
 
 TEST(Betweenness, RespectsWeightsAndFilters) {
   // Triangle with one heavy edge: shortest 0-2 route goes via 1.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  const EdgeId heavy = g.add_edge(0, 2, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  const EdgeId heavy = builder.add_edge(0, 2, 1.0);
+  Graph g = builder.finalize();
   auto weights = [&](EdgeId e) { return e == heavy ? 10.0 : 1.0; };
-  const auto c = graph::betweenness_centrality(g, weights);
+  const auto view = graph::GraphView::build(g, {.length = weights});
+  const auto c = graph::betweenness_centrality(view);
   EXPECT_NEAR(c[1], 1.0, 1e-9);
   // Filtering out the light edges isolates the pairs through `heavy`.
-  const auto filtered = graph::betweenness_centrality(
-      g, weights, [&](EdgeId e) { return e == heavy; });
+  graph::ViewConfig heavy_only;
+  heavy_only.edge_ok = [&](EdgeId e) { return e == heavy; };
+  heavy_only.length = weights;
+  const auto heavy_view = graph::GraphView::build(g, heavy_only);
+  const auto filtered = graph::betweenness_centrality(heavy_view);
   EXPECT_NEAR(filtered[1], 0.0, 1e-9);
 }
 
 TEST(IspAblation, BetweennessRankingStillSatisfiesDemand) {
   core::RecoveryProblem p;
-  for (int i = 0; i < 6; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 2, 20.0);
-  p.graph.add_edge(1, 2, 20.0);
-  p.graph.add_edge(2, 3, 20.0);
-  p.graph.add_edge(3, 4, 20.0);
-  p.graph.add_edge(3, 5, 20.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 2, 20.0);
+  builder.add_edge(1, 2, 20.0);
+  builder.add_edge(2, 3, 20.0);
+  builder.add_edge(3, 4, 20.0);
+  builder.add_edge(3, 5, 20.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 4, 5.0}, {1, 5, 5.0}};
   core::IspOptions opt;
@@ -93,12 +100,14 @@ TEST(IspAblation, BetweennessRankingStillSatisfiesDemand) {
 
 core::RecoveryProblem scheduled_instance() {
   core::RecoveryProblem p;
-  for (int i = 0; i < 6; ++i) p.graph.add_node("n" + std::to_string(i));
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node("n" + std::to_string(i));
   // Two demands with disjoint 2-hop routes.
-  p.graph.add_edge(0, 1, 10.0);
-  p.graph.add_edge(1, 2, 10.0);
-  p.graph.add_edge(3, 4, 10.0);
-  p.graph.add_edge(4, 5, 10.0);
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(3, 4, 10.0);
+  builder.add_edge(4, 5, 10.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 2, 8.0}, {3, 5, 2.0}};
   return p;

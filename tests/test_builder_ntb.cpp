@@ -1,6 +1,6 @@
-// Builder finalize invariants, NTB binary round trips and rejection of
-// corrupt images, the O(log d) find_edge index, and the unified generator
-// API's bit-compatibility with the deprecated free functions.
+// Builder finalize invariants (including its failure contract), NTB binary
+// round trips and rejection of corrupt images, the O(log d) find_edge
+// index, and the unified generator API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,6 +36,9 @@ TEST(Builder, DuplicateEdgeNamedAtFinalize) {
     EXPECT_NE(std::string(e.what()).find("0"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1"), std::string::npos);
   }
+  // The rejected batch is discarded: the Builder starts over empty.
+  EXPECT_EQ(b.num_nodes(), 0u);
+  EXPECT_EQ(b.num_edges(), 0u);
 }
 
 TEST(Builder, SelfLoopThrowsAtAddEdge) {

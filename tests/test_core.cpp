@@ -5,6 +5,7 @@
 #include "core/centrality.hpp"
 #include "core/problem.hpp"
 #include "core/repair_state.hpp"
+#include "graph/builder.hpp"
 #include "mcf/routing.hpp"
 
 namespace netrec::core {
@@ -25,10 +26,10 @@ CentralityResult centrality_of(const Graph& g,
 }
 
 Graph path_graph(int n, double capacity = 10.0) {
-  Graph g;
-  for (int i = 0; i < n; ++i) g.add_node("p" + std::to_string(i));
-  for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1, capacity);
-  return g;
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node("p" + std::to_string(i));
+  for (int i = 0; i + 1 < n; ++i) builder.add_edge(i, i + 1, capacity);
+  return builder.finalize();
 }
 
 TEST(RepairState, TracksRepairsAndCosts) {
@@ -87,13 +88,14 @@ TEST(Centrality, SharedCorridorScoresHigherThanPrivateBranches) {
   //    2 -- 3
   //   /      .
   //  1        5    demands (0,4) and (1,5) share corridor 2-3.
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.add_node();
-  g.add_edge(0, 2, 10.0);
-  g.add_edge(1, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
-  g.add_edge(3, 4, 10.0);
-  g.add_edge(3, 5, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 2, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  builder.add_edge(3, 4, 10.0);
+  builder.add_edge(3, 5, 10.0);
+  Graph g = builder.finalize();
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}, {1, 5, 5.0}};
   auto ones = [](EdgeId) { return 1.0; };
   const auto c = centrality_of(g, demands, ones);
@@ -109,12 +111,13 @@ TEST(Centrality, SharedCorridorScoresHigherThanPrivateBranches) {
 TEST(Centrality, SplitsShareAcrossParallelPaths) {
   // Two disjoint 2-hop routes between 0 and 3, capacities 9 and 3: demand 12
   // needs both; shares are proportional to path capacity.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 9.0);
-  g.add_edge(1, 3, 9.0);
-  g.add_edge(0, 2, 3.0);
-  g.add_edge(2, 3, 3.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 9.0);
+  builder.add_edge(1, 3, 9.0);
+  builder.add_edge(0, 2, 3.0);
+  builder.add_edge(2, 3, 3.0);
+  Graph g = builder.finalize();
   const std::vector<mcf::Demand> demands{{0, 3, 12.0}};
   auto ones = [](EdgeId) { return 1.0; };
   const auto c = centrality_of(g, demands, ones);
@@ -126,12 +129,13 @@ TEST(Centrality, SplitsShareAcrossParallelPaths) {
 TEST(Centrality, DynamicMetricSteersAwayFromExpensiveRepairs) {
   // Broken expensive shortcut vs working detour: with the dynamic metric the
   // detour is shorter, so the shortcut contributes nothing.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  const EdgeId direct = g.add_edge(0, 3, 10.0);
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  const EdgeId direct = builder.add_edge(0, 3, 10.0);
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  Graph g = builder.finalize();
   g.set_edge_broken(direct, true);
   g.set_edge_repair_cost(direct, 100.0);
   auto metric = [&g](EdgeId e) {

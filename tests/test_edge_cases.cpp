@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "core/isp.hpp"
+#include "graph/builder.hpp"
 #include "graph/gml.hpp"
 #include "heuristics/baselines.hpp"
 #include "heuristics/opt.hpp"
@@ -49,9 +50,11 @@ TEST(CsvFile, UnwritablePathThrows) {
 
 TEST(Opt, InfeasibleInstanceIsBestEffortNotCrash) {
   core::RecoveryProblem p;
-  p.graph.add_node();
-  p.graph.add_node();
-  p.graph.add_edge(0, 1, 1.0);
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 1, 5.0}};  // demand > any capacity
   heuristics::OptOptions oo;
@@ -94,7 +97,9 @@ TEST(Simplex, IterationLimitIsReported) {
 
 TEST(Isp, SingleNodeGraphTerminates) {
   core::RecoveryProblem p;
-  p.graph.add_node();
+  graph::Builder builder;
+  builder.add_node();
+  p.graph = builder.finalize();
   p.graph.set_node_broken(0, true);
   p.demands = {{0, 0, 3.0}};  // self-demand, trivially satisfied
   const auto s = core::IspSolver(p).solve();
@@ -104,8 +109,10 @@ TEST(Isp, SingleNodeGraphTerminates) {
 
 TEST(Isp, DisconnectedEndpointsAreInfeasibleNotFatal) {
   core::RecoveryProblem p;
-  p.graph.add_node();
-  p.graph.add_node();  // no edges at all
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();  // no edges at all
+  p.graph = builder.finalize();
   p.demands = {{0, 1, 1.0}};
   const auto s = core::IspSolver(p).solve();
   EXPECT_FALSE(s.instance_feasible);
@@ -122,8 +129,10 @@ TEST(Srt, EmptyDemandRepairsNothing) {
 
 TEST(Greedy, NoPathsWithinLimitsMeansNoRepairs) {
   core::RecoveryProblem p;
-  for (int i = 0; i < 6; ++i) p.graph.add_node();
-  for (int i = 0; i + 1 < 6; ++i) p.graph.add_edge(i, i + 1, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  for (int i = 0; i + 1 < 6; ++i) builder.add_edge(i, i + 1, 10.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 5, 2.0}};
   heuristics::GreedyOptions opt;
@@ -137,11 +146,13 @@ TEST(Schedule, LeftoverCapacityRepairsAreAppended) {
   // Demand 15 needs both parallel routes; each route completion shows up in
   // the schedule, nothing is dropped.
   core::RecoveryProblem p;
-  for (int i = 0; i < 4; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 1, 10.0);
-  p.graph.add_edge(1, 3, 10.0);
-  p.graph.add_edge(0, 2, 10.0);
-  p.graph.add_edge(2, 3, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 3, 10.0);
+  builder.add_edge(0, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 3, 15.0}};
   const auto plan = core::IspSolver(p).solve();
@@ -162,10 +173,12 @@ TEST(Scenario, InfeasibleFactoryIsSkippedGracefully) {
   opt.max_redraws = 2;
   const auto result = scenario::run_experiment(
       [](util::Rng&) {
+        graph::Builder builder;
+        builder.add_node();
+        builder.add_node();
+        builder.add_edge(0, 1, 1.0);
         core::RecoveryProblem p;
-        p.graph.add_node();
-        p.graph.add_node();
-        p.graph.add_edge(0, 1, 1.0);
+        p.graph = builder.finalize();
         p.demands = {{0, 1, 100.0}};  // never feasible
         return p;
       },

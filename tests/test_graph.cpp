@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/builder.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/gml.hpp"
 #include "graph/graph.hpp"
@@ -19,14 +20,14 @@ namespace {
 
 Graph make_square_with_diagonal() {
   // 0-1, 1-2, 2-3, 3-0 (capacity 10), diagonal 0-2 (capacity 3).
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node("n" + std::to_string(i));
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
-  g.add_edge(3, 0, 10.0);
-  g.add_edge(0, 2, 3.0);
-  return g;
+  Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node("n" + std::to_string(i));
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  builder.add_edge(3, 0, 10.0);
+  builder.add_edge(0, 2, 3.0);
+  return builder.finalize();
 }
 
 TEST(Graph, BasicStructure) {
@@ -39,15 +40,6 @@ TEST(Graph, BasicStructure) {
   EXPECT_EQ(g.find_edge(1, 3), kInvalidEdge);
   EXPECT_EQ(g.other_endpoint(g.find_edge(0, 1), 0), 1);
   EXPECT_EQ(g.other_endpoint(g.find_edge(0, 1), 1), 0);
-}
-
-TEST(Graph, RejectsSelfLoopsAndParallelEdges) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 1.0);
-  EXPECT_THROW(g.add_edge(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 0, 2.0), std::invalid_argument);
 }
 
 TEST(Graph, BreakAndRepairBookkeeping) {
@@ -71,72 +63,78 @@ TEST(Graph, EdgeUsableRequiresWorkingEndpoints) {
 
 TEST(Traversal, BfsHopsAndDiameter) {
   Graph g = make_square_with_diagonal();
-  const auto dist = bfs_hops(g, 0);
+  const GraphView view = GraphView::build(g);
+  const auto dist = bfs_hops(view, 0);
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], 1);  // via diagonal
   EXPECT_EQ(dist[3], 1);
-  EXPECT_EQ(hop_diameter(g), 2);
+  EXPECT_EQ(hop_diameter(view), 2);
 }
 
 TEST(Traversal, FiltersExcludeBrokenElements) {
   Graph g = make_square_with_diagonal();
   g.set_edge_broken(g.find_edge(0, 2), true);
   g.set_edge_broken(g.find_edge(0, 1), true);
-  const auto dist = bfs_hops(g, 0, working_edge_filter(g));
+  const auto dist = bfs_hops(GraphView::working(g), 0);
   EXPECT_EQ(dist[2], 2);  // 0-3-2
   EXPECT_EQ(dist[1], 3);  // 0-3-2-1
 }
 
 TEST(Traversal, ComponentsSplitWhenCut) {
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(3, 4, 1.0);
-  const auto label = connected_components(g);
+  Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  builder.add_edge(3, 4, 1.0);
+  Graph g = builder.finalize();
+  const GraphView view = GraphView::build(g);
+  const auto label = connected_components(view);
   EXPECT_EQ(label[0], label[2]);
   EXPECT_NE(label[0], label[3]);
   EXPECT_NE(label[3], label[5]);
-  const auto giant = giant_component(g);
+  const auto giant = giant_component(view);
   EXPECT_EQ(giant.size(), 3u);
 }
 
 TEST(Dijkstra, PrefersShortMetricOverFewHops) {
   // 0-1-2 each length 1 vs direct 0-2 length 5.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  const EdgeId a = g.add_edge(0, 1, 1.0);
-  const EdgeId b = g.add_edge(1, 2, 1.0);
-  const EdgeId direct = g.add_edge(0, 2, 1.0);
+  Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  const EdgeId a = builder.add_edge(0, 1, 1.0);
+  const EdgeId b = builder.add_edge(1, 2, 1.0);
+  const EdgeId direct = builder.add_edge(0, 2, 1.0);
+  Graph g = builder.finalize();
   auto length = [&](EdgeId e) { return e == direct ? 5.0 : 1.0; };
-  auto path = shortest_path(g, 0, 2, length);
+  auto path = shortest_path(GraphView::build(g, {.length = length}), 0, 2);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->edges, (std::vector<EdgeId>{a, b}));
   EXPECT_NEAR(path->length(length), 2.0, 1e-12);
 }
 
 TEST(Dijkstra, ReturnsNulloptWhenDisconnected) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  EXPECT_FALSE(
-      shortest_path(g, 0, 1, [](EdgeId) { return 1.0; }).has_value());
+  Builder builder;
+  builder.add_node();
+  builder.add_node();
+  Graph g = builder.finalize();
+  EXPECT_FALSE(shortest_path(GraphView::build(g), 0, 1).has_value());
 }
 
 TEST(Dijkstra, RejectsNegativeLengths) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 1.0);
-  EXPECT_THROW(dijkstra(g, 0, [](EdgeId) { return -1.0; }),
-               std::invalid_argument);
+  Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  Graph g = builder.finalize();
+  ViewConfig config;
+  config.length = [](EdgeId) { return -1.0; };
+  EXPECT_THROW(dijkstra(GraphView::build(g, config), 0), std::invalid_argument);
 }
 
 TEST(WidestPath, PicksMaximumBottleneck) {
   Graph g = make_square_with_diagonal();
   auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  auto path = widest_path(g, 0, 2, cap);
+  auto path = widest_path(GraphView::build(g), 0, 2);
   ASSERT_TRUE(path.has_value());
   EXPECT_NEAR(path->capacity(cap), 10.0, 1e-12);  // around, not diagonal
   EXPECT_EQ(path->hop_count(), 2u);
@@ -156,35 +154,33 @@ TEST(Path, NodeSequenceAndSimplicity) {
 }
 
 TEST(Maxflow, SingleEdge) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 7.5);
-  const auto r =
-      max_flow(g, 0, 1, [&g](EdgeId e) { return g.edge_capacity(e); });
+  Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 7.5);
+  Graph g = builder.finalize();
+  const auto r = max_flow(GraphView::build(g), 0, 1);
   EXPECT_NEAR(r.value, 7.5, 1e-9);
 }
 
 TEST(Maxflow, ParallelPathsSum) {
   Graph g = make_square_with_diagonal();
-  const auto r =
-      max_flow(g, 0, 2, [&g](EdgeId e) { return g.edge_capacity(e); });
+  const auto r = max_flow(GraphView::build(g), 0, 2);
   // 0-1-2 (10) + 0-3-2 (10) + 0-2 (3).
   EXPECT_NEAR(r.value, 23.0, 1e-9);
 }
 
 TEST(Maxflow, RespectsNodeFilter) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  const auto r = max_flow(g, 0, 2, cap, {},
-                          [](NodeId n) { return n != 1; });
+  ViewConfig config;
+  config.node_ok = [](NodeId n) { return n != 1; };
+  const auto r = max_flow(GraphView::build(g, config), 0, 2);
   EXPECT_NEAR(r.value, 13.0, 1e-9);  // loses the 0-1-2 path
 }
 
 TEST(Maxflow, DecompositionRecoversValue) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  const auto r = max_flow(g, 0, 2, cap);
+  const auto r = max_flow(GraphView::build(g), 0, 2);
   const auto paths = decompose_flow(g, 0, 2, r.edge_flow);
   double total = 0.0;
   for (const auto& [path, amount] : paths) {
@@ -198,18 +194,16 @@ TEST(Maxflow, DecompositionRecoversValue) {
 TEST(Maxflow, RandomGraphsFlowConservation) {
   util::Rng rng(42);
   for (int trial = 0; trial < 20; ++trial) {
-    Graph g;
     const int n = 8;
-    for (int i = 0; i < n; ++i) g.add_node();
+    Builder builder;
+    for (int i = 0; i < n; ++i) builder.add_node();
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        if (rng.chance(0.4)) {
-          g.add_edge(i, j, rng.uniform(1.0, 10.0));
-        }
+        if (rng.chance(0.4)) builder.add_edge(i, j, rng.uniform(1.0, 10.0));
       }
     }
-    auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-    const auto r = max_flow(g, 0, n - 1, cap);
+    const Graph g = builder.finalize();
+    const auto r = max_flow(GraphView::build(g), 0, n - 1);
     // Conservation at interior nodes.
     for (NodeId v = 1; v < n - 1; ++v) {
       double net = 0.0;
@@ -229,7 +223,7 @@ TEST(Maxflow, RandomGraphsFlowConservation) {
 
 TEST(SimplePaths, EnumeratesAllInSquare) {
   Graph g = make_square_with_diagonal();
-  const auto paths = all_simple_paths(g, 0, 2);
+  const auto paths = all_simple_paths(GraphView::build(g), 0, 2);
   // 0-2, 0-1-2, 0-3-2, 0-1... only simple: {0-2, 0-1-2, 0-3-2}.
   EXPECT_EQ(paths.size(), 3u);
   for (const auto& p : paths) {
@@ -240,19 +234,18 @@ TEST(SimplePaths, EnumeratesAllInSquare) {
 
 TEST(SimplePaths, HonoursLimits) {
   Graph g = make_square_with_diagonal();
+  const GraphView view = GraphView::build(g);
   SimplePathLimits limits;
   limits.max_paths = 1;
-  EXPECT_EQ(all_simple_paths(g, 0, 2, limits).size(), 1u);
+  EXPECT_EQ(all_simple_paths(view, 0, 2, limits).size(), 1u);
   limits.max_paths = 100;
   limits.max_hops = 1;
-  EXPECT_EQ(all_simple_paths(g, 0, 2, limits).size(), 1u);  // only direct
+  EXPECT_EQ(all_simple_paths(view, 0, 2, limits).size(), 1u);  // only direct
 }
 
 TEST(SuccessivePaths, CoversDemandAndReportsCapacities) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  auto ones = [](EdgeId) { return 1.0; };
-  const auto r = successive_shortest_paths(g, 0, 2, 15.0, ones, cap);
+  const auto r = successive_shortest_paths(GraphView::build(g), 0, 2, 15.0);
   EXPECT_GE(r.total_capacity, 15.0);
   ASSERT_GE(r.paths.size(), 2u);
   double sum = 0.0;
@@ -261,11 +254,11 @@ TEST(SuccessivePaths, CoversDemandAndReportsCapacities) {
 }
 
 TEST(SuccessivePaths, StopsWhenDisconnected) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  const auto r = successive_shortest_paths(
-      g, 0, 1, 5.0, [](EdgeId) { return 1.0; }, [](EdgeId) { return 1.0; });
+  Builder builder;
+  builder.add_node();
+  builder.add_node();
+  Graph g = builder.finalize();
+  const auto r = successive_shortest_paths(GraphView::build(g), 0, 1, 5.0);
   EXPECT_TRUE(r.paths.empty());
   EXPECT_EQ(r.total_capacity, 0.0);
 }

@@ -7,6 +7,8 @@
 // the usability filters actually filter.  The corpus was recorded while
 // these kernels and the std::function reference kernels they replaced
 // agreed exactly, so the comparison still holds them to that reference.
+// Its `topology` records likewise hold the generators and the GML loader
+// to the graphs they built before they moved onto graph::Builder.
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "golden.hpp"
+#include "graph/builder.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/traversal.hpp"
 #include "graph/view.hpp"
@@ -57,6 +60,10 @@ TEST(GraphViewSuccessivePaths, BitIdenticalToLegacyComposition) {
   expect_kernel_golden("successive-paths er ");
 }
 
+TEST(GraphTopology, GeneratorsAndGmlLoaderMatchGolden) {
+  expect_kernel_golden("topology ");
+}
+
 TEST(GraphViewStructure, WorkingViewMatchesEdgeUsable) {
   const graph::Graph g = test::broken_er(11);
   const auto view = graph::GraphView::working(g);
@@ -92,48 +99,60 @@ TEST(GraphViewStructure, ArcOrderFollowsAdjacency) {
 
 TEST(GraphValidation, RejectsNaNAndNegativeInputs) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  graph::Graph g;
-  g.add_node();
-  g.add_node();
-  EXPECT_THROW(g.add_node("x", 0, 0, nan), std::invalid_argument);
-  EXPECT_THROW(g.add_node("x", 0, 0, -1.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, nan), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, -2.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, 1.0, nan), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, 1.0, -1.0), std::invalid_argument);
-  EXPECT_EQ(g.add_edge(0, 1, 1.0), 0);
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  EXPECT_THROW(builder.add_node("x", 0, 0, nan), std::invalid_argument);
+  EXPECT_THROW(builder.add_node("x", 0, 0, -1.0), std::invalid_argument);
+  EXPECT_THROW(builder.add_edge(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(builder.add_edge(0, 1, -2.0), std::invalid_argument);
+  EXPECT_THROW(builder.add_edge(0, 1, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(builder.add_edge(0, 1, 1.0, -1.0), std::invalid_argument);
+  EXPECT_EQ(builder.add_edge(0, 1, 1.0), 0);
+  const graph::Graph g = builder.finalize();
+  EXPECT_EQ(g.num_nodes(), 2u);
+  EXPECT_EQ(g.num_edges(), 1u);
 }
 
 TEST(GraphValidation, WidestPathRejectsNaNAndNegativeCapacity) {
-  graph::Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 5.0);
-  g.add_edge(1, 2, 5.0);
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 5.0);
+  builder.add_edge(1, 2, 5.0);
+  const graph::Graph g = builder.finalize();
+  const auto widest = [&g](graph::EdgeWeight capacity) {
+    graph::ViewConfig config;
+    config.capacity = std::move(capacity);
+    return graph::widest_path(graph::GraphView::build(g, config), 0, 2);
+  };
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(
-      graph::widest_path(g, 0, 2, [nan](graph::EdgeId) { return nan; }),
-      std::invalid_argument);
-  EXPECT_THROW(
-      graph::widest_path(g, 0, 2, [](graph::EdgeId) { return -1.0; }),
-      std::invalid_argument);
+  EXPECT_THROW(widest([nan](graph::EdgeId) { return nan; }),
+               std::invalid_argument);
+  EXPECT_THROW(widest([](graph::EdgeId) { return -1.0; }),
+               std::invalid_argument);
   // Valid capacities still work.
-  const auto path =
-      graph::widest_path(g, 0, 2, [](graph::EdgeId) { return 5.0; });
+  const auto path = widest([](graph::EdgeId) { return 5.0; });
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->edges.size(), 2u);
 }
 
 TEST(GraphValidation, DijkstraRejectsNaNLength) {
-  graph::Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 1.0);
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  const graph::Graph g = builder.finalize();
+  const auto tree_under = [&g](graph::EdgeWeight length) {
+    graph::ViewConfig config;
+    config.length = std::move(length);
+    return graph::dijkstra(graph::GraphView::build(g, config), 0);
+  };
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(graph::dijkstra(g, 0, [nan](graph::EdgeId) { return nan; }),
+  EXPECT_THROW(tree_under([nan](graph::EdgeId) { return nan; }),
                std::invalid_argument);
-  EXPECT_THROW(graph::dijkstra(g, 0, [](graph::EdgeId) { return -0.5; }),
+  EXPECT_THROW(tree_under([](graph::EdgeId) { return -0.5; }),
                std::invalid_argument);
 }
 

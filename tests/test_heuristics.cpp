@@ -4,7 +4,11 @@
 // instances; SRT can lose demand when shortest paths saturate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "core/isp.hpp"
+#include "graph/builder.hpp"
 #include "heuristics/baselines.hpp"
 #include "heuristics/local_search.hpp"
 #include "heuristics/multicommodity.hpp"
@@ -21,12 +25,14 @@ using graph::NodeId;
 
 RecoveryProblem destroyed_square_with_diagonal() {
   RecoveryProblem p;
-  for (int i = 0; i < 4; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 1, 10.0);
-  p.graph.add_edge(1, 2, 10.0);
-  p.graph.add_edge(2, 3, 10.0);
-  p.graph.add_edge(3, 0, 10.0);
-  p.graph.add_edge(0, 2, 3.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  builder.add_edge(3, 0, 10.0);
+  builder.add_edge(0, 2, 3.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 2, 8.0}};
   return p;
@@ -56,13 +62,15 @@ TEST(Srt, LosesDemandWhenShortestPathsOverlap) {
   //   A long detour exists but SRT never looks at it for (0,1)... actually
   //   SRT covers each demand independently, so it sees full capacity twice.
   RecoveryProblem p;
-  for (int i = 0; i < 5; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 1, 10.0);
-  p.graph.add_edge(1, 2, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 5; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
   // Long detour 0-3-4-2 with ample capacity.
-  p.graph.add_edge(0, 3, 10.0);
-  p.graph.add_edge(3, 4, 10.0);
-  p.graph.add_edge(4, 2, 10.0);
+  builder.add_edge(0, 3, 10.0);
+  builder.add_edge(3, 4, 10.0);
+  builder.add_edge(4, 2, 10.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 2, 8.0}, {0, 1, 8.0}};
   const RecoverySolution s = solve_srt(p);
@@ -109,12 +117,14 @@ TEST(LocalSearch, LeavesLossyInputAlone) {
 TEST(Opt, SteinerEngineOnConnectivityOnlyInstance) {
   // Unit demand, huge capacities: connectivity-only.
   RecoveryProblem p;
-  for (int i = 0; i < 5; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 1, 100.0);
-  p.graph.add_edge(1, 2, 100.0);
-  p.graph.add_edge(2, 3, 100.0);
-  p.graph.add_edge(3, 4, 100.0);
-  p.graph.add_edge(0, 4, 100.0);  // shortcut!
+  graph::Builder builder;
+  for (int i = 0; i < 5; ++i) builder.add_node();
+  builder.add_edge(0, 1, 100.0);
+  builder.add_edge(1, 2, 100.0);
+  builder.add_edge(2, 3, 100.0);
+  builder.add_edge(3, 4, 100.0);
+  builder.add_edge(0, 4, 100.0);  // shortcut!
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 4, 1.0}};
   ASSERT_TRUE(is_connectivity_only(p));
@@ -140,12 +150,14 @@ TEST(Opt, MilpProvesOptimumOnCapacitatedInstance) {
 
 TEST(Opt, NeverWorseThanIspOnSharedCorridor) {
   RecoveryProblem p;
-  for (int i = 0; i < 6; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 2, 20.0);
-  p.graph.add_edge(1, 2, 20.0);
-  p.graph.add_edge(2, 3, 20.0);
-  p.graph.add_edge(3, 4, 20.0);
-  p.graph.add_edge(3, 5, 20.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 2, 20.0);
+  builder.add_edge(1, 2, 20.0);
+  builder.add_edge(2, 3, 20.0);
+  builder.add_edge(3, 4, 20.0);
+  builder.add_edge(3, 5, 20.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 4, 5.0}, {1, 5, 5.0}};
   core::IspSolver isp(p);
@@ -176,18 +188,22 @@ TEST_P(HeuristicOrdering, OptLeIspAndNoIspLoss) {
                 1442695040888963407ULL);
   RecoveryProblem p;
   const int n = static_cast<int>(rng.uniform_int(6, 10));
-  for (int i = 0; i < n; ++i) p.graph.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node();
+  std::set<std::uint64_t> placed;
   for (int i = 1; i < n; ++i) {
     const auto parent = static_cast<NodeId>(rng.uniform_int(0, i - 1));
-    p.graph.add_edge(parent, i, 20.0);
+    builder.add_edge(parent, i, 20.0);
+    placed.insert(graph::endpoint_key(parent, i));
   }
   for (int extra = 0; extra < n / 2; ++extra) {
     const auto a = static_cast<NodeId>(rng.uniform_int(0, n - 1));
     const auto b = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    if (a != b && p.graph.find_edge(a, b) == graph::kInvalidEdge) {
-      p.graph.add_edge(a, b, 20.0);
+    if (a != b && placed.insert(graph::endpoint_key(a, b)).second) {
+      builder.add_edge(a, b, 20.0);
     }
   }
+  p.graph = builder.finalize();
   p.graph.break_everything();
   for (int k = 0; k < 2; ++k) {
     const auto s = static_cast<NodeId>(rng.uniform_int(0, n - 1));

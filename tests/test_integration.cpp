@@ -144,7 +144,9 @@ TEST(ErdosRenyi, SteinerOptNeverAboveIsp) {
     eopt.edge_probability = p_edge;
     core::RecoveryProblem problem;
     problem.graph = topology::make_topology(eopt, rng);
-    if (graph::hop_diameter(problem.graph) < 0) continue;
+    if (graph::hop_diameter(graph::GraphView::build(problem.graph)) < 0) {
+      continue;
+    }
     util::Rng demand_rng(17);
     problem.demands =
         scenario::far_apart_demands(problem.graph, 4, 1.0, demand_rng);

@@ -10,8 +10,12 @@
 //  * termination within the iteration budget across a randomised sweep.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "core/isp.hpp"
 #include "core/problem.hpp"
+#include "graph/builder.hpp"
 #include "mcf/routing.hpp"
 #include "util/rng.hpp"
 
@@ -24,8 +28,10 @@ using graph::NodeId;
 
 RecoveryProblem destroyed_path(int n, double cap, double demand) {
   RecoveryProblem p;
-  for (int i = 0; i < n; ++i) p.graph.add_node();
-  for (int i = 0; i + 1 < n; ++i) p.graph.add_edge(i, i + 1, cap);
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node();
+  for (int i = 0; i + 1 < n; ++i) builder.add_edge(i, i + 1, cap);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, static_cast<NodeId>(n - 1), demand}};
   return p;
@@ -76,14 +82,16 @@ TEST(Isp, ConcentratesTwoDemandsOnSharedCorridor) {
   //   /        \         corridor capacity 20: sharing 2-3 is optimal
   //  1          4        (7 nodes... 6 nodes + 5 edges around the corridor).
   RecoveryProblem p;
-  for (int i = 0; i < 6; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 2, 20.0);
-  p.graph.add_edge(1, 2, 20.0);
-  p.graph.add_edge(2, 3, 20.0);
-  p.graph.add_edge(3, 4, 20.0);
-  p.graph.add_edge(3, 5, 20.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 2, 20.0);
+  builder.add_edge(1, 2, 20.0);
+  builder.add_edge(2, 3, 20.0);
+  builder.add_edge(3, 4, 20.0);
+  builder.add_edge(3, 5, 20.0);
   // Expensive private bypass that a naive shortest-path approach might use.
-  p.graph.add_edge(0, 4, 20.0);
+  builder.add_edge(0, 4, 20.0);
+  p.graph = builder.finalize();
   p.graph.set_edge_repair_cost(5, 10.0);
   p.graph.break_everything();
   p.demands = {{0, 4, 5.0}, {1, 5, 5.0}};
@@ -101,11 +109,13 @@ TEST(Isp, ConcentratesTwoDemandsOnSharedCorridor) {
 TEST(Isp, SplitsDemandAcrossParallelRoutesWhenCapacityForces) {
   // Demand 15 exceeds any single route (capacity 10): ISP must split.
   RecoveryProblem p;
-  for (int i = 0; i < 4; ++i) p.graph.add_node();
-  p.graph.add_edge(0, 1, 10.0);
-  p.graph.add_edge(1, 3, 10.0);
-  p.graph.add_edge(0, 2, 10.0);
-  p.graph.add_edge(2, 3, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 3, 10.0);
+  builder.add_edge(0, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  p.graph = builder.finalize();
   p.graph.break_everything();
   p.demands = {{0, 3, 15.0}};
   IspSolver solver(p);
@@ -118,10 +128,13 @@ TEST(Isp, SplitsDemandAcrossParallelRoutesWhenCapacityForces) {
 
 TEST(Isp, PrunesDemandsSatisfiedByWorkingNetwork) {
   // Network intact except one far-away broken node irrelevant to the demand.
-  RecoveryProblem p = destroyed_path(4, 10.0, 5.0);
-  p.graph.repair_everything();
-  p.graph.add_node();                    // node 4, isolated & broken
+  RecoveryProblem p;
+  graph::Builder builder;
+  for (int i = 0; i < 5; ++i) builder.add_node();  // node 4: isolated
+  for (int i = 0; i + 1 < 4; ++i) builder.add_edge(i, i + 1, 10.0);
+  p.graph = builder.finalize();
   p.graph.set_node_broken(4, true);
+  p.demands = {{0, 3, 5.0}};
   IspSolver solver(p);
   const RecoverySolution s = solver.solve();
   EXPECT_EQ(s.total_repairs(), 0u);
@@ -167,19 +180,23 @@ TEST_P(IspRandomSweep, FeasibleInstancesAreFullySatisfied) {
   // Random connected graph with generous capacities.
   const int n = static_cast<int>(rng.uniform_int(6, 14));
   RecoveryProblem p;
-  for (int i = 0; i < n; ++i) p.graph.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node();
+  std::set<std::uint64_t> placed;
   for (int i = 1; i < n; ++i) {
     // Random spanning tree + extra edges.
     const auto parent = static_cast<NodeId>(rng.uniform_int(0, i - 1));
-    p.graph.add_edge(parent, i, rng.uniform(8.0, 20.0));
+    builder.add_edge(parent, i, rng.uniform(8.0, 20.0));
+    placed.insert(graph::endpoint_key(parent, i));
   }
   for (int extra = 0; extra < n; ++extra) {
     const auto a = static_cast<NodeId>(rng.uniform_int(0, n - 1));
     const auto b = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    if (a != b && p.graph.find_edge(a, b) == graph::kInvalidEdge) {
-      p.graph.add_edge(a, b, rng.uniform(8.0, 20.0));
+    if (a != b && placed.insert(graph::endpoint_key(a, b)).second) {
+      builder.add_edge(a, b, rng.uniform(8.0, 20.0));
     }
   }
+  p.graph = builder.finalize();
   // Random disruption (possibly total).
   const double destroy = rng.uniform(0.3, 1.0);
   for (std::size_t i = 0; i < p.graph.num_nodes(); ++i) {

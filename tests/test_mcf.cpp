@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "graph/builder.hpp"
 #include "graph/maxflow.hpp"
 #include "mcf/broken_usage.hpp"
 #include "mcf/routing.hpp"
@@ -37,20 +38,21 @@ double splittable(const Graph& g, const std::vector<Demand>& demands,
 }
 
 Graph make_square_with_diagonal() {
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
-  g.add_edge(3, 0, 10.0);
-  g.add_edge(0, 2, 3.0);
-  return g;
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  builder.add_edge(3, 0, 10.0);
+  builder.add_edge(0, 2, 3.0);
+  return builder.finalize();
 }
 
 TEST(Routing, SingleCommodityMatchesDinic) {
   Graph g = make_square_with_diagonal();
   auto cap = static_capacity(g);
-  const auto dinic = graph::max_flow(g, 0, 2, cap);
+  const auto view = graph::GraphView::build(g, {.capacity = cap});
+  const auto dinic = graph::max_flow(view, 0, 2);
   const auto lp = max_routed_flow(g, {Demand{0, 2, 100.0}}, {}, cap);
   EXPECT_NEAR(lp.total_routed, dinic.value, 1e-6);
   EXPECT_FALSE(lp.fully_routed);
@@ -61,16 +63,18 @@ TEST(Routing, SingleCommodityMatchesDinic) {
 TEST(Routing, RandomSingleCommodityMatchesDinic) {
   util::Rng rng(7);
   for (int trial = 0; trial < 15; ++trial) {
-    Graph g;
     const int n = 7;
-    for (int i = 0; i < n; ++i) g.add_node();
+    graph::Builder builder;
+    for (int i = 0; i < n; ++i) builder.add_node();
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        if (rng.chance(0.45)) g.add_edge(i, j, rng.uniform(1.0, 8.0));
+        if (rng.chance(0.45)) builder.add_edge(i, j, rng.uniform(1.0, 8.0));
       }
     }
+    const Graph g = builder.finalize();
     auto cap = static_capacity(g);
-    const double want = graph::max_flow(g, 0, n - 1, cap).value;
+    const auto view = graph::GraphView::build(g, {.capacity = cap});
+    const double want = graph::max_flow(view, 0, n - 1).value;
     const auto lp =
         max_routed_flow(g, {Demand{0, n - 1, want + 50.0}}, {}, cap);
     EXPECT_NEAR(lp.total_routed, want, 1e-5) << "trial " << trial;
@@ -81,10 +85,11 @@ TEST(Routing, TwoCommoditiesShareCapacity) {
   // Path graph 0-1-2 with capacity 10; demands (0,2)=6 and (0,1)=6 cannot
   // both fit on edge 0-1; max routed = 10 in total... actually (0,2) uses
   // both edges: total on 0-1 is d1+d2 <= 10.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  Graph g = builder.finalize();
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 6.0}, Demand{0, 1, 6.0}};
   const auto r = max_routed_flow(g, demands, {}, cap);
@@ -98,11 +103,12 @@ TEST(Routing, TwoCommoditiesShareCapacity) {
 TEST(Routing, OkamuraSeymourStyleInstanceIsExact) {
   // K4 with unit capacities; three demands pairing opposite corners, each
   // of value 1: routable (multi-commodity), and saturates the graph tightly.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
   for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) g.add_edge(i, j, 1.0);
+    for (int j = i + 1; j < 4; ++j) builder.add_edge(i, j, 1.0);
   }
+  Graph g = builder.finalize();
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 1, 1.0}, Demand{2, 3, 1.0},
                                     Demand{0, 3, 1.0}};
@@ -147,9 +153,10 @@ TEST(Routing, FiltersRestrictToWorkingSubgraph) {
 }
 
 TEST(Routing, DisconnectedDemandFailsFast) {
-  Graph g;
-  g.add_node();
-  g.add_node();
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  Graph g = builder.finalize();
   auto cap = static_capacity(g);
   EXPECT_FALSE(is_routable(g, {Demand{0, 1, 1.0}}, {}, cap));
 }
@@ -164,10 +171,11 @@ TEST(Routing, ZeroAndSelfDemandsAreTriviallyRoutable) {
 
 TEST(Split, FullSplitWhenViaOnOnlyPath) {
   // 0-1-2 path; splitting (0,2) on node 1 must allow the full demand.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  Graph g = builder.finalize();
   const std::vector<Demand> demands{Demand{0, 2, 8.0}};
   EXPECT_NEAR(splittable(g, demands, 0, 1), 8.0, 1e-6);
 }
@@ -175,12 +183,13 @@ TEST(Split, FullSplitWhenViaOnOnlyPath) {
 TEST(Split, LimitedByViaCapacity) {
   // Two disjoint routes 0-1-3 (cap 4) and 0-2-3 (cap 10); demand (0,3)=12.
   // Splitting through node 1 can carry at most 4.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 4.0);
-  g.add_edge(1, 3, 4.0);
-  g.add_edge(0, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 4.0);
+  builder.add_edge(1, 3, 4.0);
+  builder.add_edge(0, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  Graph g = builder.finalize();
   const std::vector<Demand> demands{Demand{0, 3, 12.0}};
   EXPECT_NEAR(splittable(g, demands, 0, 1), 4.0, 1e-6);
 }
@@ -188,12 +197,13 @@ TEST(Split, LimitedByViaCapacity) {
 TEST(Split, RespectsOtherDemandsRoutability) {
   // Square: forcing (0,2) through 1 consumes 0-1 and 1-2, which are also the
   // only edges for (0,1); dx must leave room for it.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
-  g.add_edge(2, 3, 10.0);
-  g.add_edge(3, 0, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(2, 3, 10.0);
+  builder.add_edge(3, 0, 10.0);
+  Graph g = builder.finalize();
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 14.0}, Demand{0, 1, 6.0}};
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
@@ -210,10 +220,11 @@ TEST(Split, RespectsOtherDemandsRoutability) {
 }
 
 TEST(Split, ZeroWhenInstanceUnroutable) {
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  Graph g = builder.finalize();
   const std::vector<Demand> demands{Demand{0, 2, 5.0}};  // cap is only 1
   EXPECT_NEAR(splittable(g, demands, 0, 1), 0.0, 1e-6);
 }
@@ -223,11 +234,12 @@ TEST(Split, ZeroWhenInstanceUnroutable) {
 TEST(BrokenUsage, AvoidsBrokenDetourWhenFreePathExists) {
   // Working path 0-1-2 and broken shortcut 0-2: optimum routes around and
   // costs zero.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 10.0);
-  const EdgeId direct = g.add_edge(0, 2, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  const EdgeId direct = builder.add_edge(0, 2, 10.0);
+  Graph g = builder.finalize();
   g.set_edge_broken(direct, true);
   const auto r = min_broken_usage(g, {Demand{0, 2, 8.0}});
   ASSERT_TRUE(r.feasible);
@@ -236,11 +248,12 @@ TEST(BrokenUsage, AvoidsBrokenDetourWhenFreePathExists) {
 }
 
 TEST(BrokenUsage, PaysForBrokenEdgeWhenForced) {
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 10.0);
-  g.add_edge(1, 2, 4.0);
-  const EdgeId direct = g.add_edge(0, 2, 10.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 4.0);
+  const EdgeId direct = builder.add_edge(0, 2, 10.0);
+  Graph g = builder.finalize();
   g.set_edge_broken(direct, true);
   g.set_edge_repair_cost(direct, 3.0);
   // Demand 8 > working capacity 4: at least 4 units cross the broken edge,
@@ -254,10 +267,11 @@ TEST(BrokenUsage, PaysForBrokenEdgeWhenForced) {
 }
 
 TEST(BrokenUsage, InfeasibleWhenDemandExceedsAllCapacity) {
-  Graph g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, 2.0);
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  builder.add_edge(0, 1, 2.0);
+  Graph g = builder.finalize();
   const auto r = min_broken_usage(g, {Demand{0, 1, 5.0}});
   EXPECT_FALSE(r.feasible);
 }
@@ -265,14 +279,15 @@ TEST(BrokenUsage, InfeasibleWhenDemandExceedsAllCapacity) {
 TEST(OptimalFace, BandBracketsRepairCounts) {
   // Two broken parallel routes between 0 and 3 with equal cost: the face
   // contains both a one-route solution and a spread solution.
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
   // route A: 0-1-3, route B: 0-2-3, both capacity 10, broken.
   // demand (0,3)=5 fits entirely on either.
-  const EdgeId a1 = g.add_edge(0, 1, 10.0);
-  const EdgeId a2 = g.add_edge(1, 3, 10.0);
-  const EdgeId b1 = g.add_edge(0, 2, 10.0);
-  const EdgeId b2 = g.add_edge(2, 3, 10.0);
+  const EdgeId a1 = builder.add_edge(0, 1, 10.0);
+  const EdgeId a2 = builder.add_edge(1, 3, 10.0);
+  const EdgeId b1 = builder.add_edge(0, 2, 10.0);
+  const EdgeId b2 = builder.add_edge(2, 3, 10.0);
+  Graph g = builder.finalize();
   for (EdgeId e : {a1, a2, b1, b2}) g.set_edge_broken(e, true);
   // Broken-edge costs are zero-sum for the face: make them all equal so
   // every routing is optimal for eq. (8)... cost = 2 * flow either way.

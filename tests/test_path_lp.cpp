@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hpp"
 #include "graph/view_cache.hpp"
 #include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
@@ -21,13 +22,13 @@ using graph::NodeId;
 
 /// Ladder graph: two s-t routes of given capacities plus rungs.
 Graph two_route_graph(double cap_a, double cap_b) {
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, cap_a);
-  g.add_edge(1, 3, cap_a);
-  g.add_edge(0, 2, cap_b);
-  g.add_edge(2, 3, cap_b);
-  return g;
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, cap_a);
+  builder.add_edge(1, 3, cap_a);
+  builder.add_edge(0, 2, cap_b);
+  builder.add_edge(2, 3, cap_b);
+  return builder.finalize();
 }
 
 TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
@@ -133,12 +134,13 @@ TEST(PathLp, CostBoundPinsTheOptimalFace) {
 
 TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
   // A long chain (> eager threshold edges) with one tight middle edge.
-  Graph g;
   const int n = 200;
-  for (int i = 0; i < n; ++i) g.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node();
   for (int i = 0; i + 1 < n; ++i) {
-    g.add_edge(i, i + 1, i == n / 2 ? 3.0 : 100.0);
+    builder.add_edge(i, i + 1, i == n / 2 ? 3.0 : 100.0);
   }
+  const Graph g = builder.finalize();
   PathLpOptions opt;
   opt.eager_capacity_threshold = 50;  // force lazy mode
   PathLp lp(g, {Demand{0, n - 1, 10.0}}, {}, static_capacity(g), opt);
@@ -166,14 +168,15 @@ TEST(PathLp, ParallelDemandsShareFairlyAtOptimum) {
 TEST(PathLp, RandomInstancesNeverExceedCapacities) {
   util::Rng rng(41);
   for (int trial = 0; trial < 10; ++trial) {
-    Graph g;
     const int n = 10;
-    for (int i = 0; i < n; ++i) g.add_node();
+    graph::Builder builder;
+    for (int i = 0; i < n; ++i) builder.add_node();
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        if (rng.chance(0.4)) g.add_edge(i, j, rng.uniform(1.0, 6.0));
+        if (rng.chance(0.4)) builder.add_edge(i, j, rng.uniform(1.0, 6.0));
       }
     }
+    const Graph g = builder.finalize();
     std::vector<Demand> demands;
     for (int k = 0; k < 3; ++k) {
       const auto s = static_cast<NodeId>(rng.uniform_int(0, n - 1));
@@ -269,12 +272,13 @@ TEST(PathLpSession, DemandUidsBindRowsAcrossCalls) {
 
 TEST(PathLpSession, SplitProbesMatchOneShot) {
   // Diamond 0-{1,2}-3 plus a tail so splitting through node 1 is bounded.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 3.0);
-  g.add_edge(1, 3, 2.0);
-  g.add_edge(0, 2, 4.0);
-  g.add_edge(2, 3, 4.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 3.0);
+  builder.add_edge(1, 3, 2.0);
+  builder.add_edge(0, 2, 4.0);
+  builder.add_edge(2, 3, 4.0);
+  Graph g = builder.finalize();
   SessionFixture fx(std::move(g));
   PathLpSession session(fx.g, PathLpMode::kMaxSplit);
   fx.cache.add_listener(&session);

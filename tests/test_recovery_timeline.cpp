@@ -24,6 +24,7 @@
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
 #include "golden.hpp"
+#include "graph/builder.hpp"
 #include "heuristics/schedule.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
@@ -201,16 +202,18 @@ TEST(TimelineRevival, RepairedEdgeRebrokenAndRepairedAgainStaysExact) {
   // reset rather than a stale dead-column verdict.
   core::RecoveryProblem problem;
   auto& g = problem.graph;
-  const auto s = g.add_node("s");
-  const auto a = g.add_node("a");
-  const auto t = g.add_node("t");
-  const auto d1 = g.add_node("d1");
-  const auto d2 = g.add_node("d2");
-  const auto sa = g.add_edge(s, a, 10.0);
-  const auto at = g.add_edge(a, t, 10.0);
-  g.add_edge(s, d1, 10.0);
-  g.add_edge(d1, d2, 10.0);
-  g.add_edge(d2, t, 10.0);
+  graph::Builder builder;
+  const auto s = builder.add_node("s");
+  const auto a = builder.add_node("a");
+  const auto t = builder.add_node("t");
+  const auto d1 = builder.add_node("d1");
+  const auto d2 = builder.add_node("d2");
+  const auto sa = builder.add_edge(s, a, 10.0);
+  const auto at = builder.add_edge(a, t, 10.0);
+  builder.add_edge(s, d1, 10.0);
+  builder.add_edge(d1, d2, 10.0);
+  builder.add_edge(d2, t, 10.0);
+  g = builder.finalize();
   disruption::complete_destruction(g);
   for (const auto n : {s, a, t, d1, d2}) g.set_node_broken(n, false);
   problem.demands = {{s, t, 5.0}};
@@ -361,11 +364,13 @@ TEST(Policies, BetweennessGreedyRanksHubsFirst) {
   // must be the first repair.
   core::RecoveryProblem problem;
   auto& g = problem.graph;
-  const auto hub = g.add_node("hub");
+  graph::Builder builder;
+  const auto hub = builder.add_node("hub");
   for (int leaf = 0; leaf < 5; ++leaf) {
-    const auto n = g.add_node("leaf" + std::to_string(leaf));
-    g.add_edge(hub, n, 1.0);
+    const auto n = builder.add_node("leaf" + std::to_string(leaf));
+    builder.add_edge(hub, n, 1.0);
   }
+  g = builder.finalize();
   disruption::complete_destruction(g);
   recovery::BetweennessGreedyPolicy policy;
   util::Rng rng(0);
@@ -382,14 +387,16 @@ TEST(Policies, ReplanAdaptsToDamageTheInitialPlanNeverSaw) {
   // replan repairs the new damage and restores it.
   core::RecoveryProblem problem;
   auto& g = problem.graph;
-  const auto s = g.add_node("s");
-  const auto a = g.add_node("a");
-  const auto t = g.add_node("t");
-  const auto b = g.add_node("b");
-  const auto sa = g.add_edge(s, a, 10.0);
-  const auto at = g.add_edge(a, t, 10.0);
-  const auto sb = g.add_edge(s, b, 10.0);
-  g.add_edge(b, t, 10.0);
+  graph::Builder builder;
+  const auto s = builder.add_node("s");
+  const auto a = builder.add_node("a");
+  const auto t = builder.add_node("t");
+  const auto b = builder.add_node("b");
+  const auto sa = builder.add_edge(s, a, 10.0);
+  const auto at = builder.add_edge(a, t, 10.0);
+  const auto sb = builder.add_edge(s, b, 10.0);
+  builder.add_edge(b, t, 10.0);
+  g = builder.finalize();
   g.set_edge_broken(sa, true);
   g.set_edge_broken(at, true);
   problem.demands = {{s, t, 5.0}};

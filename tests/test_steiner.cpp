@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/traversal.hpp"
 #include "steiner/steiner.hpp"
 #include "util/rng.hpp"
@@ -29,11 +30,12 @@ NodeCost free_nodes() {
 
 TEST(SteinerTree, TwoTerminalsIsShortestPath) {
   // 0-1-2 (2 edges) vs direct 0-2 with edge cost 3 via weights.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  const EdgeId direct = g.add_edge(0, 2, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  const EdgeId direct = builder.add_edge(0, 2, 1.0);
+  Graph g = builder.finalize();
   auto cost = [&](EdgeId e) { return e == direct ? 3.0 : 1.0; };
   const auto r = steiner_tree(g, {0, 2}, cost, free_nodes());
   ASSERT_TRUE(r.solved);
@@ -43,11 +45,12 @@ TEST(SteinerTree, TwoTerminalsIsShortestPath) {
 
 TEST(SteinerTree, StarUsesSteinerPoint) {
   // Terminals 1,2,3 around hub 0; pairwise paths cost 2 via hub.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(0, 3, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(0, 2, 1.0);
+  builder.add_edge(0, 3, 1.0);
+  Graph g = builder.finalize();
   const auto r = steiner_tree(g, {1, 2, 3}, unit_edges(), free_nodes());
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 3.0, 1e-9);  // the three spokes
@@ -57,10 +60,11 @@ TEST(SteinerTree, StarUsesSteinerPoint) {
 
 TEST(SteinerTree, NodeCostsCountEachNodeOnce) {
   // Path 0-1-2: tree cost = 2 edges + 3 nodes = 5 with unit costs.
-  Graph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 2, 1.0);
+  Graph g = builder.finalize();
   const auto r = steiner_tree(g, {0, 2}, unit_edges(), unit_nodes());
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 5.0, 1e-9);
@@ -68,12 +72,13 @@ TEST(SteinerTree, NodeCostsCountEachNodeOnce) {
 
 TEST(SteinerTree, ExpensiveNodeAvoided) {
   // Two routes 0-1-3 and 0-2-3; node 1 costs 10 -> route via 2.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(1, 3, 1.0);
+  builder.add_edge(0, 2, 1.0);
+  builder.add_edge(2, 3, 1.0);
+  Graph g = builder.finalize();
   auto node_cost = [](NodeId n) { return n == 1 ? 10.0 : 1.0; };
   const auto r = steiner_tree(g, {0, 3}, unit_edges(), node_cost);
   ASSERT_TRUE(r.solved);
@@ -82,9 +87,10 @@ TEST(SteinerTree, ExpensiveNodeAvoided) {
 }
 
 TEST(SteinerTree, DisconnectedTerminalsFail) {
-  Graph g;
-  g.add_node();
-  g.add_node();
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node();
+  Graph g = builder.finalize();
   const auto r = steiner_tree(g, {0, 1}, unit_edges(), free_nodes());
   EXPECT_FALSE(r.solved);
 }
@@ -92,13 +98,14 @@ TEST(SteinerTree, DisconnectedTerminalsFail) {
 TEST(SteinerForest, SeparatePairsStaySeparate) {
   // Two far-apart pairs with a long bridge: forest keeps two components.
   //  0-1   2-3  bridged by 1-4-5-2 (3 extra edges).
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.add_node();
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  g.add_edge(1, 4, 1.0);
-  g.add_edge(4, 5, 1.0);
-  g.add_edge(5, 2, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 1, 1.0);
+  builder.add_edge(2, 3, 1.0);
+  builder.add_edge(1, 4, 1.0);
+  builder.add_edge(4, 5, 1.0);
+  builder.add_edge(5, 2, 1.0);
+  Graph g = builder.finalize();
   const auto r = steiner_forest(g, {{0, 1}, {2, 3}}, unit_edges(),
                                 free_nodes());
   ASSERT_TRUE(r.solved);
@@ -114,13 +121,14 @@ TEST(SteinerForest, SharedCorridorMergesGroups) {
   //    5
   //   / .
   //  1   4
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.add_node();
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(3, 2, 1.0);
-  g.add_edge(2, 5, 1.0);
-  g.add_edge(5, 1, 1.0);
-  g.add_edge(5, 4, 1.0);
+  graph::Builder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
+  builder.add_edge(0, 2, 1.0);
+  builder.add_edge(3, 2, 1.0);
+  builder.add_edge(2, 5, 1.0);
+  builder.add_edge(5, 1, 1.0);
+  builder.add_edge(5, 4, 1.0);
+  Graph g = builder.finalize();
   const auto r = steiner_forest(g, {{0, 3}, {1, 4}}, unit_edges(),
                                 free_nodes());
   ASSERT_TRUE(r.solved);
@@ -130,8 +138,9 @@ TEST(SteinerForest, SharedCorridorMergesGroups) {
 }
 
 TEST(SteinerForest, EmptyAndDegeneratePairs) {
-  Graph g;
-  g.add_node();
+  graph::Builder builder;
+  builder.add_node();
+  Graph g = builder.finalize();
   const auto empty = steiner_forest(g, {}, unit_edges(), free_nodes());
   EXPECT_TRUE(empty.solved);
   EXPECT_EQ(empty.cost, 0.0);
@@ -150,10 +159,12 @@ double brute_force_forest(const Graph& g,
   const int m = static_cast<int>(g.num_edges());
   double best = std::numeric_limits<double>::infinity();
   for (int mask = 0; mask < (1 << m); ++mask) {
-    auto edge_ok = [&](EdgeId e) { return (mask >> e) & 1; };
+    graph::ViewConfig in_mask;
+    in_mask.edge_ok = [mask](EdgeId e) { return ((mask >> e) & 1) != 0; };
+    const auto view = graph::GraphView::build(g, in_mask);
     bool all_connected = true;
     for (const auto& [a, b] : pairs) {
-      if (!graph::reachable(g, a, b, edge_ok)) {
+      if (!graph::reachable(view, a, b)) {
         all_connected = false;
         break;
       }
@@ -183,18 +194,19 @@ class SteinerRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(SteinerRandom, MatchesBruteForceOnSmallGraphs) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31337 + 5);
-  Graph g;
   const int n = 6;
-  for (int i = 0; i < n; ++i) g.add_node();
+  graph::Builder builder;
+  for (int i = 0; i < n; ++i) builder.add_node();
   std::vector<double> ecost;
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       if (rng.chance(0.5)) {
-        g.add_edge(i, j, 1.0);
+        builder.add_edge(i, j, 1.0);
         ecost.push_back(rng.uniform(0.5, 3.0));
       }
     }
   }
+  const Graph g = builder.finalize();
   if (g.num_edges() > 14) return;  // keep brute force fast
   std::vector<double> ncost;
   for (int i = 0; i < n; ++i) ncost.push_back(rng.uniform(0.0, 2.0));

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "disruption/disruption.hpp"
+#include "graph/builder.hpp"
 #include "graph/traversal.hpp"
 #include "scenario/scenario.hpp"
 #include "topology/generator.hpp"
@@ -26,12 +27,13 @@ TEST(BellCanada, HasPaperDimensionsAndCapacities) {
     EXPECT_FALSE(g.node_name(id).empty());
     EXPECT_NE(g.node_x(id), 0.0);  // has coordinates
   }
-  EXPECT_EQ(graph::connected_components(g).back(), 0);  // single component
+  // Single component.
+  EXPECT_EQ(graph::connected_components(graph::GraphView::build(g)).back(), 0);
 }
 
 TEST(BellCanada, DiameterSupportsFarApartDemands) {
   const graph::Graph g = topology::make_topology({topology::BellCanadaOptions{}});
-  const int diameter = graph::hop_diameter(g);
+  const int diameter = graph::hop_diameter(graph::GraphView::build(g));
   EXPECT_GE(diameter, 8);   // far-apart pairs need room
   EXPECT_LE(diameter, 20);  // ...but stay a realistic ISP backbone
 }
@@ -64,7 +66,7 @@ TEST(CaidaLike, ExactSizeConnectedHeavyTail) {
   EXPECT_EQ(g.num_edges(), 1018u);
   // Connected (growth model guarantees it).
   int max_label = 0;
-  for (int l : graph::connected_components(g)) {
+  for (int l : graph::connected_components(graph::GraphView::build(g))) {
     max_label = std::max(max_label, l);
   }
   EXPECT_EQ(max_label, 0);
@@ -104,10 +106,11 @@ TEST(Disruption, GaussianGrowsWithVariance) {
 }
 
 TEST(Disruption, CircularBreaksInsideOnly) {
-  graph::Graph g;
-  g.add_node("in", 0.0, 0.0);
-  g.add_node("out", 10.0, 0.0);
-  g.add_edge(0, 1, 1.0);
+  graph::Builder builder;
+  builder.add_node("in", 0.0, 0.0);
+  builder.add_node("out", 10.0, 0.0);
+  builder.add_edge(0, 1, 1.0);
+  graph::Graph g = builder.finalize();
   const auto report = disruption::circular_disaster(g, 0.0, 0.0, 2.0);
   EXPECT_EQ(report.broken_nodes, 1u);
   EXPECT_TRUE(g.node_broken(0));
@@ -192,15 +195,16 @@ TEST(Cascade, ReRoutedOverloadBreaksTheDetour) {
   // Square s - a - t (top, high capacity) and s - b - t (bottom, thin).
   // Breaking the top path forces the demand onto the thin detour, whose
   // capacity it exceeds: the cascade must break the detour edges.
-  graph::Graph g;
-  const auto s = g.add_node("s");
-  const auto a = g.add_node("a");
-  const auto t = g.add_node("t");
-  const auto b = g.add_node("b");
-  const auto sa = g.add_edge(s, a, 10.0);
-  const auto at = g.add_edge(a, t, 10.0);
-  const auto sb = g.add_edge(s, b, 2.0);
-  const auto bt = g.add_edge(b, t, 2.0);
+  graph::Builder builder;
+  const auto s = builder.add_node("s");
+  const auto a = builder.add_node("a");
+  const auto t = builder.add_node("t");
+  const auto b = builder.add_node("b");
+  const auto sa = builder.add_edge(s, a, 10.0);
+  const auto at = builder.add_edge(a, t, 10.0);
+  const auto sb = builder.add_edge(s, b, 2.0);
+  const auto bt = builder.add_edge(b, t, 2.0);
+  graph::Graph g = builder.finalize();
   const std::vector<mcf::Demand> demands{{s, t, 5.0}};
 
   disruption::CascadeModel model;
@@ -217,13 +221,14 @@ TEST(Cascade, ReRoutedOverloadBreaksTheDetour) {
 }
 
 TEST(Cascade, DisconnectedDemandContributesNoLoad) {
-  graph::Graph g;
-  const auto s = g.add_node("s");
-  const auto t = g.add_node("t");
-  const auto u = g.add_node("u");
-  const auto v = g.add_node("v");
-  g.add_edge(s, t, 1.0);
-  const auto uv = g.add_edge(u, v, 0.5);
+  graph::Builder builder;
+  const auto s = builder.add_node("s");
+  const auto t = builder.add_node("t");
+  const auto u = builder.add_node("u");
+  const auto v = builder.add_node("v");
+  builder.add_edge(s, t, 1.0);
+  const auto uv = builder.add_edge(u, v, 0.5);
+  graph::Graph g = builder.finalize();
   g.set_edge_broken(0, true);  // s-t cut off entirely
   disruption::CascadeModel model;
   const std::vector<mcf::Demand> demands{{s, t, 10.0}};
@@ -232,10 +237,11 @@ TEST(Cascade, DisconnectedDemandContributesNoLoad) {
 }
 
 TEST(Cascade, OverloadFactorGatesTheBreak) {
-  graph::Graph g;
-  const auto s = g.add_node("s");
-  const auto t = g.add_node("t");
-  const auto e = g.add_edge(s, t, 4.0);
+  graph::Builder builder;
+  const auto s = builder.add_node("s");
+  const auto t = builder.add_node("t");
+  const auto e = builder.add_edge(s, t, 4.0);
+  graph::Graph g = builder.finalize();
   const std::vector<mcf::Demand> demands{{s, t, 5.0}};
   {
     // Factor 1.5: 5 units over capacity 4 stays under 6 — holds.
@@ -258,8 +264,9 @@ TEST(Scenario, FarApartDemandsRespectDistance) {
   util::Rng rng(23);
   const auto demands = scenario::far_apart_demands(g, 4, 10.0, rng);
   ASSERT_EQ(demands.size(), 4u);
-  const int diameter = graph::hop_diameter(g);
-  const auto hops = graph::all_pairs_hops(g);
+  const graph::GraphView view = graph::GraphView::build(g);
+  const int diameter = graph::hop_diameter(view);
+  const auto hops = graph::all_pairs_hops(view);
   for (const auto& d : demands) {
     EXPECT_GE(hops[static_cast<std::size_t>(d.source)]
                   [static_cast<std::size_t>(d.target)],
