@@ -64,9 +64,7 @@ BENCHMARK(BM_DijkstraCaida);
 
 void BM_DinicBell(benchmark::State& state) {
   const auto& g = bell();
-  graph::ViewConfig config;
-  config.capacity = mcf::static_capacity(g);
-  const auto view = graph::GraphView::build(g, config);
+  const auto view = graph::GraphView::build(g);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::max_flow(
         view, 0, static_cast<graph::NodeId>(g.num_nodes() - 3)));
@@ -79,7 +77,6 @@ void BM_CentralityBell(benchmark::State& state) {
   const auto demands = demands_for(g, 4, 10.0);
   graph::ViewConfig config;
   config.length = [](graph::EdgeId) { return 1.0; };
-  config.capacity = mcf::static_capacity(g);
   const auto view = graph::GraphView::build(g, config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::demand_based_centrality(view, demands));
@@ -90,9 +87,10 @@ BENCHMARK(BM_CentralityBell);
 void BM_RoutabilityBell(benchmark::State& state) {
   const auto& g = bell();
   const auto demands = demands_for(g, 4, 10.0);
-  auto cap = mcf::static_capacity(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcf::is_routable(g, demands, {}, cap));
+    // One view per probe, as the one-shot callers build it.
+    benchmark::DoNotOptimize(
+        mcf::is_routable(graph::GraphView::build(g), demands));
   }
 }
 BENCHMARK(BM_RoutabilityBell);
@@ -100,9 +98,9 @@ BENCHMARK(BM_RoutabilityBell);
 void BM_RoutabilityCaida(benchmark::State& state) {
   const auto& g = caida();
   const auto demands = demands_for(g, 4, 10.0);
-  auto cap = mcf::static_capacity(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcf::is_routable(g, demands, {}, cap));
+    benchmark::DoNotOptimize(
+        mcf::is_routable(graph::GraphView::build(g), demands));
   }
 }
 BENCHMARK(BM_RoutabilityCaida);
@@ -110,14 +108,8 @@ BENCHMARK(BM_RoutabilityCaida);
 void BM_SplitLpBell(benchmark::State& state) {
   // One cold probe per iteration: a fresh session, as ISP's first probe.
   const auto& g = bell();
-  const auto demands = demands_for(g, 4, 10.0);
-  std::vector<mcf::PathLpSession::DemandSpec> specs;
-  for (std::size_t h = 0; h < demands.size(); ++h) {
-    specs.push_back({static_cast<int>(h), demands[h]});
-  }
-  graph::ViewConfig config;
-  config.capacity = mcf::static_capacity(g);
-  const auto view = graph::GraphView::build(g, config);
+  const auto specs = mcf::indexed_specs(demands_for(g, 4, 10.0));
+  const auto view = graph::GraphView::build(g);
   for (auto _ : state) {
     mcf::PathLpSession session(g, mcf::PathLpMode::kMaxSplit);
     benchmark::DoNotOptimize(
@@ -150,8 +142,9 @@ BENCHMARK(BM_SimplexDense);
 
 /// The PathLpSession re-solve kernel: a master whose rhs drifts a little
 /// between solves (a few percent, the shape of residual consumption),
-/// re-solved either from scratch (cold, the one-shot PathLp shape) or
-/// from the previous basis with warm_append repairs (the session shape).
+/// re-solved either from scratch (cold, the shape of a fresh one-use
+/// session's first master solve) or from the previous basis with
+/// warm_append repairs (the persistent-session shape).
 /// Same model sequence in both, so the timing difference is pure
 /// warm-start value (~1 pivot per warm re-solve vs a full two-phase
 /// cold solve; large drifts erase the advantage, which is the point of

@@ -4,13 +4,13 @@
 #include <unordered_set>
 
 #include "core/repair_state.hpp"
+#include "graph/view.hpp"
 #include "mcf/routing.hpp"
 
 namespace netrec::core {
 
 bool RecoveryProblem::feasible_when_fully_repaired() const {
-  return mcf::is_routable(graph, demands, /*edge_ok=*/{},
-                          mcf::static_capacity(graph));
+  return mcf::is_routable(graph::GraphView::build(graph), demands);
 }
 
 void score_solution(const RecoveryProblem& problem,
@@ -26,8 +26,8 @@ void score_solution(const RecoveryProblem& problem,
     solution.repair_cost += problem.graph.edge_repair_cost(e);
   }
   solution.routing = mcf::max_routed_flow(
-      problem.graph, problem.demands, state.edge_filter(),
-      mcf::static_capacity(problem.graph));
+      graph::GraphView::build(problem.graph, {.edge_ok = state.edge_filter()}),
+      problem.demands);
   const double total = problem.total_demand();
   solution.satisfied_fraction =
       total > 0.0 ? solution.routing.total_routed / total : 1.0;
@@ -58,9 +58,10 @@ std::string validate_solution(const RecoveryProblem& problem,
   for (graph::NodeId n : solution.repaired_nodes) state.repair_node(n);
   for (graph::EdgeId e : solution.repaired_edges) state.repair_edge(e);
 
-  if (!mcf::routing_is_valid(problem.graph, problem.demands,
-                             solution.routing.flows, state.edge_filter(),
-                             mcf::static_capacity(problem.graph))) {
+  const graph::Graph& g = problem.graph;
+  if (!mcf::routing_is_valid(
+          g, problem.demands, solution.routing.flows, state.edge_filter(),
+          [&g](graph::EdgeId e) { return g.edge_capacity(e); })) {
     return "routing invalid on the repaired subgraph";
   }
   const double total = problem.total_demand();

@@ -86,7 +86,7 @@ std::vector<RankedPath> build_path_pool(const core::RecoveryProblem& problem,
   graph::SimplePathLimits limits;
   limits.max_paths = options.max_paths_per_pair;
   limits.max_hops = options.max_hops;
-  const auto cap = mcf::static_capacity(g);
+  const auto cap = [&g](graph::EdgeId e) { return g.edge_capacity(e); };
   // The pool enumerates the *full* graph (broken elements included); one
   // snapshot serves every demand pair's DFS.
   const graph::GraphView view = graph::GraphView::build(g);
@@ -202,7 +202,6 @@ core::RecoverySolution solve_grd_nc(const core::RecoveryProblem& problem,
   core::RepairState state(g);
 
   auto pool = build_path_pool(problem, options);
-  const auto cap = mcf::static_capacity(g);
   // Paths that change nothing (no new repairs) cannot change the routability
   // verdict, so the exact test only runs after an effective repair; that
   // bounds LP calls by the number of broken elements, not the pool size.
@@ -215,15 +214,18 @@ core::RecoverySolution solve_grd_nc(const core::RecoveryProblem& problem,
     }
     return false;
   };
-  bool routable =
-      mcf::is_routable(g, problem.demands, state.edge_filter(), cap,
-                       options.lp);
+  // One view of the working-or-repaired subgraph per probe.
+  auto routable_now = [&]() {
+    return mcf::is_routable(
+        graph::GraphView::build(g, {.edge_ok = state.edge_filter()}),
+        problem.demands, options.lp);
+  };
+  bool routable = routable_now();
   for (const RankedPath& ranked : pool) {
     if (routable) break;
     if (!adds_repair(ranked.path)) continue;
     state.repair_path(ranked.path);
-    routable = mcf::is_routable(g, problem.demands, state.edge_filter(), cap,
-                                options.lp);
+    routable = routable_now();
   }
   finish(problem, state, solution, timer);
   return solution;

@@ -24,7 +24,6 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
                                       const LocalSearchOptions& options) {
   util::Timer timer;
   const graph::Graph& g = problem.graph;
-  const auto cap = mcf::static_capacity(g);
 
   // Keep flags; start from the input repair set.
   std::vector<char> node_kept(g.num_nodes(), 0);
@@ -37,9 +36,9 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
   }
 
   // Flat per-edge usability under the current keep flags, updated
-  // incrementally when a flip changes the few edges it touches; the
-  // routability probes then consult an O(1) array lookup instead of
-  // re-deriving brokenness per edge per probe.
+  // incrementally when a flip changes the few edges it touches; each
+  // routability probe's view build then consults an O(1) array lookup
+  // instead of re-deriving brokenness per edge.
   auto edge_usable_now = [&](graph::EdgeId e) {
     if (g.edge_broken(e) && !edge_kept[static_cast<std::size_t>(e)]) {
       return false;
@@ -72,7 +71,8 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
     return usable[static_cast<std::size_t>(e)] != 0;
   };
   auto routable = [&]() {
-    return mcf::is_routable(g, problem.demands, edge_ok, cap, options.lp);
+    return mcf::is_routable(graph::GraphView::build(g, {.edge_ok = edge_ok}),
+                            problem.demands, options.lp);
   };
 
   // Only meaningful when the input already satisfies the demand; otherwise

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "graph/view.hpp"
+#include "mcf/path_lp_session.hpp"
+
 namespace netrec::mcf {
 
 namespace {
@@ -16,20 +19,28 @@ graph::EdgeWeight broken_cost_view(const graph::Graph& g) {
   };
 }
 
-}  // namespace
-
-BrokenUsageResult min_broken_usage(const graph::Graph& g,
-                                   const std::vector<Demand>& demands,
-                                   const PathLpOptions& options) {
-  PathLp lp(g, demands, /*edge_ok=*/{},
-            [&g](graph::EdgeId e) { return g.edge_capacity(e); }, options);
-  lp.set_min_cost(broken_cost_view(g));
-  PathLpResult r = lp.solve();
+/// Eq. (8) over the full graph `view` on a fresh session used once.
+BrokenUsageResult solve_broken_usage(
+    const graph::GraphView& view,
+    const std::vector<PathLpSession::DemandSpec>& specs,
+    const PathLpOptions& options) {
+  PathLpSession session(view.graph(), PathLpMode::kMinCost, options);
+  session.set_min_cost_objective(broken_cost_view(view.graph()));
+  PathLpResult r = session.solve(view, specs);
   BrokenUsageResult result;
   result.feasible = r.routing.fully_routed;
   result.cost = r.objective;
   result.routing = std::move(r.routing);
   return result;
+}
+
+}  // namespace
+
+BrokenUsageResult min_broken_usage(const graph::Graph& g,
+                                   const std::vector<Demand>& demands,
+                                   const PathLpOptions& options) {
+  return solve_broken_usage(graph::GraphView::build(g), indexed_specs(demands),
+                            options);
 }
 
 ImpliedRepairs implied_repairs(const graph::Graph& g,
@@ -59,9 +70,13 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                      std::size_t samples, util::Rng& rng,
                                      const PathLpOptions& options) {
   OptimalFaceBand band;
-  const BrokenUsageResult base = min_broken_usage(g, demands, options);
+  // One full-graph view serves the eq. (8) solve and every sample.
+  const graph::GraphView view = graph::GraphView::build(g);
+  const std::vector<PathLpSession::DemandSpec> specs = indexed_specs(demands);
+  const BrokenUsageResult base = solve_broken_usage(view, specs, options);
   if (!base.feasible) return band;
   band.feasible = true;
+  band.relaxation_cost = base.cost;
 
   const auto base_cost = broken_cost_view(g);
   const std::size_t base_repairs =
@@ -89,14 +104,13 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                   : rng.uniform(0.5, 1.0);
       }
     }
-    PathLp lp(g, demands, /*edge_ok=*/{},
-              [&g](graph::EdgeId e) { return g.edge_capacity(e); }, options);
-    lp.set_min_cost([&noise](graph::EdgeId e) {
+    PathLpSession session(g, PathLpMode::kMinCost, options);
+    session.set_min_cost_objective([&noise](graph::EdgeId e) {
       return noise[static_cast<std::size_t>(e)];
     });
     // Pin eq. (8)'s objective to its optimum (small slack for tolerance).
-    lp.add_cost_bound(PathCostBound{base_cost, base.cost + 1e-6});
-    const PathLpResult r = lp.solve();
+    session.add_cost_bound(PathCostBound{base_cost, base.cost + 1e-6});
+    const PathLpResult r = session.solve(view, specs);
     if (!r.routing.fully_routed) continue;
     band.samples.push_back(implied_repairs(g, r.routing.flows).total());
   }

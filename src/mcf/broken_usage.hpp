@@ -25,8 +25,9 @@ struct BrokenUsageResult {
 };
 
 /// Solves eq. (8): min sum over broken edges of k^e * (flow on edge),
-/// with every demand fully routed under `capacity`.  The supply graph is the
-/// *full* graph (broken elements usable — using them is what costs).
+/// with every demand fully routed under the static capacities.  The supply
+/// graph is the *full* graph (broken elements usable — using them is what
+/// costs).
 BrokenUsageResult min_broken_usage(const graph::Graph& g,
                                    const std::vector<Demand>& demands,
                                    const PathLpOptions& options = {});
@@ -45,13 +46,15 @@ ImpliedRepairs implied_repairs(const graph::Graph& g,
 
 struct OptimalFaceBand {
   bool feasible = false;
+  double relaxation_cost = 0.0;   ///< eq. (8) optimum the face is pinned to
   std::size_t best_repairs = 0;   ///< MCB estimate (fewest seen)
   std::size_t worst_repairs = 0;  ///< MCW estimate (most seen)
   std::vector<std::size_t> samples;
 };
 
-/// Samples `samples` vertices of eq. (8)'s optimal face with randomised
-/// secondary objectives and reports the repair-count band.
+/// Solves eq. (8), then samples `samples` vertices of its optimal face with
+/// randomised secondary objectives and reports the repair-count band.  Each
+/// solve runs on a fresh PathLpSession used once.
 OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                      const std::vector<Demand>& demands,
                                      std::size_t samples, util::Rng& rng,

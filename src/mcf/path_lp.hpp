@@ -25,13 +25,15 @@
 // Equality-row modes carry per-demand shortfall variables with a big-M
 // penalty so the master is always feasible and column generation can start
 // from an empty pool.
+//
+// mcf::PathLpSession (mcf/path_lp_session.hpp) is the one engine for this
+// master; a one-shot solve is a fresh session used once.  This header holds
+// the types every consumer of the master shares.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 #include "mcf/types.hpp"
 
 namespace netrec::mcf {
@@ -67,58 +69,6 @@ struct PathLpResult {
   RoutingResult routing;
   /// Equality modes: per-demand unmet amount (all ~0 iff routable).
   std::vector<double> shortfall;
-};
-
-class PathLp {
- public:
-  /// `capacity` is consulted for usable edges only; `edge_ok` restricts the
-  /// network (typically to working-or-repaired elements, or the full graph
-  /// with residual capacities for ISP's invariant checks).
-  PathLp(const graph::Graph& g, std::vector<Demand> demands,
-         graph::EdgeFilter edge_ok, graph::EdgeWeight capacity,
-         PathLpOptions options = {});
-
-  /// Borrowed-view mode: seeds, capacity rows and pricing all run on `view`
-  /// (not owned; must outlive solve()) instead of materialising a snapshot.
-  /// The routable network is the view's edges with capacity > 1e-9 — cached
-  /// views keep drained edges as arcs and this constructor's solve path
-  /// skips them exactly where a filter-built view would omit them, so the
-  /// two constructions price and route bit-identically.  The view's lengths
-  /// must be the unit/hop metric (the callback constructor never configures
-  /// lengths).
-  PathLp(const graph::GraphView& view, std::vector<Demand> demands,
-         PathLpOptions options = {});
-
-  /// Configures the objective; call exactly one before solve().
-  void set_max_routed();
-  void set_min_cost(graph::EdgeWeight objective_edge_cost);
-  void set_max_split(int split_demand_index, graph::NodeId via);
-
-  /// Adds an optimal-face pinning row (kMinCost mode only).
-  void add_cost_bound(PathCostBound bound);
-
-  PathLpResult solve();
-
- private:
-  struct ColumnInfo {
-    int demand_index;  ///< internal demand index (includes split halves)
-    graph::Path path;
-    int var = -1;
-  };
-
-  const graph::Graph& g_;
-  std::vector<Demand> user_demands_;
-  graph::EdgeFilter edge_ok_;
-  graph::EdgeWeight capacity_;
-  const graph::GraphView* borrowed_view_ = nullptr;
-  PathLpOptions opt_;
-
-  PathLpMode mode_ = PathLpMode::kMaxRouted;
-  bool mode_set_ = false;
-  graph::EdgeWeight objective_edge_cost_;
-  int split_demand_ = -1;
-  graph::NodeId split_via_ = graph::kInvalidNode;
-  std::vector<PathCostBound> cost_bounds_;
 };
 
 }  // namespace netrec::mcf

@@ -1,12 +1,12 @@
-// Persistent path-LP sessions: column-pool + warm-basis reuse across the
-// nearly identical master LPs ISP solves every iteration.
+// Path-LP sessions: the one column-generation engine for the master
+// problem of mcf/path_lp.hpp, with column-pool + warm-basis reuse across
+// the nearly identical master LPs ISP solves every iteration.
 //
-// One ISP solve issues hundreds of PathLp instances — a routability probe
-// per iteration, a kMaxSplit probe per (demand, v_BC) candidate — and
+// One ISP solve issues hundreds of master LPs — a routability probe per
+// iteration, a kMaxSplit probe per (demand, v_BC) candidate — and
 // consecutive instances differ only by one repair and a few residual
-// updates.  The one-shot mcf::PathLp re-enumerates seed columns and
-// cold-starts the simplex for every one of them.  PathLpSession is the
-// warm counterpart, mirroring what graph::ViewCache did for snapshots:
+// updates.  A persistent session carries its state across them, mirroring
+// what graph::ViewCache did for snapshots:
 //
 //   * the column (path) pool persists — paths are stored once, keyed by
 //     their endpoint pair, and installed as master columns per demand row;
@@ -19,6 +19,12 @@
 //   * the lp::Basis persists — re-solves warm-start from the previous
 //     optimum, and appended rows/columns degrade to a partial (not full)
 //     cold start via lp::SolveOptions::warm_append.
+//
+// A one-shot solve (mcf::max_routed_flow, min_broken_usage, each
+// explore_optimal_face sample, ISP's exact completion) is a fresh session
+// used once; indexed_specs() binds a plain demand list to uids.  Lazy
+// capacity rows found violated mid-solve are appended to the warm basis,
+// never cold-restarted, in one-use and persistent sessions alike.
 //
 // Invalidation contract (the same mutation events graph::ViewCache
 // consumes; a session registers as a graph::MutationListener on the
@@ -43,11 +49,13 @@
 // variable, rewired per (split demand, via) probe, so probing every
 // centrality candidate against the same demand set shares one master.
 //
-// The session is an accelerator, not a new algorithm: it converges by the
-// same exact pricing rule as PathLp, so objectives, routability verdicts
-// and split amounts agree with a one-shot PathLp (tests/test_path_lp.cpp
-// pins the two against each other; tests/golden/isp_corpus.txt was
-// recorded while ISP on sessions and ISP on one-shot LPs agreed exactly).
+// Reuse is an accelerator, not a new algorithm: a warm session converges
+// by the same exact pricing rule as a fresh one, so objectives,
+// routability verdicts and split amounts agree (tests/test_path_lp.cpp
+// pins a warm session against a fresh one on the same view;
+// tests/golden/isp_corpus.txt was recorded while ISP on sessions and ISP
+// on one-shot LPs agreed exactly, and tests/golden/lp_corpus.txt pins the
+// one-shot consumers).
 #pragma once
 
 #include <cstdint>
@@ -85,6 +93,11 @@ class PathLpSession : public graph::MutationListener {
 
   /// kMinCost objective callback; retained, must outlive the session.
   void set_min_cost_objective(graph::EdgeWeight edge_cost);
+
+  /// Adds an optimal-face pinning row (kMinCost only, before the first
+  /// solve; otherwise throws std::logic_error).  Its rows follow the demand
+  /// rows in the master, ahead of any capacity row.
+  void add_cost_bound(PathCostBound bound);
 
   /// Intra-round pricing parallelism.  Within one pricing round every
   /// binding's threshold and target-stopped Dijkstra read only that
@@ -223,6 +236,9 @@ class PathLpSession : public graph::MutationListener {
 
   std::vector<int> capacity_row_;  ///< per edge id, -1 = none
 
+  std::vector<PathCostBound> cost_bounds_;
+  std::vector<int> bound_row_;  ///< per cost bound, created at first build
+
   // kMaxSplit probe wiring (rewired per solve_split call).
   int half_row_[2] = {-1, -1};
   int dx_var_ = -1;
@@ -237,5 +253,9 @@ class PathLpSession : public graph::MutationListener {
 
   Stats stats_;
 };
+
+/// Specs with uid = index, the binding of a session used for one solve.
+std::vector<PathLpSession::DemandSpec> indexed_specs(
+    const std::vector<Demand>& demands);
 
 }  // namespace netrec::mcf

@@ -13,10 +13,6 @@ namespace {
 constexpr double kEps = 1e-9;
 }
 
-graph::EdgeWeight static_capacity(const graph::Graph& g) {
-  return [&g](graph::EdgeId e) { return g.edge_capacity(e); };
-}
-
 RoutingResult greedy_route(const graph::GraphView& view,
                            const std::vector<Demand>& demands) {
   const graph::Graph& g = view.graph();
@@ -70,23 +66,11 @@ RoutingResult greedy_route(const graph::GraphView& view,
   return result;
 }
 
-RoutingResult greedy_route(const graph::Graph& g,
-                           const std::vector<Demand>& demands,
-                           const graph::EdgeFilter& edge_ok,
-                           const graph::EdgeWeight& capacity) {
-  graph::ViewConfig config;
-  config.edge_ok = edge_ok;
-  config.capacity = capacity;
-  return greedy_route(graph::GraphView::build(g, config), demands);
-}
-
 RoutingResult max_routed_flow(const graph::GraphView& view,
                               const std::vector<Demand>& demands,
                               const PathLpOptions& options) {
-  PathLp lp(view, demands, options);
-  lp.set_max_routed();
-  PathLpResult r = lp.solve();
-  return std::move(r.routing);
+  PathLpSession session(view.graph(), PathLpMode::kMaxRouted, options);
+  return session.solve(view, indexed_specs(demands)).routing;
 }
 
 RoutingResult route_demands(const graph::GraphView& view,
@@ -133,51 +117,6 @@ bool is_routable(PathLpSession& session, const graph::GraphView& view,
     }
   }
   return session.solve_routability(view, demands).routing.fully_routed;
-}
-
-RoutingResult max_routed_flow(const graph::Graph& g,
-                              const std::vector<Demand>& demands,
-                              const graph::EdgeFilter& edge_ok,
-                              const graph::EdgeWeight& capacity,
-                              const PathLpOptions& options) {
-  PathLp lp(g, demands, edge_ok, capacity, options);
-  lp.set_max_routed();
-  PathLpResult r = lp.solve();
-  return std::move(r.routing);
-}
-
-RoutingResult route_demands(const graph::Graph& g,
-                            const std::vector<Demand>& demands,
-                            const graph::EdgeFilter& edge_ok,
-                            const graph::EdgeWeight& capacity,
-                            const PathLpOptions& options) {
-  // Necessary condition, fast: endpoints connected under the filter.  One
-  // positive-capacity snapshot answers every pair.
-  graph::ViewConfig reach_config;
-  reach_config.edge_ok = [&](graph::EdgeId e) {
-    if (edge_ok && !edge_ok(e)) return false;
-    return capacity(e) > kEps;
-  };
-  const graph::GraphView reach_view = graph::GraphView::build(g, reach_config);
-  for (const Demand& d : demands) {
-    if (d.amount <= kEps || d.source == d.target) continue;
-    if (!graph::reachable(reach_view, d.source, d.target)) {
-      RoutingResult result;
-      result.routed.assign(demands.size(), 0.0);
-      result.fully_routed = false;
-      return result;
-    }
-  }
-  RoutingResult greedy = greedy_route(g, demands, edge_ok, capacity);
-  if (greedy.fully_routed) return greedy;
-  return max_routed_flow(g, demands, edge_ok, capacity, options);
-}
-
-bool is_routable(const graph::Graph& g, const std::vector<Demand>& demands,
-                 const graph::EdgeFilter& edge_ok,
-                 const graph::EdgeWeight& capacity,
-                 const PathLpOptions& options) {
-  return route_demands(g, demands, edge_ok, capacity, options).fully_routed;
 }
 
 }  // namespace netrec::mcf

@@ -1,15 +1,21 @@
 // Routability tests and demand routing (paper Section IV-A).
 //
+// Every entry point takes the network as a graph::GraphView: the routable
+// network is the view's edges with capacity > 1e-9 (views cached across
+// residual updates keep drained edges as arcs, and every algorithm below
+// skips them), and the view's lengths must be the unit/hop metric.  A
+// caller with a filter builds one view per probe, e.g.
+// `GraphView::build(g, {.edge_ok = state.edge_filter()})`.
+//
 // `route_demands` is the workhorse: it answers "can demand graph H be routed
 // over this (sub)graph with these capacities?" and, when the answer is yes,
 // produces a witness routing.  A greedy successive-shortest-path pre-pass
 // settles most YES instances without touching the LP; the column-generation
-// LP (PathLp, exact) decides the rest.  `max_routed_flow` is the referee
-// used to score demand loss for heuristics that cannot guarantee full
-// routing (SRT, GRD-COM).
+// LP (a one-use PathLpSession, exact) decides the rest.  `max_routed_flow`
+// is the referee used to score demand loss for heuristics that cannot
+// guarantee full routing (SRT, GRD-COM).
 #pragma once
 
-#include "graph/graph.hpp"
 #include "graph/view.hpp"
 #include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
@@ -17,33 +23,24 @@
 
 namespace netrec::mcf {
 
-// --- session-based (persistent hot path) -------------------------------------
-
 /// The paper's routability test (eq. 2) on a persistent PathLpSession
 /// (kMaxRouted mode, pooled columns, warm basis).  Unlike the one-shot
-/// overloads there are no reachability/greedy prechecks: the warm master
-/// re-solve with the pricing early-stop *is* the fast path, and its
-/// verdict equals the precheck pipeline's by LP exactness — which the ISP
-/// differential harness pins exactly.
+/// overload there is no greedy precheck: the warm master re-solve with the
+/// pricing early-stop *is* the fast path, and its verdict equals the
+/// precheck pipeline's by LP exactness — which the ISP differential
+/// harness pins exactly.
 bool is_routable(PathLpSession& session, const graph::GraphView& view,
                  const std::vector<PathLpSession::DemandSpec>& demands);
 
-// --- view-based (hot path) ---------------------------------------------------
-//
-// These overloads run on a borrowed (typically ViewCache-owned) snapshot
-// instead of materialising one per call.  The routable network is the
-// view's edges with capacity > 1e-9 — views cached across residual updates
-// keep drained edges as arcs, and every algorithm below skips them exactly
-// where the callback path's filter excluded them, so results are
-// bit-identical.  The view's lengths must be the unit/hop metric (the
-// callback entry points never configure lengths).
-
-/// Greedy sufficient check on a borrowed view; initial residuals are the
-/// view's capacities.
+/// Greedy sufficient check: routes demands one by one (largest first) with
+/// successive shortest paths on residual capacities, starting from the
+/// view's capacities.  fully_routed == true is a proof of routability;
+/// false proves nothing.
 RoutingResult greedy_route(const graph::GraphView& view,
                            const std::vector<Demand>& demands);
 
-/// Exact maximum total routed flow (PathLp on the borrowed view).
+/// Exact maximum total routed flow (LP optimum over all paths), solved on a
+/// fresh PathLpSession used once.
 RoutingResult max_routed_flow(const graph::GraphView& view,
                               const std::vector<Demand>& demands,
                               const PathLpOptions& options = {});
@@ -53,42 +50,9 @@ RoutingResult route_demands(const graph::GraphView& view,
                             const std::vector<Demand>& demands,
                             const PathLpOptions& options = {});
 
-/// The paper's routability test (eq. 2) on a borrowed view.
+/// The paper's routability test (eq. 2): true iff the whole demand fits.
 bool is_routable(const graph::GraphView& view,
                  const std::vector<Demand>& demands,
                  const PathLpOptions& options = {});
-
-// --- callback entry points (materialise a view per call) ---------------------
-
-/// Greedy sufficient check: routes demands one by one (largest first) with
-/// successive shortest paths on residual capacities.  fully_routed == true
-/// is a proof of routability; false proves nothing.
-RoutingResult greedy_route(const graph::Graph& g,
-                           const std::vector<Demand>& demands,
-                           const graph::EdgeFilter& edge_ok,
-                           const graph::EdgeWeight& capacity);
-
-/// Exact maximum total routed flow (LP optimum over all paths).
-RoutingResult max_routed_flow(const graph::Graph& g,
-                              const std::vector<Demand>& demands,
-                              const graph::EdgeFilter& edge_ok,
-                              const graph::EdgeWeight& capacity,
-                              const PathLpOptions& options = {});
-
-/// Routability with witness: greedy first, exact LP fallback.
-RoutingResult route_demands(const graph::Graph& g,
-                            const std::vector<Demand>& demands,
-                            const graph::EdgeFilter& edge_ok,
-                            const graph::EdgeWeight& capacity,
-                            const PathLpOptions& options = {});
-
-/// The paper's routability test (eq. 2): true iff the whole demand fits.
-bool is_routable(const graph::Graph& g, const std::vector<Demand>& demands,
-                 const graph::EdgeFilter& edge_ok,
-                 const graph::EdgeWeight& capacity,
-                 const PathLpOptions& options = {});
-
-/// Static capacities of the graph's edges (the default capacity view).
-graph::EdgeWeight static_capacity(const graph::Graph& g);
 
 }  // namespace netrec::mcf

@@ -66,12 +66,9 @@ class Runtime {
                                       opt_.pool);
     session_.set_thread_pool(pool_);
     cache_.add_listener(&session_);
-    specs_.reserve(live_.demands.size());
     // Demand amounts never change across stages, so the original index is
     // a stable session uid.
-    for (std::size_t h = 0; h < live_.demands.size(); ++h) {
-      specs_.push_back({static_cast<int>(h), live_.demands[h]});
-    }
+    specs_ = mcf::indexed_specs(live_.demands);
     edge_died_.assign(g_.num_edges(), 0);
   }
 

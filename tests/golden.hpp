@@ -1,5 +1,6 @@
-// Golden corpora: frozen reference outputs of ISP, the graph kernels and the
-// staged-recovery Timeline, stored as text records under tests/golden/.
+// Golden corpora: frozen reference outputs of ISP, the graph kernels, the
+// staged-recovery Timeline and the path-LP consumers, stored as text records
+// under tests/golden/.
 //
 // Each corpus file is a list of records
 //
@@ -32,12 +33,16 @@
 #include <vector>
 
 #include "core/isp.hpp"
+#include "disruption/disruption.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/gml.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/simple_paths.hpp"
 #include "graph/traversal.hpp"
+#include "heuristics/schedule.hpp"
+#include "mcf/broken_usage.hpp"
+#include "mcf/routing.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
@@ -49,6 +54,7 @@ inline constexpr const char* kIspCorpus = "isp_corpus.txt";
 inline constexpr const char* kGraphKernels = "graph_kernels.txt";
 inline constexpr const char* kTimelineRestoration =
     "timeline_restoration.txt";
+inline constexpr const char* kLpCorpus = "lp_corpus.txt";
 
 // --- record formatting -------------------------------------------------------
 
@@ -96,6 +102,13 @@ inline std::string join_hex(const std::vector<double>& values) {
   std::string out;
   for (double v : values) out += " " + hex(v);
   return out;
+}
+
+/// Nine significant digits: equal across LP vertices of the same optimum.
+inline std::string sig9(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
 }
 
 // --- golden files ------------------------------------------------------------
@@ -520,6 +533,146 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
   for (std::uint64_t s = 1; s <= 5; ++s) {
     add("successive-paths er " + std::to_string(s),
         [s] { return successive_paths_record(broken_er(s)); });
+  }
+  return cases;
+}
+
+// --- LP consumers --------------------------------------------------------------
+
+/// (demand, start, edges, amount bits) of every flow, in output order.
+inline std::string flow_digest(const std::vector<mcf::PathFlow>& flows) {
+  Fnv1a64 h;
+  for (const mcf::PathFlow& f : flows) {
+    h.add_id(f.demand_index);
+    h.add_id(f.path.start);
+    h.add_id(static_cast<std::int64_t>(f.path.edges.size()));
+    for (graph::EdgeId e : f.path.edges) h.add_id(e);
+    h.add(f.amount);
+  }
+  return h.str();
+}
+
+inline std::string routing_fields(const mcf::RoutingResult& r) {
+  return std::string(r.fully_routed ? "1" : "0") + " total " +
+         hex(r.total_routed) + " routed" + join_hex(r.routed) + " flows " +
+         std::to_string(r.flows.size()) + " fnv1a64 " + flow_digest(r.flows) +
+         "\n";
+}
+
+inline std::vector<double> schedule_series(
+    const core::RecoveryProblem& problem,
+    const core::RecoverySolution& solution, bool exact_scoring) {
+  heuristics::ScheduleOptions options;
+  options.exact_scoring = exact_scoring;
+  return heuristics::schedule_repairs(problem, solution, options)
+      .restored_series();
+}
+
+/// Everything the one-shot LP consumers return on an eager-row instance,
+/// bit for bit: routability and max-flow referees (the full-graph
+/// max_routed_flow skips route_demands' greedy pass), eq. (8) and its face,
+/// the scored ISP plan and both schedule scorers.
+inline std::string lp_eager_record(const core::RecoveryProblem& problem) {
+  const graph::Graph& g = problem.graph;
+  std::ostringstream out;
+  out << "max_routed_working "
+      << routing_fields(mcf::max_routed_flow(graph::GraphView::working(g),
+                                             problem.demands))
+      << "route_demands_full "
+      << routing_fields(
+             mcf::route_demands(graph::GraphView::build(g), problem.demands))
+      << "max_routed_full "
+      << routing_fields(
+             mcf::max_routed_flow(graph::GraphView::build(g), problem.demands));
+  const mcf::BrokenUsageResult usage =
+      mcf::min_broken_usage(g, problem.demands);
+  const mcf::ImpliedRepairs implied =
+      mcf::implied_repairs(g, usage.routing.flows);
+  out << "min_broken_usage " << (usage.feasible ? 1 : 0) << " cost "
+      << hex(usage.cost) << " fnv1a64 " << flow_digest(usage.routing.flows)
+      << " nodes" << join_ids(implied.nodes) << " edges"
+      << join_ids(implied.edges) << "\n";
+  util::Rng rng(17);
+  const mcf::OptimalFaceBand band =
+      mcf::explore_optimal_face(g, problem.demands, 6, rng);
+  out << "face " << (band.feasible ? 1 : 0) << " samples"
+      << join_ids(band.samples) << "\n"
+      << "feasible_when_fully_repaired "
+      << (problem.feasible_when_fully_repaired() ? 1 : 0) << "\n";
+  // IspSolver::solve returns its plan as scored by core::score_solution.
+  const core::RecoverySolution isp = core::IspSolver(problem).solve();
+  out << "score " << hex(isp.repair_cost) << " satisfied "
+      << hex(isp.satisfied_fraction) << " "
+      << routing_fields(isp.routing)
+      << "schedule_greedy" << join_hex(schedule_series(problem, isp, false))
+      << "\n"
+      << "schedule_exact" << join_hex(schedule_series(problem, isp, true))
+      << "\n";
+  return out.str();
+}
+
+/// CAIDA-like instance: well over the eager-row threshold, so every master
+/// runs with lazy capacity rows (the netrec-bench plan_fresh topology).
+inline core::RecoveryProblem caida_lazy_scenario(std::uint64_t seed) {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, seed});
+  util::Rng demand_rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 25.0, demand_rng);
+  util::Rng damage_rng(1000);
+  disruption::random_failures(p.graph, 0.2, 0.2, damage_rng);
+  return p;
+}
+
+/// Lazy-row instances record only what every optimal LP vertex shares:
+/// verdicts, ISP's repair decisions, objectives and satisfied fractions to
+/// nine significant digits, and the schedule length.
+inline std::string lp_lazy_record(const core::RecoveryProblem& problem) {
+  const graph::Graph& g = problem.graph;
+  const mcf::RoutingResult working =
+      mcf::max_routed_flow(graph::GraphView::working(g), problem.demands);
+  const mcf::RoutingResult full =
+      mcf::route_demands(graph::GraphView::build(g), problem.demands);
+  const mcf::RoutingResult full_lp =
+      mcf::max_routed_flow(graph::GraphView::build(g), problem.demands);
+  const mcf::BrokenUsageResult usage =
+      mcf::min_broken_usage(g, problem.demands);
+  const core::RecoverySolution isp = core::IspSolver(problem).solve();
+  std::ostringstream out;
+  out << "feasible_when_fully_repaired "
+      << (problem.feasible_when_fully_repaired() ? 1 : 0) << "\n"
+      << "max_routed_working " << (working.fully_routed ? 1 : 0) << " total "
+      << sig9(working.total_routed) << "\n"
+      << "route_demands_full " << (full.fully_routed ? 1 : 0) << " total "
+      << sig9(full.total_routed) << "\n"
+      << "max_routed_full " << (full_lp.fully_routed ? 1 : 0) << " total "
+      << sig9(full_lp.total_routed) << "\n"
+      << "min_broken_usage " << (usage.feasible ? 1 : 0) << " cost "
+      << sig9(usage.cost) << "\n"
+      << "repaired_nodes" << join_ids(isp.repaired_nodes) << "\n"
+      << "repaired_edges" << join_ids(isp.repaired_edges) << "\n"
+      << "repair_cost " << hex(isp.repair_cost) << "\n"
+      << "satisfied " << sig9(isp.satisfied_fraction) << "\n"
+      << "schedule_steps "
+      << schedule_series(problem, isp, false).size() << "\n";
+  return out.str();
+}
+
+/// Bell-Canada and ER seeds 1-4 (eager capacity rows, exact records), then
+/// CAIDA-like seeds 1-2 (lazy rows, vertex-independent records).
+inline std::vector<GoldenCase> lp_cases() {
+  std::vector<GoldenCase> cases;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    cases.push_back({"eager bell-canada " + std::to_string(s), [s] {
+                       return lp_eager_record(bell_canada_scenario(s));
+                     }});
+  }
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    cases.push_back({"eager er " + std::to_string(s),
+                     [s] { return lp_eager_record(er_scenario(s)); }});
+  }
+  for (std::uint64_t s = 1; s <= 2; ++s) {
+    cases.push_back({"lazy caida " + std::to_string(s),
+                     [s] { return lp_lazy_record(caida_lazy_scenario(s)); }});
   }
   return cases;
 }

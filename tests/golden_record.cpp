@@ -1,8 +1,8 @@
 // Rewrites the golden corpora under tests/golden/ from the current build.
 //
-// The corpora pin ISP, the graph kernels and the Timeline engine bit for
-// bit; run this only after an intentional behaviour change and review every
-// changed record before committing:
+// The corpora pin ISP, the graph kernels, the Timeline engine and the
+// path-LP consumers; run this only after an intentional behaviour change
+// and review every changed record before committing:
 //
 //   cmake --build build --target netrec_golden_record
 //   build/netrec_golden_record
@@ -83,6 +83,28 @@ int main() {
             "# measurements agreed exactly.\n") +
             kRegenerate,
         test::timeline_cases());
+    test::write_golden(
+        test::kLpCorpus,
+        std::string(
+            "# Path-LP consumer golden corpus (tests/golden.hpp: lp_cases),\n"
+            "# checked by tests/test_mcf.cpp (LpGolden).  `eager` records\n"
+            "# (Bell-Canada and ER, every master under the eager capacity-row\n"
+            "# threshold) pin, as hex-floats: max_routed_flow on the working\n"
+            "# view, route_demands and max_routed_flow on the full graph\n"
+            "# (verdict, total, per-demand routed, FNV-1a-64 digest of the\n"
+            "# flows), min_broken_usage (eq. 8 cost, flow digest, implied\n"
+            "# repairs), six explore_optimal_face samples, the feasibility\n"
+            "# verdict, the scored ISP plan and schedule_repairs'\n"
+            "# restored_after series with greedy and exact scoring.  `lazy`\n"
+            "# records (CAIDA-like, lazy capacity rows) keep only what every\n"
+            "# optimal LP vertex shares: verdicts, ISP's repairs in decision\n"
+            "# order and their cost, objectives and satisfied fractions to\n"
+            "# nine significant digits, and the schedule length.  First\n"
+            "# recorded while the one-shot consumers still ran on a separate\n"
+            "# one-shot LP class; they now run on one-use PathLpSession\n"
+            "# masters.\n") +
+            kRegenerate,
+        test::lp_cases());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -19,10 +19,8 @@ using graph::NodeId;
 CentralityResult centrality_of(const Graph& g,
                                const std::vector<mcf::Demand>& demands,
                                const graph::EdgeWeight& length) {
-  graph::ViewConfig config;
-  config.length = length;
-  config.capacity = mcf::static_capacity(g);
-  return demand_based_centrality(graph::GraphView::build(g, config), demands);
+  return demand_based_centrality(graph::GraphView::build(g, {.length = length}),
+                                 demands);
 }
 
 Graph path_graph(int n, double capacity = 10.0) {

@@ -3,11 +3,13 @@
 //
 // Exactness cross-checks: on single-commodity instances the LP optimum must
 // match Dinic max flow; on the classic 3-commodity triangle the LP must
-// certify what the cut condition alone cannot.
+// certify what the cut condition alone cannot.  LpGolden holds the one-shot
+// LP consumers to tests/golden/lp_corpus.txt.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "golden.hpp"
 #include "graph/builder.hpp"
 #include "graph/maxflow.hpp"
 #include "mcf/broken_usage.hpp"
@@ -26,15 +28,14 @@ using graph::NodeId;
 /// Split LP on a fresh session over the static-capacity graph.
 double splittable(const Graph& g, const std::vector<Demand>& demands,
                   int split_index, NodeId via) {
-  graph::ViewConfig config;
-  config.capacity = static_capacity(g);
-  std::vector<PathLpSession::DemandSpec> specs;
-  for (std::size_t h = 0; h < demands.size(); ++h) {
-    specs.push_back({static_cast<int>(h), demands[h]});
-  }
   PathLpSession session(g, PathLpMode::kMaxSplit);
-  return max_splittable_amount(session, graph::GraphView::build(g, config),
-                               specs, split_index, via);
+  return max_splittable_amount(session, graph::GraphView::build(g),
+                               indexed_specs(demands), split_index, via);
+}
+
+/// Static edge capacities, the capacity argument of routing_is_valid.
+graph::EdgeWeight capacity_of(const Graph& g) {
+  return [&g](EdgeId e) { return g.edge_capacity(e); };
 }
 
 Graph make_square_with_diagonal() {
@@ -50,13 +51,12 @@ Graph make_square_with_diagonal() {
 
 TEST(Routing, SingleCommodityMatchesDinic) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
-  const auto view = graph::GraphView::build(g, {.capacity = cap});
+  const auto view = graph::GraphView::build(g);
   const auto dinic = graph::max_flow(view, 0, 2);
-  const auto lp = max_routed_flow(g, {Demand{0, 2, 100.0}}, {}, cap);
+  const auto lp = max_routed_flow(view, {Demand{0, 2, 100.0}});
   EXPECT_NEAR(lp.total_routed, dinic.value, 1e-6);
   EXPECT_FALSE(lp.fully_routed);
-  const auto exact = max_routed_flow(g, {Demand{0, 2, dinic.value}}, {}, cap);
+  const auto exact = max_routed_flow(view, {Demand{0, 2, dinic.value}});
   EXPECT_TRUE(exact.fully_routed);
 }
 
@@ -72,11 +72,9 @@ TEST(Routing, RandomSingleCommodityMatchesDinic) {
       }
     }
     const Graph g = builder.finalize();
-    auto cap = static_capacity(g);
-    const auto view = graph::GraphView::build(g, {.capacity = cap});
+    const auto view = graph::GraphView::build(g);
     const double want = graph::max_flow(view, 0, n - 1).value;
-    const auto lp =
-        max_routed_flow(g, {Demand{0, n - 1, want + 50.0}}, {}, cap);
+    const auto lp = max_routed_flow(view, {Demand{0, n - 1, want + 50.0}});
     EXPECT_NEAR(lp.total_routed, want, 1e-5) << "trial " << trial;
   }
 }
@@ -90,14 +88,14 @@ TEST(Routing, TwoCommoditiesShareCapacity) {
   builder.add_edge(0, 1, 10.0);
   builder.add_edge(1, 2, 10.0);
   Graph g = builder.finalize();
-  auto cap = static_capacity(g);
+  const auto view = graph::GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 6.0}, Demand{0, 1, 6.0}};
-  const auto r = max_routed_flow(g, demands, {}, cap);
+  const auto r = max_routed_flow(view, demands);
   EXPECT_FALSE(r.fully_routed);
   EXPECT_NEAR(r.total_routed, 10.0, 1e-6);
 
   const std::vector<Demand> fits{Demand{0, 2, 6.0}, Demand{0, 1, 4.0}};
-  EXPECT_TRUE(is_routable(g, fits, {}, cap));
+  EXPECT_TRUE(is_routable(view, fits));
 }
 
 TEST(Routing, OkamuraSeymourStyleInstanceIsExact) {
@@ -109,34 +107,33 @@ TEST(Routing, OkamuraSeymourStyleInstanceIsExact) {
     for (int j = i + 1; j < 4; ++j) builder.add_edge(i, j, 1.0);
   }
   Graph g = builder.finalize();
-  auto cap = static_capacity(g);
+  const auto view = graph::GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 1, 1.0}, Demand{2, 3, 1.0},
                                     Demand{0, 3, 1.0}};
-  EXPECT_TRUE(is_routable(g, demands, {}, cap));
+  EXPECT_TRUE(is_routable(view, demands));
   const std::vector<Demand> too_much{Demand{0, 1, 2.0}, Demand{2, 3, 2.0},
                                      Demand{0, 3, 2.0}};
-  EXPECT_FALSE(is_routable(g, too_much, {}, cap));
+  EXPECT_FALSE(is_routable(view, too_much));
 }
 
 TEST(Routing, GreedyRouteIsAValidWitness) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
+  const auto view = graph::GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 12.0}, Demand{1, 3, 5.0}};
-  const auto r = greedy_route(g, demands, {}, cap);
+  const auto r = greedy_route(view, demands);
   if (r.fully_routed) {
-    EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, cap));
+    EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, capacity_of(g)));
   }
   // The exact referee must confirm routability regardless.
-  EXPECT_TRUE(is_routable(g, demands, {}, cap));
+  EXPECT_TRUE(is_routable(view, demands));
 }
 
 TEST(Routing, RouteDemandsReturnsValidRouting) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 20.0}, Demand{1, 3, 3.0}};
-  const auto r = route_demands(g, demands, {}, cap);
+  const auto r = route_demands(graph::GraphView::build(g), demands);
   ASSERT_TRUE(r.fully_routed);
-  EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, cap));
+  EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, capacity_of(g)));
   EXPECT_NEAR(r.routed[0], 20.0, 1e-6);
   EXPECT_NEAR(r.routed[1], 3.0, 1e-6);
 }
@@ -145,11 +142,11 @@ TEST(Routing, FiltersRestrictToWorkingSubgraph) {
   Graph g = make_square_with_diagonal();
   g.set_node_broken(1, true);
   g.set_edge_broken(g.find_edge(0, 2), true);
-  auto cap = static_capacity(g);
   // Only 0-3-2 left: capacity 10.
-  const auto ok = working_edge_filter(g);
-  EXPECT_TRUE(is_routable(g, {Demand{0, 2, 10.0}}, ok, cap));
-  EXPECT_FALSE(is_routable(g, {Demand{0, 2, 10.5}}, ok, cap));
+  const auto working =
+      graph::GraphView::build(g, {.edge_ok = working_edge_filter(g)});
+  EXPECT_TRUE(is_routable(working, {Demand{0, 2, 10.0}}));
+  EXPECT_FALSE(is_routable(working, {Demand{0, 2, 10.5}}));
 }
 
 TEST(Routing, DisconnectedDemandFailsFast) {
@@ -157,14 +154,13 @@ TEST(Routing, DisconnectedDemandFailsFast) {
   builder.add_node();
   builder.add_node();
   Graph g = builder.finalize();
-  auto cap = static_capacity(g);
-  EXPECT_FALSE(is_routable(g, {Demand{0, 1, 1.0}}, {}, cap));
+  EXPECT_FALSE(is_routable(graph::GraphView::build(g), {Demand{0, 1, 1.0}}));
 }
 
 TEST(Routing, ZeroAndSelfDemandsAreTriviallyRoutable) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
-  EXPECT_TRUE(is_routable(g, {Demand{0, 0, 5.0}, Demand{1, 2, 0.0}}, {}, cap));
+  EXPECT_TRUE(is_routable(graph::GraphView::build(g),
+                          {Demand{0, 0, 5.0}, Demand{1, 2, 0.0}}));
 }
 
 // --- split LP -------------------------------------------------------------
@@ -204,7 +200,6 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   builder.add_edge(2, 3, 10.0);
   builder.add_edge(3, 0, 10.0);
   Graph g = builder.finalize();
-  auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 14.0}, Demand{0, 1, 6.0}};
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
   // fights with (0,1)=6 on edge 0-1: dx <= 4 via 0-1 plus nothing else ...
@@ -216,7 +211,7 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   std::vector<Demand> split_instance{Demand{0, 2, 14.0 - dx},
                                      Demand{0, 1, 6.0}, Demand{0, 1, dx},
                                      Demand{1, 2, dx}};
-  EXPECT_TRUE(is_routable(g, split_instance, {}, cap));
+  EXPECT_TRUE(is_routable(graph::GraphView::build(g), split_instance));
 }
 
 TEST(Split, ZeroWhenInstanceUnroutable) {
@@ -297,6 +292,23 @@ TEST(OptimalFace, BandBracketsRepairCounts) {
   EXPECT_LE(band.best_repairs, 2u);
   EXPECT_GE(band.worst_repairs, band.best_repairs);
 }
+
+// The one-shot LP consumers must reproduce tests/golden/lp_corpus.txt:
+// exactly on eager-row instances, vertex-independent fields on lazy ones.
+void expect_lp_golden(const std::string& prefix) {
+  for (const std::string& diff :
+       test::golden_diffs(test::kLpCorpus, test::lp_cases(), prefix)) {
+    ADD_FAILURE() << diff;
+  }
+}
+
+TEST(LpGolden, EagerBellCanadaMatchesCorpus) {
+  expect_lp_golden("eager bell-canada ");
+}
+
+TEST(LpGolden, EagerErMatchesCorpus) { expect_lp_golden("eager er "); }
+
+TEST(LpGolden, LazyCaidaMatchesCorpus) { expect_lp_golden("lazy caida "); }
 
 }  // namespace
 }  // namespace netrec::mcf

@@ -1,7 +1,8 @@
-// Direct tests of the column-generation master (PathLp): mode semantics,
-// lazy capacity-row activation, cost-bound rows and convergence reporting.
-// Plus PathLpSession, the persistent (column-pool + warm-basis) variant,
-// pinned against the one-shot master across mutations.
+// Direct tests of the column-generation master, PathLpSession: mode
+// semantics, lazy capacity-row activation, cost-bound rows and convergence
+// reporting on one-use sessions (the shape of every one-shot solve), then
+// the persistent (column-pool + warm-basis) use, pinned against a fresh
+// session on the same view across mutations.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -31,20 +32,37 @@ Graph two_route_graph(double cap_a, double cap_b) {
   return builder.finalize();
 }
 
+/// kMaxRouted on a fresh session over the static-capacity graph.
+PathLpResult max_routed_once(const Graph& g,
+                             const std::vector<Demand>& demands,
+                             const PathLpOptions& options = {}) {
+  PathLpSession lp(g, PathLpMode::kMaxRouted, options);
+  return lp.solve(graph::GraphView::build(g), indexed_specs(demands));
+}
+
+/// kMinCost on a fresh session over the static-capacity graph.
+PathLpResult min_cost_once(const Graph& g, const std::vector<Demand>& demands,
+                           graph::EdgeWeight cost) {
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective(std::move(cost));
+  return lp.solve(graph::GraphView::build(g), indexed_specs(demands));
+}
+
 TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
   Graph g = two_route_graph(7.0, 5.0);
-  PathLp lp(g, {Demand{0, 3, 100.0}}, {}, static_capacity(g));
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  const auto r = max_routed_once(g, {Demand{0, 3, 100.0}});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
   EXPECT_FALSE(r.routing.fully_routed);
 }
 
 TEST(PathLp, ModeMustBeConfigured) {
+  // kMinCost without an objective throws.
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
-  EXPECT_THROW(lp.solve(), std::logic_error);
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  EXPECT_THROW(lp.solve(graph::GraphView::build(g),
+                        indexed_specs({Demand{0, 3, 1.0}})),
+               std::logic_error);
 }
 
 TEST(PathLp, MinCostPrefersCheapEdges) {
@@ -54,9 +72,7 @@ TEST(PathLp, MinCostPrefersCheapEdges) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 1 || ev == 1) ? 5.0 : 0.0;
   };
-  PathLp lp(g, {Demand{0, 3, 8.0}}, {}, static_capacity(g));
-  lp.set_min_cost(cost);
-  const auto r = lp.solve();
+  const auto r = min_cost_once(g, {Demand{0, 3, 8.0}}, cost);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.routing.fully_routed);
   EXPECT_NEAR(r.objective, 0.0, 1e-6);  // everything on route B
@@ -69,18 +85,15 @@ TEST(PathLp, MinCostPaysWhenForcedAcrossBothRoutes) {
     return (eu == 1 || ev == 1) ? 1.0 : 0.0;
   };
   // Demand 10 > free route capacity 4: six units must take the 2-cost route.
-  PathLp lp(g, {Demand{0, 3, 10.0}}, {}, static_capacity(g));
-  lp.set_min_cost(cost);
-  const auto r = lp.solve();
+  const auto r = min_cost_once(g, {Demand{0, 3, 10.0}}, cost);
   EXPECT_TRUE(r.routing.fully_routed);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);  // 6 units x cost 2
 }
 
 TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
   Graph g = two_route_graph(2.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 10.0}}, {}, static_capacity(g));
-  lp.set_min_cost([](EdgeId) { return 0.0; });
-  const auto r = lp.solve();
+  const auto r =
+      min_cost_once(g, {Demand{0, 3, 10.0}}, [](EdgeId) { return 0.0; });
   EXPECT_FALSE(r.routing.fully_routed);
   ASSERT_EQ(r.shortfall.size(), 1u);
   EXPECT_NEAR(r.shortfall[0], 7.0, 1e-6);  // 10 wanted, 3 routable
@@ -88,26 +101,37 @@ TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
 
 TEST(PathLp, MaxSplitHonoursDxCap) {
   Graph g = two_route_graph(6.0, 9.0);
-  PathLp lp(g, {Demand{0, 3, 4.0}}, {}, static_capacity(g));
-  lp.set_max_split(0, 1);
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMaxSplit);
+  const auto r = lp.solve_split(graph::GraphView::build(g),
+                                indexed_specs({Demand{0, 3, 4.0}}), 0, 1);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 4.0, 1e-6);  // dx capped by the demand itself
 }
 
 TEST(PathLp, SplitIndexValidation) {
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
-  lp.set_max_split(5, 1);
-  EXPECT_THROW(lp.solve(), std::invalid_argument);
+  PathLpSession lp(g, PathLpMode::kMaxSplit);
+  EXPECT_THROW(lp.solve_split(graph::GraphView::build(g),
+                              indexed_specs({Demand{0, 3, 1.0}}), 5, 1),
+               std::invalid_argument);
 }
 
 TEST(PathLp, CostBoundRequiresMinCostMode) {
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
-  lp.set_max_routed();
-  lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0});
-  EXPECT_THROW(lp.solve(), std::logic_error);
+  PathLpSession lp(g, PathLpMode::kMaxRouted);
+  EXPECT_THROW(
+      lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0}),
+      std::logic_error);
+}
+
+TEST(PathLp, CostBoundAfterFirstSolveThrows) {
+  Graph g = two_route_graph(1.0, 1.0);
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([](EdgeId) { return 1.0; });
+  lp.solve(graph::GraphView::build(g), indexed_specs({Demand{0, 3, 1.0}}));
+  EXPECT_THROW(
+      lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0}),
+      std::logic_error);
 }
 
 TEST(PathLp, CostBoundPinsTheOptimalFace) {
@@ -118,13 +142,14 @@ TEST(PathLp, CostBoundPinsTheOptimalFace) {
   };
   // Secondary objective prefers route A, but the bound row pins route-A
   // usage to zero cost, forcing the flow onto route B.
-  PathLp lp(g, {Demand{0, 3, 5.0}}, {}, static_capacity(g));
-  lp.set_min_cost([&g](EdgeId e) {
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([&g](EdgeId e) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 2 || ev == 2) ? 1.0 : 0.0;  // dislikes route B
   });
   lp.add_cost_bound(PathCostBound{route_a_cost, 0.0});
-  const auto r = lp.solve();
+  const auto r =
+      lp.solve(graph::GraphView::build(g), indexed_specs({Demand{0, 3, 5.0}}));
   EXPECT_TRUE(r.routing.fully_routed);
   for (const auto& flow : r.routing.flows) {
     if (flow.amount <= 1e-7) continue;
@@ -143,9 +168,7 @@ TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
   const Graph g = builder.finalize();
   PathLpOptions opt;
   opt.eager_capacity_threshold = 50;  // force lazy mode
-  PathLp lp(g, {Demand{0, n - 1, 10.0}}, {}, static_capacity(g), opt);
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  const auto r = max_routed_once(g, {Demand{0, n - 1, 10.0}}, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 3.0, 1e-6);  // the tight edge binds
 }
@@ -156,9 +179,7 @@ TEST(PathLp, ParallelDemandsShareFairlyAtOptimum) {
   Graph g = two_route_graph(6.0, 6.0);
   std::vector<Demand> demands{Demand{0, 3, 6.0}, Demand{0, 3, 6.0},
                               Demand{0, 3, 6.0}};
-  PathLp lp(g, demands, {}, static_capacity(g));
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  const auto r = max_routed_once(g, demands);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
   for (std::size_t h = 0; h < demands.size(); ++h) {
     EXPECT_LE(r.routing.routed[h], 6.0 + 1e-6);
@@ -184,11 +205,10 @@ TEST(PathLp, RandomInstancesNeverExceedCapacities) {
       if (s != t) demands.push_back(Demand{s, t, rng.uniform(1.0, 5.0)});
     }
     if (demands.empty()) continue;
-    PathLp lp(g, demands, {}, static_capacity(g));
-    lp.set_max_routed();
-    const auto r = lp.solve();
-    EXPECT_TRUE(routing_is_valid(g, demands, r.routing.flows, {},
-                                 static_capacity(g)))
+    const auto r = max_routed_once(g, demands);
+    EXPECT_TRUE(routing_is_valid(
+        g, demands, r.routing.flows, {},
+        [&g](EdgeId e) { return g.edge_capacity(e); }))
         << "trial " << trial;
   }
 }
@@ -225,22 +245,20 @@ struct SessionFixture {
   }
 };
 
-TEST(PathLpSession, MatchesOneShotAcrossResidualMutations) {
+TEST(PathLpSession, WarmMatchesFreshSessionAcrossResidualMutations) {
   SessionFixture fx(two_route_graph(7.0, 5.0));
   PathLpSession session(fx.g, PathLpMode::kMaxRouted);
   fx.cache.add_listener(&session);
 
   const std::vector<PathLpSession::DemandSpec> specs = {
       {0, Demand{0, 3, 100.0}}};
-  const std::vector<Demand> plain = {Demand{0, 3, 100.0}};
 
-  // Three rounds, draining route A between rounds; the session must track
-  // the one-shot PathLp on the identical view exactly.
+  // Three rounds, draining route A between rounds; the warm session must
+  // track a fresh session on the identical view exactly.
   for (int round = 0; round < 3; ++round) {
     const auto s = session.solve(fx.view(), specs);
-    PathLp one_shot(fx.view(), plain);
-    one_shot.set_max_routed();
-    const auto reference = one_shot.solve();
+    PathLpSession fresh(fx.g, PathLpMode::kMaxRouted);
+    const auto reference = fresh.solve(fx.view(), specs);
     EXPECT_EQ(s.objective, reference.objective) << "round " << round;
     EXPECT_EQ(s.routing.fully_routed, reference.routing.fully_routed);
     EXPECT_TRUE(s.converged);
@@ -270,7 +288,7 @@ TEST(PathLpSession, DemandUidsBindRowsAcrossCalls) {
   fx.cache.remove_listener(&session);
 }
 
-TEST(PathLpSession, SplitProbesMatchOneShot) {
+TEST(PathLpSession, WarmSplitProbesMatchFreshSession) {
   // Diamond 0-{1,2}-3 plus a tail so splitting through node 1 is bounded.
   graph::Builder builder;
   for (int i = 0; i < 4; ++i) builder.add_node();
@@ -285,13 +303,11 @@ TEST(PathLpSession, SplitProbesMatchOneShot) {
 
   const std::vector<PathLpSession::DemandSpec> specs = {
       {0, Demand{0, 3, 5.0}}};
-  const std::vector<Demand> plain = {Demand{0, 3, 5.0}};
 
   for (const NodeId via : {NodeId{1}, NodeId{2}, NodeId{1}}) {
     const auto s = session.solve_split(fx.view(), specs, 0, via);
-    PathLp one_shot(fx.view(), plain);
-    one_shot.set_max_split(0, via);
-    const auto reference = one_shot.solve();
+    PathLpSession fresh(fx.g, PathLpMode::kMaxSplit);
+    const auto reference = fresh.solve_split(fx.view(), specs, 0, via);
     EXPECT_EQ(s.objective, reference.objective) << "via " << via;
     EXPECT_EQ(s.routing.fully_routed, reference.routing.fully_routed);
   }
