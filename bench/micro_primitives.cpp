@@ -84,6 +84,67 @@ void BM_CentralityBell(benchmark::State& state) {
 }
 BENCHMARK(BM_CentralityBell);
 
+/// plan_fresh's topology (CAIDA-like seed 1) with 10% of nodes and edges
+/// broken, and its eight far-apart demands placed before the damage.
+struct DamagedCaida {
+  graph::Graph g;
+  std::vector<mcf::Demand> demands;
+};
+
+const DamagedCaida& damaged_caida() {
+  static const DamagedCaida instance = [] {
+    DamagedCaida d;
+    d.g = topology::make_topology({topology::CaidaLikeOptions{}, 1});
+    util::Rng demand_rng(7);
+    d.demands = scenario::far_apart_demands(d.g, 8, 10.0, demand_rng);
+    util::Rng damage_rng(1000);
+    disruption::random_failures(d.g, 0.1, 0.1, damage_rng);
+    return d;
+  }();
+  return instance;
+}
+
+void BM_DinicCaida(benchmark::State& state) {
+  // ISP's prune flow (Theorem 3): the bubble node_ok overload on the
+  // working view, against partly consumed residual capacities.
+  const auto& [g, demands] = damaged_caida();
+  const auto view = graph::GraphView::working(g);
+  std::vector<double> residual = view.edge_capacities();
+  for (std::size_t e = 0; e < residual.size(); e += 3) residual[e] *= 0.5;
+  const std::vector<char> in_bubble(g.num_nodes(), 1);
+  for (auto _ : state) {
+    for (const mcf::Demand& d : demands) {
+      benchmark::DoNotOptimize(
+          graph::max_flow(view, d.source, d.target, residual, in_bubble));
+    }
+  }
+}
+BENCHMARK(BM_DinicCaida);
+
+void BM_CentralityCaidaSplit(benchmark::State& state) {
+  // ISP's split-phase centrality: metric view of the whole graph (broken
+  // elements longer), and demands after splits, so sources repeat and the
+  // shared first-path trees are in play.
+  const auto& [g, demands] = damaged_caida();
+  std::vector<mcf::Demand> split;
+  for (std::size_t h = 0; h < demands.size(); ++h) {
+    const mcf::Demand& d = demands[h];
+    const graph::NodeId via = demands[(h + 4) % demands.size()].target;
+    split.push_back({d.source, d.target, d.amount / 2.0});
+    split.push_back({d.source, via, d.amount / 2.0});
+    split.push_back({via, d.target, d.amount / 2.0});
+  }
+  graph::ViewConfig config;
+  config.length = [&g](graph::EdgeId e) {
+    return g.edge_usable(e) ? 1.0 : 5.0;
+  };
+  const auto view = graph::GraphView::build(g, config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::demand_based_centrality(view, split));
+  }
+}
+BENCHMARK(BM_CentralityCaidaSplit);
+
 void BM_RoutabilityBell(benchmark::State& state) {
   const auto& g = bell();
   const auto demands = demands_for(g, 4, 10.0);

@@ -54,19 +54,24 @@ CentralityResult demand_based_centrality(
 
   // One shared first-path tree per source that two or more demands start
   // from (their first Dijkstras see identical inputs).  Each tree is a pure
-  // function of (view, source), so the set is built up front — in
-  // first-appearance order, fanning out on the pool when one is available —
-  // before the demand sweep reads it.
-  std::unordered_map<graph::NodeId, int> source_count;
+  // function of (view, source) and stops once all of that source's targets
+  // have settled — only their paths are read.  The set is built up front —
+  // in first-appearance order, fanning out on the pool when one is
+  // available — before the demand sweep reads it.
+  std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> targets_of;
   std::vector<graph::NodeId> shared_sources;
   for (const mcf::Demand& d : demands) {
     if (d.amount <= 1e-9 || d.source == d.target) continue;
-    if (++source_count[d.source] == 2) shared_sources.push_back(d.source);
+    std::vector<graph::NodeId>& targets = targets_of[d.source];
+    targets.push_back(d.target);
+    if (targets.size() == 2) shared_sources.push_back(d.source);
   }
   std::vector<graph::ShortestPathTree> trees(shared_sources.size());
   const auto build_tree = [&](std::size_t i) {
-    trees[i] = graph::dijkstra_residual(view, shared_sources[i],
-                                        view.edge_capacities());
+    // Read-only map access: the workers share targets_of.
+    trees[i] = graph::dijkstra_residual_to(
+        view, shared_sources[i], targets_of.at(shared_sources[i]),
+        view.edge_capacities());
   };
   if (pool != nullptr && shared_sources.size() > 1) {
     pool->parallel_for(shared_sources.size(), build_tree);
@@ -87,7 +92,7 @@ CentralityResult demand_based_centrality(
     const mcf::Demand& d = demands[h];
     if (d.amount <= 1e-9 || d.source == d.target) return;
     const auto it = source_trees.find(d.source);
-    selected[h] = graph::successive_shortest_paths_to(
+    selected[h] = graph::successive_shortest_paths(
         view, d.source, d.target, d.amount, options.max_paths_per_demand,
         it == source_trees.end() ? nullptr : &it->second);
   };

@@ -86,10 +86,11 @@ class CentralityResult {
 ///
 /// Demands sharing a source reuse one shortest-path tree for their first
 /// selected path — the tree is a pure function of (view, source), since
-/// every enumeration starts from the same untouched residuals — and every
-/// later single-pair lookup stops at its target instead of settling the
-/// whole graph.  Both shortcuts select exactly the paths a full Dijkstra
-/// per round would (tests/golden/isp_corpus.txt was recorded while the two
+/// every enumeration starts from the same untouched residuals — and that
+/// tree stops once all of the source's targets have settled.  Every later
+/// single-pair lookup stops at its target instead of settling the whole
+/// graph.  These shortcuts select exactly the paths a full Dijkstra per
+/// round would (tests/golden/isp_corpus.txt was recorded while the two
 /// computations agreed).
 CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,

@@ -356,8 +356,8 @@ class Engine {
       // direct edge when it is also a cheapest dynamic-metric route — with
       // the paper's homogeneous costs this always holds, but it stops the
       // rule from buying an expensive shortcut past a cheap corridor.
-      const auto tree =
-          graph::dijkstra_residual(metric_view(), dem.source, residual_);
+      const auto tree = graph::dijkstra_residual_to(
+          metric_view(), dem.source, dem.target, residual_);
       if (tree.reached(dem.target) &&
           tree.distance[static_cast<std::size_t>(dem.target)] <
               length(e) - 1e-12) {
@@ -541,7 +541,8 @@ class Engine {
     }
     const auto& dem = demands_[worst];
     const auto path =
-        graph::dijkstra_residual(metric_view(), dem.source, residual_)
+        graph::dijkstra_residual_to(metric_view(), dem.source, dem.target,
+                                    residual_)
             .path_to(g_, dem.target);
     bool repaired = false;
     if (path) {

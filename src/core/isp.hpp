@@ -16,9 +16,12 @@
 // routable on the full graph with current residual capacities — i.e. the
 // instance stays solvable if everything remaining were repaired (Theorem 4's
 // premise).  The implementation adds a watchdog that force-repairs along a
-// cheapest path when an iteration makes no progress; it never fires on the
-// paper's scenario families (asserted in tests) but guarantees termination
-// on adversarial input.
+// cheapest path when an iteration makes no progress.  It is not a step of
+// the paper's ISP, and it fires often: in 62 of the 104 records of
+// tests/golden/isp_corpus.txt, and about 8 times per solve on the
+// CAIDA-like instance (825 nodes, 20% damage) of netrec-bench's plan_fresh,
+// because the split scan gives up after IspOptions::split_candidates
+// candidates.  It also guarantees termination on adversarial input.
 //
 // One engine runs the loop: a graph::ViewCache keeps the working, full and
 // metric snapshots alive across iterations (residual updates refresh them,

@@ -26,14 +26,17 @@ QuadHeap<HeapItem>& heap_storage() {
   return storage;
 }
 
-/// Shared CSR Dijkstra core.  `weight_of(ArcId, EdgeId)` and `arc_ok(EdgeId)`
-/// are inlined functors, so the instantiations below compile to tight loops
-/// over flat arrays.  The `!(w >= 0.0)` guard rejects negative *and* NaN
-/// lengths.
-template <class WeightOf, class ArcOk>
+/// Shared CSR Dijkstra core.  `weight_of(ArcId, EdgeId)`, `arc_ok(EdgeId)`
+/// and `stop_after(NodeId)` are inlined functors, so the instantiations
+/// below compile to tight loops over flat arrays.  `stop_after` sees each
+/// node as it settles and ends the run when it returns true: that node's
+/// distance and parent chain — and those of every node settled before it —
+/// are final, since the rest of the settle order only grows labels.  The
+/// `!(w >= 0.0)` guard rejects negative *and* NaN lengths.
+template <class WeightOf, class ArcOk, class StopAfter>
 ShortestPathTree run_dijkstra(const GraphView& view, NodeId source,
                               const WeightOf& weight_of, const ArcOk& arc_ok,
-                              NodeId stop_at = kInvalidNode) {
+                              StopAfter stop_after) {
   view.graph().check_node(source);
   ShortestPathTree tree;
   tree.source = source;
@@ -46,9 +49,7 @@ ShortestPathTree run_dijkstra(const GraphView& view, NodeId source,
   while (!heap.empty()) {
     const auto [dist, at] = heap.pop();
     if (dist > tree.distance[static_cast<std::size_t>(at)]) continue;
-    // Settling `stop_at` fixes its distance and parent chain; the rest of
-    // the settle order cannot change them (labels only grow).
-    if (at == stop_at) break;
+    if (stop_after(at)) break;
     const ArcId end = view.arcs_end(at);
     for (ArcId a = view.arcs_begin(at); a < end; ++a) {
       const EdgeId e = view.arc_edge(a);
@@ -68,6 +69,39 @@ ShortestPathTree run_dijkstra(const GraphView& view, NodeId source,
   }
   return tree;
 }
+
+struct NeverStop {
+  bool operator()(NodeId) const { return false; }
+};
+
+struct StopAt {
+  NodeId target;
+  bool operator()(NodeId at) const { return at == target; }
+};
+
+/// Stops once every node of a target set has settled.
+class StopAtAll {
+ public:
+  StopAtAll(std::size_t num_nodes, const std::vector<NodeId>& targets)
+      : pending_(num_nodes, 0) {
+    for (NodeId t : targets) {
+      char& mark = pending_[static_cast<std::size_t>(t)];
+      if (!mark) ++remaining_;
+      mark = 1;
+    }
+  }
+
+  bool operator()(NodeId at) {
+    char& mark = pending_[static_cast<std::size_t>(at)];
+    if (!mark) return false;
+    mark = 0;
+    return --remaining_ == 0;
+  }
+
+ private:
+  std::vector<char> pending_;
+  std::size_t remaining_ = 0;
+};
 
 struct AllArcsOk {
   bool operator()(EdgeId) const { return true; }
@@ -98,7 +132,8 @@ std::optional<Path> ShortestPathTree::path_to(const Graph& g,
 ShortestPathTree dijkstra(const GraphView& view, NodeId source) {
   return run_dijkstra(
       view, source,
-      [&view](ArcId a, EdgeId) { return view.arc_length(a); }, AllArcsOk{});
+      [&view](ArcId a, EdgeId) { return view.arc_length(a); }, AllArcsOk{},
+      NeverStop{});
 }
 
 ShortestPathTree dijkstra_to(const GraphView& view, NodeId source,
@@ -114,17 +149,7 @@ ShortestPathTree dijkstra_to(const GraphView& view, NodeId source,
       [&edge_residual](EdgeId e) {
         return edge_residual[static_cast<std::size_t>(e)] > kResidualEps;
       },
-      target);
-}
-
-ShortestPathTree dijkstra_residual(const GraphView& view, NodeId source,
-                                   const std::vector<double>& edge_residual) {
-  return run_dijkstra(
-      view, source,
-      [&view](ArcId a, EdgeId) { return view.arc_length(a); },
-      [&edge_residual](EdgeId e) {
-        return edge_residual[static_cast<std::size_t>(e)] > kResidualEps;
-      });
+      StopAt{target});
 }
 
 ShortestPathTree dijkstra_residual_to(
@@ -137,12 +162,30 @@ ShortestPathTree dijkstra_residual_to(
       [&edge_residual](EdgeId e) {
         return edge_residual[static_cast<std::size_t>(e)] > kResidualEps;
       },
-      target);
+      StopAt{target});
+}
+
+ShortestPathTree dijkstra_residual_to(
+    const GraphView& view, NodeId source, const std::vector<NodeId>& targets,
+    const std::vector<double>& edge_residual) {
+  for (NodeId t : targets) view.graph().check_node(t);
+  return run_dijkstra(
+      view, source,
+      [&view](ArcId a, EdgeId) { return view.arc_length(a); },
+      [&edge_residual](EdgeId e) {
+        return edge_residual[static_cast<std::size_t>(e)] > kResidualEps;
+      },
+      StopAtAll(view.num_nodes(), targets));
 }
 
 std::optional<Path> shortest_path(const GraphView& view, NodeId source,
                                   NodeId target) {
-  return dijkstra(view, source).path_to(view.graph(), target);
+  view.graph().check_node(target);
+  return run_dijkstra(
+             view, source,
+             [&view](ArcId a, EdgeId) { return view.arc_length(a); },
+             AllArcsOk{}, StopAt{target})
+      .path_to(view.graph(), target);
 }
 
 std::optional<Path> widest_path(const GraphView& view, NodeId source,

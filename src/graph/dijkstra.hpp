@@ -6,8 +6,11 @@
 // (ViewConfig::length) or from a caller-owned per-edge array.  The same
 // routine also serves column-generation pricing in the MCF solver
 // (lengths = simplex duals).  Every overload traverses the view's flat CSR
-// arrays with no per-edge indirection.  Outputs are frozen in
-// tests/golden/graph_kernels.txt.
+// arrays with no per-edge indirection.  Callers that read paths to known
+// targets use the `_to` variants and shortest_path, which stop once their
+// targets settle; the settled prefix of Dijkstra's deterministic order is
+// the full run's, so the paths read are bit-identical.  Outputs are frozen
+// in tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <optional>
@@ -48,23 +51,30 @@ ShortestPathTree dijkstra_to(const GraphView& view, NodeId source,
                              const std::vector<double>& edge_residual);
 
 /// Dijkstra under the view's lengths, skipping edges whose entry in
-/// `edge_residual` is <= 1e-9 — the residual-capacity loops of greedy
-/// routing and successive shortest paths.
-ShortestPathTree dijkstra_residual(const GraphView& view, NodeId source,
-                                   const std::vector<double>& edge_residual);
-
-/// dijkstra_residual that stops as soon as `target` is settled.  Every node
-/// settled before the stop — in particular the whole source->target parent
-/// chain — carries exactly the distances and parents of the full tree
-/// (Dijkstra settles in a deterministic total order), so path_to(target) is
-/// bit-identical to the unbounded call; entries for unsettled nodes are
-/// not meaningful.  The single-pair lookups of ISP's session fast path use
-/// this to skip the tail of the settle order.
+/// `edge_residual` is <= 1e-9 (the residual-capacity loops of greedy
+/// routing, successive shortest paths and ISP), stopped as soon as
+/// `target` is settled.  Every node settled before the stop — in particular
+/// the whole source->target parent chain — carries exactly the distances
+/// and parents of the full tree (Dijkstra settles in a deterministic total
+/// order), so path_to(target) is bit-identical to the unbounded search;
+/// entries for unsettled nodes are not meaningful.
 ShortestPathTree dijkstra_residual_to(const GraphView& view, NodeId source,
                                       NodeId target,
                                       const std::vector<double>& edge_residual);
 
-/// Shortest path source -> target over the view, or nullopt.
+/// dijkstra_residual_to for a target set: stops once every node of
+/// `targets` has settled (duplicates and the source itself allowed; an
+/// unreachable target runs the search to exhaustion).  path_to and the
+/// distance of each target are bit-identical to the full tree's.
+/// Demand-based centrality shares one such tree among the demands leaving a
+/// common source.
+ShortestPathTree dijkstra_residual_to(const GraphView& view, NodeId source,
+                                      const std::vector<NodeId>& targets,
+                                      const std::vector<double>& edge_residual);
+
+/// Shortest path source -> target over the view, or nullopt.  The search
+/// stops once `target` settles, so the path is the full tree's, but a
+/// negative or NaN length is only detected on edges it relaxes.
 std::optional<Path> shortest_path(const GraphView& view, NodeId source,
                                   NodeId target);
 

@@ -1,7 +1,7 @@
 #include "graph/maxflow.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -11,72 +11,61 @@ namespace {
 
 constexpr double kFlowEps = 1e-9;
 
-/// Compact residual network for Dinic.  Arcs are stored in pairs: arc i and
-/// arc i^1 are mutual reverses.
-struct Dinic {
-  struct Arc {
-    int to;
-    double cap;
-    EdgeId origin;  ///< original edge id (kInvalidEdge for reverse arcs)
-    bool forward;   ///< true if oriented u->v of the original edge
-  };
+/// Dinic's per-call arrays, kept per thread and reused across calls (like
+/// heap_storage() in dijkstra.cpp): once they have grown to a graph's size,
+/// a flow allocates nothing but its result.
+struct DinicWorkspace {
+  std::vector<double> residual;  ///< per view arc; 0 outside the network
+  std::vector<ArcId> twin;       ///< reverse arc of the same edge
+  std::vector<int> level;        ///< per node; -1 when unlabelled
+  std::vector<ArcId> cursor;     ///< per node: next arc to try this phase
+  std::vector<NodeId> queue;     ///< BFS queue
+};
 
-  explicit Dinic(int n) : head(static_cast<std::size_t>(n)) {}
+DinicWorkspace& workspace() {
+  thread_local DinicWorkspace storage;
+  return storage;
+}
 
-  void add_undirected(int u, int v, double cap, EdgeId origin) {
-    // Undirected edge: two arcs with full capacity, mutually residual.
-    head[static_cast<std::size_t>(u)].push_back(static_cast<int>(arcs.size()));
-    arcs.push_back({v, cap, origin, true});
-    head[static_cast<std::size_t>(v)].push_back(static_cast<int>(arcs.size()));
-    arcs.push_back({u, cap, origin, false});
-  }
+/// Dinic directly on the view's CSR arcs.  An undirected edge is its two
+/// arcs, each starting at the full capacity and acting as the other's
+/// residual.  Arcs outside the network (filtered edges, one-sided arcs,
+/// capacities <= 1e-9) start at residual 0 and are never raised, so they
+/// are skipped exactly as if absent.  A node's arcs come in increasing edge
+/// id, which fixes the order of every floating-point flow update.
+class Dinic {
+ public:
+  Dinic(const GraphView& view, DinicWorkspace& ws) : view_(view), ws_(ws) {}
 
-  bool build_levels(int s, int t) {
-    level.assign(head.size(), -1);
-    level[static_cast<std::size_t>(s)] = 0;
-    std::deque<int> queue{s};
-    while (!queue.empty()) {
-      const int at = queue.front();
-      queue.pop_front();
-      for (int a : head[static_cast<std::size_t>(at)]) {
-        const Arc& arc = arcs[static_cast<std::size_t>(a)];
-        if (arc.cap <= kFlowEps) continue;
-        if (level[static_cast<std::size_t>(arc.to)] != -1) continue;
-        level[static_cast<std::size_t>(arc.to)] =
-            level[static_cast<std::size_t>(at)] + 1;
-        queue.push_back(arc.to);
+  /// Loads the network: arc u->v of edge e carries capacity[e] iff e is in
+  /// the view with both endpoints, capacity[e] > 1e-9 and `member(u, v)`.
+  template <class Member>
+  void load(const std::vector<double>& capacity, const Member& member) {
+    const std::size_t n = view_.num_nodes();
+    ws_.residual.resize(view_.num_arcs());
+    ws_.twin.resize(view_.num_arcs());
+    ws_.level.resize(n);
+    ws_.cursor.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto u = static_cast<NodeId>(i);
+      const ArcId end = view_.arcs_end(u);
+      for (ArcId a = view_.arcs_begin(u); a < end; ++a) {
+        const EdgeId e = view_.arc_edge(a);
+        const double cap = capacity[static_cast<std::size_t>(e)];
+        const bool in_network = cap > kFlowEps && view_.edge_in_view(e) &&
+                                member(u, view_.arc_target(a));
+        ws_.residual[a] = in_network ? cap : 0.0;
+        ws_.twin[a] = view_.arc_twin(a);
       }
     }
-    return level[static_cast<std::size_t>(t)] != -1;
   }
 
-  double push(int at, int t, double limit) {
-    if (at == t) return limit;
-    double pushed = 0.0;
-    auto& cursor = iter[static_cast<std::size_t>(at)];
-    for (; cursor < head[static_cast<std::size_t>(at)].size(); ++cursor) {
-      const int a = head[static_cast<std::size_t>(at)][cursor];
-      Arc& arc = arcs[static_cast<std::size_t>(a)];
-      if (arc.cap <= kFlowEps) continue;
-      if (level[static_cast<std::size_t>(arc.to)] !=
-          level[static_cast<std::size_t>(at)] + 1) {
-        continue;
-      }
-      const double got = push(arc.to, t, std::min(limit - pushed, arc.cap));
-      if (got > 0.0) {
-        arc.cap -= got;
-        arcs[static_cast<std::size_t>(a ^ 1)].cap += got;
-        pushed += got;
-        if (pushed >= limit - kFlowEps) return pushed;
-      }
-    }
-    return pushed;
-  }
-
-  double run(int s, int t) {
+  double run(NodeId s, NodeId t) {
     double total = 0.0;
     while (build_levels(s, t)) {
-      iter.assign(head.size(), 0);
+      for (std::size_t i = 0; i < ws_.cursor.size(); ++i) {
+        ws_.cursor[i] = view_.arcs_begin(static_cast<NodeId>(i));
+      }
       const double inf = std::numeric_limits<double>::infinity();
       double pushed = push(s, t, inf);
       while (pushed > kFlowEps) {
@@ -87,45 +76,106 @@ struct Dinic {
     return total;
   }
 
-  std::vector<std::vector<int>> head;
-  std::vector<Arc> arcs;
-  std::vector<int> level;
-  std::vector<std::size_t> iter;
+  /// Net per-edge flow into `edge_flow`: with both arcs starting at cap0, a
+  /// net flow f in the u->v direction leaves residuals cap0 - f (forward)
+  /// and cap0 + f (backward), so f = (backward - forward) / 2.
+  void extract(const std::vector<double>& capacity,
+               std::vector<double>& edge_flow) const {
+    const Graph& g = view_.graph();
+    for (std::size_t i = 0; i < view_.num_nodes(); ++i) {
+      const auto u = static_cast<NodeId>(i);
+      const ArcId end = view_.arcs_end(u);
+      for (ArcId a = view_.arcs_begin(u); a < end; ++a) {
+        const EdgeId e = view_.arc_edge(a);
+        if (g.edge_endpoints(e).first != u) continue;  // backward arc
+        const ArcId back = ws_.twin[a];
+        // One-sided arcs and edges outside the network keep zero flow; a
+        // network edge's residuals sum to twice its capacity, never 0.
+        if (back == kInvalidArc) continue;
+        if (ws_.residual[a] == 0.0 && ws_.residual[back] == 0.0) continue;
+        const double flow = (ws_.residual[back] - ws_.residual[a]) / 2.0;
+        if (std::abs(flow) > capacity[static_cast<std::size_t>(e)] + 1e-6) {
+          throw std::logic_error("max_flow: net edge flow exceeds capacity");
+        }
+        edge_flow[static_cast<std::size_t>(e)] = flow;
+      }
+    }
+  }
+
+ private:
+  /// BFS levels over positive-residual arcs.  Returns as soon as the sink
+  /// is labelled: every arc out of a node at or past the sink's level leads
+  /// away from the sink, so the labels it would still add move no flow.
+  bool build_levels(NodeId s, NodeId t) {
+    std::fill(ws_.level.begin(), ws_.level.end(), -1);
+    ws_.level[static_cast<std::size_t>(s)] = 0;
+    ws_.queue.clear();
+    ws_.queue.push_back(s);
+    for (std::size_t head = 0; head < ws_.queue.size(); ++head) {
+      const NodeId at = ws_.queue[head];
+      const int next_level = ws_.level[static_cast<std::size_t>(at)] + 1;
+      const ArcId end = view_.arcs_end(at);
+      for (ArcId a = view_.arcs_begin(at); a < end; ++a) {
+        if (ws_.residual[a] <= kFlowEps) continue;
+        const NodeId to = view_.arc_target(a);
+        if (ws_.level[static_cast<std::size_t>(to)] != -1) continue;
+        ws_.level[static_cast<std::size_t>(to)] = next_level;
+        if (to == t) return true;
+        ws_.queue.push_back(to);
+      }
+    }
+    return false;
+  }
+
+  double push(NodeId at, NodeId t, double limit) {
+    if (at == t) return limit;
+    double pushed = 0.0;
+    const int next_level = ws_.level[static_cast<std::size_t>(at)] + 1;
+    ArcId& cursor = ws_.cursor[static_cast<std::size_t>(at)];
+    const ArcId end = view_.arcs_end(at);
+    for (; cursor < end; ++cursor) {
+      const ArcId a = cursor;
+      const double cap = ws_.residual[a];
+      if (cap <= kFlowEps) continue;
+      const NodeId to = view_.arc_target(a);
+      if (ws_.level[static_cast<std::size_t>(to)] != next_level) continue;
+      const double got = push(to, t, std::min(limit - pushed, cap));
+      if (got > 0.0) {
+        ws_.residual[a] -= got;
+        ws_.residual[ws_.twin[a]] += got;
+        pushed += got;
+        if (pushed >= limit - kFlowEps) return pushed;
+      }
+    }
+    return pushed;
+  }
+
+  const GraphView& view_;
+  DinicWorkspace& ws_;
 };
 
-/// Runs Dinic over the network assembled by `add_edges(net, arc_of_edge)`
-/// and extracts the net per-edge flow.
-template <class AddEdges>
-MaxflowResult run_max_flow(const Graph& g, NodeId source, NodeId sink,
-                           bool endpoints_ok, const AddEdges& add_edges) {
+/// Validates the endpoints, runs Dinic on the network `member` selects and
+/// extracts the net per-edge flow.
+template <class Member>
+MaxflowResult run_max_flow(const GraphView& view, NodeId source, NodeId sink,
+                           const std::vector<double>& edge_capacity,
+                           const Member& member) {
+  const Graph& g = view.graph();
+  // Validate before the bitset lookups: an out-of-range id must throw, not
+  // index node_in_view_ out of bounds.
   g.check_node(source);
   g.check_node(sink);
   MaxflowResult result;
   result.edge_flow.assign(g.num_edges(), 0.0);
   if (source == sink) return result;
-  if (!endpoints_ok) return result;
-
-  Dinic net(static_cast<int>(g.num_nodes()));
-  std::vector<std::pair<int, double>> arc_of_edge(
-      g.num_edges(), {-1, 0.0});  // (first arc index, initial cap)
-  add_edges(net, arc_of_edge);
-
-  result.value = net.run(source, sink);
-
-  // Net per-edge flow: with both arcs starting at cap0 and acting as each
-  // other's residual, a net flow f in the u->v direction leaves residuals
-  // cap0 - f (forward) and cap0 + f (backward), so f = (backward - forward)/2.
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    const auto [first_arc, cap0] = arc_of_edge[e];
-    if (first_arc < 0) continue;
-    const double forward = net.arcs[static_cast<std::size_t>(first_arc)].cap;
-    const double backward =
-        net.arcs[static_cast<std::size_t>(first_arc + 1)].cap;
-    result.edge_flow[e] = (backward - forward) / 2.0;
-    if (std::abs(result.edge_flow[e]) > cap0 + 1e-6) {
-      throw std::logic_error("max_flow: net edge flow exceeds capacity");
-    }
+  if (!view.node_in_view(source) || !view.node_in_view(sink) ||
+      !member(source, sink)) {
+    return result;
   }
+  Dinic net(view, workspace());
+  net.load(edge_capacity, member);
+  result.value = net.run(source, sink);
+  net.extract(edge_capacity, result.edge_flow);
   return result;
 }
 
@@ -137,55 +187,18 @@ MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink) {
 
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
                        const std::vector<double>& edge_capacity) {
-  const Graph& g = view.graph();
-  // Validate before the bitset lookups: an out-of-range id must throw, not
-  // index node_in_view_ out of bounds.
-  g.check_node(source);
-  g.check_node(sink);
-  const bool endpoints_ok =
-      view.node_in_view(source) && view.node_in_view(sink);
-  return run_max_flow(
-      g, source, sink, endpoints_ok,
-      [&](Dinic& net, std::vector<std::pair<int, double>>& arc_of_edge) {
-        for (std::size_t e = 0; e < g.num_edges(); ++e) {
-          const auto id = static_cast<EdgeId>(e);
-          if (!view.edge_in_view(id)) continue;
-          const double cap = edge_capacity[e];
-          if (cap <= kFlowEps) continue;
-          const auto [eu, ev] = g.edge_endpoints(id);
-          arc_of_edge[e] = {static_cast<int>(net.arcs.size()), cap};
-          net.add_undirected(eu, ev, cap, id);
-        }
-      });
+  return run_max_flow(view, source, sink, edge_capacity,
+                      [](NodeId, NodeId) { return true; });
 }
 
 MaxflowResult max_flow(const GraphView& view, NodeId source, NodeId sink,
                        const std::vector<double>& edge_capacity,
                        const std::vector<char>& node_ok) {
-  const Graph& g = view.graph();
-  g.check_node(source);
-  g.check_node(sink);
-  const bool endpoints_ok =
-      view.node_in_view(source) && view.node_in_view(sink) &&
-      node_ok[static_cast<std::size_t>(source)] &&
-      node_ok[static_cast<std::size_t>(sink)];
-  return run_max_flow(
-      g, source, sink, endpoints_ok,
-      [&](Dinic& net, std::vector<std::pair<int, double>>& arc_of_edge) {
-        for (std::size_t e = 0; e < g.num_edges(); ++e) {
-          const auto id = static_cast<EdgeId>(e);
-          if (!view.edge_in_view(id)) continue;
-          const auto [eu, ev] = g.edge_endpoints(id);
-          if (!node_ok[static_cast<std::size_t>(eu)] ||
-              !node_ok[static_cast<std::size_t>(ev)]) {
-            continue;
-          }
-          const double cap = edge_capacity[e];
-          if (cap <= kFlowEps) continue;
-          arc_of_edge[e] = {static_cast<int>(net.arcs.size()), cap};
-          net.add_undirected(eu, ev, cap, id);
-        }
-      });
+  return run_max_flow(view, source, sink, edge_capacity,
+                      [&node_ok](NodeId u, NodeId v) {
+                        return node_ok[static_cast<std::size_t>(u)] &&
+                               node_ok[static_cast<std::size_t>(v)];
+                      });
 }
 
 std::vector<std::pair<Path, double>> decompose_flow(

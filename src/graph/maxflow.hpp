@@ -7,10 +7,15 @@
 // per-edge flow is net (opposite directions cancelled), so a flow
 // decomposition into simple paths always exists.
 //
-// The Dinic network is assembled from the view's flat usability bitset and
-// capacity array; the residual-capacity overloads let greedy routing re-run
-// flows against a mutating residual array without rebuilding the view.
-// Flows are frozen in tests/golden/graph_kernels.txt.
+// Dinic runs directly on the view's CSR arcs: an edge's two arcs are each
+// other's residual, and arcs outside the network (filtered edges, one-sided
+// arcs left by a node filter, capacities <= 1e-9) start at residual zero.
+// Its residual, twin-arc, level, cursor and queue arrays live in a
+// per-thread workspace reused across calls, so a call allocates only its
+// result; the level BFS stops as soon as the sink is labelled.  The
+// residual-capacity overloads let greedy routing and ISP re-run flows
+// against a mutating residual array without rebuilding the view.  Flows
+// are frozen in tests/golden/graph_kernels.txt.
 #pragma once
 
 #include <utility>

@@ -51,29 +51,19 @@ std::vector<Path> all_simple_paths(const GraphView& view, NodeId s, NodeId t,
   return out;
 }
 
-namespace {
-
-/// Shared SSP loop; `stop_at_target` switches the per-path Dijkstra to the
-/// target-settled variant (identical selected paths, see dijkstra.hpp) and
-/// a non-null `first_tree` replaces the first round's Dijkstra outright.
-SuccessivePathsResult run_successive_shortest_paths(
+SuccessivePathsResult successive_shortest_paths(
     const GraphView& view, NodeId s, NodeId t, double demand,
-    std::size_t max_paths, bool stop_at_target,
-    const ShortestPathTree* first_tree) {
+    std::size_t max_paths, const ShortestPathTree* first_tree) {
   SuccessivePathsResult result;
   std::vector<double> residual = view.edge_capacities();
   bool first = true;
   while (result.total_capacity < demand - kEps &&
          result.paths.size() < max_paths) {
-    std::optional<Path> path;
-    if (first && first_tree) {
-      path = first_tree->path_to(view.graph(), t);
-    } else if (stop_at_target) {
-      path = dijkstra_residual_to(view, s, t, residual)
-                 .path_to(view.graph(), t);
-    } else {
-      path = dijkstra_residual(view, s, residual).path_to(view.graph(), t);
-    }
+    std::optional<Path> path =
+        first && first_tree
+            ? first_tree->path_to(view.graph(), t)
+            : dijkstra_residual_to(view, s, t, residual)
+                  .path_to(view.graph(), t);
     first = false;
     if (!path) break;
     double cap = std::numeric_limits<double>::infinity();
@@ -89,24 +79,6 @@ SuccessivePathsResult run_successive_shortest_paths(
     result.paths.push_back(std::move(*path));
   }
   return result;
-}
-
-}  // namespace
-
-SuccessivePathsResult successive_shortest_paths(const GraphView& view,
-                                                NodeId s, NodeId t,
-                                                double demand,
-                                                std::size_t max_paths) {
-  return run_successive_shortest_paths(view, s, t, demand, max_paths,
-                                       /*stop_at_target=*/false,
-                                       /*first_tree=*/nullptr);
-}
-
-SuccessivePathsResult successive_shortest_paths_to(
-    const GraphView& view, NodeId s, NodeId t, double demand,
-    std::size_t max_paths, const ShortestPathTree* first_tree) {
-  return run_successive_shortest_paths(view, s, t, demand, max_paths,
-                                       /*stop_at_target=*/true, first_tree);
 }
 
 }  // namespace netrec::graph

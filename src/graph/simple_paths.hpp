@@ -45,27 +45,20 @@ struct SuccessivePathsResult {
 std::vector<Path> all_simple_paths(const GraphView& view, NodeId s, NodeId t,
                                    const SimplePathLimits& limits = {});
 
-/// successive_shortest_paths with every Dijkstra stopped at `t` once it is
-/// settled.  Selects bit-identical paths in the identical order (the
-/// settle prefix up to the target matches the full run); demand-based
-/// centrality enumerates its path sets this way.  When `first_tree` is
-/// non-null it must be a shortest-path tree from `s` over the view's
-/// untouched capacities — exactly what the first enumeration round
-/// computes — and that round reads it instead of running its own Dijkstra
-/// (demand-based centrality shares one tree across demands with a common
-/// source).
-SuccessivePathsResult successive_shortest_paths_to(
-    const GraphView& view, NodeId s, NodeId t, double demand,
-    std::size_t max_paths, const ShortestPathTree* first_tree = nullptr);
-
 /// P̂*(s,t) over the view: shortest paths under the view's lengths collected
 /// until their combined capacity (from the view's capacities) reaches
 /// `demand`, reducing each chosen path's bottleneck from an internal
 /// residual copy between iterations.  Stops early when s and t disconnect;
-/// `max_paths` guards pathological instances.
-SuccessivePathsResult successive_shortest_paths(const GraphView& view,
-                                                NodeId s, NodeId t,
-                                                double demand,
-                                                std::size_t max_paths = 64);
+/// `max_paths` guards pathological instances.  Every Dijkstra stops once
+/// `t` settles, which selects the full runs' paths bit for bit (the settle
+/// prefix up to the target is the same).  When `first_tree` is non-null it
+/// must be a shortest-path tree from `s` over the view's untouched
+/// capacities, with `t` settled — exactly what the first round computes —
+/// and that round reads it instead of running its own Dijkstra
+/// (demand-based centrality shares one tree across demands with a common
+/// source).
+SuccessivePathsResult successive_shortest_paths(
+    const GraphView& view, NodeId s, NodeId t, double demand,
+    std::size_t max_paths = 64, const ShortestPathTree* first_tree = nullptr);
 
 }  // namespace netrec::graph

@@ -94,6 +94,12 @@ class GraphView {
   EdgeId arc_edge(ArcId a) const { return arcs_[a].edge; }
   double arc_length(ArcId a) const { return arcs_[a].length; }
   double arc_capacity(ArcId a) const { return arc_capacities_[a]; }
+  /// The opposite-direction arc of the same edge, or kInvalidArc when the
+  /// head-endpoint node filter dropped it (a one-sided arc).
+  ArcId arc_twin(ArcId a) const {
+    const auto& slots = edge_arcs_[static_cast<std::size_t>(arcs_[a].edge)];
+    return slots[0] == a ? slots[1] : slots[0];
+  }
 
   // --- per-element lookups ------------------------------------------------
   /// Node passes the node filter (excluded nodes keep their outgoing arcs

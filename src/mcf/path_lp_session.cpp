@@ -400,8 +400,7 @@ void PathLpSession::seed_binding(const graph::GraphView& view, int binding,
   }
   if (!pooled && opt_.seed_paths_per_demand > 0) {
     ++stats_.seed_runs;
-    // Target-stopped variant: same seed paths, cheaper settle order.
-    auto seeds = graph::successive_shortest_paths_to(
+    auto seeds = graph::successive_shortest_paths(
         view, s, t, amount, opt_.seed_paths_per_demand);
     for (auto& p : seeds.paths) pool_add(s, t, std::move(p));
   }

@@ -42,7 +42,7 @@ RoutingResult greedy_route(const graph::GraphView& view,
     }
     double remaining = d.amount;
     while (remaining > kEps) {
-      auto sp = graph::dijkstra_residual(view, d.source, residual)
+      auto sp = graph::dijkstra_residual_to(view, d.source, d.target, residual)
                     .path_to(g, d.target);
       if (!sp) break;
       const double cap = sp->capacity(residual_view);

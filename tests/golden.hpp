@@ -35,6 +35,7 @@
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
 #include "graph/betweenness.hpp"
+#include "graph/builder.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/gml.hpp"
 #include "graph/maxflow.hpp"
@@ -339,6 +340,18 @@ inline graph::Graph broken_bell_canada(std::uint64_t seed) {
   return g;
 }
 
+/// CAIDA-like instance: well over the eager-row threshold, so every master
+/// runs with lazy capacity rows (the netrec-bench plan_fresh topology).
+inline core::RecoveryProblem caida_lazy_scenario(std::uint64_t seed) {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, seed});
+  util::Rng demand_rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 25.0, demand_rng);
+  util::Rng damage_rng(1000);
+  disruption::random_failures(p.graph, 0.2, 0.2, damage_rng);
+  return p;
+}
+
 /// Non-uniform deterministic length metric so ties are rare but present.
 inline graph::EdgeWeight test_length() {
   return [](graph::EdgeId e) {
@@ -395,13 +408,8 @@ inline std::string betweenness_record(const graph::Graph& g,
   return "scores" + join_hex(graph::betweenness_centrality(view)) + "\n";
 }
 
-inline std::string max_flow_record(const graph::Graph& g) {
-  graph::ViewConfig working;
-  working.edge_ok = graph::working_edge_filter(g);
-  working.node_ok = working_node_filter(g);
-  const auto view = graph::GraphView::build(g, working);
-  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
-  const auto flow = graph::max_flow(view, 0, last);
+/// Flow value and every nonzero net edge flow, as hex-floats.
+inline std::string flow_fields(const graph::MaxflowResult& flow) {
   std::ostringstream out;
   out << "value " << hex(flow.value) << "\nedge_flow";
   for (std::size_t e = 0; e < flow.edge_flow.size(); ++e) {
@@ -409,6 +417,229 @@ inline std::string max_flow_record(const graph::Graph& g) {
   }
   out << "\n";
   return out.str();
+}
+
+/// Every bit of a flow: value and all net edge flows (signed zeros too).
+inline std::string flow_bits(const graph::MaxflowResult& flow) {
+  return hex(flow.value) + " |" + join_hex(flow.edge_flow);
+}
+
+/// Triangle 0-1-2: path 0-1-2 (capacities 5, 3) beside the chord 0-2
+/// (capacity 2) — a network far smaller than any corpus graph, for
+/// exercising reuse of per-thread kernel workspaces across sizes.
+inline graph::Graph small_flow_graph() {
+  graph::Builder builder;
+  for (int i = 0; i < 3; ++i) builder.add_node();
+  builder.add_edge(0, 1, 5.0);
+  builder.add_edge(1, 2, 3.0);
+  builder.add_edge(0, 2, 2.0);
+  return builder.finalize();
+}
+
+inline std::string max_flow_record(const graph::Graph& g) {
+  graph::ViewConfig working;
+  working.edge_ok = graph::working_edge_filter(g);
+  working.node_ok = working_node_filter(g);
+  const auto view = graph::GraphView::build(g, working);
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  return flow_fields(graph::max_flow(view, 0, last));
+}
+
+/// Residual capacities as greedy routing and ISP leave them: every 7th
+/// edge exhausted, some at or just under the 1e-9 skip threshold, one
+/// class barely above it, the rest partly consumed.
+inline std::vector<double> test_residual(const graph::Graph& g) {
+  std::vector<double> residual(g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const double cap = g.edge_capacity(static_cast<graph::EdgeId>(e));
+    switch (e % 7) {
+      case 0: residual[e] = 0.0; break;
+      case 3: residual[e] = 1e-9; break;
+      case 5: residual[e] = 4e-10; break;
+      case 6: residual[e] = e % 2 == 0 ? 3e-9 : cap; break;
+      default: residual[e] = cap * (0.25 + 0.125 * static_cast<double>(e % 4));
+    }
+  }
+  return residual;
+}
+
+/// Three source/sink pairs among the nodes `in_view` accepts.
+inline std::vector<std::pair<graph::NodeId, graph::NodeId>> flow_pairs(
+    const graph::Graph& g, const std::function<bool(graph::NodeId)>& in_view) {
+  std::vector<graph::NodeId> nodes;
+  for (std::size_t n = 0; n < g.num_nodes(); ++n) {
+    if (in_view(static_cast<graph::NodeId>(n))) {
+      nodes.push_back(static_cast<graph::NodeId>(n));
+    }
+  }
+  const std::size_t k = nodes.size();
+  return {{nodes[0], nodes[k - 1]},
+          {nodes[1], nodes[k / 2]},
+          {nodes[2], nodes[k - 2]}};
+}
+
+/// Max flows on the working view under test_residual capacities.
+inline std::string max_flow_residual_record(const graph::Graph& g) {
+  const auto view = graph::GraphView::working(g);
+  const auto residual = test_residual(g);
+  std::ostringstream out;
+  for (const auto& [s, t] : flow_pairs(g, working_node_filter(g))) {
+    out << "pair " << s << " " << t << "\n"
+        << flow_fields(graph::max_flow(view, s, t, residual));
+  }
+  return out.str();
+}
+
+/// ISP's bubble flow (Theorem 3): the node_ok overload on the working view,
+/// with every fourth node outside the bubble.
+inline std::string max_flow_bubble_record(const graph::Graph& g) {
+  const auto view = graph::GraphView::working(g);
+  const auto residual = test_residual(g);
+  std::vector<char> in_bubble(g.num_nodes());
+  for (std::size_t n = 0; n < g.num_nodes(); ++n) in_bubble[n] = n % 4 != 1;
+  std::ostringstream out;
+  for (const auto& [s, t] : flow_pairs(g, [&](graph::NodeId n) {
+         return !g.node_broken(n) && in_bubble[static_cast<std::size_t>(n)];
+       })) {
+    out << "pair " << s << " " << t << "\n"
+        << flow_fields(graph::max_flow(view, s, t, residual, in_bubble));
+  }
+  return out.str();
+}
+
+/// A node filter without a matching edge filter: the excluded nodes keep
+/// their outgoing arcs, and the flow must not use those one-sided arcs.
+/// The last pair starts at an excluded node (no flow).
+inline std::string max_flow_one_sided_record(const graph::Graph& g) {
+  const auto excluded = [](graph::NodeId n) { return n % 5 == 2; };
+  const auto view = graph::GraphView::build(
+      g, {.node_ok = [&](graph::NodeId n) { return !excluded(n); }});
+  std::ostringstream out;
+  out << "arcs " << view.num_arcs() << "\n";
+  auto pairs = flow_pairs(g, [&](graph::NodeId n) { return !excluded(n); });
+  pairs.emplace_back(2, static_cast<graph::NodeId>(g.num_nodes() - 1));
+  for (const auto& [s, t] : pairs) {
+    out << "pair " << s << " " << t << "\n"
+        << flow_fields(graph::max_flow(view, s, t));
+  }
+  return out.str();
+}
+
+/// Per-demand flows on plan_fresh's CAIDA-like topology: ISP's working view
+/// (prune, watchdog) and the full graph (split decision 1's f*(i,j)).
+inline std::string max_flow_caida_record(const core::RecoveryProblem& p) {
+  const auto working = graph::GraphView::working(p.graph);
+  const auto full = graph::GraphView::build(p.graph);
+  std::ostringstream out;
+  for (const mcf::Demand& d : p.demands) {
+    out << "demand " << d.source << " " << d.target << "\nworking "
+        << flow_fields(graph::max_flow(working, d.source, d.target))
+        << "full " << flow_fields(graph::max_flow(full, d.source, d.target));
+  }
+  return out.str();
+}
+
+/// shortest_path between fixed node pairs (source == target included) on
+/// the working view under test_length.
+inline std::string shortest_path_record(const graph::Graph& g) {
+  graph::ViewConfig working;
+  working.edge_ok = graph::working_edge_filter(g);
+  working.node_ok = working_node_filter(g);
+  working.length = test_length();
+  const auto view = graph::GraphView::build(g, working);
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  std::ostringstream out;
+  for (graph::NodeId s = 0; s <= 14; s += 7) {
+    for (const graph::NodeId t : {last, graph::NodeId{20}, s}) {
+      const auto path = graph::shortest_path(view, s, t);
+      out << "pair " << s << " " << t;
+      if (path) {
+        out << " edges" << join_ids(path->edges) << "\n";
+      } else {
+        out << " none\n";
+      }
+    }
+  }
+  return out.str();
+}
+
+/// Demands after ISP-style splits: each of the first four (s, t, d) becomes
+/// (s, t, d/2), (s, v, d/2), (v, t, d/2) through another demand's target v,
+/// so sources repeat and centrality shares first-path trees.
+inline std::vector<mcf::Demand> split_demands(
+    const std::vector<mcf::Demand>& demands) {
+  std::vector<mcf::Demand> out;
+  for (std::size_t h = 0; h < demands.size(); ++h) {
+    const mcf::Demand& d = demands[h];
+    if (h >= 4 || h + 4 >= demands.size()) {
+      out.push_back(d);
+      continue;
+    }
+    const graph::NodeId v = demands[h + 4].target;
+    out.push_back({d.source, d.target, d.amount / 2.0});
+    out.push_back({d.source, v, d.amount / 2.0});
+    out.push_back({v, d.target, d.amount / 2.0});
+  }
+  return out;
+}
+
+/// ISP's metric view of the whole graph: broken elements included but
+/// longer; residual capacities partly consumed, every 29th edge exhausted
+/// (CAIDA-like graphs are nearly trees, so sparser cuts keep demands
+/// coverable).
+inline graph::GraphView centrality_view(const graph::Graph& g) {
+  const graph::EdgeWeight base = test_length();
+  return graph::GraphView::build(
+      g, {.length =
+              [&g, base](graph::EdgeId e) {
+                return base(e) + (g.edge_usable(e) ? 0.0 : 4.0);
+              },
+          .capacity =
+              [&g](graph::EdgeId e) {
+                if (e % 29 == 0) return 0.0;
+                return g.edge_capacity(e) *
+                       (1.0 - 0.125 * static_cast<double>(e % 4));
+              }});
+}
+
+/// Scores (nonzero, hex), the ranking prefix over them, contributors and
+/// every demand's P̂* path set.
+inline std::string centrality_record(const core::CentralityResult& c,
+                                     std::size_t num_demands) {
+  std::ostringstream out;
+  out << "scores";
+  const auto& scores = c.scores();
+  for (std::size_t v = 0; v < scores.size(); ++v) {
+    if (scores[v] != 0.0) out << " " << v << ":" << hex(scores[v]);
+  }
+  out << "\nranking";
+  for (const graph::NodeId v : c.ranking()) {
+    if (c.score(v) == 0.0) break;
+    out << " " << v;
+  }
+  out << "\n";
+  for (std::size_t v = 0; v < scores.size(); ++v) {
+    const auto& ids = c.contributors(static_cast<graph::NodeId>(v));
+    if (ids.empty()) continue;
+    out << "contributors " << v << ":" << join_ids(ids) << "\n";
+  }
+  for (std::size_t h = 0; h < num_demands; ++h) {
+    const core::DemandPathSet& set = c.demand_paths(static_cast<int>(h));
+    out << "demand " << h << " total " << hex(set.total_capacity) << "\n";
+    for (std::size_t p = 0; p < set.paths.size(); ++p) {
+      out << "path " << hex(set.capacities[p]) << " edges"
+          << join_ids(set.paths[p].edges) << "\n";
+    }
+  }
+  return out.str();
+}
+
+/// demand_based_centrality on the CAIDA-like instance with split demands.
+inline std::string centrality_caida_record(const core::RecoveryProblem& p) {
+  const auto demands = split_demands(p.demands);
+  return centrality_record(
+      core::demand_based_centrality(centrality_view(p.graph), demands),
+      demands.size());
 }
 
 /// Successive shortest paths 0 -> last covering 30 units.
@@ -534,6 +765,26 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
     add("successive-paths er " + std::to_string(s),
         [s] { return successive_paths_record(broken_er(s)); });
   }
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    add("max-flow residual er " + std::to_string(s),
+        [s] { return max_flow_residual_record(broken_er(s, 30, 0.2)); });
+  }
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    add("max-flow bubble er " + std::to_string(s),
+        [s] { return max_flow_bubble_record(broken_er(s, 30, 0.2)); });
+  }
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    add("max-flow one-sided er " + std::to_string(s),
+        [s] { return max_flow_one_sided_record(broken_er(s, 30, 0.2)); });
+  }
+  add("max-flow caida 1",
+      [] { return max_flow_caida_record(caida_lazy_scenario(1)); });
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    add("shortest-path er " + std::to_string(s),
+        [s] { return shortest_path_record(broken_er(s)); });
+  }
+  add("centrality caida split 1",
+      [] { return centrality_caida_record(caida_lazy_scenario(1)); });
   return cases;
 }
 
@@ -609,18 +860,6 @@ inline std::string lp_eager_record(const core::RecoveryProblem& problem) {
       << "schedule_exact" << join_hex(schedule_series(problem, isp, true))
       << "\n";
   return out.str();
-}
-
-/// CAIDA-like instance: well over the eager-row threshold, so every master
-/// runs with lazy capacity rows (the netrec-bench plan_fresh topology).
-inline core::RecoveryProblem caida_lazy_scenario(std::uint64_t seed) {
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, seed});
-  util::Rng demand_rng(7);
-  p.demands = scenario::far_apart_demands(p.graph, 8, 25.0, demand_rng);
-  util::Rng damage_rng(1000);
-  disruption::random_failures(p.graph, 0.2, 0.2, damage_rng);
-  return p;
 }
 
 /// Lazy-row instances record only what every optimal LP vertex shares:

@@ -70,7 +70,16 @@ int main() {
             "# x, y, cost, broken) and edge column (u, v, capacity, cost,\n"
             "# broken), and of each node's incident-edge order.  First\n"
             "# recorded while Graph still had an incremental add_node /\n"
-            "# add_edge construction path next to graph::Builder.\n") +
+            "# add_edge construction path next to graph::Builder.\n"
+            "#\n"
+            "# `max-flow residual|bubble|one-sided|caida`, `shortest-path`\n"
+            "# and `centrality caida split` records (residual arrays with\n"
+            "# sub-threshold entries, the bubble node_ok overload, node\n"
+            "# filters that leave one-sided arcs, CAIDA-like flows, and\n"
+            "# demand-based centrality over shared first-path trees) were\n"
+            "# first recorded by the adjacency-list Dinic and the full-tree\n"
+            "# shortest-path reads that the CSR Dinic and the target-stopped\n"
+            "# trees replaced.\n") +
             kRegenerate,
         test::graph_kernel_cases());
     test::write_golden(

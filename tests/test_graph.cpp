@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <thread>
 
+#include "golden.hpp"
 #include "graph/builder.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/gml.hpp"
@@ -261,6 +266,104 @@ TEST(SuccessivePaths, StopsWhenDisconnected) {
   const auto r = successive_shortest_paths(GraphView::build(g), 0, 1, 5.0);
   EXPECT_TRUE(r.paths.empty());
   EXPECT_EQ(r.total_capacity, 0.0);
+}
+
+// --- per-thread workspaces and early stops ---------------------------------
+
+/// Runs `flow` on a fresh thread, whose kernel workspaces start empty.
+std::string isolated_flow(const std::function<MaxflowResult()>& flow) {
+  std::string bits;
+  std::thread([&] { bits = test::flow_bits(flow()); }).join();
+  return bits;
+}
+
+TEST(Maxflow, WorkspaceReuseAcrossGraphSizesIsInvisible) {
+  const core::RecoveryProblem p = test::caida_lazy_scenario(1);
+  const GraphView working = GraphView::working(p.graph);
+  const GraphView full = GraphView::build(p.graph);
+  const Graph small = test::small_flow_graph();
+  const GraphView small_view = GraphView::build(small);
+  const auto small_flow = [&] { return max_flow(small_view, 0, 2); };
+  const std::string small_bits = isolated_flow(small_flow);
+  EXPECT_EQ(max_flow(small_view, 0, 2).value, 5.0);
+  for (const mcf::Demand& d : p.demands) {
+    SCOPED_TRACE("demand " + std::to_string(d.source) + "-" +
+                 std::to_string(d.target));
+    const auto on_working = [&] {
+      return max_flow(working, d.source, d.target);
+    };
+    const auto on_full = [&] { return max_flow(full, d.source, d.target); };
+    const std::string working_bits = isolated_flow(on_working);
+    const std::string full_bits = isolated_flow(on_full);
+    // Interleaved on this thread: small, large, small, large.
+    EXPECT_EQ(test::flow_bits(small_flow()), small_bits);
+    EXPECT_EQ(test::flow_bits(on_full()), full_bits);
+    EXPECT_EQ(test::flow_bits(small_flow()), small_bits);
+    EXPECT_EQ(test::flow_bits(on_working()), working_bits);
+  }
+}
+
+std::string bits_of(const std::optional<Path>& path) {
+  if (!path) return "none";
+  return std::to_string(path->start) + ":" + test::join_ids(path->edges);
+}
+
+TEST(Dijkstra, TargetSetStopMatchesFullTree) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = test::broken_er(seed);
+    const EdgeFilter working = working_edge_filter(g);
+    const GraphView view = GraphView::build(
+        g, {.edge_ok = working, .length = test::test_length()});
+    const std::vector<double> residual = test::test_residual(g);
+    // Full-tree reference: the residual skip folded into the edge filter.
+    const GraphView skipped = GraphView::build(
+        g, {.edge_ok =
+                [&](EdgeId e) {
+                  return working(e) &&
+                         residual[static_cast<std::size_t>(e)] > 1e-9;
+                },
+            .length = test::test_length()});
+    const auto last = static_cast<NodeId>(g.num_nodes() - 1);
+    for (NodeId s = 0; s < 12; s += 3) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " source " +
+                   std::to_string(s));
+      const ShortestPathTree full = dijkstra(skipped, s);
+      // Duplicates, the source itself, and (often) unreachable nodes.
+      const std::vector<NodeId> targets = {last, 5, s, last, 17, 5};
+      const ShortestPathTree stopped =
+          dijkstra_residual_to(view, s, targets, residual);
+      for (const NodeId t : targets) {
+        EXPECT_EQ(bits_of(stopped.path_to(g, t)), bits_of(full.path_to(g, t)))
+            << "target " << t;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      stopped.distance[static_cast<std::size_t>(t)]),
+                  std::bit_cast<std::uint64_t>(
+                      full.distance[static_cast<std::size_t>(t)]))
+            << "target " << t;
+      }
+      // A one-element set agrees too.
+      const std::vector<NodeId> one = {17};
+      EXPECT_EQ(bits_of(dijkstra_residual_to(view, s, one, residual)
+                            .path_to(g, 17)),
+                bits_of(full.path_to(g, 17)));
+    }
+  }
+}
+
+TEST(Dijkstra, EarlyStopShortestPathMatchesFullTree) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Graph g = test::broken_er(seed);
+    const GraphView view = GraphView::build(
+        g, {.edge_ok = working_edge_filter(g), .length = test::test_length()});
+    for (NodeId s = 0; s < static_cast<NodeId>(g.num_nodes()); s += 5) {
+      const ShortestPathTree full = dijkstra(view, s);
+      for (NodeId t = 0; t < static_cast<NodeId>(g.num_nodes()); ++t) {
+        EXPECT_EQ(bits_of(shortest_path(view, s, t)),
+                  bits_of(full.path_to(g, t)))
+            << "seed " << seed << " pair " << s << "-" << t;
+      }
+    }
+  }
 }
 
 TEST(Gml, RoundTripPreservesEverything) {

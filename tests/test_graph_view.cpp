@@ -56,8 +56,32 @@ TEST(GraphViewMaxflow, BitIdenticalToLegacy) {
   expect_kernel_golden("max-flow er ");
 }
 
+TEST(GraphViewMaxflow, ResidualCapacitiesMatchGolden) {
+  expect_kernel_golden("max-flow residual er ");
+}
+
+TEST(GraphViewMaxflow, BubbleNodeFilterMatchesGolden) {
+  expect_kernel_golden("max-flow bubble er ");
+}
+
+TEST(GraphViewMaxflow, OneSidedArcsMatchGolden) {
+  expect_kernel_golden("max-flow one-sided er ");
+}
+
+TEST(GraphViewMaxflow, CaidaDemandsMatchGolden) {
+  expect_kernel_golden("max-flow caida ");
+}
+
+TEST(GraphViewDijkstra, ShortestPathMatchesGolden) {
+  expect_kernel_golden("shortest-path er ");
+}
+
 TEST(GraphViewSuccessivePaths, BitIdenticalToLegacyComposition) {
   expect_kernel_golden("successive-paths er ");
+}
+
+TEST(DemandCentrality, CaidaSplitDemandsMatchGolden) {
+  expect_kernel_golden("centrality caida split ");
 }
 
 TEST(GraphTopology, GeneratorsAndGmlLoaderMatchGolden) {

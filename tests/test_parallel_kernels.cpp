@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "disruption/disruption.hpp"
 #include "golden.hpp"
 #include "graph/betweenness.hpp"
+#include "graph/maxflow.hpp"
 #include "graph/view.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
@@ -174,30 +176,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsBellCanada,
 
 // --- batched demand-based centrality ---------------------------------------
 
-void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
-                                        const std::string& label) {
+void expect_centrality_thread_invariant(
+    const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
+    const std::string& label) {
   SCOPED_TRACE(label);
-  graph::ViewConfig config;
-  config.capacity = [&p](graph::EdgeId e) {
-    return p.graph.edge_capacity(e);
-  };
-  const graph::GraphView view = graph::GraphView::build(p.graph, config);
+  const graph::Graph& g = view.graph();
   const core::CentralityOptions copt;
   const core::CentralityResult serial =
-      core::demand_based_centrality(view, p.demands, copt);
+      core::demand_based_centrality(view, demands, copt);
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
     core::CentralityOptions pooled = copt;
     pooled.pool = &pool;
     const core::CentralityResult parallel =
-        core::demand_based_centrality(view, p.demands, pooled);
+        core::demand_based_centrality(view, demands, pooled);
     ASSERT_EQ(parallel.scores(), serial.scores()) << "threads " << threads;
-    for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {
+    for (std::size_t n = 0; n < g.num_nodes(); ++n) {
       const auto id = static_cast<graph::NodeId>(n);
       ASSERT_EQ(parallel.contributors(id), serial.contributors(id))
           << "threads " << threads << " node " << n;
     }
-    for (std::size_t h = 0; h < p.demands.size(); ++h) {
+    for (std::size_t h = 0; h < demands.size(); ++h) {
       const auto& a = parallel.demand_paths(static_cast<int>(h));
       const auto& b = serial.demand_paths(static_cast<int>(h));
       ASSERT_EQ(a.capacities, b.capacities) << "threads " << threads;
@@ -211,17 +210,71 @@ void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
   }
 }
 
+/// The full graph under its static capacities.
+graph::GraphView capacity_view(const graph::Graph& g) {
+  graph::ViewConfig config;
+  config.capacity = [&g](graph::EdgeId e) { return g.edge_capacity(e); };
+  return graph::GraphView::build(g, config);
+}
+
 class CentralityThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(CentralityThreads, BitIdenticalAtAnyThreadCount) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_centrality_thread_invariant(er_scenario(seed),
+  const core::RecoveryProblem er = er_scenario(seed);
+  expect_centrality_thread_invariant(capacity_view(er.graph), er.demands,
                                      "er seed " + std::to_string(seed));
+  const core::RecoveryProblem bc = bell_canada_scenario(seed);
   expect_centrality_thread_invariant(
-      bell_canada_scenario(seed), "bell-canada seed " + std::to_string(seed));
+      capacity_view(bc.graph), bc.demands,
+      "bell-canada seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CentralityThreads, ::testing::Range(1, 5));
+
+// Split demands share sources, so the shared first-path trees (stopped at
+// each source's target set) are built on the pool's workers.
+TEST(CentralityThreadsCaida, SplitDemandsBitIdenticalAtAnyThreadCount) {
+  const core::RecoveryProblem p = test::caida_lazy_scenario(1);
+  expect_centrality_thread_invariant(test::centrality_view(p.graph),
+                                     test::split_demands(p.demands),
+                                     "caida split demands");
+}
+
+// --- max flow: per-thread Dinic workspaces ----------------------------------
+
+// Pool workers alternate flows on the CAIDA-like working and full views
+// with flows on a 3-node view, so every worker's workspace is reused across
+// graph sizes; each result must equal the same flow computed on a fresh
+// thread.
+TEST(MaxflowWorkspaces, InterleavedOnPoolWorkersMatchIsolatedCalls) {
+  const core::RecoveryProblem p = test::caida_lazy_scenario(1);
+  const graph::GraphView working = graph::GraphView::working(p.graph);
+  const graph::GraphView full = graph::GraphView::build(p.graph);
+  const graph::Graph small = test::small_flow_graph();
+  const graph::GraphView small_view = graph::GraphView::build(small);
+  const auto flow = [&](std::size_t i) {
+    if (i % 2 == 1) return graph::max_flow(small_view, 0, 2);
+    const mcf::Demand& d = p.demands[(i / 4) % p.demands.size()];
+    return graph::max_flow(i % 4 == 0 ? working : full, d.source, d.target);
+  };
+  constexpr std::size_t kCalls = 64;
+  std::vector<std::string> isolated(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    std::thread([&, i] { isolated[i] = test::flow_bits(flow(i)); }).join();
+  }
+  for (const std::size_t threads : kThreadCounts) {
+    util::ThreadPool pool(threads);
+    std::vector<std::string> pooled(kCalls);
+    pool.parallel_for(kCalls, [&](std::size_t i) {
+      pooled[i] = test::flow_bits(flow(i));
+    });
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      EXPECT_EQ(pooled[i], isolated[i]) << "threads " << threads << " call "
+                                        << i;
+    }
+  }
+}
 
 // --- ISP end-to-end: concurrent LP pricing + all kernels combined ----------
 
