@@ -2,7 +2,8 @@
 // Dijkstra under the dynamic metric, Dinic max flow, the demand-based
 // centrality pass, the exact routability test, the split LP and a dense
 // simplex solve.  These are the per-iteration costs behind Fig. 7(a)'s
-// "ISP time is negligible" claim.
+// "ISP time is negligible" claim.  BM_FarApartDemands and BM_HopDiameter
+// time the set-up side: demand placement on the netrec-bench preloads.
 #include <benchmark/benchmark.h>
 
 #include "core/centrality.hpp"
@@ -10,6 +11,7 @@
 #include "disruption/disruption.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/maxflow.hpp"
+#include "graph/traversal.hpp"
 #include "graph/view.hpp"
 #include "lp/simplex.hpp"
 #include "mcf/routing.hpp"
@@ -255,6 +257,39 @@ void BM_SimplexResolveWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexResolveWarm);
+
+/// netrec-bench's preload topologies: CAIDA-like seed 1 (plan_fresh,
+/// plan_hot) and Barabási–Albert 2000 seed 1 (plan_scale).
+const graph::Graph& preload_graph(std::int64_t which) {
+  static const graph::Graph caida_1 =
+      topology::make_topology({topology::CaidaLikeOptions{}, 1});
+  static const graph::Graph ba_2000 = [] {
+    topology::BarabasiAlbertOptions options;
+    options.nodes = 2000;
+    return topology::make_topology({options, 1});
+  }();
+  return which == 0 ? caida_1 : ba_2000;
+}
+
+void BM_FarApartDemands(benchmark::State& state) {
+  // The preload's demand placement: eight pairs, demand seed 7.
+  const auto& g = preload_graph(state.range(0));
+  for (auto _ : state) {
+    util::Rng rng(7);
+    benchmark::DoNotOptimize(scenario::far_apart_demands(g, 8, 10.0, rng));
+  }
+  state.SetLabel(state.range(0) == 0 ? "caida-825" : "ba-2000");
+}
+BENCHMARK(BM_FarApartDemands)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_HopDiameter(benchmark::State& state) {
+  const auto view = graph::GraphView::build(preload_graph(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::hop_diameter(view));
+  }
+  state.SetLabel(state.range(0) == 0 ? "caida-825" : "ba-2000");
+}
+BENCHMARK(BM_HopDiameter)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_IspBellComplete(benchmark::State& state) {
   core::RecoveryProblem p;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 
 namespace netrec::graph {
 
@@ -99,23 +100,97 @@ std::vector<NodeId> giant_component(const GraphView& view) {
   return out;
 }
 
-int hop_diameter(const GraphView& view) {
-  int diameter = 0;
-  for (std::size_t s = 0; s < view.num_nodes(); ++s) {
-    const auto dist = bfs_hops(view, static_cast<NodeId>(s));
-    for (int d : dist) {
-      if (d == -1) return -1;
-      diameter = std::max(diameter, d);
+namespace {
+
+/// The MS-BFS kernel (see traversal.hpp): one batch of up to 64 in-view
+/// sources per run, over frontier/next words reused across batches.
+class MultiSourceBfs {
+ public:
+  struct Batch {
+    std::uint64_t sources = 0;  ///< bit k: node 64 * batch + k is a source
+    int levels = 0;             ///< largest hop distance found
+  };
+
+  explicit MultiSourceBfs(const GraphView& view)
+      : view_(view), frontier_(view.num_nodes()), next_(view.num_nodes()) {}
+
+  /// BFS from the in-view nodes among 64 * batch ... 64 * batch + 63,
+  /// stopped after `max_hops` levels.  On return seen[v] (V words) has bit
+  /// k set iff source 64 * batch + k reaches v within that limit.
+  Batch run(std::size_t batch, int max_hops, std::uint64_t* seen) {
+    const std::size_t n = view_.num_nodes();
+    std::fill_n(seen, n, 0);
+    std::fill(frontier_.begin(), frontier_.end(), 0);
+    Batch out;
+    const std::size_t first = 64 * batch;
+    const std::size_t last = std::min(n, first + 64);
+    for (std::size_t s = first; s < last; ++s) {
+      if (!view_.node_in_view(static_cast<NodeId>(s))) continue;
+      const std::uint64_t bit = std::uint64_t{1} << (s - first);
+      seen[s] = frontier_[s] = bit;
+      out.sources |= bit;
     }
+    if (out.sources == 0) return out;
+    std::uint64_t* const frontier = frontier_.data();
+    std::uint64_t* const next = next_.data();
+    while (out.levels < max_hops) {
+      // Every source in a node's frontier word crosses each of its arcs.
+      for (std::size_t v = 0; v < n; ++v) {
+        const std::uint64_t f = frontier[v];
+        if (f == 0) continue;
+        const auto at = static_cast<NodeId>(v);
+        const ArcId end = view_.arcs_end(at);
+        for (ArcId a = view_.arcs_begin(at); a < end; ++a) {
+          next[static_cast<std::size_t>(view_.arc_target(a))] |= f;
+        }
+      }
+      // First arrivals only: they are the next level's frontier.
+      std::uint64_t grew = 0;
+      for (std::size_t v = 0; v < n; ++v) {
+        const std::uint64_t fresh = next[v] & ~seen[v];
+        next[v] = 0;
+        frontier[v] = fresh;
+        seen[v] |= fresh;
+        grew |= fresh;
+      }
+      if (grew == 0) break;
+      ++out.levels;
+    }
+    return out;
+  }
+
+ private:
+  const GraphView& view_;
+  std::vector<std::uint64_t> frontier_;
+  std::vector<std::uint64_t> next_;
+};
+
+}  // namespace
+
+int hop_diameter(const GraphView& view) {
+  MultiSourceBfs bfs(view);
+  std::vector<std::uint64_t> seen(view.num_nodes());
+  int diameter = 0;
+  for (std::size_t b = 0; 64 * b < view.num_nodes(); ++b) {
+    const auto batch =
+        bfs.run(b, std::numeric_limits<int>::max(), seen.data());
+    for (std::size_t v = 0; v < view.num_nodes(); ++v) {
+      if (!view.node_in_view(static_cast<NodeId>(v))) continue;
+      if ((seen[v] & batch.sources) != batch.sources) return -1;
+    }
+    diameter = std::max(diameter, batch.levels);
   }
   return diameter;
 }
 
-std::vector<std::vector<int>> all_pairs_hops(const GraphView& view) {
-  std::vector<std::vector<int>> out;
-  out.reserve(view.num_nodes());
-  for (std::size_t s = 0; s < view.num_nodes(); ++s) {
-    out.push_back(bfs_hops(view, static_cast<NodeId>(s)));
+NearMatrix near_matrix(const GraphView& view, int max_hops) {
+  NearMatrix out;
+  out.num_nodes_ = view.num_nodes();
+  out.words_.assign(out.num_batches() * out.num_nodes_, 0);
+  if (max_hops < 0) return out;
+  MultiSourceBfs bfs(view);
+  for (std::size_t b = 0; b < out.num_batches(); ++b) {
+    bfs.run(b, max_hops, out.words_.data() + b * out.num_nodes_);
   }
   return out;
 }

@@ -1,10 +1,20 @@
 // Breadth-first traversal utilities: reachability, hop distances, connected
-// components, diameter.  Every routine runs on a GraphView, so the view's
-// filters decide whether it sees the working subgraph, the full graph, or
-// ISP's bubble search space — without copying the graph — and one view
-// build is amortised over many sources (hop_diameter, all_pairs_hops).
+// components, diameter, and which nodes lie within a hop limit of which.
+// Every routine runs on a GraphView, so the view's filters decide whether
+// it sees the working subgraph, the full graph, or ISP's bubble search
+// space — without copying the graph.
+//
+// hop_diameter and near_matrix share one kernel, a bit-parallel
+// multi-source BFS (MS-BFS; Then et al., "The More the Merrier", VLDB
+// 2015).  The in-view nodes are taken as sources in batches of 64
+// consecutive ids, one bit of a uint64_t each.  Per node the kernel keeps
+// three words — sources that have reached it (seen), reached it at the
+// current level (frontier) and reach it at the next level — so one pass
+// over the view's CSR arcs advances all 64 BFS by one level, and
+// ceil(V / 64) traversals replace V scalar ones.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -32,10 +42,42 @@ std::vector<int> connected_components(const GraphView& view);
 /// Node ids of the largest component in the view.
 std::vector<NodeId> giant_component(const GraphView& view);
 
-/// Hop diameter (max eccentricity over the view); -1 if disconnected.
+/// Hop diameter: the largest hop distance between two in-view nodes, -1
+/// if some in-view node cannot reach another, 0 for an empty view.  Nodes
+/// outside the view are neither sources nor targets, as in
+/// connected_components.
 int hop_diameter(const GraphView& view);
 
-/// BFS hop distances from every source over one shared view.
-std::vector<std::vector<int>> all_pairs_hops(const GraphView& view);
+/// Which in-view sources reach which nodes within a hop limit: a V x V bit
+/// matrix, ceil(V / 64) * V words (about V^2 / 8 bytes), stored
+/// batch-major so each 64-source batch's words are contiguous.
+class NearMatrix {
+ public:
+  std::size_t num_nodes() const { return num_nodes_; }
+  /// Number of 64-source batches, ceil(V / 64).
+  std::size_t num_batches() const { return (num_nodes_ + 63) / 64; }
+  /// Bit k set iff source 64 * batch + k is in the view and reaches
+  /// `target` within the limit.  Bits past the last node are clear.
+  std::uint64_t sources_near(std::size_t batch, NodeId target) const {
+    return words_[batch * num_nodes_ + static_cast<std::size_t>(target)];
+  }
+  bool near(NodeId source, NodeId target) const {
+    const auto s = static_cast<std::size_t>(source);
+    return (sources_near(s / 64, target) >> (s % 64)) & 1u;
+  }
+
+ private:
+  friend NearMatrix near_matrix(const GraphView& view, int max_hops);
+
+  std::size_t num_nodes_ = 0;
+  std::vector<std::uint64_t> words_;
+};
+
+/// near(s, t) iff s is in the view and bfs_hops(view, s)[t] lies in
+/// [0, max_hops]; all clear when max_hops < 0.  Every edge between two
+/// in-view nodes has both arcs, so among in-view nodes hop distance is
+/// symmetric and sources_near(b, i) is also the set of targets 64 * b + k
+/// within max_hops of source i — one word per 64 targets.
+NearMatrix near_matrix(const GraphView& view, int max_hops);
 
 }  // namespace netrec::graph

@@ -1,7 +1,9 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 
@@ -11,11 +13,57 @@
 
 namespace netrec::scenario {
 
+namespace {
+
+using NodePair = std::pair<graph::NodeId, graph::NodeId>;
+
+/// Every pair (i, j), i < j, at least `min_hops` apart, in lexicographic
+/// order.  Pair (i, j) is out iff j is within min_hops - 1 hops of i.  Hop
+/// distance is symmetric on the full view, so the sources near i are also
+/// the targets near i: the clear bits of sources_near(b, i) are the
+/// admissible j of batch b, 64 per word.
+std::vector<NodePair> admissible_pairs(const graph::GraphView& view,
+                                       int min_hops) {
+  const graph::NearMatrix near = graph::near_matrix(view, min_hops - 1);
+  const std::size_t n = view.num_nodes();
+  const std::size_t batches = near.num_batches();
+  // Admissible j > i among nodes 64 * b ... 64 * b + 63.
+  const auto far_word = [&](std::size_t i, std::size_t b) {
+    std::uint64_t word = ~near.sources_near(b, static_cast<graph::NodeId>(i));
+    if (b == i / 64) word &= ~((std::uint64_t{2} << (i % 64)) - 1);
+    if (b + 1 == batches && n % 64 != 0) {
+      word &= (std::uint64_t{1} << (n % 64)) - 1;
+    }
+    return word;
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = i / 64; b < batches; ++b) {
+      count += static_cast<std::size_t>(std::popcount(far_word(i, b)));
+    }
+  }
+  std::vector<NodePair> pairs;
+  pairs.reserve(count);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = i / 64; b < batches; ++b) {
+      for (std::uint64_t word = far_word(i, b); word != 0; word &= word - 1) {
+        pairs.emplace_back(
+            static_cast<graph::NodeId>(i),
+            static_cast<graph::NodeId>(64 * b + static_cast<std::size_t>(
+                                                    std::countr_zero(word))));
+      }
+    }
+  }
+  return pairs;
+}
+
+}  // namespace
+
 std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
                                            std::size_t pairs, double amount,
                                            util::Rng& rng,
                                            double min_distance_factor) {
-  // One full-graph snapshot serves the diameter scan and the all-pairs BFS.
+  // One full-graph snapshot serves both multi-source BFS passes.
   const graph::GraphView view = graph::GraphView::build(g);
   const int diameter = graph::hop_diameter(view);
   if (diameter < 0) {
@@ -23,18 +71,7 @@ std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
   }
   const int min_hops = static_cast<int>(
       std::ceil(diameter * min_distance_factor));
-
-  // All admissible pairs.
-  const auto hops = graph::all_pairs_hops(view);
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> admissible;
-  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    for (std::size_t j = i + 1; j < g.num_nodes(); ++j) {
-      if (hops[i][j] >= min_hops) {
-        admissible.emplace_back(static_cast<graph::NodeId>(i),
-                                static_cast<graph::NodeId>(j));
-      }
-    }
-  }
+  auto admissible = admissible_pairs(view, min_hops);
   std::shuffle(admissible.begin(), admissible.end(), rng);
 
   // Prefer pairs with fresh endpoints so demands do not collapse onto a few

@@ -32,6 +32,17 @@ namespace netrec::scenario {
 /// Demand pairs at hop distance >= ceil(diameter * min_distance_factor),
 /// sampled without endpoint reuse while possible.  Throws when the graph is
 /// disconnected; returns fewer pairs when not enough far-apart pairs exist.
+///
+/// Two passes of graph/traversal's bit-parallel multi-source BFS do the
+/// graph work: hop_diameter (which also checks connectivity), then
+/// near_matrix stopped at min_hops - 1 levels.  The matrix takes about
+/// V^2 / 8 bytes; the admissible pairs (i, j), i < j, are read from it in
+/// lexicographic order into an exact-size list, std::shuffle'd with `rng`,
+/// and scanned in order.  The list and its order equal what a per-source
+/// scalar BFS produces, and std::shuffle's swaps depend only on the list
+/// length and the RNG, so the demands and the state `rng` is left in are
+/// byte-identical to that construction (pinned by the `placement` records
+/// of tests/golden/graph_kernels.txt).
 std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
                                            std::size_t pairs, double amount,
                                            util::Rng& rng,

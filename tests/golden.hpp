@@ -712,6 +712,98 @@ inline constexpr const char* kTopologyGml = R"(graph [
 ]
 )";
 
+/// far_apart_demands' demands — FNV-1a-64 of every (source, target, amount
+/// bits) — and the next word of its RNG afterwards, or the exception text.
+inline std::string placement_record(const graph::Graph& g, std::size_t pairs,
+                                    double min_distance_factor) {
+  util::Rng rng(7);
+  std::vector<mcf::Demand> demands;
+  try {
+    demands = scenario::far_apart_demands(g, pairs, 10.0, rng,
+                                          min_distance_factor);
+  } catch (const std::exception& e) {
+    return std::string("throws ") + e.what() + "\n";
+  }
+  Fnv1a64 h;
+  for (const mcf::Demand& d : demands) {
+    h.add_id(d.source);
+    h.add_id(d.target);
+    h.add(d.amount);
+  }
+  char next[24];
+  std::snprintf(next, sizeof next, "%016llx",
+                static_cast<unsigned long long>(rng.next()));
+  return "demands " + std::to_string(demands.size()) + " fnv1a64 " + h.str() +
+         "\nnext_rng " + next + "\n";
+}
+
+/// Two triangles with no edge between them.
+inline graph::Graph two_triangles() {
+  graph::Builder builder;
+  builder.add_nodes(6);
+  for (graph::NodeId base : {0, 3}) {
+    builder.add_edge(base, base + 1, 1.0);
+    builder.add_edge(base + 1, base + 2, 1.0);
+    builder.add_edge(base + 2, base, 1.0);
+  }
+  return builder.finalize();
+}
+
+/// Demand placement on the netrec-bench preloads (CAIDA-like seeds 1-3,
+/// BA-2000 seeds 1-3) and on BA-1024, ER-100 and Bell-Canada, each at four
+/// distance factors; then more pairs than far-apart pairs exist, and a
+/// disconnected graph.
+inline void add_placement_cases(std::vector<GoldenCase>& cases) {
+  using Factory = std::function<graph::Graph()>;
+  const auto ba = [](std::size_t nodes, std::uint64_t seed) -> Factory {
+    return [=] {
+      topology::BarabasiAlbertOptions options;
+      options.nodes = nodes;
+      return topology::make_topology({options, seed});
+    };
+  };
+  std::vector<std::pair<std::string, Factory>> graphs;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    graphs.emplace_back("caida " + std::to_string(s), [s] {
+      return topology::make_topology({topology::CaidaLikeOptions{}, s});
+    });
+  }
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    graphs.emplace_back("ba-2000 " + std::to_string(s), ba(2000, s));
+  }
+  graphs.emplace_back("ba-1024 1", ba(1024, 1));
+  graphs.emplace_back("er-100 1", [] {
+    return topology::make_topology({topology::ErdosRenyiOptions{}, 1});
+  });
+  graphs.emplace_back("bell-canada", [] {
+    return topology::make_topology({topology::BellCanadaOptions{}});
+  });
+  for (const auto& [name, make] : graphs) {
+    for (const auto& [label, factor] :
+         {std::pair{"0", 0.0}, {"0.5", 0.5}, {"0.8", 0.8}, {"1", 1.0}}) {
+      cases.push_back({"placement " + name + " factor " + label,
+                       [make, factor] {
+                         return placement_record(make(), 8, factor);
+                       }});
+    }
+  }
+  cases.push_back({"placement bell-canada pairs 40 factor 1", [] {
+                     return placement_record(
+                         topology::make_topology(
+                             {topology::BellCanadaOptions{}}),
+                         40, 1.0);
+                   }});
+  cases.push_back({"placement caida 1 pairs 400 factor 0.8", [] {
+                     return placement_record(
+                         topology::make_topology(
+                             {topology::CaidaLikeOptions{}, 1}),
+                         400, 0.8);
+                   }});
+  cases.push_back({"placement disconnected", [] {
+                     return placement_record(two_triangles(), 2, 0.5);
+                   }});
+}
+
 inline std::vector<GoldenCase> graph_kernel_cases() {
   std::vector<GoldenCase> cases;
   const auto add = [&](const std::string& key,
@@ -785,6 +877,7 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
   }
   add("centrality caida split 1",
       [] { return centrality_caida_record(caida_lazy_scenario(1)); });
+  add_placement_cases(cases);
   return cases;
 }
 

@@ -79,7 +79,13 @@ int main() {
             "# demand-based centrality over shared first-path trees) were\n"
             "# first recorded by the adjacency-list Dinic and the full-tree\n"
             "# shortest-path reads that the CSR Dinic and the target-stopped\n"
-            "# trees replaced.\n") +
+            "# trees replaced.\n"
+            "#\n"
+            "# `placement` records pin scenario::far_apart_demands: an\n"
+            "# FNV-1a-64 digest of every (source, target, amount bits) and\n"
+            "# the next word of the placement RNG, or the exception text.\n"
+            "# First recorded by the all-pairs hop-matrix placement that the\n"
+            "# bit-parallel multi-source BFS replaced.\n") +
             kRegenerate,
         test::graph_kernel_cases());
     test::write_golden(

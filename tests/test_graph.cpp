@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <thread>
 
 #include "golden.hpp"
@@ -18,6 +19,7 @@
 #include "graph/path.hpp"
 #include "graph/simple_paths.hpp"
 #include "graph/traversal.hpp"
+#include "topology/generator.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::graph {
@@ -100,6 +102,139 @@ TEST(Traversal, ComponentsSplitWhenCut) {
   EXPECT_NE(label[3], label[5]);
   const auto giant = giant_component(view);
   EXPECT_EQ(giant.size(), 3u);
+}
+
+TEST(Traversal, DiameterRangesOverInViewNodes) {
+  // Ring 0-1-2-3-4-5-0; breaking node 5 leaves the path 0-1-2-3-4.
+  Builder builder;
+  builder.add_nodes(6);
+  for (NodeId i = 0; i < 6; ++i) builder.add_edge(i, (i + 1) % 6, 1.0);
+  Graph g = builder.finalize();
+  g.set_node_broken(5, true);
+  const ViewConfig working_nodes{.edge_ok = working_edge_filter(g),
+                                 .node_ok = [&g](NodeId v) {
+                                   return !g.node_broken(v);
+                                 }};
+  EXPECT_EQ(hop_diameter(GraphView::build(g)), 3);
+  EXPECT_EQ(hop_diameter(GraphView::build(g, working_nodes)), 4);
+  // GraphView::working filters edges only: node 5 stays in the view,
+  // isolated, so the view is disconnected.
+  EXPECT_EQ(hop_diameter(GraphView::working(g)), -1);
+  // A second broken node splits the remaining nodes.
+  g.set_node_broken(2, true);
+  EXPECT_EQ(hop_diameter(GraphView::build(g, working_nodes)), -1);
+}
+
+/// One bfs_hops per in-view source: the reference for the multi-source
+/// kernel behind hop_diameter and near_matrix.
+struct HopReference {
+  std::vector<std::vector<int>> hops;  ///< empty rows for out-of-view sources
+  int diameter = 0;                    ///< -1 when some pair is unreachable
+  int max_finite = 0;                  ///< largest finite in-view distance
+};
+
+HopReference per_source_hops(const GraphView& view) {
+  HopReference ref;
+  ref.hops.resize(view.num_nodes());
+  for (std::size_t s = 0; s < view.num_nodes(); ++s) {
+    if (!view.node_in_view(static_cast<NodeId>(s))) continue;
+    ref.hops[s] = bfs_hops(view, static_cast<NodeId>(s));
+    for (std::size_t t = 0; t < view.num_nodes(); ++t) {
+      if (!view.node_in_view(static_cast<NodeId>(t))) continue;
+      const int d = ref.hops[s][t];
+      if (d < 0) {
+        ref.diameter = -1;
+      } else {
+        ref.max_finite = std::max(ref.max_finite, d);
+        if (ref.diameter >= 0) ref.diameter = std::max(ref.diameter, d);
+      }
+    }
+  }
+  return ref;
+}
+
+/// hop_diameter, and near_matrix at every limit from -1 to max_finite + 1,
+/// against the per-source reference, bit for bit.
+void expect_matches_per_source_bfs(const GraphView& view,
+                                   const std::string& label) {
+  SCOPED_TRACE(label);
+  const HopReference ref = per_source_hops(view);
+  EXPECT_EQ(hop_diameter(view), ref.diameter);
+  const std::size_t n = view.num_nodes();
+  for (int limit = -1; limit <= ref.max_finite + 1; ++limit) {
+    const NearMatrix near = near_matrix(view, limit);
+    ASSERT_EQ(near.num_nodes(), n);
+    ASSERT_EQ(near.num_batches(), (n + 63) / 64);
+    std::size_t mismatches = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t t = 0; t < n; ++t) {
+        const bool expected = !ref.hops[s].empty() && ref.hops[s][t] >= 0 &&
+                              ref.hops[s][t] <= limit;
+        if (near.near(static_cast<NodeId>(s), static_cast<NodeId>(t)) !=
+            expected) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "limit " << limit;
+    if (n % 64 != 0) {
+      for (std::size_t t = 0; t < n; ++t) {
+        EXPECT_EQ(near.sources_near(n / 64, static_cast<NodeId>(t)) >> (n % 64),
+                  0u)
+            << "padding bits, limit " << limit;
+      }
+    }
+  }
+}
+
+Graph edgeless(std::size_t nodes) {
+  Builder builder;
+  builder.add_nodes(nodes);
+  return builder.finalize();
+}
+
+/// Plain, edge-filtered and node-filtered views of one graph.
+void expect_views_match_per_source_bfs(const Graph& g,
+                                       const std::string& label) {
+  expect_matches_per_source_bfs(GraphView::build(g), label);
+  expect_matches_per_source_bfs(
+      GraphView::build(g, {.edge_ok = [](EdgeId e) { return e % 3 != 0; }}),
+      label + " edge-filtered");
+  expect_matches_per_source_bfs(
+      GraphView::build(g, {.node_ok = [](NodeId v) { return v % 5 != 2; }}),
+      label + " node-filtered");
+}
+
+TEST(MultiSourceBfs, MatchesPerSourceBfsAcrossBatchBoundaries) {
+  expect_views_match_per_source_bfs(edgeless(0), "0 nodes");
+  expect_views_match_per_source_bfs(edgeless(1), "1 node");
+  expect_views_match_per_source_bfs(edgeless(3), "3 isolated nodes");
+  for (const std::size_t nodes : {63, 64, 65, 130}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::string suffix =
+          std::to_string(nodes) + " seed " + std::to_string(seed);
+      topology::ErdosRenyiOptions er;
+      er.nodes = nodes;
+      er.edge_probability = 3.0 / static_cast<double>(nodes);
+      expect_views_match_per_source_bfs(
+          topology::make_topology({er, seed}), "er " + suffix);
+      topology::BarabasiAlbertOptions ba;
+      ba.nodes = nodes;
+      ba.attach = seed;
+      expect_views_match_per_source_bfs(
+          topology::make_topology({ba, seed}), "ba " + suffix);
+    }
+  }
+}
+
+TEST(MultiSourceBfs, MatchesPerSourceBfsOnDisconnectedAndBrokenGraphs) {
+  expect_views_match_per_source_bfs(test::two_triangles(), "two triangles");
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Graph g = test::broken_er(seed, 70, 0.05);
+    expect_matches_per_source_bfs(GraphView::working(g),
+                                  "broken er working " + std::to_string(seed));
+    expect_views_match_per_source_bfs(g, "broken er " + std::to_string(seed));
+  }
 }
 
 TEST(Dijkstra, PrefersShortMetricOverFewHops) {

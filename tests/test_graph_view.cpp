@@ -84,6 +84,10 @@ TEST(DemandCentrality, CaidaSplitDemandsMatchGolden) {
   expect_kernel_golden("centrality caida split ");
 }
 
+TEST(ScenarioPlacement, FarApartDemandsMatchGolden) {
+  expect_kernel_golden("placement ");
+}
+
 TEST(GraphTopology, GeneratorsAndGmlLoaderMatchGolden) {
   expect_kernel_golden("topology ");
 }

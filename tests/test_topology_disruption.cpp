@@ -260,26 +260,32 @@ TEST(Cascade, OverloadFactorGatesTheBreak) {
 }
 
 TEST(Scenario, FarApartDemandsRespectDistance) {
-  const graph::Graph g = topology::make_topology({topology::BellCanadaOptions{}});
-  util::Rng rng(23);
-  const auto demands = scenario::far_apart_demands(g, 4, 10.0, rng);
-  ASSERT_EQ(demands.size(), 4u);
-  const graph::GraphView view = graph::GraphView::build(g);
-  const int diameter = graph::hop_diameter(view);
-  const auto hops = graph::all_pairs_hops(view);
-  for (const auto& d : demands) {
-    EXPECT_GE(hops[static_cast<std::size_t>(d.source)]
-                  [static_cast<std::size_t>(d.target)],
-              diameter / 2);
-    EXPECT_DOUBLE_EQ(d.amount, 10.0);
+  topology::BarabasiAlbertOptions ba;
+  ba.nodes = 2000;
+  for (const graph::Graph& g :
+       {topology::make_topology({topology::BellCanadaOptions{}}),
+        topology::make_topology({ba, 1})}) {
+    util::Rng rng(23);
+    const auto demands = scenario::far_apart_demands(g, 4, 10.0, rng);
+    ASSERT_EQ(demands.size(), 4u);
+    const graph::GraphView view = graph::GraphView::build(g);
+    const int diameter = graph::hop_diameter(view);
+    ASSERT_GT(diameter, 0);
+    const int min_hops = static_cast<int>(std::ceil(diameter * 0.5));
+    for (const auto& d : demands) {
+      EXPECT_GE(graph::bfs_hops(view, d.source)[static_cast<std::size_t>(
+                    d.target)],
+                min_hops);
+      EXPECT_DOUBLE_EQ(d.amount, 10.0);
+    }
+    // Endpoints all distinct (enough far-apart pairs exist on both).
+    std::set<graph::NodeId> endpoints;
+    for (const auto& d : demands) {
+      endpoints.insert(d.source);
+      endpoints.insert(d.target);
+    }
+    EXPECT_EQ(endpoints.size(), 8u);
   }
-  // Endpoints all distinct (enough far-apart pairs exist on Bell-Canada).
-  std::set<graph::NodeId> endpoints;
-  for (const auto& d : demands) {
-    endpoints.insert(d.source);
-    endpoints.insert(d.target);
-  }
-  EXPECT_EQ(endpoints.size(), 8u);
 }
 
 TEST(Scenario, DemandsAreDeterministicPerSeed) {
