@@ -4,6 +4,8 @@
 // simplex solve.  These are the per-iteration costs behind Fig. 7(a)'s
 // "ISP time is negligible" claim.  BM_FarApartDemands and BM_HopDiameter
 // time the set-up side: demand placement on the netrec-bench preloads.
+// BM_JsonParsePlanRequest, BM_CanonicalKeyFingerprint and BM_JsonDumpPayload
+// time netrecd's request path on a plan_hot-shaped body.
 #include <benchmark/benchmark.h>
 
 #include "core/centrality.hpp"
@@ -17,7 +19,10 @@
 #include "mcf/routing.hpp"
 #include "mcf/split.hpp"
 #include "scenario/scenario.hpp"
+#include "serve/engine.hpp"
+#include "serve/protocol.hpp"
 #include "topology/generator.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -290,6 +295,77 @@ void BM_HopDiameter(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "caida-825" : "ba-2000");
 }
 BENCHMARK(BM_HopDiameter)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The plan_fresh / plan_hot preload (CAIDA-like seed 1, eight pairs, demand
+/// seed 7) and a request body shaped like netrec-bench's: 20% of the nodes
+/// and edges, ids ascending.
+struct ServeInstance {
+  core::RecoveryProblem problem;
+  std::string body;
+};
+
+const ServeInstance& serve_instance() {
+  static const ServeInstance instance = [] {
+    ServeInstance out;
+    out.problem.graph = preload_graph(0);
+    util::Rng demand_rng(7);
+    out.problem.demands =
+        scenario::far_apart_demands(out.problem.graph, 8, 10.0, demand_rng);
+    util::Rng rng(0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL);
+    const auto ids = [&rng](std::size_t n) {
+      std::vector<std::size_t> drawn =
+          rng.sample_without_replacement(n, (n + 2) / 5);
+      std::sort(drawn.begin(), drawn.end());
+      util::Json out = util::Json::array();
+      for (std::size_t id : drawn) out.push_back(id);
+      return out;
+    };
+    util::Json body = util::Json::object();
+    body.set("broken_nodes", ids(out.problem.graph.num_nodes()));
+    body.set("broken_edges", ids(out.problem.graph.num_edges()));
+    out.body = body.dump();
+    return out;
+  }();
+  return instance;
+}
+
+void BM_JsonParsePlanRequest(benchmark::State& state) {
+  const ServeInstance& in = serve_instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::parse_plan_request(util::Json::parse(in.body), in.problem));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.body.size()));
+  state.SetLabel(std::to_string(in.body.size()) + "-byte body");
+}
+BENCHMARK(BM_JsonParsePlanRequest);
+
+void BM_CanonicalKeyFingerprint(benchmark::State& state) {
+  const ServeInstance& in = serve_instance();
+  const serve::PlanRequest request =
+      serve::parse_plan_request(util::Json::parse(in.body), in.problem);
+  for (auto _ : state) {
+    const std::string key = serve::canonical_key(request);
+    benchmark::DoNotOptimize(serve::fingerprint(key));
+  }
+}
+BENCHMARK(BM_CanonicalKeyFingerprint);
+
+void BM_JsonDumpPayload(benchmark::State& state) {
+  const ServeInstance& in = serve_instance();
+  serve::PlanningEngine engine(in.problem);
+  const util::Json payload =
+      engine
+          .solve(serve::parse_plan_request(util::Json::parse(in.body),
+                                           in.problem))
+          .payload;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(payload.dump());
+  }
+  state.SetLabel(std::to_string(payload.dump().size()) + "-byte payload");
+}
+BENCHMARK(BM_JsonDumpPayload);
 
 void BM_IspBellComplete(benchmark::State& state) {
   core::RecoveryProblem p;

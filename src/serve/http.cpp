@@ -219,16 +219,19 @@ bool write_http_response(
     int fd, int status, const std::string& content_type,
     const std::string& body,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     http_status_text(status) +
-                     "\r\nContent-Type: " + content_type +
-                     "\r\nContent-Length: " + std::to_string(body.size());
+  std::string response = "HTTP/1.1 " + std::to_string(status) + " " +
+                         http_status_text(status) +
+                         "\r\nContent-Type: " + content_type +
+                         "\r\nContent-Length: " + std::to_string(body.size());
   for (const auto& [name, value] : extra_headers) {
-    head += "\r\n" + name + ": " + value;
+    response += "\r\n" + name + ": " + value;
   }
-  head += "\r\nConnection: close\r\n\r\n";
-  return send_all(fd, head.data(), head.size()) &&
-         send_all(fd, body.data(), body.size());
+  response += "\r\nConnection: close\r\n\r\n";
+  // Head and body leave in one send: as a second small segment the body
+  // would wait out Nagle until the head is ACKed (server sockets run
+  // without TCP_NODELAY).
+  response += body;
+  return send_all(fd, response.data(), response.size());
 }
 
 int listen_on(const std::string& host, int port, int backlog) {

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -52,16 +53,34 @@ std::vector<Id> parse_id_list(const util::Json& value, const char* field,
     }
     ids.push_back(static_cast<Id>(id));
   }
-  std::sort(ids.begin(), ids.end());
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    std::sort(ids.begin(), ids.end());
+  }
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 
-void append_ids(std::string& out, const std::vector<std::int32_t>& ids) {
+template <class T>
+void append_int(std::string& out, T value) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+/// Longest id text, "-2147483648".
+constexpr std::size_t kMaxIdChars = 11;
+
+/// Writes `label` and the comma-separated ids at `out`, which must have
+/// room for label.size() + ids.size() * (kMaxIdChars + 1) bytes; returns
+/// the new end.
+char* write_ids(char* out, std::string_view label,
+                const std::vector<std::int32_t>& ids) {
+  out = std::copy(label.begin(), label.end(), out);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
+    if (i > 0) *out++ = ',';
+    out = std::to_chars(out, out + kMaxIdChars, ids[i]).ptr;
   }
+  return out;
 }
 
 }  // namespace
@@ -156,19 +175,25 @@ std::string canonical_key(const PlanRequest& request) {
     // one cache entry.
     key += "|policy=";
     key += policy_name(request.policy);
-    key += "|budget=" + std::to_string(request.stage_budget);
-    key += "|stages=" + std::to_string(request.max_stages);
-    key += "|seed=" + std::to_string(request.seed);
+    key += "|budget=";
+    append_int(key, request.stage_budget);
+    key += "|stages=";
+    append_int(key, request.max_stages);
+    key += "|seed=";
+    append_int(key, request.seed);
   }
-  key += "|n=";
-  append_ids(key, request.broken_nodes);
-  key += "|e=";
-  append_ids(key, request.broken_edges);
+  // The id lists are written in place into room sized for the widest ids,
+  // then the string is trimmed to what was written.
+  const std::size_t head = key.size();
+  key.resize(head + 6 + (kMaxIdChars + 1) * (request.broken_nodes.size() +
+                                             request.broken_edges.size()));
+  char* out = write_ids(key.data() + head, "|n=", request.broken_nodes);
+  out = write_ids(out, "|e=", request.broken_edges);
+  key.resize(static_cast<std::size_t>(out - key.data()));
   return key;
 }
 
-std::string fingerprint(const PlanRequest& request) {
-  const std::string key = canonical_key(request);
+std::string fingerprint(std::string_view key) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : key) {
     hash ^= static_cast<unsigned char>(c);
@@ -178,6 +203,10 @@ std::string fingerprint(const PlanRequest& request) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(hash));
   return std::string(buf);
+}
+
+std::string fingerprint(const PlanRequest& request) {
+  return fingerprint(canonical_key(request));
 }
 
 }  // namespace netrec::serve

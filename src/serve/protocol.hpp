@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -62,8 +63,12 @@ PlanRequest parse_plan_request(const util::Json& body,
 /// are omitted in kIsp mode so they cannot split cache entries).
 std::string canonical_key(const PlanRequest& request);
 
-/// FNV-1a 64-bit hex digest of canonical_key(); the compact fingerprint
-/// reported to clients and in metrics.
+/// FNV-1a 64-bit hex digest of a canonical key; the compact fingerprint
+/// reported to clients and in metrics.  The server hashes the key it
+/// already built for the cache lookup.
+std::string fingerprint(std::string_view canonical_key);
+
+/// fingerprint(canonical_key(request)).
 std::string fingerprint(const PlanRequest& request);
 
 const char* mode_name(PlanRequest::Mode mode);

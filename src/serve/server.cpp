@@ -448,7 +448,7 @@ std::string Server::handle_plan(const std::string& body,
   }
 
   const std::string key = canonical_key(request);
-  const std::string digest = fingerprint(request);
+  const std::string digest = fingerprint(key);
 
   std::shared_ptr<const std::string> payload = cache_.find(key);
   cache_hit = payload != nullptr;

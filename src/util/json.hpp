@@ -1,18 +1,35 @@
 // Minimal JSON value type with serialisation and parsing.
 //
-// Backs the scenario engine's structured emission (SweepRunner --json) so
-// sweep results can be consumed by external plotting/analysis tooling, and
-// parsed back for round-trip tests.  Deliberately small: objects keep
-// insertion order (emission is deterministic), numbers are doubles, and the
-// parser accepts exactly the JSON this writer produces plus standard
-// whitespace — enough for our own artefacts, not a general validator.
+// Backs the scenario engine's structured emission (SweepRunner --json), the
+// netrecd wire protocol and the benchmarks' result objects.
+//
+// Representation: one std::variant over null, bool, double, string, array
+// and object, listed in Type order (so type() is the variant's index).  An
+// object is an insertion-ordered vector of (key, value) members: emission
+// is deterministic and follows first insertion, and lookups scan the
+// members, which is the fast path for the handful of keys our documents
+// carry.
+//
+// The parser reads untrusted netrecd client input and is strict:
+//   * numbers follow the RFC 8259 grammar exactly
+//       [ "-" ] ( "0" / digit1-9 *digit ) [ "." 1*digit ]
+//       [ ( "e" / "E" ) [ "+" / "-" ] 1*digit ]
+//     and are read with std::from_chars over that token, so "+1", "007",
+//     ".5", "1.", "1e", "1-2" and "2.5.3" are errors rather than prefixes;
+//     a value outside the double range (1e400, 1e-400) is an error, while
+//     subnormals round-trip;
+//   * an object may not repeat a key (a repeated key is an error, never
+//     last-wins);
+//   * lone UTF-16 surrogates in \u escapes are errors;
+//   * nesting deeper than kMaxDepth arrays/objects is an error.
+// Whitespace between tokens is space, tab, CR, LF, VT or FF.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace netrec::util {
@@ -20,21 +37,27 @@ namespace netrec::util {
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  using Array = std::vector<Json>;
+  using Object = std::vector<std::pair<std::string, Json>>;
 
-  Json() : type_(Type::kNull) {}
-  Json(bool value) : type_(Type::kBool), bool_(value) {}  // NOLINT
-  Json(double value) : type_(Type::kNumber), number_(value) {}  // NOLINT
+  /// Deepest array/object nesting Json::parse accepts.
+  static constexpr int kMaxDepth = 512;
+
+  Json() = default;
+  Json(bool value) : value_(std::in_place_type<bool>, value) {}  // NOLINT
+  Json(double value) : value_(std::in_place_type<double>, value) {}  // NOLINT
   Json(int value) : Json(static_cast<double>(value)) {}  // NOLINT
   Json(std::size_t value) : Json(static_cast<double>(value)) {}  // NOLINT
-  Json(const char* value) : type_(Type::kString), string_(value) {}  // NOLINT
+  Json(const char* value)  // NOLINT
+      : value_(std::in_place_type<std::string>, value) {}
   Json(std::string value)  // NOLINT
-      : type_(Type::kString), string_(std::move(value)) {}
+      : value_(std::in_place_type<std::string>, std::move(value)) {}
 
   static Json array();
   static Json object();
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
 
   bool as_bool() const;
   double as_number() const;
@@ -48,29 +71,27 @@ class Json {
   /// Object access; set() switches a null value to an object and keeps
   /// first-insertion key order for deterministic emission.
   void set(const std::string& key, Json value);
-  bool contains(const std::string& key) const;
-  const Json& at(const std::string& key) const;
-  const std::vector<std::string>& keys() const;
+  bool contains(std::string_view key) const;
+  const Json& at(std::string_view key) const;
+  std::vector<std::string> keys() const;
 
   /// Compact serialisation (no spaces); `indent > 0` pretty-prints.
   std::string dump(int indent = 0) const;
 
   /// Parses a JSON document; throws std::runtime_error on malformed input.
-  static Json parse(const std::string& text);
+  static Json parse(std::string_view text);
 
-  /// Structural equality (numbers compared exactly).
-  bool operator==(const Json& other) const;
+  /// Structural equality (numbers compared exactly, key order significant).
+  bool operator==(const Json& other) const { return value_ == other.value_; }
 
  private:
+  friend class JsonParser;
+
+  const Json* find(std::string_view key) const;
   void dump_to(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::vector<std::string> object_keys_;
-  std::map<std::string, Json> object_;
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Writes `value.dump(2)` to `path`; throws std::runtime_error on failure.

@@ -1,6 +1,6 @@
 // Golden corpora: frozen reference outputs of ISP, the graph kernels, the
-// staged-recovery Timeline and the path-LP consumers, stored as text records
-// under tests/golden/.
+// staged-recovery Timeline, the path-LP consumers and netrecd's request
+// path, stored as text records under tests/golden/.
 //
 // Each corpus file is a list of records
 //
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -48,6 +49,9 @@
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
 #include "scenarios.hpp"
+#include "serve/engine.hpp"
+#include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace netrec::test {
 
@@ -56,6 +60,7 @@ inline constexpr const char* kGraphKernels = "graph_kernels.txt";
 inline constexpr const char* kTimelineRestoration =
     "timeline_restoration.txt";
 inline constexpr const char* kLpCorpus = "lp_corpus.txt";
+inline constexpr const char* kServeCorpus = "serve_corpus.txt";
 
 // --- record formatting -------------------------------------------------------
 
@@ -1087,6 +1092,115 @@ inline std::vector<GoldenCase> timeline_cases() {
     add(false, "list+cascade", list, make_cascade, base * 31 + 7);
     add(true, "replan+cascade", replan, make_cascade, base * 17 + 3);
     add(true, "list+aftershock", list, make_aftershocks, base * 17 + 3);
+  }
+  return cases;
+}
+
+// --- netrecd request path -----------------------------------------------------
+
+/// netrecd's test instance: Bell-Canada with a small demand set (three
+/// pairs of 6 units, demand seed 7) — rich enough for real plans, small
+/// enough that a solve is test-suite cheap.
+inline core::RecoveryProblem serve_bell_problem() {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::BellCanadaOptions{}});
+  util::Rng rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 3, 6.0, rng);
+  return p;
+}
+
+/// netrec-bench's plan_fresh / plan_hot preload: CAIDA-like seed 1, eight
+/// pairs of 10 units, demand seed 7, no baseline damage.
+inline core::RecoveryProblem serve_caida_problem() {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, 1});
+  util::Rng rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, rng);
+  return p;
+}
+
+/// `fraction` of `n` ids, in draw order (unsorted, as a client may send).
+inline util::Json damage_ids(util::Rng& rng, std::size_t n, double fraction) {
+  const auto k = static_cast<std::size_t>(
+      std::llround(fraction * static_cast<double>(n)));
+  util::Json ids = util::Json::array();
+  for (std::size_t i : rng.sample_without_replacement(n, k)) ids.push_back(i);
+  return ids;
+}
+
+/// One seeded damage state as a plan-request body.  `variant` is "isp"
+/// (ids only, the netrec-bench body shape) or a timeline policy ("replay",
+/// "replan") with every timeline option spelled out.
+inline util::Json serve_request_body(const core::RecoveryProblem& p,
+                                     double fraction, std::uint64_t seed,
+                                     std::uint64_t state,
+                                     const std::string& variant,
+                                     std::size_t stage_budget,
+                                     std::size_t max_stages) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + state);
+  util::Json body = util::Json::object();
+  body.set("broken_nodes", damage_ids(rng, p.graph.num_nodes(), fraction));
+  body.set("broken_edges", damage_ids(rng, p.graph.num_edges(), fraction));
+  if (variant != "isp") {
+    body.set("mode", "timeline");
+    body.set("policy", variant);
+    body.set("stage_budget", stage_budget);
+    body.set("max_stages", max_stages);
+    body.set("seed", static_cast<double>(seed));
+  }
+  return body;
+}
+
+/// What netrecd derives from one request body: the body bytes, the parsed
+/// request's canonical key and fingerprint, and an FNV-1a-64 digest and
+/// size of the solved payload's dump.
+inline std::string serve_record(const core::RecoveryProblem& p,
+                                const util::Json& body) {
+  const std::string text = body.dump();
+  const serve::PlanRequest request =
+      serve::parse_plan_request(util::Json::parse(text), p);
+  serve::PlanningEngine engine(p);
+  const std::string payload = engine.solve(request).payload.dump();
+  Fnv1a64 digest;
+  digest.add_text(payload);
+  return "body " + text + "\nkey " + serve::canonical_key(request) +
+         "\nfingerprint " + serve::fingerprint(request) + "\npayload " +
+         digest.str() + " " + std::to_string(payload.size()) + "\n";
+}
+
+/// Two damage states per seed (1 and the held-out 104729) on Bell-Canada
+/// and the CAIDA-like preload, each in isp mode and in timeline mode with
+/// the replay and replan policies.
+inline std::vector<GoldenCase> serve_cases() {
+  struct Instance {
+    const char* name;
+    core::RecoveryProblem (*problem)();
+    double fraction;
+    std::size_t stage_budget;
+    std::size_t max_stages;
+  };
+  static const Instance kInstances[] = {
+      {"bell-canada", serve_bell_problem, 0.15, 2, 16},
+      {"caida", serve_caida_problem, 0.2, 8, 6},
+  };
+  std::vector<GoldenCase> cases;
+  for (const Instance& in : kInstances) {
+    for (const std::uint64_t seed : {1ULL, 104729ULL}) {
+      for (std::uint64_t state = 0; state < 2; ++state) {
+        for (const char* variant : {"isp", "replay", "replan"}) {
+          cases.push_back(
+              {std::string(in.name) + " seed " + std::to_string(seed) +
+                   " state " + std::to_string(state) + " " + variant,
+               [in, seed, state, variant] {
+                 const core::RecoveryProblem p = in.problem();
+                 return serve_record(
+                     p, serve_request_body(p, in.fraction, seed, state,
+                                           variant, in.stage_budget,
+                                           in.max_stages));
+               }});
+        }
+      }
+    }
   }
   return cases;
 }

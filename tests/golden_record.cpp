@@ -1,7 +1,7 @@
 // Rewrites the golden corpora under tests/golden/ from the current build.
 //
-// The corpora pin ISP, the graph kernels, the Timeline engine and the
-// path-LP consumers; run this only after an intentional behaviour change
+// The corpora pin ISP, the graph kernels, the Timeline engine, the
+// path-LP consumers and netrecd's request path; run this only after an intentional behaviour change
 // and review every changed record before committing:
 //
 //   cmake --build build --target netrec_golden_record
@@ -120,6 +120,22 @@ int main() {
             "# masters.\n") +
             kRegenerate,
         test::lp_cases());
+    test::write_golden(
+        test::kServeCorpus,
+        std::string(
+            "# netrecd request-path golden corpus (tests/golden.hpp:\n"
+            "# serve_cases), checked by tests/test_serve.cpp (ServeGolden).\n"
+            "# Seeded damage states on Bell-Canada and the CAIDA-like\n"
+            "# netrec-bench preload, seeds 1 and 104729, in isp mode and in\n"
+            "# timeline mode with the replay and replan policies.  Each\n"
+            "# record holds the request body as Json::dump emits it, the\n"
+            "# parsed request's canonical key and fingerprint, and the\n"
+            "# FNV-1a-64 digest and size of the solved payload's dump.\n"
+            "# First recorded by the std::map-backed Json with its\n"
+            "# std::stod number reader, before the compact variant\n"
+            "# representation and the from_chars number parser.\n") +
+            kRegenerate,
+        test::serve_cases());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,7 +1,10 @@
 // Tests for the minimal JSON writer/parser behind structured sweep output.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -56,11 +59,36 @@ TEST(Json, ParseRoundTripsNestedDocuments) {
 }
 
 TEST(Json, NumbersRoundTripExactly) {
-  for (const double v : {0.0, -0.0, 1.0 / 3.0, 1e-9, 123456789.123456,
-                         -2.2250738585072014e-308, 9007199254740993.0}) {
+  for (const double v :
+       {0.0, -0.0, 1.0 / 3.0, 1e-9, 123456789.123456,
+        -2.2250738585072014e-308, 9007199254740993.0, DBL_MAX, -DBL_MAX,
+        std::numeric_limits<double>::denorm_min()}) {
     const Json parsed = Json::parse(Json(v).dump());
     EXPECT_EQ(parsed.as_number(), v) << "value " << v;
+    EXPECT_EQ(std::signbit(parsed.as_number()), std::signbit(v))
+        << "value " << v;
   }
+}
+
+TEST(Json, ParseAcceptsRfcNumbers) {
+  EXPECT_EQ(Json::parse("0").as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+  EXPECT_EQ(Json::parse("-12").as_number(), -12.0);
+  EXPECT_EQ(Json::parse("0.5").as_number(), 0.5);
+  EXPECT_EQ(Json::parse("1E3").as_number(), 1000.0);
+  EXPECT_EQ(Json::parse("1e+3").as_number(), 1000.0);
+  EXPECT_EQ(Json::parse("25e-1").as_number(), 2.5);
+  EXPECT_EQ(Json::parse("-0.0e0").as_number(), 0.0);
+  EXPECT_EQ(Json::parse("[0,10,-3]").size(), 3u);
+  // Integers past 2^53 round to nearest like any other decimal, whether
+  // they fit an int64 or not.
+  EXPECT_EQ(Json::parse("123456789012345678").as_number(),
+            123456789012345678.0);
+  EXPECT_EQ(Json::parse("-123456789012345678").as_number(),
+            -123456789012345678.0);
+  EXPECT_EQ(Json::parse("1234567890123456789").as_number(),
+            1234567890123456789.0);
+  EXPECT_EQ(Json::parse("99999999999999999999").as_number(), 1e20);
 }
 
 TEST(Json, ParseHandlesWhitespaceAndEscapes) {
@@ -112,6 +140,44 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\" 1}"), std::runtime_error);
   EXPECT_THROW(Json::parse("tru"), std::runtime_error);
   EXPECT_THROW(Json::parse("1 2"), std::runtime_error);
+  // Numbers outside the RFC 8259 grammar are errors, not prefixes.
+  for (const char* bad :
+       {"[1-2]", "[1e]", "[2.5.3]", "+1", "007", ".5", "1.", "-", "-a", "1e+",
+        "01", "-01", "[1.e5]", "1.5e", "0x10", "Infinity", "NaN", "--1"}) {
+    EXPECT_THROW(Json::parse(bad), std::runtime_error) << bad;
+  }
+  // Outside the double range.
+  EXPECT_THROW(Json::parse("1e400"), std::runtime_error);
+  EXPECT_THROW(Json::parse("-1e400"), std::runtime_error);
+  EXPECT_THROW(Json::parse("1e-400"), std::runtime_error);
+}
+
+TEST(Json, ParseRejectsDuplicateKeys) {
+  EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), std::runtime_error);
+  EXPECT_THROW(Json::parse("{\"broken_nodes\":[1],\"broken_nodes\":[2]}"),
+               std::runtime_error);
+  // Also when nested, and spelled with an escape.
+  EXPECT_THROW(Json::parse("[{\"k\":{\"x\":1,\"y\":2,\"x\":3}}]"),
+               std::runtime_error);
+  EXPECT_THROW(Json::parse("{\"aA\":1,\"a\\u0041\":2}"), std::runtime_error);
+  // Among many keys.
+  std::string big = "{";
+  for (int i = 0; i < 40; ++i) big += "\"k" + std::to_string(i) + "\":0,";
+  EXPECT_EQ(Json::parse(big + "\"last\":0}").size(), 41u);
+  EXPECT_THROW(Json::parse(big + "\"k17\":0}"), std::runtime_error);
+  // The same key in sibling objects is fine.
+  EXPECT_EQ(Json::parse("[{\"a\":1},{\"a\":2}]").size(), 2u);
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), std::runtime_error);
+  // Deep enough to overflow a recursive parser's stack if unchecked.
+  EXPECT_THROW(Json::parse(std::string(1 << 20, '[')), std::runtime_error);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -12,6 +12,9 @@
 //   * ServeServer* — HTTP round-trips against a real socket server:
 //     routing, error mapping, metrics, the shutdown endpoint, and the
 //     cache-hit-is-bit-identical guarantee on the wire.
+//   * ServeGolden* — the request path byte for byte against
+//     tests/golden/serve_corpus.txt: body dump, canonical key, fingerprint
+//     and the solved payload's digest for seeded damage states.
 //   * ServeConcurrency* — N client threads firing mixed cached/uncached
 //     requests at a multi-worker server; every response must be
 //     bit-identical to a serial direct solve.  Runs under the sanitizer CI
@@ -25,30 +28,19 @@
 
 #include <gtest/gtest.h>
 
-#include "scenario/scenario.hpp"
+#include "golden.hpp"
 #include "serve/engine.hpp"
 #include "serve/http.hpp"
 #include "serve/metrics.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "topology/generator.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace netrec;
-
-/// Bell-Canada with a small demand set: rich enough for real plans, small
-/// enough that a solve is test-suite cheap.
-core::RecoveryProblem small_problem() {
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::BellCanadaOptions{}});
-  util::Rng rng(7);
-  p.demands = scenario::far_apart_demands(p.graph, 3, 6.0, rng);
-  return p;
-}
 
 util::Json plan_body(std::vector<int> nodes, std::vector<int> edges) {
   util::Json body = util::Json::object();
@@ -65,7 +57,7 @@ util::Json plan_body(std::vector<int> nodes, std::vector<int> edges) {
 // Protocol: strict parsing.
 
 TEST(ServeProtocol, ParsesAndCanonicalisesIdLists) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   util::Json body = util::Json::object();
   util::Json nodes = util::Json::array();
   for (int id : {7, 3, 7, 1}) nodes.push_back(id);
@@ -78,14 +70,14 @@ TEST(ServeProtocol, ParsesAndCanonicalisesIdLists) {
 }
 
 TEST(ServeProtocol, RejectsUnknownFields) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   util::Json body = plan_body({1}, {});
   body.set("broken_node", util::Json::array());  // typo'd key
   EXPECT_THROW(serve::parse_plan_request(body, p), std::invalid_argument);
 }
 
 TEST(ServeProtocol, RejectsMalformedRequests) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   EXPECT_THROW(serve::parse_plan_request(util::Json(3.0), p),
                std::invalid_argument);
   {
@@ -119,8 +111,53 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   }
 }
 
+TEST(ServeProtocol, MutatedBodiesParseOrThrowCleanly) {
+  // Seeded single-byte replacements, insertions and truncations of a real
+  // request body: each must either decode or fail with the decoder's
+  // documented exceptions — never crash, hang or throw anything else.
+  const core::RecoveryProblem p = test::serve_caida_problem();
+  const std::string body =
+      test::serve_request_body(p, 0.2, 1, 0, "isp", 0, 0).dump();
+  ASSERT_GT(body.size(), 1000u);
+  static constexpr char kInteresting[] = "0123456789-+.eE,[]{}\":\\ \tnu";
+  util::Rng rng(104729);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::string mutated = body;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(body.size()) - 1));
+    const auto byte = static_cast<char>(
+        rng.chance(0.5) ? kInteresting[rng.uniform_int(
+                              0, sizeof(kInteresting) - 2)]
+                        : rng.uniform_int(0, 255));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        mutated.resize(pos);  // truncation
+        break;
+      case 1:
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos),
+                       byte);
+        break;
+      default:
+        mutated[pos] = byte;
+    }
+    try {
+      serve::parse_plan_request(util::Json::parse(mutated), p);
+      ++decoded;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(decoded + rejected, 10000u);
+  EXPECT_GT(decoded, 100u);   // mutations inside ids and whitespace survive
+  EXPECT_GT(rejected, 1000u);  // structural damage is caught
+}
+
 TEST(ServeProtocol, CanonicalKeyIgnoresOrderAndTimelineFieldsInIspMode) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   const serve::PlanRequest a =
       serve::parse_plan_request(plan_body({5, 2}, {1}), p);
   const serve::PlanRequest b =
@@ -141,7 +178,7 @@ TEST(ServeProtocol, CanonicalKeyIgnoresOrderAndTimelineFieldsInIspMode) {
 }
 
 TEST(ServeProtocol, CanonicalKeyCoversTimelineOptions) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   util::Json base = plan_body({4}, {});
   base.set("mode", "timeline");
   const serve::PlanRequest a = serve::parse_plan_request(base, p);
@@ -157,6 +194,24 @@ TEST(ServeProtocol, CanonicalKeyCoversTimelineOptions) {
   budgeted.set("stage_budget", 3);
   const serve::PlanRequest c = serve::parse_plan_request(budgeted, p);
   EXPECT_NE(serve::canonical_key(a), serve::canonical_key(c));
+}
+
+// ---------------------------------------------------------------------------
+// Golden: body bytes, canonical key, fingerprint and payload digest.
+
+void expect_serve_golden(const std::string& prefix) {
+  for (const std::string& diff :
+       test::golden_diffs(test::kServeCorpus, test::serve_cases(), prefix)) {
+    ADD_FAILURE() << diff;
+  }
+}
+
+TEST(ServeGolden, BellCanadaRequestPathMatchesCorpus) {
+  expect_serve_golden("bell-canada ");
+}
+
+TEST(ServeGolden, CaidaRequestPathMatchesCorpus) {
+  expect_serve_golden("caida ");
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +292,7 @@ TEST(ServeMetrics, RegistrySnapshotShape) {
 // Engine determinism.
 
 TEST(ServeEngine, PayloadIsPureFunctionOfRequest) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   const serve::PlanRequest request =
       serve::parse_plan_request(plan_body({2, 9, 14}, {0, 11}), p);
 
@@ -256,7 +311,7 @@ TEST(ServeEngine, PayloadIsPureFunctionOfRequest) {
 }
 
 TEST(ServeEngine, DamageDoesNotLeakBetweenRequests) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   serve::PlanningEngine engine(p);
   const serve::PlanRequest damaged =
       serve::parse_plan_request(plan_body({1, 2, 3, 4, 5}, {2, 3}), p);
@@ -272,7 +327,7 @@ TEST(ServeEngine, DamageDoesNotLeakBetweenRequests) {
 }
 
 TEST(ServeEngine, BaselineDamageIsCleared) {
-  core::RecoveryProblem p = small_problem();
+  core::RecoveryProblem p = test::serve_bell_problem();
   p.graph.set_node_broken(0, true);  // stale damage in the loaded topology
   p.graph.set_edge_broken(0, true);
   serve::PlanningEngine engine(p);
@@ -281,7 +336,7 @@ TEST(ServeEngine, BaselineDamageIsCleared) {
 }
 
 TEST(ServeEngine, TimelineModeIsDeterministic) {
-  const core::RecoveryProblem p = small_problem();
+  const core::RecoveryProblem p = test::serve_bell_problem();
   util::Json body = plan_body({2, 9, 14}, {0});
   body.set("mode", "timeline");
   body.set("policy", "replay");
@@ -306,7 +361,7 @@ TEST(ServeEngine, TimelineModeIsDeterministic) {
 class ServeServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    problem_ = small_problem();
+    problem_ = test::serve_bell_problem();
     serve::ServerOptions options;
     options.workers = 2;
     options.cache_capacity = 64;
@@ -395,6 +450,28 @@ TEST_F(ServeServerTest, ErrorMapping) {
             405);
 }
 
+TEST_F(ServeServerTest, MalformedNumbersAndDuplicateKeysAre400) {
+  // Not a plan against node 1: the number grammar is strict.
+  std::string body;
+  for (const char* bad :
+       {"{\"broken_nodes\":[1-2]}", "{\"broken_nodes\":[1e]}",
+        "{\"broken_nodes\":[007]}", "{\"broken_nodes\":[+1]}"}) {
+    EXPECT_EQ(post_plan(bad, body), 400) << bad;
+    EXPECT_NE(util::Json::parse(body).at("error").as_string().find(
+                  "invalid JSON"),
+              std::string::npos)
+        << body;
+  }
+  // Not a plan against node 2 only: a repeated key is rejected.
+  EXPECT_EQ(post_plan("{\"broken_nodes\":[1],\"broken_nodes\":[2]}", body),
+            400);
+  EXPECT_NE(util::Json::parse(body).at("error").as_string().find(
+                "duplicate object key 'broken_nodes'"),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(server_->cache_stats().misses, 0u);  // nothing was planned
+}
+
 TEST_F(ServeServerTest, MetricsReflectTraffic) {
   const std::string request_body = plan_body({3}, {}).dump();
   std::string response;
@@ -430,7 +507,7 @@ TEST_F(ServeServerTest, ShutdownEndpointReleasesWait) {
 // response bit-identical to a serial direct solve.
 
 TEST(ServeConcurrency, ParallelMixedRequestsMatchSerialSolves) {
-  const core::RecoveryProblem problem = small_problem();
+  const core::RecoveryProblem problem = test::serve_bell_problem();
 
   // Distinct scenarios; each client cycles through them with a different
   // phase, so the same fingerprint is solved fresh by one client and served
