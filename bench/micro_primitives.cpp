@@ -5,9 +5,12 @@
 // "ISP time is negligible" claim.  BM_FarApartDemands and BM_HopDiameter
 // time the set-up side: demand placement on the netrec-bench preloads.
 // BM_JsonParsePlanRequest, BM_CanonicalKeyFingerprint and BM_JsonDumpPayload
-// time netrecd's request path on a plan_hot-shaped body.
+// time netrecd's request path on a plan_hot-shaped body.  BM_IspSolveBa2000
+// is one plan_scale-shaped solve, and BM_BubbleTestBa2000 the prune step's
+// bubble test on the same instance.
 #include <benchmark/benchmark.h>
 
+#include "core/bubble.hpp"
 #include "core/centrality.hpp"
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
@@ -23,6 +26,7 @@
 #include "serve/protocol.hpp"
 #include "topology/generator.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -378,6 +382,69 @@ void BM_IspBellComplete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IspBellComplete);
+
+/// The plan_scale preload (BA-2000 seed 1, eight pairs, demand seed 7)
+/// under the first damage state netrec-bench requests at seed 1: 10% of
+/// the nodes and of the edges broken.
+const core::RecoveryProblem& damaged_ba2000() {
+  static const core::RecoveryProblem instance = [] {
+    core::RecoveryProblem p;
+    p.graph = preload_graph(1);
+    util::Rng demand_rng(7);
+    p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, demand_rng);
+    util::Rng rng(0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL);
+    const std::size_t nodes = p.graph.num_nodes();
+    const std::size_t edges = p.graph.num_edges();
+    for (std::size_t n : rng.sample_without_replacement(nodes, nodes / 10)) {
+      p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
+    }
+    for (std::size_t e : rng.sample_without_replacement(edges, edges / 10)) {
+      p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
+    }
+    return p;
+  }();
+  return instance;
+}
+
+void BM_IspSolveBa2000(benchmark::State& state) {
+  // As netrecd's plan_scale worker runs it: two solve threads on a pool
+  // that outlives the solves.
+  const core::RecoveryProblem& p = damaged_ba2000();
+  util::ThreadPool pool(2);
+  core::IspOptions options;
+  options.pool = &pool;
+  options.solve_threads = 2;
+  for (auto _ : state) {
+    core::IspSolver solver(p, options);
+    benchmark::DoNotOptimize(solver.solve());
+  }
+}
+BENCHMARK(BM_IspSolveBa2000)->Unit(benchmark::kMillisecond);
+
+void BM_BubbleTestBa2000(benchmark::State& state) {
+  // ISP's first prune pass on plan_scale: each demand against the other
+  // demands' endpoints, on the working view at full capacity.  The hubs
+  // reach most of the graph, so a flood-then-check test is graph-sized.
+  const core::RecoveryProblem& p = damaged_ba2000();
+  const core::RepairState repair(p.graph);
+  const auto view = graph::GraphView::build(
+      p.graph,
+      {.edge_ok = [&repair](graph::EdgeId e) { return repair.edge_ok(e); }});
+  const std::vector<double>& residual = view.edge_capacities();
+  std::vector<char> endpoint(p.graph.num_nodes(), 0);
+  for (const mcf::Demand& d : p.demands) {
+    endpoint[static_cast<std::size_t>(d.source)] = 1;
+    endpoint[static_cast<std::size_t>(d.target)] = 1;
+  }
+  core::BubbleWorkspace ws(p.graph.num_nodes());
+  for (auto _ : state) {
+    for (const mcf::Demand& d : p.demands) {
+      benchmark::DoNotOptimize(core::find_bubble(
+          view, repair, residual, endpoint, d.source, d.target, true, ws));
+    }
+  }
+}
+BENCHMARK(BM_BubbleTestBa2000);
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -12,6 +11,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/bubble.hpp"
 #include "core/repair_state.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/dijkstra.hpp"
@@ -78,6 +78,8 @@ class Engine {
         trace_(trace),
         state_(problem.graph),
         residual_(problem.graph.num_edges()),
+        endpoint_(problem.graph.num_nodes(), 0),
+        bubble_(problem.graph.num_nodes()),
         cache_(problem.graph),
         lp_working_(problem.graph, mcf::PathLpMode::kMaxRouted, opt.lp),
         lp_split_(problem.graph, mcf::PathLpMode::kMaxSplit, opt.lp) {
@@ -221,72 +223,20 @@ class Engine {
 
   // --- prune ---------------------------------------------------------------
 
-  /// Demand-graph nodes that may not appear in the bubble interior: every
-  /// demand endpoint except this demand's own s and t (Definition 2 requires
-  /// S ∩ V_H = {s, t}, so s and t themselves are always admissible).
-  std::vector<char> bubble_walls(std::size_t h) const {
-    std::vector<char> mark(g_.num_nodes(), 0);
-    for (const auto& d : demands_) {
-      mark[static_cast<std::size_t>(d.source)] = 1;
-      mark[static_cast<std::size_t>(d.target)] = 1;
-    }
-    mark[static_cast<std::size_t>(demands_[h].source)] = 0;
-    mark[static_cast<std::size_t>(demands_[h].target)] = 0;
-    return mark;
-  }
-
-  /// Attempts a bubble prune of demand `h`; returns pruned amount.
+  /// Attempts a bubble prune of demand `h`; returns pruned amount.  The
+  /// endpoint marks are set by prune_phase for the current demand list.
   double try_prune(std::size_t h) {
     auto& dem = demands_[h];
-    if (!state_.node_ok(dem.source) || !state_.node_ok(dem.target)) return 0.0;
-
-    const auto blocked = bubble_walls(h);
-
-    // Modified BFS from s over working arcs with residual capacity (the
-    // residual test is applied per arc); other demands' endpoints are
-    // walls; t is absorbed but not expanded.
-    std::vector<char> in_s(g_.num_nodes(), 0);
-    in_s[static_cast<std::size_t>(dem.source)] = 1;
-    std::deque<graph::NodeId> queue{dem.source};
-    bool reached_t = false;
-    const graph::GraphView& wv = working_view();
-    while (!queue.empty()) {
-      const graph::NodeId at = queue.front();
-      queue.pop_front();
-      if (at == dem.target) continue;  // do not grow the bubble past t
-      const graph::ArcId end = wv.arcs_end(at);
-      for (graph::ArcId a = wv.arcs_begin(at); a < end; ++a) {
-        const graph::EdgeId e = wv.arc_edge(a);
-        if (residual_[static_cast<std::size_t>(e)] <= kEps) continue;
-        const graph::NodeId to = wv.arc_target(a);
-        if (in_s[static_cast<std::size_t>(to)]) continue;
-        if (blocked[static_cast<std::size_t>(to)]) continue;  // wall
-        in_s[static_cast<std::size_t>(to)] = 1;
-        if (to == dem.target) reached_t = true;
-        queue.push_back(to);
-      }
-    }
-    if (!reached_t) return 0.0;
-
-    // Bubble boundary condition over the FULL edge set (Definition 2): any
-    // edge leaving S must be incident to s or t.  With a single remaining
-    // demand no conflict exists and the check is unnecessary.
-    if (demands_.size() > 1) {
-      for (std::size_t v = 0; v < g_.num_nodes(); ++v) {
-        if (!in_s[v]) continue;
-        const auto node = static_cast<graph::NodeId>(v);
-        if (node == dem.source || node == dem.target) continue;
-        for (graph::EdgeId e : g_.incident_edges(node)) {
-          if (!in_s[static_cast<std::size_t>(g_.other_endpoint(e, node))]) {
-            return 0.0;  // interior node leaks out of the bubble
-          }
-        }
-      }
+    // With a single remaining demand no conflict exists, so the bubble's
+    // boundary (Definition 2) need not be checked.
+    if (!find_bubble(working_view(), state_, residual_, endpoint_,
+                     dem.source, dem.target, demands_.size() > 1, bubble_)) {
+      return 0.0;
     }
 
     // Max flow inside the bubble on working edges and residual capacities.
     const auto flow = graph::max_flow(working_view(), dem.source, dem.target,
-                                      residual_, in_s);
+                                      residual_, bubble_.in_bubble());
     const double k = std::min(flow.value, dem.amount);
     if (k <= opt_.tolerance) return 0.0;
 
@@ -325,6 +275,8 @@ class Engine {
     const std::size_t guard_limit = 4 * (g_.num_edges() + demands_.size()) + 16;
     while (progress && guard++ < guard_limit) {
       progress = false;
+      // A pass changes amounts only, so its walls stay fixed throughout.
+      mark_endpoints(1);
       for (std::size_t h = 0; h < demands_.size(); ++h) {
         if (demands_[h].amount <= opt_.tolerance) continue;
         if (try_prune(h) > 0.0) {
@@ -332,9 +284,17 @@ class Engine {
           any = true;
         }
       }
+      mark_endpoints(0);
       compact_demands();
     }
     return any;
+  }
+
+  void mark_endpoints(char mark) {
+    for (const auto& d : demands_) {
+      endpoint_[static_cast<std::size_t>(d.source)] = mark;
+      endpoint_[static_cast<std::size_t>(d.target)] = mark;
+    }
   }
 
   // --- direct demand-edge repair (Section IV-E) ---------------------------
@@ -694,6 +654,10 @@ class Engine {
   std::vector<double> residual_;
   std::vector<double> jitter_;
   std::vector<mcf::PathFlow> pruned_flows_;
+  /// Prune-sweep scratch: every demand endpoint marked during a pass, and
+  /// the bubble test's reusable membership mask.
+  std::vector<char> endpoint_;
+  BubbleWorkspace bubble_;
   /// RepairState publishes repairs into it and consume_residual publishes
   /// capacity updates.
   graph::ViewCache cache_;

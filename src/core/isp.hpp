@@ -4,7 +4,11 @@
 //   1. tests routability of the current demand over the working-or-repaired
 //      subgraph G(n) (termination condition);
 //   2. PRUNES demands routable over working "bubbles" (Theorem 3), consuming
-//      residual capacity and shrinking the instance;
+//      residual capacity and shrinking the instance.  The bubble test
+//      (core/bubble.hpp) is bounded by the bubble, not the graph: it fails
+//      at the first interior node next to another demand's endpoint or an
+//      unrepaired broken node, and checks the boundary of the bubble's
+//      members only;
 //   3. repairs broken supply edges that directly connect still-unsatisfiable
 //      demand endpoints (Section IV-E);
 //   4. otherwise SPLITS: picks the node v_BC with highest demand-based
@@ -17,9 +21,10 @@
 // instance stays solvable if everything remaining were repaired (Theorem 4's
 // premise).  The implementation adds a watchdog that force-repairs along a
 // cheapest path when an iteration makes no progress.  It is not a step of
-// the paper's ISP, and it fires often: in 62 of the 104 records of
-// tests/golden/isp_corpus.txt, and about 8 times per solve on the
-// CAIDA-like instance (825 nodes, 20% damage) of netrec-bench's plan_fresh,
+// the paper's ISP, and it fires often: in 62 of the 104 ER and
+// Bell-Canada records of tests/golden/isp_corpus.txt and in all 17 of its
+// netrec-bench preload records, about 8 times per solve on the CAIDA-like
+// instance (825 nodes, 20% damage) of netrec-bench's plan_fresh,
 // because the split scan gives up after IspOptions::split_candidates
 // candidates.  It also guarantees termination on adversarial input.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/repair_state.hpp"
 #include "graph/dijkstra.hpp"
@@ -101,20 +102,30 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
       cache.add_config("scheduled", std::move(scheduled_config));
   scheduled.publish_to(&cache);
 
+  // Greedy routing over the scheduled view, kept until an emit changes
+  // that view: a round reuses the routing its previous emit scored.
+  std::optional<mcf::RoutingResult> greedy;
+  auto greedy_routing = [&]() -> const mcf::RoutingResult& {
+    if (!greedy) {
+      greedy = mcf::greedy_route(cache.view(scheduled_slot), problem.demands);
+    }
+    return *greedy;
+  };
+
   auto restored_now = [&]() {
     if (options.exact_scoring) {
       return mcf::max_routed_flow(cache.view(scheduled_slot),
                                   problem.demands, options.lp)
           .total_routed;
     }
-    return mcf::greedy_route(cache.view(scheduled_slot), problem.demands)
-        .total_routed;
+    return greedy_routing().total_routed;
   };
 
   auto emit = [&](bool is_node, graph::NodeId n, graph::EdgeId e) {
     const bool changed =
         is_node ? scheduled.repair_node(n) : scheduled.repair_edge(e);
     if (!changed) return;
+    greedy.reset();
     --remaining;
     ScheduleStep step;
     step.is_node = is_node;
@@ -129,8 +140,7 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
   // demand-per-remaining-repair ratio, so service restoration front-loads.
   std::size_t guard = 0;
   while (remaining > 0 && guard++ < solution.total_repairs() + 8) {
-    const auto routed =
-        mcf::greedy_route(cache.view(scheduled_slot), problem.demands);
+    const std::vector<double> routed = greedy_routing().routed;
     // Pick the most valuable unsatisfied demand per unit of pending work.
     int best_demand = -1;
     double best_ratio = -1.0;
@@ -138,7 +148,7 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
     const graph::GraphView& available = cache.view(available_slot);
     for (std::size_t h = 0; h < problem.demands.size(); ++h) {
       const auto& d = problem.demands[h];
-      const double deficit = d.amount - routed.routed[h];
+      const double deficit = d.amount - routed[h];
       if (deficit <= 1e-9 || d.source == d.target) continue;
       auto path = graph::shortest_path(available, d.source, d.target);
       if (!path) continue;

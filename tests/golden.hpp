@@ -203,6 +203,49 @@ inline void write_golden(const std::string& file, const std::string& header,
   }
 }
 
+// --- netrec-bench preloads ------------------------------------------------------
+
+/// netrec-bench's plan_fresh / plan_hot preload: CAIDA-like seed 1, eight
+/// pairs of 10 units, demand seed 7, no baseline damage.
+inline core::RecoveryProblem serve_caida_problem() {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, 1});
+  util::Rng rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, rng);
+  return p;
+}
+
+/// netrec-bench's plan_scale preload: Barabasi-Albert with 2000 nodes
+/// (topology seed 1), eight pairs of 10 units, demand seed 7.
+inline core::RecoveryProblem ba2000_problem() {
+  core::RecoveryProblem p;
+  topology::BarabasiAlbertOptions ba;
+  ba.nodes = 2000;
+  p.graph = topology::make_topology({ba, 1});
+  util::Rng rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, rng);
+  return p;
+}
+
+/// `p` with `fraction` of the nodes and, separately, of the edges broken,
+/// drawn as serve_request_body draws damage state `state` of `seed`.
+inline core::RecoveryProblem damaged(core::RecoveryProblem p, double fraction,
+                                     std::uint64_t seed, std::uint64_t state) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + state);
+  const auto draw = [&](std::size_t n) {
+    return rng.sample_without_replacement(
+        n, static_cast<std::size_t>(
+               std::llround(fraction * static_cast<double>(n))));
+  };
+  for (std::size_t n : draw(p.graph.num_nodes())) {
+    p.graph.set_node_broken(static_cast<graph::NodeId>(n), true);
+  }
+  for (std::size_t e : draw(p.graph.num_edges())) {
+    p.graph.set_edge_broken(static_cast<graph::EdgeId>(e), true);
+  }
+  return p;
+}
+
 // --- ISP corpus ----------------------------------------------------------------
 
 /// The option matrix: default engine, both centrality modes, the LP in
@@ -245,26 +288,48 @@ inline std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
   return combos;
 }
 
+/// Scenario family of an ISP corpus record.  kBa2000 and kCaida are the
+/// netrec-bench preloads (plan_scale and plan_fresh) under one seeded
+/// damage state: their hubs grow working bubbles far larger than the small
+/// ER and Bell-Canada scenarios do.
+enum class IspFamily { kEr, kBellCanada, kBa2000, kCaida };
+
 struct IspCase {
-  std::string key;  ///< "<seed> <family> <combo>"
-  bool bell_canada = false;
+  /// "<seed> <family> <combo>", or "<seed> <family> state <k> <combo>" for
+  /// the preload families.
+  std::string key;
+  IspFamily family = IspFamily::kEr;
   std::uint64_t seed = 0;
+  std::uint64_t state = 0;  ///< damage state (preload families only)
   core::IspOptions options;
 
   core::RecoveryProblem problem() const {
-    return bell_canada ? bell_canada_scenario(seed) : er_scenario(seed);
+    switch (family) {
+      case IspFamily::kEr:
+        return er_scenario(seed);
+      case IspFamily::kBellCanada:
+        return bell_canada_scenario(seed);
+      case IspFamily::kBa2000:
+        return damaged(ba2000_problem(), 0.1, seed, state);
+      case IspFamily::kCaida:
+        break;
+    }
+    return damaged(serve_caida_problem(), 0.2, seed, state);
   }
 };
 
 /// ER seeds 1-12 and Bell-Canada seeds 1-8 under default options, then ER
-/// and Bell-Canada seeds 101-103 and 201-203 under every option combo.
+/// and Bell-Canada seeds 101-103 and 201-203 under every option combo, then
+/// two damage states of seeds 1 and 104729 on each netrec-bench preload
+/// (default and no-prune; one BA record with two solve threads).
 inline std::vector<IspCase> isp_cases() {
   std::vector<IspCase> cases;
   const auto add = [&](bool bc, std::uint64_t seed, const std::string& combo,
                        const core::IspOptions& options) {
     cases.push_back({std::to_string(seed) + (bc ? " bell-canada " : " er ") +
                          combo,
-                     bc, seed, options});
+                     bc ? IspFamily::kBellCanada : IspFamily::kEr, seed, 0,
+                     options});
   };
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     add(false, seed, "default", {});
@@ -275,6 +340,26 @@ inline std::vector<IspCase> isp_cases() {
       for (const auto& [name, options] : option_combos()) {
         add(false, seed, name, options);
         add(true, seed, name, options);
+      }
+    }
+  }
+  core::IspOptions no_prune;
+  no_prune.enable_prune = false;
+  core::IspOptions two_threads;
+  two_threads.solve_threads = 2;
+  const std::pair<IspFamily, const char*> preloads[] = {
+      {IspFamily::kBa2000, "ba-2000"}, {IspFamily::kCaida, "caida"}};
+  for (const auto& [family, name] : preloads) {
+    for (const std::uint64_t seed : {1ULL, 104729ULL}) {
+      for (std::uint64_t state = 0; state < 2; ++state) {
+        const std::string prefix = std::to_string(seed) + " " + name +
+                                   " state " + std::to_string(state) + " ";
+        cases.push_back({prefix + "default", family, seed, state, {}});
+        cases.push_back({prefix + "no-prune", family, seed, state, no_prune});
+        if (family == IspFamily::kBa2000 && seed == 1 && state == 0) {
+          cases.push_back(
+              {prefix + "solve-threads-2", family, seed, state, two_threads});
+        }
       }
     }
   }
@@ -1106,16 +1191,6 @@ inline core::RecoveryProblem serve_bell_problem() {
   p.graph = topology::make_topology({topology::BellCanadaOptions{}});
   util::Rng rng(7);
   p.demands = scenario::far_apart_demands(p.graph, 3, 6.0, rng);
-  return p;
-}
-
-/// netrec-bench's plan_fresh / plan_hot preload: CAIDA-like seed 1, eight
-/// pairs of 10 units, demand seed 7, no baseline damage.
-inline core::RecoveryProblem serve_caida_problem() {
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, 1});
-  util::Rng rng(7);
-  p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, rng);
   return p;
 }
 

@@ -20,14 +20,15 @@ namespace {
 using namespace netrec;
 
 /// Compares every corpus record whose key starts with `prefix`, solving
-/// with `solve_threads` intra-solve workers.
+/// with `solve_threads` intra-solve workers (0: as the record's options
+/// say).
 void expect_isp_golden(const std::string& prefix, std::size_t solve_threads) {
   bool matched = false;
   for (const test::IspCase& c : test::isp_cases()) {
     if (c.key.rfind(prefix, 0) != 0) continue;
     matched = true;
     core::IspOptions options = c.options;
-    options.solve_threads = solve_threads;
+    if (solve_threads != 0) options.solve_threads = solve_threads;
     const std::string diff = test::golden_diff(
         test::kIspCorpus, c.key, test::isp_record(c.problem(), options));
     if (!diff.empty()) ADD_FAILURE() << diff;
@@ -100,5 +101,25 @@ TEST_P(IspSessionDifferentialOptions, AllCombosMatchOneShotReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspSessionDifferentialOptions,
                          ::testing::Range(1, 4));
+
+// netrec-bench's preloads: BA-2000 as in plan_scale and the CAIDA-like
+// plan_fresh instance, two damage states of seeds 1 and 104729 each, with
+// and without prune, solved under the options they were recorded with (one
+// BA record runs two solve threads).  Hub-heavy working graphs make the
+// bubble test's floods large here, unlike in the small scenarios above.
+
+TEST(IspDifferentialPreloads, Ba2000Seed1) {
+  expect_isp_golden("1 ba-2000 ", 0);
+}
+
+TEST(IspDifferentialPreloads, Ba2000Seed104729) {
+  expect_isp_golden("104729 ba-2000 ", 0);
+}
+
+TEST(IspDifferentialPreloads, CaidaSeed1) { expect_isp_golden("1 caida ", 0); }
+
+TEST(IspDifferentialPreloads, CaidaSeed104729) {
+  expect_isp_golden("104729 caida ", 0);
+}
 
 }  // namespace
