@@ -39,8 +39,8 @@ std::vector<double> betweenness_centrality(const GraphView& view);
 /// betweenness_centrality(view) at any thread count.
 ///
 /// `source_limit` restricts the passes to sources [0, source_limit) — the
-/// pivot-style partial accumulation the scaling bench uses on graphs too
-/// large for all |V| passes; 0 means all nodes.
+/// pivot-style partial accumulation for graphs too large for all |V|
+/// passes; 0 means all nodes.
 std::vector<double> betweenness_centrality(const GraphView& view,
                                            util::ThreadPool* pool,
                                            std::size_t source_limit = 0);

@@ -27,7 +27,7 @@
 // heuristic fallback plan with PlanOutcome::degraded set, which the server
 // tags "degraded": true in meta and never caches.  The degraded payload is
 // itself deterministic — bit-identical to heuristic_plan(request) — so the
-// chaos bench can identity-check degraded responses too.
+// chaos tests can identity-check degraded responses too.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +75,7 @@ class PlanningEngine {
 
   /// The deadline-degradation fallback: SRT repair plan + marginal-gain
   /// schedule, in the same payload shape as a full isp solve.  Public so
-  /// tests and the chaos bench can compute the expected degraded payload
+  /// the chaos tests can compute the expected degraded payload
   /// directly (the differential: degraded response == this, byte for byte).
   util::Json heuristic_plan(const PlanRequest& request);
 

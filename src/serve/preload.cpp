@@ -18,7 +18,7 @@ void declare_preload_flags(util::Flags& flags) {
                "barabasi_albert) or gml:<path> / ntb:<path>");
   flags.define("topo-seed", "1", "topology generator seed");
   flags.define("pairs", "8", "far-apart demand pairs placed on the topology");
-  flags.define("demand", "12", "demand volume per pair");
+  flags.define("demand", "8", "demand volume per pair");
   flags.define("demand-seed", "7", "demand placement seed");
 }
 
@@ -41,6 +41,12 @@ core::RecoveryProblem build_preloaded_problem(const util::Flags& flags) {
     util::Rng rng(static_cast<std::uint64_t>(flags.get_int("demand-seed")));
     problem.demands =
         scenario::far_apart_demands(problem.graph, pairs, demand, rng);
+  }
+  if (!problem.feasible_when_fully_repaired()) {
+    throw std::runtime_error(
+        "preload " + spec + " is infeasible: " + std::to_string(pairs) +
+        " pairs of demand " + flags.get("demand") +
+        " cannot all be routed even with every element repaired");
   }
   return problem;
 }

@@ -5,10 +5,11 @@
 // of hard-wiring one of the ad-hoc free functions.
 //
 // The scale families (rmat, barabasi_albert) construct through
-// graph::Builder — O(1) appends, batch dedup at finalize — and are the feed
-// for bench/fig_scale's n=10^6 sweep.  Their nodes are unnamed and sit at
-// the origin: at a million nodes, names and geography are pure overhead,
-// and the scale experiments use random (not geographic) failures.
+// graph::Builder — O(1) appends, batch dedup at finalize — and reach 10^6
+// nodes (topo_convert --topo rmat; netrec-bench's plan_scale preload is
+// Barabasi-Albert).  Their nodes are unnamed and sit at the origin: at a
+// million nodes, names and geography are pure overhead, and the scale
+// experiments use random (not geographic) failures.
 #pragma once
 
 #include <cstdint>

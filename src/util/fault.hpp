@@ -15,7 +15,7 @@
 // Decisions are *deterministic*: a probability site hashes (seed, site
 // name, per-site hit index), so a given spec + seed produces the same
 // fire pattern on every run regardless of wall clock or scheduling of
-// unrelated sites — the property the chaos bench's identity checks and the
+// unrelated sites — the property the chaos tests' identity checks and the
 // fault-matrix tests rely on.
 //
 // What a firing site does is the call site's choice.  The serving stack

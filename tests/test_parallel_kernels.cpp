@@ -1,9 +1,10 @@
 // Thread-invariance differential suites for the intra-solve parallel
-// kernels: parallel Brandes betweenness, the batched per-demand centrality
-// enumeration, and the session's concurrent LP pricing — each pinned
-// bitwise against its serial twin at thread counts {1, 2, 4, 8}, plus a
-// Timeline-level end-to-end pin (the full restoration curve must not move
-// by a bit when the measurement LP prices in parallel).
+// kernels: parallel Brandes betweenness (ER, Bell-Canada, and pivot-limited
+// on RMAT), the batched per-demand centrality enumeration, and the
+// session's concurrent LP pricing — each pinned bitwise against its serial
+// twin at thread counts {1, 2, 4, 8}, plus a Timeline-level end-to-end pin
+// (the full restoration curve must not move by a bit when the measurement
+// LP prices in parallel).
 //
 // The determinism contract under test: every parallel kernel computes
 // per-task results into pre-assigned slots and merges them serially in a
@@ -29,6 +30,7 @@
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
+#include "topology/generator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -173,6 +175,23 @@ TEST_P(BetweennessThreadsBellCanada, BitIdenticalAtAnyThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsBellCanada,
                          ::testing::Range(1, 6));
+
+// RMAT, the internet-scale shape, with the passes limited to 24 pivot
+// sources as on graphs too large for all |V| passes.
+TEST(BetweennessThreadsRmat, PivotLimitedBitIdenticalAtAnyThreadCount) {
+  util::Rng rng(43);
+  topology::RmatOptions rmat;
+  rmat.nodes = 20000;
+  const graph::Graph g = topology::make_topology({rmat}, rng);
+  const graph::GraphView view = graph::GraphView::working(g);
+  const std::vector<double> serial =
+      graph::betweenness_centrality(view, nullptr, 24);
+  for (const std::size_t threads : kThreadCounts) {
+    util::ThreadPool pool(threads);
+    EXPECT_EQ(graph::betweenness_centrality(view, &pool, 24), serial)
+        << "threads " << threads;
+  }
+}
 
 // --- batched demand-based centrality ---------------------------------------
 

@@ -18,12 +18,17 @@
 //     and never wedges on in-flight connections.
 //   * ServeClient — the retry/backoff client against a scripted responder:
 //     transport errors and 503s are retried, terminal statuses are not.
+//   * ServeChaosSweep — every serving-path site armed at once at a 10%
+//     fault rate on netrecd's default (feasible) preload, 8 retrying
+//     clients: availability, byte identity, healed crashes, and a healthy
+//     server afterwards.
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
@@ -31,14 +36,17 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_fleet.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/http.hpp"
+#include "serve/preload.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "topology/generator.hpp"
 #include "util/fault.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -83,16 +91,6 @@ bool eventually(const std::function<bool()>& predicate) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return predicate();
-}
-
-/// Extracts the verbatim "result" bytes of a /v1/plan response.
-std::string result_bytes(const std::string& response) {
-  static const std::string kPrefix = "{\"result\":";
-  static const std::string kMeta = ",\"meta\":{\"fingerprint\":";
-  EXPECT_EQ(response.rfind(kPrefix, 0), 0u);
-  const std::size_t meta = response.rfind(kMeta);
-  EXPECT_NE(meta, std::string::npos);
-  return response.substr(kPrefix.size(), meta - kPrefix.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ TEST(ServeDegrade, DegradedResponsesAreTaggedAndNeverCached) {
                 std::string::npos);
       EXPECT_NE(result.response.body.find("\"cached\":false"),
                 std::string::npos);
-      EXPECT_EQ(result_bytes(result.response.body), expected_degraded);
+      EXPECT_EQ(test::result_bytes(result.response.body), expected_degraded);
     }
     EXPECT_EQ(server.degraded_total(), 2u);
   }
@@ -266,14 +264,14 @@ TEST(ServeDegrade, DegradedResponsesAreTaggedAndNeverCached) {
   EXPECT_NE(fresh.response.body.find("\"degraded\":false"),
             std::string::npos);
   EXPECT_NE(fresh.response.body.find("\"cached\":false"), std::string::npos);
-  EXPECT_EQ(result_bytes(fresh.response.body), expected_full);
+  EXPECT_EQ(test::result_bytes(fresh.response.body), expected_full);
 
   const serve::ClientResult cached = client.request("POST", "/v1/plan", body);
   ASSERT_EQ(cached.response.status, 200);
   EXPECT_NE(cached.response.body.find("\"cached\":true"), std::string::npos);
   EXPECT_NE(cached.response.body.find("\"degraded\":false"),
             std::string::npos);
-  EXPECT_EQ(result_bytes(cached.response.body), expected_full);
+  EXPECT_EQ(test::result_bytes(cached.response.body), expected_full);
   server.stop();
 }
 
@@ -453,6 +451,57 @@ TEST(ServeClient, ReportsExhaustionAfterMaxAttempts) {
   EXPECT_FALSE(result.ok());
   responder.join();
   ::close(listen_fd);
+}
+
+// ---------------------------------------------------------------------------
+// The chaos sweep: every serving-path site armed at once.
+
+/// Fault spec for one sweep level.  Every serving-path site is armed,
+/// scaled so the *per-request* failure probability stays in the same ball
+/// park as `rate` even though a request crosses several sites; the
+/// engine-crash site uses a deterministic every<N> trigger so each
+/// non-zero level provokes worker respawns.
+std::string spec_for_rate(double rate) {
+  char buf[256];
+  // engine.solve counts *solves*, and most requests are cache hits: the
+  // site's traffic is roughly rate * requests (the forced cache misses),
+  // so the crash period must be short for every non-zero level to provoke
+  // respawns.  Re-arming at each level resets the hit counters.
+  std::snprintf(buf, sizeof(buf),
+                "serve.recv=p%g,serve.send=p%g,serve.cache.find=p%g,"
+                "serve.cache.insert=p%g,isp.deadline=p%g,pool.task=p%g,"
+                "engine.solve=every4",
+                rate / 2.0, rate / 2.0, rate, rate, rate, rate / 4.0);
+  return buf;
+}
+
+TEST(ServeChaosSweep, TenPercentFaultRateKeepsServiceAvailableAndExact) {
+  util::Flags flags;
+  serve::declare_preload_flags(flags);
+  const core::RecoveryProblem p = serve::build_preloaded_problem(flags);
+  const std::vector<test::PlanScenario> scenarios =
+      test::plan_scenarios(p, 6, 42);
+  serve::ServerOptions options;
+  options.workers = 4;
+  serve::Server server(p, options);
+  server.start();
+
+  test::FleetResult fleet;
+  {
+    fault::ScopedArm arm(spec_for_rate(0.1), 7);
+    fleet = test::run_fleet(server.port(), scenarios, 8, 24);
+  }
+  EXPECT_GE(fleet.availability(), 0.97) << fleet.first_failure;
+  EXPECT_EQ(fleet.mismatches, 0u) << fleet.first_failure;
+  EXPECT_TRUE(eventually([&] { return server.worker_restarts() >= 1; }));
+
+  // Faults disarmed: healthy on the first attempt, then a clean stop.
+  serve::Client client("127.0.0.1", server.port(), fast_client_options(1));
+  const serve::ClientResult health = client.request("GET", "/v1/health");
+  EXPECT_EQ(health.response.status, 200);
+  EXPECT_EQ(health.attempts, 1);
+  server.stop();
+  EXPECT_FALSE(server.running());
 }
 
 }  // namespace
