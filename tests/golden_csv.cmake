@@ -1,22 +1,25 @@
 # Figure-driver determinism golden test (ctest target `golden_csv`).
 #
-# Runs fig3 and fig7 at a fixed seed with small, CI-sized parameters and
-# byte-compares the emitted CSVs against the goldens committed under
-# tests/golden/.  This promotes the CI determinism smoke into something a
+# Runs fig3, fig7 and fig_recovery at a fixed seed with small, CI-sized
+# parameters and byte-compares the emitted CSVs against the goldens committed
+# under tests/golden/.  This promotes the CI determinism smoke into something a
 # developer runs locally with plain ctest: any change to ISP, the LP stack,
-# the scenario engine or the RNG seeding that shifts a repair count by one
-# fails here before it reaches review.
+# the scenario engine, the recovery timeline or the RNG seeding that shifts a
+# repair count by one fails here before it reaches review.
 #
 # Notes on the pinned flags:
 #   * fig3 runs with --opt-seconds 0 so OPT uses its deterministic fallback
 #     instead of a wall-clock-budgeted MILP;
 #   * fig7 compares only the repairs series — its time series measures real
 #     wall clock and is inherently machine-dependent;
+#   * fig_recovery uses CI's recovery-smoke arguments; its --json goes to the
+#     scratch directory and is not compared;
 #   * --threads values are part of the determinism claim: a fixed seed must
 #     give identical CSVs at any thread count.
 #
 # Invoked as:
 #   cmake -DFIG3=<bench_fig3 binary> -DFIG7=<bench_fig7 binary>
+#         -DFIG_RECOVERY=<bench_fig_recovery binary>
 #         -DGOLDEN_DIR=<repo>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_csv.cmake
 #
@@ -26,8 +29,10 @@
 #   <build>/bench_fig7_er_scalability --runs 1 --probabilities 0.1,0.3 \
 #     --threads 1 --csv tests/golden/fig7
 #   (then delete the regenerated fig7.time.csv; only repairs is golden)
+#   <build>/bench_fig_recovery --runs 2 --nodes 60 --max-stages 16 \
+#     --threads 4 --csv tests/golden/fig_recovery
 
-foreach(var FIG3 FIG7 GOLDEN_DIR WORK_DIR)
+foreach(var FIG3 FIG7 FIG_RECOVERY GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_csv: -D${var}=... is required")
   endif()
@@ -53,7 +58,21 @@ if(NOT fig7_status EQUAL 0)
   message(FATAL_ERROR "golden_csv: fig7 driver failed (${fig7_status})")
 endif()
 
-foreach(pair "fig3.csv" "fig7.repairs.csv")
+execute_process(
+  COMMAND "${FIG_RECOVERY}" --runs 2 --nodes 60 --max-stages 16 --threads 4
+          --csv "${WORK_DIR}/fig_recovery"
+          --json "${WORK_DIR}/fig_recovery.json"
+  RESULT_VARIABLE recovery_status
+  OUTPUT_QUIET)
+if(NOT recovery_status EQUAL 0)
+  message(FATAL_ERROR
+    "golden_csv: fig_recovery driver failed (${recovery_status})")
+endif()
+
+foreach(pair "fig3.csv" "fig7.repairs.csv"
+             "fig_recovery.er.auc.csv" "fig_recovery.er.final.csv"
+             "fig_recovery.bell_canada.auc.csv"
+             "fig_recovery.bell_canada.final.csv")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
             "${WORK_DIR}/${pair}" "${GOLDEN_DIR}/${pair}"
@@ -70,4 +89,4 @@ foreach(pair "fig3.csv" "fig7.repairs.csv")
   endif()
 endforeach()
 
-message(STATUS "golden_csv: fig3.csv and fig7.repairs.csv match the goldens")
+message(STATUS "golden_csv: fig3, fig7 and fig_recovery CSVs match the goldens")
