@@ -1,20 +1,21 @@
 // Shared plumbing for the figure-reproduction bench drivers.
 //
-// Every driver declares a scenario::SweepRunner over one x-axis (demand
-// pairs, demand intensity, disruption variance, edge probability), runs a
-// set of algorithms over `--runs` seeded instances per point on `--threads`
-// workers, prints paper-style tables to stdout and optionally mirrors them
-// to CSV (--csv <prefix>) and JSON (--json <path>).  Absolute numbers depend
-// on the machine and on the synthetic topology substitutions documented in
-// the driver headers; the *shape* of each series is what reproduces the
-// paper's figures.
+// Every paper-figure driver declares a scenario::SweepRunner over one x-axis
+// (demand pairs, demand intensity, disruption variance, edge probability),
+// runs a set of algorithms over `--runs` seeded instances per point on
+// `--threads` workers (fig_recovery runs policy x dynamics cells instead),
+// prints paper-style tables to stdout and optionally mirrors them to CSV
+// (--csv <prefix>) and JSON (--json <path>).  Absolute numbers depend on the
+// machine and on the synthetic topology substitutions documented in the
+// driver headers; the *shape* of each series is what reproduces the paper's
+// figures.
 //
 // Flags common to all drivers:
 //   --runs N       instances averaged per data point (paper: 20)
 //   --seed S       master RNG seed; a fixed seed gives bit-identical tables
 //                  and CSVs at any --threads value (wall_seconds excepted:
 //                  it measures real solver time)
-//   --threads T    worker threads for the runs x algorithms matrix; 0 (the
+//   --threads T    worker threads for the runs x cells matrix; 0 (the
 //                  default) resolves NETREC_THREADS, then hardware
 //                  concurrency
 //   --csv PREFIX   write each series as PREFIX<suffix>.csv

@@ -9,17 +9,10 @@
 // seeded instances on the deterministic seed-split thread pool, and
 // reports restoration AUC (padded to --max-stages so series of different
 // lengths share a time axis), final restored percentage, repairs and
-// stages-to-90%.
-//
-// The ER family is additionally re-run at --threads 1 to record the
-// parallel sweep's thread scaling into --json (default
-// BENCH_recovery.json, the artifact CI archives): wall seconds at 1 and N
-// threads, the speedup, and an identical_aggregates flag confirming the
-// two runs agreed bit-for-bit on every non-wall metric — the engine's
-// determinism contract.
-#include <algorithm>
+// stages-to-90%.  --csv writes the AUC and final-% matrices of each
+// family, --json every cell's metrics; like every driver, a fixed seed gives
+// byte-identical CSVs at any --threads value.
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -86,7 +79,7 @@ std::vector<std::pair<std::string, scenario::DynamicsFactory>> make_dynamics(
 /// first row is the header.  One builder feeds both the printed table and
 /// the CSV the CI determinism check compares, so they cannot desync.
 std::vector<std::vector<std::string>> cell_matrix(
-    const scenario::TimelineAggregate& aggregate,
+    const scenario::AggregateResult& aggregate,
     const std::vector<std::pair<std::string, scenario::PolicyFactory>>&
         policies,
     const std::vector<std::pair<std::string, scenario::DynamicsFactory>>&
@@ -123,7 +116,7 @@ void write_cell_csv(const std::string& path,
   for (const auto& row : matrix) csv.row(row);
 }
 
-util::Json aggregate_to_json(const scenario::TimelineAggregate& aggregate) {
+util::Json aggregate_to_json(const scenario::AggregateResult& aggregate) {
   util::Json cells = util::Json::object();
   for (const std::string& name : aggregate.cell_names) {
     const util::MetricSet& metrics = aggregate.per_cell.at(name);
@@ -149,29 +142,9 @@ util::Json aggregate_to_json(const scenario::TimelineAggregate& aggregate) {
   return out;
 }
 
-/// Every non-wall aggregate equal, exactly — the determinism contract
-/// between two runs of the same sweep at different thread counts.
-bool aggregates_identical(const scenario::TimelineAggregate& a,
-                          const scenario::TimelineAggregate& b) {
-  if (a.cell_names != b.cell_names) return false;
-  if (a.completed_runs != b.completed_runs) return false;
-  for (const std::string& cell : a.cell_names) {
-    const auto& ma = a.per_cell.at(cell);
-    const auto& mb = b.per_cell.at(cell);
-    for (const std::string& metric : kAggregateMetrics) {
-      if (ma.get(metric).mean() != mb.get(metric).mean()) return false;
-      if (ma.get(metric).stddev() != mb.get(metric).stddev()) return false;
-    }
-  }
-  return true;
-}
-
 int run(int argc, char** argv) {
   util::Flags flags;
   bench::declare_common_flags(flags, /*default_runs=*/6);
-  flags.define("json", "BENCH_recovery.json",
-               "write the policy x dynamics sweep and thread-scaling "
-               "record to this path");
   flags.define("budget", "6", "repairs per stage (crew budget)");
   flags.define("max-stages", "32",
                "stage cap; also the AUC padding horizon");
@@ -196,15 +169,11 @@ int run(int argc, char** argv) {
   const double flow = flags.get_double("flow");
   const double variance = flags.get_double("variance");
 
-  scenario::TimelineRunnerOptions options;
-  options.runs = static_cast<std::size_t>(flags.get_int("runs"));
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  options.threads = static_cast<std::size_t>(flags.get_int("threads"));
+  scenario::RunnerOptions options = bench::runner_options(flags);
   options.require_feasible = true;
-  options.timeline.stage_budget =
-      static_cast<std::size_t>(flags.get_int("budget"));
-  options.timeline.max_stages =
-      static_cast<std::size_t>(flags.get_int("max-stages"));
+  recovery::TimelineOptions timeline;
+  timeline.stage_budget = static_cast<std::size_t>(flags.get_int("budget"));
+  timeline.max_stages = static_cast<std::size_t>(flags.get_int("max-stages"));
 
   const auto policies = make_policies();
   const auto dynamics = make_dynamics(flags);
@@ -255,15 +224,13 @@ int run(int argc, char** argv) {
   }
 
   util::Json families = util::Json::object();
-  scenario::TimelineAggregate er_aggregate;
-  double er_seconds = 0.0;
   const std::vector<
       std::pair<std::string, const scenario::ProblemFactory*>>
       family_list = {{"er", &er_factory}, {"bell_canada", &bell_factory}};
   for (const auto& [family, factory] : family_list) {
     util::Timer timer;
-    const auto aggregate =
-        scenario::run_timelines(*factory, policies, dynamics, options);
+    const auto aggregate = scenario::run_timelines(*factory, policies,
+                                                   dynamics, timeline, options);
     const double seconds = timer.elapsed_seconds();
     const auto auc_matrix =
         cell_matrix(aggregate, policies, dynamics, "restoration_auc", 6);
@@ -283,52 +250,6 @@ int run(int argc, char** argv) {
     util::Json entry = aggregate_to_json(aggregate);
     entry.set("wall_seconds", seconds);
     families.set(family, std::move(entry));
-    if (family == "er") {
-      er_aggregate = aggregate;
-      er_seconds = seconds;
-    }
-  }
-
-  // Thread-scaling record: the ER sweep again at --threads 1, compared for
-  // bit-identical aggregates against the parallel run above.
-  const std::size_t resolved_threads =
-      util::ThreadPool::resolve_threads(options.threads);
-  util::Json scaling = util::Json::object();
-  scaling.set("threads", resolved_threads);
-  // Context for reading the speedup: worker threads beyond the hardware
-  // cannot buy wall time (a 1-core container records ~1x by construction;
-  // the identity check is what must hold everywhere).
-  scaling.set("hardware_threads",
-              static_cast<std::size_t>(std::max(
-                  1u, std::thread::hardware_concurrency())));
-  scaling.set("parallel_seconds", er_seconds);
-  if (resolved_threads > 1) {
-    scenario::TimelineRunnerOptions serial_options = options;
-    serial_options.threads = 1;
-    util::Timer timer;
-    const auto serial_aggregate = scenario::run_timelines(
-        er_factory, policies, dynamics, serial_options);
-    const double serial_seconds = timer.elapsed_seconds();
-    const bool identical =
-        aggregates_identical(er_aggregate, serial_aggregate);
-    const double speedup =
-        er_seconds > 0.0 ? serial_seconds / er_seconds : 0.0;
-    scaling.set("serial_seconds", serial_seconds);
-    scaling.set("speedup", speedup);
-    scaling.set("identical_aggregates", identical);
-    std::printf("\nthread scaling (er): %zu threads %.2fs vs 1 thread "
-                "%.2fs — %.2fx, aggregates %s\n",
-                resolved_threads, er_seconds, serial_seconds, speedup,
-                identical ? "identical" : "DIVERGED");
-    if (!identical) {
-      throw std::runtime_error(
-          "fig_recovery: aggregates diverged between thread counts — the "
-          "timeline sweep must be deterministic");
-    }
-  } else {
-    scaling.set("serial_seconds", er_seconds);
-    scaling.set("speedup", 1.0);
-    scaling.set("identical_aggregates", true);
   }
 
   if (!json_path.empty()) {
@@ -342,8 +263,8 @@ int run(int argc, char** argv) {
     config.set("pairs", pairs);
     config.set("flow", flow);
     config.set("variance", variance);
-    config.set("stage_budget", options.timeline.stage_budget);
-    config.set("max_stages", options.timeline.max_stages);
+    config.set("stage_budget", timeline.stage_budget);
+    config.set("max_stages", timeline.max_stages);
     config.set("aftershock_variance",
                flags.get_double("aftershock-variance"));
     config.set("aftershock_decay", flags.get_double("aftershock-decay"));
@@ -351,7 +272,6 @@ int run(int argc, char** argv) {
     config.set("overload_factor", flags.get_double("overload"));
     out.set("config", std::move(config));
     out.set("families", std::move(families));
-    out.set("scaling", std::move(scaling));
     util::write_json_file(json_path, out);
     std::printf("wrote %s\n", json_path.c_str());
   }

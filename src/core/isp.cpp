@@ -31,7 +31,14 @@ namespace netrec::core {
 
 namespace {
 constexpr double kEps = 1e-9;
-}
+/// Demand amounts, split amounts and flow gaps at or below this are zero.
+constexpr double kTolerance = 1e-7;
+/// Successive shortest paths enumerated per demand by the demand-based
+/// centrality.
+constexpr std::size_t kCentralityMaxPaths = 64;
+/// Candidate v_BC nodes tried per iteration before the watchdog fires.
+constexpr std::size_t kSplitCandidates = 8;
+}  // namespace
 
 std::string IspEvent::to_string() const {
   std::ostringstream out;
@@ -238,7 +245,7 @@ class Engine {
     const auto flow = graph::max_flow(working_view(), dem.source, dem.target,
                                       residual_, bubble_.in_bubble());
     const double k = std::min(flow.value, dem.amount);
-    if (k <= opt_.tolerance) return 0.0;
+    if (k <= kTolerance) return 0.0;
 
     // Route k units along the decomposition, consuming residual capacity.
     auto paths = graph::decompose_flow(g_, dem.source, dem.target,
@@ -278,7 +285,7 @@ class Engine {
       // A pass changes amounts only, so its walls stay fixed throughout.
       mark_endpoints(1);
       for (std::size_t h = 0; h < demands_.size(); ++h) {
-        if (demands_[h].amount <= opt_.tolerance) continue;
+        if (demands_[h].amount <= kTolerance) continue;
         if (try_prune(h) > 0.0) {
           progress = true;
           any = true;
@@ -303,7 +310,7 @@ class Engine {
     bool any = false;
     const auto length = dynamic_length();
     for (const auto& dem : demands_) {
-      if (dem.amount <= opt_.tolerance) continue;
+      if (dem.amount <= kTolerance) continue;
       const graph::EdgeId e = g_.find_edge(dem.source, dem.target);
       if (e == graph::kInvalidEdge) continue;
       if (!g_.edge_broken(e) || state_.edge_repaired(e)) continue;
@@ -311,7 +318,7 @@ class Engine {
       // (Views re-fetched per demand: a repair below invalidates them.)
       const auto flow =
           graph::max_flow(working_view(), dem.source, dem.target, residual_);
-      if (flow.value >= dem.amount - opt_.tolerance) continue;
+      if (flow.value >= dem.amount - kTolerance) continue;
       // Interpretation choice (documented in DESIGN.md): only repair the
       // direct edge when it is also a cheapest dynamic-metric route — with
       // the paper's homogeneous costs this always holds, but it stops the
@@ -341,7 +348,7 @@ class Engine {
     // the pool fans the per-demand enumerations out (fixed-order merge:
     // bit-identical).
     CentralityOptions copt;
-    copt.max_paths_per_demand = opt_.centrality_max_paths;
+    copt.max_paths_per_demand = kCentralityMaxPaths;
     copt.pool = pool_;
     const auto centrality =
         demand_based_centrality(metric_view(), current_demands(), copt);
@@ -365,8 +372,8 @@ class Engine {
 
     std::size_t tried = 0;
     for (graph::NodeId vbc : ranking) {
-      if (tried >= opt_.split_candidates) break;
-      if (ranking_score[static_cast<std::size_t>(vbc)] <= opt_.tolerance) {
+      if (tried >= kSplitCandidates) break;
+      if (ranking_score[static_cast<std::size_t>(vbc)] <= kTolerance) {
         break;
       }
       ++tried;
@@ -381,7 +388,7 @@ class Engine {
       for (int h : centrality.contributors(vbc)) {
         const auto& dem = demands_[static_cast<std::size_t>(h)];
         if (dem.source == vbc || dem.target == vbc) continue;
-        if (dem.amount <= opt_.tolerance) continue;
+        if (dem.amount <= kTolerance) continue;
         const double through =
             centrality.capacity_through(h, vbc, g_);
         if (through <= kEps) continue;
@@ -420,7 +427,7 @@ class Engine {
         const double dx = mcf::max_splittable_amount(
             lp_split_, full_view(), current_demand_specs(),
             static_cast<int>(cand.demand), vbc);
-        if (dx <= opt_.tolerance) continue;
+        if (dx <= kTolerance) continue;
         apply_split(cand.demand, vbc, std::min(dx, dem.amount));
         return true;
       }
@@ -462,7 +469,7 @@ class Engine {
     demands_.erase(
         std::remove_if(demands_.begin(), demands_.end(),
                        [this](const auto& d) {
-                         return d.amount <= opt_.tolerance ||
+                         return d.amount <= kTolerance ||
                                 d.source == d.target;
                        }),
         demands_.end());
@@ -483,7 +490,7 @@ class Engine {
     ++stats_.watchdog_activations;
     // Hardest = largest unroutable amount on the working graph.
     std::size_t worst = demands_.size();
-    double worst_gap = opt_.tolerance;
+    double worst_gap = kTolerance;
     for (std::size_t h = 0; h < demands_.size(); ++h) {
       const auto& dem = demands_[h];
       const auto flow =
@@ -562,7 +569,7 @@ class Engine {
     std::vector<char> cand_node(g_.num_nodes(), 0);
     std::vector<char> cand_edge(g_.num_edges(), 0);
     for (const mcf::PathFlow& flow : result.routing.flows) {
-      if (flow.amount <= opt_.tolerance) continue;
+      if (flow.amount <= kTolerance) continue;
       for (graph::NodeId n : flow.path.nodes(g_)) {
         if (g_.node_broken(n) && !state_.node_repaired(n)) {
           cand_node[static_cast<std::size_t>(n)] = 1;

@@ -25,8 +25,8 @@
 // Bell-Canada records of tests/golden/isp_corpus.txt and in all 17 of its
 // netrec-bench preload records, about 8 times per solve on the CAIDA-like
 // instance (825 nodes, 20% damage) of netrec-bench's plan_fresh,
-// because the split scan gives up after IspOptions::split_candidates
-// candidates.  It also guarantees termination on adversarial input.
+// because the split scan gives up after 8 candidates (kSplitCandidates in
+// isp.cpp).  It also guarantees termination on adversarial input.
 //
 // One engine runs the loop: a graph::ViewCache keeps the working, full and
 // metric snapshots alive across iterations (residual updates refresh them,
@@ -58,13 +58,9 @@ class DeadlineExceeded : public std::runtime_error {
 };
 
 struct IspOptions {
-  double tolerance = 1e-7;
   std::size_t max_iterations = 5000;
   /// Dynamic metric `const` (length of a working link, Section IV-D).
   double metric_const = 1.0;
-  std::size_t centrality_max_paths = 64;
-  /// Candidate v_BC nodes tried per iteration before the watchdog fires.
-  std::size_t split_candidates = 8;
   /// Ablation toggles (see bench/ablation).
   bool enable_prune = true;
   bool enable_direct_edge_repair = true;

@@ -1,8 +1,6 @@
 #include "graph/dijkstra.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "graph/heap.hpp"
@@ -186,57 +184,6 @@ std::optional<Path> shortest_path(const GraphView& view, NodeId source,
              [&view](ArcId a, EdgeId) { return view.arc_length(a); },
              AllArcsOk{}, StopAt{target})
       .path_to(view.graph(), target);
-}
-
-std::optional<Path> widest_path(const GraphView& view, NodeId source,
-                                NodeId target) {
-  const Graph& g = view.graph();
-  g.check_node(source);
-  g.check_node(target);
-  // Max-bottleneck Dijkstra: label = best bottleneck achievable to the node.
-  std::vector<double> width(view.num_nodes(), 0.0);
-  std::vector<EdgeId> parent(view.num_nodes(), kInvalidEdge);
-  width[static_cast<std::size_t>(source)] = kInf;
-
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item> heap;  // max-heap on bottleneck
-  heap.emplace(kInf, source);
-  while (!heap.empty()) {
-    const auto [w, at] = heap.top();
-    heap.pop();
-    if (w < width[static_cast<std::size_t>(at)]) continue;
-    if (at == target) break;
-    const ArcId end = view.arcs_end(at);
-    for (ArcId a = view.arcs_begin(at); a < end; ++a) {
-      const double cap = view.arc_capacity(a);
-      if (!(cap >= 0.0)) {
-        throw std::invalid_argument(
-            "widest_path: negative or NaN edge capacity");
-      }
-      const double bottleneck = std::min(w, cap);
-      const NodeId to = view.arc_target(a);
-      if (bottleneck > width[static_cast<std::size_t>(to)]) {
-        width[static_cast<std::size_t>(to)] = bottleneck;
-        parent[static_cast<std::size_t>(to)] = view.arc_edge(a);
-        heap.emplace(bottleneck, to);
-      }
-    }
-  }
-  if (width[static_cast<std::size_t>(target)] <= 0.0 && source != target) {
-    return std::nullopt;
-  }
-  Path path;
-  path.start = source;
-  std::vector<EdgeId> reversed;
-  NodeId at = target;
-  while (at != source) {
-    const EdgeId e = parent[static_cast<std::size_t>(at)];
-    if (e == kInvalidEdge) return std::nullopt;
-    reversed.push_back(e);
-    at = g.other_endpoint(e, at);
-  }
-  path.edges.assign(reversed.rbegin(), reversed.rend());
-  return path;
 }
 
 }  // namespace netrec::graph

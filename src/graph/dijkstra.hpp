@@ -1,4 +1,4 @@
-// Dijkstra shortest paths and widest paths over a GraphView.
+// Dijkstra shortest paths over a GraphView.
 //
 // ISP's path metric (Section IV-D) changes every iteration — repaired
 // elements become "short", pruned capacity raises lengths — so lengths are
@@ -77,10 +77,5 @@ ShortestPathTree dijkstra_residual_to(const GraphView& view, NodeId source,
 /// negative or NaN length is only detected on edges it relaxes.
 std::optional<Path> shortest_path(const GraphView& view, NodeId source,
                                   NodeId target);
-
-/// Widest (maximum-bottleneck) path under the view's capacities.
-/// Capacities must be >= 0 and not NaN (std::invalid_argument otherwise).
-std::optional<Path> widest_path(const GraphView& view, NodeId source,
-                                NodeId target);
 
 }  // namespace netrec::graph

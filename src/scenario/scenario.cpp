@@ -115,15 +115,31 @@ void record_solution(const core::RecoverySolution& solution,
   metrics.add("wall_seconds", solution.wall_seconds);
 }
 
-BuiltRun build_run(const ProblemFactory& factory, bool require_feasible,
-                   std::size_t max_redraws, std::size_t run,
-                   std::uint64_t run_seed) {
+namespace {
+
+// Odd multiplier (golden-ratio constant) decorrelating per-cell streams
+// derived from one run seed; Rng's SplitMix64 seeding scrambles the rest.
+constexpr std::uint64_t kCellSalt = 0x9e3779b97f4a7c15ULL;
+
+/// One run's constructed problem (ok == false when no feasible draw was
+/// found within the redraw budget).
+struct BuiltRun {
+  core::RecoveryProblem problem;
+  bool ok = false;
+};
+
+/// Builds one run's problem from its fixed seed.  Every attempt forks a
+/// child stream from the run's own seed, so the result depends only on
+/// (run_seed, options) — never on which thread executes the build.
+BuiltRun build_run(const ProblemFactory& factory, const RunnerOptions& options,
+                   std::size_t run, std::uint64_t run_seed) {
   util::Rng run_master(run_seed);
   BuiltRun slot;
-  for (std::size_t attempt = 0; attempt <= max_redraws; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= options.max_redraws; ++attempt) {
     util::Rng attempt_rng = run_master.fork();
     slot.problem = factory(attempt_rng);
-    if (!require_feasible || slot.problem.feasible_when_fully_repaired()) {
+    if (!options.require_feasible ||
+        slot.problem.feasible_when_fully_repaired()) {
       slot.ok = true;
       return slot;
     }
@@ -132,17 +148,11 @@ BuiltRun build_run(const ProblemFactory& factory, bool require_feasible,
   return slot;
 }
 
-namespace {
-
-// Odd multiplier (golden-ratio constant) decorrelating per-algorithm streams
-// derived from one run seed; Rng's SplitMix64 seeding scrambles the rest.
-constexpr std::uint64_t kAlgoSalt = 0x9e3779b97f4a7c15ULL;
-
 }  // namespace
 
-AggregateResult run_experiment(
+AggregateResult run_matrix(
     const ProblemFactory& factory,
-    const std::vector<std::pair<std::string, Algorithm>>& algorithms,
+    const std::vector<std::pair<std::string, Cell>>& cells,
     const RunnerOptions& options) {
   // Per-run seeds are fixed serially up front; everything downstream derives
   // from them, which is what makes the parallel schedule irrelevant to the
@@ -152,47 +162,48 @@ AggregateResult run_experiment(
   for (auto& seed : run_seeds) seed = master.next();
 
   std::vector<BuiltRun> slots(options.runs);
-  const std::size_t num_algorithms = algorithms.size();
-  std::vector<core::RecoverySolution> solutions(options.runs * num_algorithms);
+  const std::size_t num_cells = cells.size();
+  std::vector<CellRecord> records(options.runs * num_cells);
 
   const auto build = [&](std::size_t run) {
-    slots[run] = build_run(factory, options.require_feasible,
-                           options.max_redraws, run, run_seeds[run]);
+    slots[run] = build_run(factory, options, run, run_seeds[run]);
   };
-  const auto solve = [&](std::size_t task) {
-    const std::size_t run = task / num_algorithms;
-    const std::size_t alg = task % num_algorithms;
+  const auto run_cell = [&](std::size_t task) {
+    const std::size_t run = task / num_cells;
+    const std::size_t cell = task % num_cells;
     if (!slots[run].ok) return;
     RunContext ctx;
     ctx.run_index = run;
     ctx.run_seed = run_seeds[run];
     ctx.rng.reseed(run_seeds[run] +
-                   kAlgoSalt * (static_cast<std::uint64_t>(alg) + 1));
-    solutions[task] = algorithms[alg].second(slots[run].problem, ctx);
+                   kCellSalt * (static_cast<std::uint64_t>(cell) + 1));
+    records[task] = cells[cell].second(slots[run].problem, ctx);
   };
 
   std::optional<util::ThreadPool> owned_pool;
   util::ThreadPool* pool =
       util::ThreadPool::acquire(owned_pool, options.threads, options.pool);
   if (pool != nullptr && pool->size() > 1) {
-    // Builds are cheap relative to solves: chunk them so a large sweep pays
-    // one dispatch per batch, not per run.  Solves stay grain 1 — each is a
-    // full algorithm run, so finer dispatch buys load balance.
+    // Builds are cheap relative to cells: chunk them so a large sweep pays
+    // one dispatch per batch, not per run.  Cells stay grain 1 — each is a
+    // full solve or staged recovery, so finer dispatch buys load balance.
     const std::size_t build_grain =
         std::max<std::size_t>(1, options.runs / (4 * pool->size()));
     pool->parallel_for(options.runs, build_grain, build);
-    pool->parallel_for(options.runs * num_algorithms, 1, solve);
+    pool->parallel_for(options.runs * num_cells, 1, run_cell);
   } else {
     for (std::size_t run = 0; run < options.runs; ++run) build(run);
-    for (std::size_t task = 0; task < options.runs * num_algorithms; ++task) {
-      solve(task);
+    for (std::size_t task = 0; task < options.runs * num_cells; ++task) {
+      run_cell(task);
     }
   }
 
-  // Serial merge in (run, algorithm) order: Welford accumulation is order
+  // Serial merge in (run, cell) order: Welford accumulation is order
   // sensitive in floating point, so the merge order must not depend on task
   // completion order.
   AggregateResult out;
+  out.cell_names.reserve(num_cells);
+  for (const auto& cell : cells) out.cell_names.push_back(cell.first);
   for (std::size_t run = 0; run < options.runs; ++run) {
     if (!slots[run].ok) continue;
     const auto& problem = slots[run].problem;
@@ -204,13 +215,31 @@ AggregateResult run_experiment(
         "broken_total",
         static_cast<double>(problem.graph.num_broken_nodes() +
                             problem.graph.num_broken_edges()));
-    for (std::size_t alg = 0; alg < num_algorithms; ++alg) {
-      record_solution(solutions[run * num_algorithms + alg],
-                      out.per_algorithm[algorithms[alg].first]);
+    out.instance.add("total_demand", problem.total_demand());
+    for (std::size_t cell = 0; cell < num_cells; ++cell) {
+      records[run * num_cells + cell](out.per_cell[out.cell_names[cell]]);
     }
     ++out.completed_runs;
   }
   return out;
+}
+
+AggregateResult run_experiment(
+    const ProblemFactory& factory,
+    const std::vector<std::pair<std::string, Algorithm>>& algorithms,
+    const RunnerOptions& options) {
+  std::vector<std::pair<std::string, Cell>> cells;
+  cells.reserve(algorithms.size());
+  for (const auto& [name, algorithm] : algorithms) {
+    cells.emplace_back(name, [&solve = algorithm](
+                                 const core::RecoveryProblem& problem,
+                                 RunContext& ctx) -> CellRecord {
+      return [solution = solve(problem, ctx)](util::MetricSet& metrics) {
+        record_solution(solution, metrics);
+      };
+    });
+  }
+  return run_matrix(factory, cells, options);
 }
 
 }  // namespace netrec::scenario

@@ -1,18 +1,22 @@
-// Parallel scenario engine shared by the bench drivers (paper Section VII).
+// Seeded scenario engine shared by the bench drivers (paper Section VII).
 //
 // Demand graphs follow the paper's construction: pairs sampled among nodes
 // whose hop distance is at least half the supply graph's diameter, each with
-// a fixed flow requirement.  The engine executes a named set of algorithms
-// over N seeded runs of a scenario factory and aggregates the Fig. 4-9
-// metrics (edge/node/total repairs, satisfied %, wall seconds).
+// a fixed flow requirement.
 //
-// Parallelism and determinism: the runs x algorithms matrix executes on a
-// util::ThreadPool, but every random stream is derived from per-run seeds
-// fixed *before* any task is submitted (util::Rng seed-splitting), and
-// metrics are merged serially in (run, algorithm) order after the matrix
-// completes.  A given master seed therefore produces bit-identical
-// AggregateResults at any thread count.  The only non-deterministic metric
-// is wall_seconds, which measures real solver time.
+// run_matrix is the one runs x cells matrix: it draws N seeded problem
+// instances from a scenario factory and applies every cell to each.  A cell
+// is one algorithm (run_experiment, scored with the Fig. 4-9 metrics: edge/
+// node/total repairs, satisfied %, wall seconds) or one staged-recovery
+// policy@dynamics pair (run_timelines in timeline_runner.hpp).
+//
+// Parallelism and determinism: the matrix executes on a util::ThreadPool,
+// but every random stream is derived from per-run seeds fixed *before* any
+// task is submitted (util::Rng seed-splitting), and metrics are merged
+// serially in (run, cell) order after the matrix completes.  A given master
+// seed therefore produces bit-identical AggregateResults at any thread
+// count.  The only non-deterministic metric is wall_seconds, which measures
+// real solver time.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +52,11 @@ std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
                                            util::Rng& rng,
                                            double min_distance_factor = 0.5);
 
-/// Per-task context handed to every (run, algorithm) execution.  run_seed is
+/// Per-task context handed to every (run, cell) execution.  run_seed is
 /// stable for the run regardless of thread count or execution order, so
-/// algorithms needing run-correlated randomness (e.g. two variants that must
-/// see the same samples) can derive identical streams from it; rng is a
-/// private stream unique to this (run, algorithm) cell.
+/// cells needing run-correlated randomness (e.g. two variants that must see
+/// the same samples) can derive identical streams from it; rng is a private
+/// stream unique to this (run, cell) pair.
 struct RunContext {
   std::size_t run_index = 0;
   std::uint64_t run_seed = 0;
@@ -67,6 +71,15 @@ using Algorithm = std::function<core::RecoverySolution(
 /// Builds the problem for one run (seeded independently per run).
 using ProblemFactory = std::function<core::RecoveryProblem(util::Rng&)>;
 
+/// A cell's scoring, deferred to the serial merge: called once with the
+/// cell's MetricSet, in (run, cell) order.
+using CellRecord = std::function<void(util::MetricSet&)>;
+
+/// One matrix cell: does its work on the run's problem (on any worker) and
+/// returns the record the merge replays.
+using Cell = std::function<CellRecord(const core::RecoveryProblem&,
+                                      RunContext&)>;
+
 struct RunnerOptions {
   std::size_t runs = 20;    ///< the paper averages 20 runs
   std::uint64_t seed = 42;
@@ -76,7 +89,7 @@ struct RunnerOptions {
   /// regional cut and are re-rolled, up to `max_redraws` per run).
   bool require_feasible = false;
   std::size_t max_redraws = 25;
-  /// Worker threads for the runs x algorithms matrix; 0 resolves via
+  /// Worker threads for the runs x cells matrix; 0 resolves via
   /// NETREC_THREADS / hardware_concurrency (util::ThreadPool).  Ignored
   /// when `pool` is set.
   std::size_t threads = 0;
@@ -86,40 +99,36 @@ struct RunnerOptions {
 };
 
 struct AggregateResult {
-  /// metric -> stats; metrics: edge_repairs, node_repairs, total_repairs,
-  /// repair_cost, satisfied_pct, wall_seconds.
-  std::map<std::string, util::MetricSet> per_algorithm;
-  /// Averages of instance-level metrics (broken counts etc.).
+  /// Cell names in registration order.
+  std::vector<std::string> cell_names;
+  /// cell name -> metric -> stats; a cell has an entry once a run completes.
+  std::map<std::string, util::MetricSet> per_cell;
+  /// Instance-level metrics per completed run: broken_nodes, broken_edges,
+  /// broken_total, total_demand.
   util::MetricSet instance;
   std::size_t completed_runs = 0;
 };
 
-/// One run's constructed problem (ok == false when no feasible draw was
-/// found within the redraw budget).
-struct BuiltRun {
-  core::RecoveryProblem problem;
-  bool ok = false;
-};
+/// Applies every cell to `runs` seeded instances and aggregates the records.
+/// Each run's problem is built from its own seed (redrawn when
+/// `require_feasible` and infeasible even under full repair; a run with no
+/// feasible draw is skipped); cell c of a run gets
+/// ctx.rng = Rng(run_seed + salt * (c + 1)).  Builds are parallel over runs,
+/// cells over the runs x cells matrix; results are deterministic per master
+/// seed.
+AggregateResult run_matrix(
+    const ProblemFactory& factory,
+    const std::vector<std::pair<std::string, Cell>>& cells,
+    const RunnerOptions& options = {});
 
-/// Builds one run's problem from its fixed seed, redrawing instances that
-/// are infeasible even under full repair (when `require_feasible`).  Every
-/// attempt forks a child stream from the run's own seed, so the result
-/// depends only on (run_seed, arguments) — never on which thread executes
-/// the build.  Shared by run_experiment and run_timelines.
-BuiltRun build_run(const ProblemFactory& factory, bool require_feasible,
-                   std::size_t max_redraws, std::size_t run,
-                   std::uint64_t run_seed);
-
-/// Runs every algorithm on `runs` seeded instances and aggregates metrics.
-/// Problem construction is parallel over runs, solving is parallel over the
-/// runs x algorithms matrix; results are deterministic per master seed.
+/// run_matrix with one cell per algorithm, scored by record_solution.
 AggregateResult run_experiment(
     const ProblemFactory& factory,
     const std::vector<std::pair<std::string, Algorithm>>& algorithms,
     const RunnerOptions& options = {});
 
-/// Records one solution's metrics into a MetricSet (used by run_experiment
-/// and directly by bench drivers with custom loops).
+/// Records one solution's metrics into a MetricSet: run_experiment's
+/// scoring of an algorithm cell.
 void record_solution(const core::RecoverySolution& solution,
                      util::MetricSet& metrics);
 

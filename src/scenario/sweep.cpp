@@ -63,8 +63,8 @@ util::Json metric_set_json(const util::MetricSet& metrics) {
 double SweepResult::mean(std::size_t index, const std::string& algorithm,
                          const std::string& metric) const {
   const auto& point = points.at(index);
-  const auto it = point.per_algorithm.find(algorithm);
-  if (it == point.per_algorithm.end()) {
+  const auto it = point.per_cell.find(algorithm);
+  if (it == point.per_cell.end()) {
     // Every run of the point failed its feasibility redraws: no data, which
     // is visible via completed_runs == 0.  Anything else is a typo.
     if (point.completed_runs == 0) return 0.0;
@@ -121,8 +121,8 @@ util::Json SweepResult::to_json() const {
     point.set("completed_runs", points[i].completed_runs);
     util::Json per_algorithm = util::Json::object();
     for (const auto& algorithm : algorithm_names) {
-      const auto it = points[i].per_algorithm.find(algorithm);
-      per_algorithm.set(algorithm, it == points[i].per_algorithm.end()
+      const auto it = points[i].per_cell.find(algorithm);
+      per_algorithm.set(algorithm, it == points[i].per_cell.end()
                                        ? util::Json::object()
                                        : metric_set_json(it->second));
     }

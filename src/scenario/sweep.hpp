@@ -6,8 +6,8 @@
 // and collects the per-point AggregateResults; SweepResult renders any
 // metric as a paper-style table, mirrors it to CSV, and serialises the full
 // result (every metric, mean/stddev/stderr/min/max/count) as JSON for
-// external tooling.  All seven bench/fig*.cpp drivers and the ISP ablation
-// are thin declarative wrappers around this type.
+// external tooling.  The paper-figure drivers (bench/fig{3,4,5,6,7,9}*.cpp)
+// and the ISP ablation are thin declarative wrappers around this type.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,10 @@
 #include "scenario/timeline_runner.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 namespace netrec::scenario {
 
 namespace {
-
-// Same odd-multiplier decorrelation scheme run_experiment uses for its
-// per-algorithm streams, applied per (run, cell).
-constexpr std::uint64_t kCellSalt = 0x9e3779b97f4a7c15ULL;
 
 void record_timeline(const recovery::TimelineResult& result,
                      std::size_t auc_horizon, util::MetricSet& metrics) {
@@ -40,94 +34,36 @@ std::string timeline_cell_name(const std::string& policy,
   return policy + "@" + dynamics;
 }
 
-TimelineAggregate run_timelines(
+AggregateResult run_timelines(
     const ProblemFactory& factory,
     const std::vector<std::pair<std::string, PolicyFactory>>& policies,
     const std::vector<std::pair<std::string, DynamicsFactory>>& dynamics,
-    const TimelineRunnerOptions& options) {
+    const recovery::TimelineOptions& timeline,
+    const RunnerOptions& options) {
   if (policies.empty() || dynamics.empty()) {
     throw std::invalid_argument(
         "run_timelines: need at least one policy and one dynamics");
   }
-  // Per-run seeds fixed serially up front (see run_experiment): the
-  // parallel schedule cannot influence any derived stream.
-  util::Rng master(options.seed);
-  std::vector<std::uint64_t> run_seeds(options.runs);
-  for (auto& seed : run_seeds) seed = master.next();
-
-  const std::size_t num_cells = policies.size() * dynamics.size();
-  std::vector<BuiltRun> slots(options.runs);
-  std::vector<recovery::TimelineResult> results(options.runs * num_cells);
-
-  const std::size_t auc_horizon = options.auc_horizon != 0
-                                      ? options.auc_horizon
-                                      : options.timeline.max_stages;
-
-  const auto build = [&](std::size_t run) {
-    slots[run] = build_run(factory, options.require_feasible,
-                           options.max_redraws, run, run_seeds[run]);
-  };
-  const auto simulate = [&](std::size_t task) {
-    const std::size_t run = task / num_cells;
-    const std::size_t cell = task % num_cells;
-    if (!slots[run].ok) return;
-    const std::size_t p = cell / dynamics.size();
-    const std::size_t d = cell % dynamics.size();
-    const std::unique_ptr<recovery::Policy> policy = policies[p].second();
-    const std::unique_ptr<recovery::Dynamics> dyn = dynamics[d].second();
-    util::Rng rng(run_seeds[run] +
-                  kCellSalt * (static_cast<std::uint64_t>(cell) + 1));
-    recovery::Timeline timeline(slots[run].problem, *policy, *dyn,
-                                options.timeline);
-    results[task] = timeline.run(rng);
-  };
-
-  std::optional<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool =
-      util::ThreadPool::acquire(owned_pool, options.threads, options.pool);
-  if (pool != nullptr && pool->size() > 1) {
-    // Builds chunk (cheap, many); simulations stay grain 1 (each is a full
-    // staged recovery, so finer dispatch buys load balance).
-    const std::size_t build_grain =
-        std::max<std::size_t>(1, options.runs / (4 * pool->size()));
-    pool->parallel_for(options.runs, build_grain, build);
-    pool->parallel_for(options.runs * num_cells, 1, simulate);
-  } else {
-    for (std::size_t run = 0; run < options.runs; ++run) build(run);
-    for (std::size_t task = 0; task < options.runs * num_cells; ++task) {
-      simulate(task);
+  std::vector<std::pair<std::string, Cell>> cells;
+  cells.reserve(policies.size() * dynamics.size());
+  for (const auto& [policy_name, make_policy] : policies) {
+    for (const auto& [dynamics_name, make_dynamics] : dynamics) {
+      cells.emplace_back(
+          timeline_cell_name(policy_name, dynamics_name),
+          [&make_policy = make_policy, &make_dynamics = make_dynamics,
+           &timeline](const core::RecoveryProblem& problem,
+                      RunContext& ctx) -> CellRecord {
+            const std::unique_ptr<recovery::Policy> policy = make_policy();
+            const std::unique_ptr<recovery::Dynamics> dyn = make_dynamics();
+            recovery::Timeline staged(problem, *policy, *dyn, timeline);
+            return [result = staged.run(ctx.rng),
+                    horizon = timeline.max_stages](util::MetricSet& metrics) {
+              record_timeline(result, horizon, metrics);
+            };
+          });
     }
   }
-
-  TimelineAggregate out;
-  out.cell_names.reserve(num_cells);
-  for (const auto& [policy_name, policy_factory] : policies) {
-    for (const auto& [dynamics_name, dynamics_factory] : dynamics) {
-      out.cell_names.push_back(
-          timeline_cell_name(policy_name, dynamics_name));
-    }
-  }
-  // Serial merge in (run, cell) order: Welford accumulation is order
-  // sensitive in floating point.
-  for (std::size_t run = 0; run < options.runs; ++run) {
-    if (!slots[run].ok) continue;
-    const auto& problem = slots[run].problem;
-    out.instance.add("broken_nodes",
-                     static_cast<double>(problem.graph.num_broken_nodes()));
-    out.instance.add("broken_edges",
-                     static_cast<double>(problem.graph.num_broken_edges()));
-    out.instance.add(
-        "broken_total",
-        static_cast<double>(problem.graph.num_broken_nodes() +
-                            problem.graph.num_broken_edges()));
-    out.instance.add("total_demand", problem.total_demand());
-    for (std::size_t cell = 0; cell < num_cells; ++cell) {
-      record_timeline(results[run * num_cells + cell], auc_horizon,
-                      out.per_cell[out.cell_names[cell]]);
-    }
-    ++out.completed_runs;
-  }
-  return out;
+  return run_matrix(factory, cells, options);
 }
 
 }  // namespace netrec::scenario

@@ -1,23 +1,19 @@
-// Parallel (runs × policies × dynamics) execution of recovery timelines.
+// Staged-recovery sweeps: (policy, dynamics) cells of the run matrix.
 //
-// The staged-recovery counterpart of run_experiment: every run draws one
-// seeded problem instance, and every (policy, dynamics) cell replays the
-// staged recovery of that instance on the shared deterministic seed-split
-// ThreadPool.  Policies are stateful and timelines consume randomness, so
-// each cell constructs fresh policy/dynamics objects from caller-supplied
-// factories and derives its private RNG stream from the run seed and the
-// cell index — fixed before any task is submitted, which makes the
-// aggregate bit-identical at any thread count (wall_seconds excepted).
+// run_timelines registers one scenario::run_matrix cell per policy@dynamics
+// pair (policies outer, dynamics inner).  Every run draws one seeded problem
+// instance, and each cell replays the staged recovery of that instance with
+// fresh policy/dynamics objects from caller-supplied factories (timelines
+// mutate both) and the cell's private ctx.rng.  Seeding, builds, redraws,
+// pool dispatch and the serial merge are run_matrix's, so the aggregate is
+// bit-identical at any thread count (wall_seconds excepted).
 //
-// Per-cell metrics: restoration_auc (padded to the options' AUC horizon so
-// series of different lengths compare on one time axis), stages,
-// total_repairs, repair_cost, final_pct, stages_to_90, shock_breaks,
-// wall_seconds.  Instance metrics: initial broken counts and total demand.
+// Per-cell metrics: restoration_auc (padded to timeline.max_stages so series
+// of different lengths compare on one time axis), stages, total_repairs,
+// repair_cost, final_pct, stages_to_90, shock_breaks, wall_seconds.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,8 +21,6 @@
 
 #include "recovery/timeline.hpp"
 #include "scenario/scenario.hpp"
-#include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netrec::scenario {
 
@@ -34,41 +28,19 @@ namespace netrec::scenario {
 using PolicyFactory = std::function<std::unique_ptr<recovery::Policy>()>;
 using DynamicsFactory = std::function<std::unique_ptr<recovery::Dynamics>()>;
 
-struct TimelineRunnerOptions {
-  std::size_t runs = 20;
-  std::uint64_t seed = 42;
-  /// See RunnerOptions: redraw infeasible instances.
-  bool require_feasible = false;
-  std::size_t max_redraws = 25;
-  /// Worker threads (0 = NETREC_THREADS / hardware), or a borrowed pool.
-  std::size_t threads = 0;
-  util::ThreadPool* pool = nullptr;
-  /// Engine configuration shared by every cell.
-  recovery::TimelineOptions timeline;
-  /// Stage horizon the per-cell AUC is padded to; 0 = timeline.max_stages.
-  std::size_t auc_horizon = 0;
-};
-
-struct TimelineAggregate {
-  /// "policy@dynamics" per registered combination, in registration order
-  /// (policies outer, dynamics inner).
-  std::vector<std::string> cell_names;
-  std::map<std::string, util::MetricSet> per_cell;
-  util::MetricSet instance;
-  std::size_t completed_runs = 0;
-};
-
 /// Composes the canonical cell key.
 std::string timeline_cell_name(const std::string& policy,
                                const std::string& dynamics);
 
-/// Runs every (policy, dynamics) combination over `runs` seeded instances
-/// and aggregates the restoration metrics; deterministic per master seed at
-/// any thread count.
-TimelineAggregate run_timelines(
+/// Runs every (policy, dynamics) combination under the engine configuration
+/// `timeline` over `options.runs` seeded instances and aggregates the
+/// restoration metrics; deterministic per master seed at any thread count.
+/// Throws std::invalid_argument when either list is empty.
+AggregateResult run_timelines(
     const ProblemFactory& factory,
     const std::vector<std::pair<std::string, PolicyFactory>>& policies,
     const std::vector<std::pair<std::string, DynamicsFactory>>& dynamics,
-    const TimelineRunnerOptions& options = {});
+    const recovery::TimelineOptions& timeline,
+    const RunnerOptions& options = {});
 
 }  // namespace netrec::scenario

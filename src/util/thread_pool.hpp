@@ -69,7 +69,8 @@ class ThreadPool {
   /// flag typos and fail fast instead of exhausting the process.
   static constexpr std::size_t kMaxThreads = 512;
 
-  /// Pool-selection policy shared by run_experiment and SweepRunner:
+  /// Pool-selection policy shared by every pool user (scenario::run_matrix,
+  /// SweepRunner, IspSolver, recovery::Timeline, serve::PlanningEngine):
   /// returns `existing` when the caller already has a pool, spawns one in
   /// `storage` when the resolved count warrants parallelism, and returns
   /// nullptr for serial execution.

@@ -480,14 +480,6 @@ inline std::string dijkstra_record(const graph::Graph& g) {
   return out.str();
 }
 
-inline std::string widest_path_record(const graph::Graph& g) {
-  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
-  const auto path = graph::widest_path(graph::GraphView::working(g), 0, last);
-  if (!path) return "path none\n";
-  return "path " + std::to_string(path->start) + " edges" +
-         join_ids(path->edges) + "\n";
-}
-
 inline std::string betweenness_record(const graph::Graph& g,
                                       bool node_filter) {
   graph::ViewConfig config;
@@ -926,10 +918,6 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
   for (std::uint64_t s = 1; s <= 4; ++s) {
     add("dijkstra bell-canada " + std::to_string(s),
         [s] { return dijkstra_record(broken_bell_canada(s)); });
-  }
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    add("widest-path er " + std::to_string(s),
-        [s] { return widest_path_record(broken_er(s)); });
   }
   for (std::uint64_t s = 1; s <= 5; ++s) {
     add("betweenness er " + std::to_string(s),

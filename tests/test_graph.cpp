@@ -271,15 +271,6 @@ TEST(Dijkstra, RejectsNegativeLengths) {
   EXPECT_THROW(dijkstra(GraphView::build(g, config), 0), std::invalid_argument);
 }
 
-TEST(WidestPath, PicksMaximumBottleneck) {
-  Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  auto path = widest_path(GraphView::build(g), 0, 2);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_NEAR(path->capacity(cap), 10.0, 1e-12);  // around, not diagonal
-  EXPECT_EQ(path->hop_count(), 2u);
-}
-
 TEST(Path, NodeSequenceAndSimplicity) {
   Graph g = make_square_with_diagonal();
   Path p;

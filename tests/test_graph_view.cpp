@@ -1,10 +1,10 @@
 // GraphView kernel golden and contract tests.
 //
 // The CSR kernels must reproduce tests/golden/graph_kernels.txt bit for
-// bit: Dijkstra trees, widest paths, Brandes betweenness, Dinic max flows
-// and successive shortest paths on seeded Erdős–Rényi draws and the
-// Bell-Canada topology, always with a random subset of elements broken so
-// the usability filters actually filter.  The corpus was recorded while
+// bit: Dijkstra trees, Brandes betweenness, Dinic max flows and successive
+// shortest paths on seeded Erdős–Rényi draws and the Bell-Canada topology,
+// always with a random subset of elements broken so the usability filters
+// actually filter.  The corpus was recorded while
 // these kernels and the std::function reference kernels they replaced
 // agreed exactly, so the comparison still holds them to that reference.
 // Its `topology` records likewise hold the generators and the GML loader
@@ -38,10 +38,6 @@ TEST(GraphViewDijkstra, BitIdenticalToLegacyOnRandomEr) {
 
 TEST(GraphViewDijkstra, BitIdenticalToLegacyOnBellCanada) {
   expect_kernel_golden("dijkstra bell-canada ");
-}
-
-TEST(GraphViewWidestPath, BitIdenticalToLegacy) {
-  expect_kernel_golden("widest-path er ");
 }
 
 TEST(GraphViewBetweenness, BitIdenticalToLegacyOnRandomEr) {
@@ -140,30 +136,6 @@ TEST(GraphValidation, RejectsNaNAndNegativeInputs) {
   const graph::Graph g = builder.finalize();
   EXPECT_EQ(g.num_nodes(), 2u);
   EXPECT_EQ(g.num_edges(), 1u);
-}
-
-TEST(GraphValidation, WidestPathRejectsNaNAndNegativeCapacity) {
-  graph::Builder builder;
-  builder.add_node();
-  builder.add_node();
-  builder.add_node();
-  builder.add_edge(0, 1, 5.0);
-  builder.add_edge(1, 2, 5.0);
-  const graph::Graph g = builder.finalize();
-  const auto widest = [&g](graph::EdgeWeight capacity) {
-    graph::ViewConfig config;
-    config.capacity = std::move(capacity);
-    return graph::widest_path(graph::GraphView::build(g, config), 0, 2);
-  };
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(widest([nan](graph::EdgeId) { return nan; }),
-               std::invalid_argument);
-  EXPECT_THROW(widest([](graph::EdgeId) { return -1.0; }),
-               std::invalid_argument);
-  // Valid capacities still work.
-  const auto path = widest([](graph::EdgeId) { return 5.0; });
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->edges.size(), 2u);
 }
 
 TEST(GraphValidation, DijkstraRejectsNaNLength) {

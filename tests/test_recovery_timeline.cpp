@@ -16,6 +16,7 @@
 //     measurement exact.
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -441,40 +442,69 @@ scenario::ProblemFactory runner_factory() {
   };
 }
 
-TEST(TimelineRunner, AggregatesAreThreadCountInvariant) {
+/// fig_recovery's roster: every policy under every dynamics model, with the
+/// driver's default aftershock and cascade settings.
+std::vector<std::pair<std::string, scenario::PolicyFactory>> all_policies() {
   std::vector<std::pair<std::string, scenario::PolicyFactory>> policies;
   policies.emplace_back("replay", [] {
     return std::make_unique<recovery::ReplayPolicy>();
   });
+  policies.emplace_back("replan", [] {
+    return std::make_unique<recovery::ReplanPolicy>();
+  });
+  policies.emplace_back("betweenness", [] {
+    return std::make_unique<recovery::BetweennessGreedyPolicy>();
+  });
+  policies.emplace_back("list", [] {
+    return std::make_unique<recovery::ListOrderPolicy>();
+  });
   policies.emplace_back("random", [] {
     return std::make_unique<recovery::RandomPolicy>();
   });
+  return policies;
+}
+
+std::vector<std::pair<std::string, scenario::DynamicsFactory>> all_dynamics() {
   std::vector<std::pair<std::string, scenario::DynamicsFactory>> dynamics;
   dynamics.emplace_back("static", [] {
     return std::make_unique<recovery::StaticDynamics>();
   });
   dynamics.emplace_back("aftershock", [] {
     disruption::AftershockOptions opts;
-    opts.first.variance = 30.0;
-    opts.max_shocks = 2;
+    opts.first.variance = 35.0;
+    opts.decay = 0.5;
+    opts.max_shocks = 3;
     return std::make_unique<recovery::AftershockDynamics>(opts);
   });
+  dynamics.emplace_back("cascade", [] {
+    disruption::CascadeOptions opts;
+    opts.overload_factor = 0.3;
+    return std::make_unique<recovery::CascadeDynamics>(opts);
+  });
+  return dynamics;
+}
 
-  scenario::TimelineRunnerOptions options;
+TEST(TimelineRunner, AggregatesAreThreadCountInvariant) {
+  const auto policies = all_policies();
+  const auto dynamics = all_dynamics();
+  recovery::TimelineOptions timeline;
+  timeline.stage_budget = 5;
+  timeline.max_stages = 32;
+  scenario::RunnerOptions options;
   options.runs = 3;
   options.seed = 99;
-  options.timeline.stage_budget = 5;
-  options.timeline.max_stages = 32;
 
   options.threads = 1;
-  const auto serial =
-      scenario::run_timelines(runner_factory(), policies, dynamics, options);
+  const auto serial = scenario::run_timelines(runner_factory(), policies,
+                                              dynamics, timeline, options);
   options.threads = 4;
-  const auto parallel =
-      scenario::run_timelines(runner_factory(), policies, dynamics, options);
+  const auto parallel = scenario::run_timelines(runner_factory(), policies,
+                                                dynamics, timeline, options);
 
   ASSERT_EQ(serial.cell_names, parallel.cell_names);
-  ASSERT_EQ(serial.cell_names.size(), 4u);
+  ASSERT_EQ(serial.cell_names.size(), 15u);
+  EXPECT_EQ(serial.cell_names.front(), "replay@static");
+  EXPECT_EQ(serial.cell_names.back(), "random@cascade");
   EXPECT_EQ(serial.completed_runs, parallel.completed_runs);
   for (const std::string& cell : serial.cell_names) {
     for (const std::string& metric :
@@ -488,10 +518,29 @@ TEST(TimelineRunner, AggregatesAreThreadCountInvariant) {
           << cell << " / " << metric;
     }
   }
+  for (const std::string& metric :
+       {"broken_nodes", "broken_edges", "broken_total", "total_demand"}) {
+    EXPECT_EQ(serial.instance.get(metric).mean(),
+              parallel.instance.get(metric).mean())
+        << metric;
+  }
   // Sanity: every cell aggregated every run.
   for (const std::string& cell : serial.cell_names) {
     EXPECT_EQ(serial.per_cell.at(cell).get("restoration_auc").count(), 3u);
   }
+}
+
+TEST(TimelineRunner, EmptyPolicyOrDynamicsListThrows) {
+  const recovery::TimelineOptions timeline;
+  scenario::RunnerOptions options;
+  options.runs = 1;
+  options.threads = 1;
+  EXPECT_THROW(scenario::run_timelines(runner_factory(), {}, all_dynamics(),
+                                       timeline, options),
+               std::invalid_argument);
+  EXPECT_THROW(scenario::run_timelines(runner_factory(), all_policies(), {},
+                                       timeline, options),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -58,7 +58,8 @@ std::vector<std::pair<std::string, scenario::Algorithm>> test_algorithms() {
 void expect_identical(const scenario::AggregateResult& a,
                       const scenario::AggregateResult& b) {
   ASSERT_EQ(a.completed_runs, b.completed_runs);
-  ASSERT_EQ(a.per_algorithm.size(), b.per_algorithm.size());
+  ASSERT_EQ(a.cell_names, b.cell_names);
+  ASSERT_EQ(a.per_cell.size(), b.per_cell.size());
   const auto compare_sets = [](const util::MetricSet& x,
                                const util::MetricSet& y) {
     ASSERT_EQ(x.names(), y.names());
@@ -74,9 +75,9 @@ void expect_identical(const scenario::AggregateResult& a,
       EXPECT_EQ(sx.sum(), sy.sum()) << metric;
     }
   };
-  for (const auto& [name, metrics] : a.per_algorithm) {
-    ASSERT_TRUE(b.per_algorithm.count(name)) << name;
-    compare_sets(metrics, b.per_algorithm.at(name));
+  for (const auto& [name, metrics] : a.per_cell) {
+    ASSERT_TRUE(b.per_cell.count(name)) << name;
+    compare_sets(metrics, b.per_cell.at(name));
   }
   compare_sets(a.instance, b.instance);
 }
@@ -92,7 +93,7 @@ TEST(ScenarioEngine, AggregateIsBitIdenticalAcrossThreadCounts) {
   const auto serial =
       scenario::run_experiment(bell_factory(3, 10.0), algorithms, options);
   EXPECT_EQ(serial.completed_runs, 5u);
-  EXPECT_GT(serial.per_algorithm.at("SRT").get("total_repairs").mean(), 0.0);
+  EXPECT_GT(serial.per_cell.at("SRT").get("total_repairs").mean(), 0.0);
 
   for (const std::size_t threads : {2u, 8u}) {
     options.threads = threads;
@@ -129,8 +130,8 @@ TEST(ScenarioEngine, DifferentSeedsProduceDifferentRngStreams) {
   options.seed = 2;
   const auto b =
       scenario::run_experiment(bell_factory(2, 5.0), algorithms, options);
-  EXPECT_NE(a.per_algorithm.at("rng-probe").get("repair_cost").mean(),
-            b.per_algorithm.at("rng-probe").get("repair_cost").mean());
+  EXPECT_NE(a.per_cell.at("rng-probe").get("repair_cost").mean(),
+            b.per_cell.at("rng-probe").get("repair_cost").mean());
 }
 
 TEST(ScenarioEngine, FarApartDemandsAreSeedDeterministic) {

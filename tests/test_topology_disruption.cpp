@@ -322,7 +322,7 @@ TEST(Scenario, RunnerAggregatesAcrossRuns) {
         }}},
       opts);
   EXPECT_EQ(result.completed_runs, 3u);
-  const auto& metrics = result.per_algorithm.at("noop");
+  const auto& metrics = result.per_cell.at("noop");
   EXPECT_EQ(metrics.get("total_repairs").count(), 3u);
   EXPECT_DOUBLE_EQ(metrics.get("satisfied_pct").mean(), 0.0);
   EXPECT_DOUBLE_EQ(result.instance.get("broken_total").mean(), 48.0 + 64.0);
