@@ -11,7 +11,7 @@
 
 #include "bench/bench_common.hpp"
 #include "disruption/disruption.hpp"
-#include "heuristics/multicommodity.hpp"
+#include "mcf/broken_usage.hpp"
 #include "scenario/scenario.hpp"
 #include "topology/generator.hpp"
 
@@ -27,16 +27,16 @@ class BandCache {
  public:
   explicit BandCache(std::size_t samples) : samples_(samples) {}
 
-  heuristics::MulticommodityBand get(const core::RecoveryProblem& problem,
-                                     const scenario::RunContext& ctx) {
+  mcf::OptimalFaceBand get(const core::RecoveryProblem& problem,
+                           const scenario::RunContext& ctx) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto it = bands_.find(ctx.run_seed);
       if (it != bands_.end()) return it->second;
     }
     util::Rng face_rng(ctx.run_seed ^ 0xfacefeedULL);
-    const auto band = heuristics::multicommodity_band(problem, samples_,
-                                                      face_rng);
+    const auto band = mcf::explore_optimal_face(problem.graph, problem.demands,
+                                                samples_, face_rng);
     if (!band.feasible) {
       // With require_feasible the eq.(8) LP is feasible by construction, so
       // this is pathological — but its zero repairs would silently drag the
@@ -51,7 +51,7 @@ class BandCache {
  private:
   std::size_t samples_;
   std::mutex mutex_;
-  std::map<std::uint64_t, heuristics::MulticommodityBand> bands_;
+  std::map<std::uint64_t, mcf::OptimalFaceBand> bands_;
 };
 
 /// Wraps a face repair count as a solution so the engine can aggregate it;
@@ -92,12 +92,12 @@ int run(int argc, char** argv) {
   sweep.add_algorithm("MCB", [cache](const core::RecoveryProblem& p,
                                      scenario::RunContext& ctx) {
     const auto band = cache->get(p, ctx);
-    return as_solution(band.mcb_repairs, band.feasible);
+    return as_solution(band.best_repairs, band.feasible);
   });
   sweep.add_algorithm("MCW", [cache](const core::RecoveryProblem& p,
                                      scenario::RunContext& ctx) {
     const auto band = cache->get(p, ctx);
-    return as_solution(band.mcw_repairs, band.feasible);
+    return as_solution(band.worst_repairs, band.feasible);
   });
   sweep.add_algorithm(
       "ALL", [](const core::RecoveryProblem& p, scenario::RunContext&) {

@@ -11,6 +11,11 @@
 
 namespace netrec::core {
 
+namespace {
+/// Cap on successive shortest paths collected per demand.
+constexpr std::size_t kMaxPathsPerDemand = 64;
+}  // namespace
+
 CentralityResult::CentralityResult(std::size_t num_nodes,
                                    std::size_t num_demands)
     : score_(num_nodes, 0.0),
@@ -93,7 +98,7 @@ CentralityResult demand_based_centrality(
     if (d.amount <= 1e-9 || d.source == d.target) return;
     const auto it = source_trees.find(d.source);
     selected[h] = graph::successive_shortest_paths(
-        view, d.source, d.target, d.amount, options.max_paths_per_demand,
+        view, d.source, d.target, d.amount, kMaxPathsPerDemand,
         it == source_trees.end() ? nullptr : &it->second);
   };
   if (pool != nullptr && demands.size() > 1) {

@@ -2,7 +2,8 @@
 //
 // The runtime estimate ĉd(v): for each demand (i,j) collect successive
 // shortest paths (under the dynamic length metric) on the full supply graph
-// with residual capacities until their combined capacity covers d_ij; each
+// with residual capacities until their combined capacity covers d_ij (at
+// most 64 paths per demand, a constant of centrality.cpp); each
 // selected path p contributes  c(p)/sum_q c(q) * d_ij  to every node it
 // touches.  The result also exposes the per-demand path sets P̂*(i,j), which
 // ISP's split decisions 1 and 2 reuse (C(v_BC) membership and the capacity
@@ -23,8 +24,6 @@ class ThreadPool;
 namespace netrec::core {
 
 struct CentralityOptions {
-  /// Cap on successive shortest paths collected per demand.
-  std::size_t max_paths_per_demand = 64;
   /// Intra-evaluation parallelism: the shared first-path trees and the
   /// per-demand successive-shortest-path enumerations are pure functions of
   /// (view, demand), so they fan out on this pool into per-demand slots;

@@ -33,9 +33,6 @@ namespace {
 constexpr double kEps = 1e-9;
 /// Demand amounts, split amounts and flow gaps at or below this are zero.
 constexpr double kTolerance = 1e-7;
-/// Successive shortest paths enumerated per demand by the demand-based
-/// centrality.
-constexpr std::size_t kCentralityMaxPaths = 64;
 /// Candidate v_BC nodes tried per iteration before the watchdog fires.
 constexpr std::size_t kSplitCandidates = 8;
 }  // namespace
@@ -88,8 +85,8 @@ class Engine {
         endpoint_(problem.graph.num_nodes(), 0),
         bubble_(problem.graph.num_nodes()),
         cache_(problem.graph),
-        lp_working_(problem.graph, mcf::PathLpMode::kMaxRouted, opt.lp),
-        lp_split_(problem.graph, mcf::PathLpMode::kMaxSplit, opt.lp) {
+        lp_working_(problem.graph, mcf::PathLpMode::kMaxRouted),
+        lp_split_(problem.graph, mcf::PathLpMode::kMaxSplit) {
     for (std::size_t e = 0; e < g_.num_edges(); ++e) {
       residual_[e] = g_.edge_capacity(e);
     }
@@ -225,7 +222,7 @@ class Engine {
 
   bool routable_on_full() {
     if (demands_.empty()) return true;
-    return mcf::is_routable(full_view(), current_demands(), opt_.lp);
+    return mcf::is_routable(full_view(), current_demands());
   }
 
   // --- prune ---------------------------------------------------------------
@@ -347,11 +344,8 @@ class Engine {
     // The metric view carries the dynamic lengths and residual capacities;
     // the pool fans the per-demand enumerations out (fixed-order merge:
     // bit-identical).
-    CentralityOptions copt;
-    copt.max_paths_per_demand = kCentralityMaxPaths;
-    copt.pool = pool_;
-    const auto centrality =
-        demand_based_centrality(metric_view(), current_demands(), copt);
+    const auto centrality = demand_based_centrality(
+        metric_view(), current_demands(), {.pool = pool_});
     std::vector<graph::NodeId> ranking;
     std::vector<double> ranking_score;
     if (opt_.use_classic_betweenness) {
@@ -555,7 +549,7 @@ class Engine {
     // choices, so nothing is carried across calls — the session API is
     // used for the shared machinery (pool install, warm rounds within this
     // one converging solve), not persistence.
-    mcf::PathLpSession lp(g_, mcf::PathLpMode::kMinCost, opt_.lp);
+    mcf::PathLpSession lp(g_, mcf::PathLpMode::kMinCost);
     lp.set_min_cost_objective(pending_cost);
     lp.set_thread_pool(pool_);
     const mcf::PathLpResult result =
@@ -596,7 +590,7 @@ class Engine {
       config.edge_ok = hypothetical;
       config.capacity = residual_view();
       return mcf::is_routable(graph::GraphView::build(g_, config),
-                              current_demands(), opt_.lp);
+                              current_demands());
     };
     // Drop candidates greedily (most expensive first) while routability
     // holds; each keep/drop decision is one exact test.

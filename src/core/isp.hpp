@@ -21,7 +21,7 @@
 // instance stays solvable if everything remaining were repaired (Theorem 4's
 // premise).  The implementation adds a watchdog that force-repairs along a
 // cheapest path when an iteration makes no progress.  It is not a step of
-// the paper's ISP, and it fires often: in 62 of the 104 ER and
+// the paper's ISP, and it fires often: in 52 of the 80 ER and
 // Bell-Canada records of tests/golden/isp_corpus.txt and in all 17 of its
 // netrec-bench preload records, about 8 times per solve on the CAIDA-like
 // instance (825 nodes, 20% damage) of netrec-bench's plan_fresh,
@@ -32,7 +32,9 @@
 // metric snapshots alive across iterations (residual updates refresh them,
 // repairs rebuild exactly the slots whose membership changed), and two
 // persistent mcf::PathLpSession masters answer the routability and split
-// probes with pooled columns and warm bases.  tests/golden/isp_corpus.txt
+// probes with pooled columns and warm bases (their tolerances and the
+// 160-edge eager/lazy capacity-row rule are fixed in
+// mcf/path_lp_session.cpp).  tests/golden/isp_corpus.txt
 // freezes its outputs on seeded scenarios; the corpus was recorded while
 // this engine agreed bit for bit with the callback-kernel and one-shot-LP
 // implementations it replaced.
@@ -44,7 +46,6 @@
 
 #include "core/centrality.hpp"
 #include "core/problem.hpp"
-#include "mcf/path_lp.hpp"
 #include "util/timer.hpp"
 
 namespace netrec::core {
@@ -72,7 +73,6 @@ struct IspOptions {
   /// ISP restarts to diversify solutions on instances too large for MILP.
   double length_jitter = 0.0;
   std::uint64_t jitter_seed = 1;
-  mcf::PathLpOptions lp;
   /// Intra-solve parallelism: fans the hot kernels of ONE solve — Brandes
   /// source passes, per-demand centrality path enumeration, per-binding LP
   /// pricing Dijkstras — out on a thread pool.  Every parallel kernel

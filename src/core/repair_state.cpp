@@ -53,8 +53,4 @@ graph::EdgeFilter RepairState::edge_filter() const {
   return [this](graph::EdgeId e) { return edge_ok(e); };
 }
 
-graph::NodeFilter RepairState::node_filter() const {
-  return [this](graph::NodeId n) { return node_ok(n); };
-}
-
 }  // namespace netrec::core

@@ -46,9 +46,8 @@ class RepairState {
   /// Edge usable: itself and both endpoints working-or-repaired (E(n)).
   bool edge_ok(graph::EdgeId e) const;
 
-  /// Filter adapters for the graph algorithms.
+  /// Filter adapter for the graph algorithms.
   graph::EdgeFilter edge_filter() const;
-  graph::NodeFilter node_filter() const;
 
   /// Repair lists in the order the decisions were made.
   const std::vector<graph::NodeId>& repaired_nodes() const {

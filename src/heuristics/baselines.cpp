@@ -14,6 +14,8 @@ namespace netrec::heuristics {
 
 namespace {
 constexpr double kEps = 1e-9;
+/// Longest path (in hops) the greedy pool P(H,G) enumerates.
+constexpr std::size_t kMaxHops = 20;
 
 void finish(const core::RecoveryProblem& problem, core::RepairState& state,
             core::RecoverySolution& solution, const util::Timer& timer) {
@@ -36,9 +38,7 @@ core::RecoverySolution solve_all(const core::RecoveryProblem& problem) {
   return solution;
 }
 
-core::RecoverySolution solve_srt(const core::RecoveryProblem& problem,
-                                 const mcf::PathLpOptions& lp) {
-  (void)lp;
+core::RecoverySolution solve_srt(const core::RecoveryProblem& problem) {
   util::Timer timer;
   core::RecoverySolution solution;
   solution.algorithm = "SRT";
@@ -85,7 +85,7 @@ std::vector<RankedPath> build_path_pool(const core::RecoveryProblem& problem,
   const graph::Graph& g = problem.graph;
   graph::SimplePathLimits limits;
   limits.max_paths = options.max_paths_per_pair;
-  limits.max_hops = options.max_hops;
+  limits.max_hops = kMaxHops;
   const auto cap = [&g](graph::EdgeId e) { return g.edge_capacity(e); };
   // The pool enumerates the *full* graph (broken elements included); one
   // snapshot serves every demand pair's DFS.
@@ -218,7 +218,7 @@ core::RecoverySolution solve_grd_nc(const core::RecoveryProblem& problem,
   auto routable_now = [&]() {
     return mcf::is_routable(
         graph::GraphView::build(g, {.edge_ok = state.edge_filter()}),
-        problem.demands, options.lp);
+        problem.demands);
   };
   bool routable = routable_now();
   for (const RankedPath& ranked : pool) {

@@ -17,23 +17,20 @@
 #pragma once
 
 #include "core/problem.hpp"
-#include "mcf/path_lp.hpp"
 
 namespace netrec::heuristics {
 
 struct GreedyOptions {
-  /// Simple-path enumeration limits for P(H,G).
+  /// Simple-path enumeration limit for P(H,G); paths longer than 20 hops
+  /// are never enumerated.
   std::size_t max_paths_per_pair = 4000;
-  std::size_t max_hops = 20;
-  mcf::PathLpOptions lp;
 };
 
 /// Repairs everything broken.
 core::RecoverySolution solve_all(const core::RecoveryProblem& problem);
 
 /// Shortest-path repair heuristic (Algorithm SRT).
-core::RecoverySolution solve_srt(const core::RecoveryProblem& problem,
-                                 const mcf::PathLpOptions& lp = {});
+core::RecoverySolution solve_srt(const core::RecoveryProblem& problem);
 
 /// Greedy Commitment (Algorithm GRD-COM).
 core::RecoverySolution solve_grd_com(const core::RecoveryProblem& problem,

@@ -10,6 +10,10 @@ namespace netrec::heuristics {
 
 namespace {
 
+/// Passes over the candidate list; each pass after the first only runs
+/// when the previous one dropped an element.
+constexpr std::size_t kMaxPasses = 3;
+
 /// A repair-set element, node or edge.
 struct Element {
   bool is_node;
@@ -20,8 +24,7 @@ struct Element {
 }  // namespace
 
 core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
-                                      const core::RecoverySolution& solution,
-                                      const LocalSearchOptions& options) {
+                                      const core::RecoverySolution& solution) {
   util::Timer timer;
   const graph::Graph& g = problem.graph;
 
@@ -72,7 +75,7 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
   };
   auto routable = [&]() {
     return mcf::is_routable(graph::GraphView::build(g, {.edge_ok = edge_ok}),
-                            problem.demands, options.lp);
+                            problem.demands);
   };
 
   // Only meaningful when the input already satisfies the demand; otherwise
@@ -96,7 +99,7 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
                        return a.cost > b.cost;
                      });
 
-    for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+    for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
       bool dropped = false;
       for (const Element& el : elements) {
         auto& flag = el.is_node ? node_kept[static_cast<std::size_t>(el.id)]

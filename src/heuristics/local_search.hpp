@@ -8,19 +8,13 @@
 #pragma once
 
 #include "core/problem.hpp"
-#include "mcf/path_lp.hpp"
 
 namespace netrec::heuristics {
 
-struct LocalSearchOptions {
-  std::size_t max_passes = 3;
-  mcf::PathLpOptions lp;
-};
-
 /// Returns a solution whose repair set is a (weak) subset of the input's,
-/// rescored; the algorithm label gains a "+LS" suffix.
+/// rescored; the algorithm label gains a "+LS" suffix.  At most 3 passes
+/// run over the candidates; a pass that drops nothing ends the search.
 core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
-                                      const core::RecoverySolution& solution,
-                                      const LocalSearchOptions& options = {});
+                                      const core::RecoverySolution& solution);
 
 }  // namespace netrec::heuristics

@@ -7,6 +7,7 @@
 #include "core/isp.hpp"
 #include "heuristics/local_search.hpp"
 #include "lp/model.hpp"
+#include "milp/branch_and_bound.hpp"
 #include "steiner/steiner.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -203,17 +204,15 @@ OptOutcome solve_opt(const core::RecoveryProblem& problem,
     const core::RecoverySolution candidate = isp.solve();
     if (better(candidate, incumbent)) incumbent = candidate;
   }
-  LocalSearchOptions ls;
-  ls.lp = options.lp;
   if (incumbent.satisfied_fraction >= 1.0 - 1e-6) {
-    incumbent = reduce_repairs(problem, incumbent, ls);
+    incumbent = reduce_repairs(problem, incumbent);
   }
   incumbent.algorithm = "OPT";
   outcome.solution = incumbent;
   outcome.engine = "fallback";
 
   // Engine 1: exact Steiner forest for connectivity-only instances.
-  if (options.use_steiner_specialization && is_connectivity_only(problem)) {
+  if (is_connectivity_only(problem)) {
     const graph::Graph& g = problem.graph;
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
     for (const auto& d : problem.demands) {
@@ -221,8 +220,6 @@ OptOutcome solve_opt(const core::RecoveryProblem& problem,
         pairs.emplace_back(d.source, d.target);
       }
     }
-    steiner::SteinerOptions sopt;
-    sopt.max_terminals = options.steiner_max_terminals;
     const auto forest = steiner::steiner_forest(
         g, pairs,
         [&g](graph::EdgeId e) {
@@ -231,7 +228,7 @@ OptOutcome solve_opt(const core::RecoveryProblem& problem,
         [&g](graph::NodeId n) {
           return g.node_broken(n) ? g.node_repair_cost(n) : 0.0;
         },
-        [&g](graph::EdgeId e) { return g.edge_capacity(e) > kEps; }, sopt);
+        [&g](graph::EdgeId e) { return g.edge_capacity(e) > kEps; });
     if (forest.solved) {
       core::RecoverySolution exact;
       exact.algorithm = "OPT";
@@ -259,10 +256,9 @@ OptOutcome solve_opt(const core::RecoveryProblem& problem,
   // Engine 2: branch-and-bound on the arc-flow MILP.
   if (options.use_milp && !problem.demands.empty()) {
     MinrModel minr = build_minr_milp(problem);
-    milp::MilpOptions mopt = options.milp;
-    mopt.time_limit_seconds = options.time_limit_seconds;
-    milp::MilpSolver solver(std::move(minr.model),
-                            std::move(minr.integer_vars), mopt);
+    milp::MilpSolver solver(
+        std::move(minr.model), std::move(minr.integer_vars),
+        {.time_limit_seconds = options.time_limit_seconds});
     if (incumbent.satisfied_fraction >= 1.0 - 1e-6) {
       // +tol so an equally-good MILP solution is still accepted.
       solver.set_cutoff(incumbent.repair_cost + 1e-6);

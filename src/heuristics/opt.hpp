@@ -5,10 +5,13 @@
 //  1. Steiner specialisation: when the whole demand fits on any single edge
 //     (sum d_h <= min capacity), MinR equals node-weighted Steiner Forest
 //     (Theorem 1's reduction run forward) and Dreyfus-Wagner solves it
-//     *provably optimally* — this covers the paper's Fig. 7 family.
+//     *provably optimally* — this covers the paper's Fig. 7 family.  It is
+//     always tried on such instances and gives up above 16 distinct
+//     terminals (steiner.hpp).
 //  2. Branch-and-bound on the arc-flow MILP with disaggregated linking rows
 //     (a strictly tighter relaxation than eq. 1(c)'s eta_max form), seeded
-//     with an ISP + local-search incumbent as cutoff.
+//     with an ISP + local-search incumbent as cutoff, within
+//     OptOptions::time_limit_seconds.
 //  3. Fallback: the incumbent itself, i.e. ISP tightened by local search.
 //
 // The result records whether optimality was proven within the budget; bench
@@ -20,21 +23,16 @@
 #include <optional>
 
 #include "core/problem.hpp"
-#include "mcf/path_lp.hpp"
-#include "milp/branch_and_bound.hpp"
 
 namespace netrec::heuristics {
 
 struct OptOptions {
+  /// Branch-and-bound wall-clock budget.
   double time_limit_seconds = 10.0;
-  bool use_steiner_specialization = true;
   bool use_milp = true;
-  std::size_t steiner_max_terminals = 16;
   /// Extra randomised-metric ISP runs used to diversify the incumbent on
   /// instances where the MILP is out of reach (e.g. CAIDA scale).
   std::size_t isp_restarts = 2;
-  milp::MilpOptions milp;
-  mcf::PathLpOptions lp;
 };
 
 struct OptOutcome {

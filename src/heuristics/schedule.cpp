@@ -114,8 +114,7 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
 
   auto restored_now = [&]() {
     if (options.exact_scoring) {
-      return mcf::max_routed_flow(cache.view(scheduled_slot),
-                                  problem.demands, options.lp)
+      return mcf::max_routed_flow(cache.view(scheduled_slot), problem.demands)
           .total_routed;
     }
     return greedy_routing().total_routed;
@@ -206,8 +205,7 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
   // agrees with the solution's referee satisfaction.
   if (!schedule.steps.empty()) {
     schedule.steps.back().restored_after =
-        mcf::max_routed_flow(cache.view(scheduled_slot), problem.demands,
-                             options.lp)
+        mcf::max_routed_flow(cache.view(scheduled_slot), problem.demands)
             .total_routed;
   }
   return schedule;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/problem.hpp"
-#include "mcf/path_lp.hpp"
 
 namespace netrec::heuristics {
 
@@ -55,7 +54,6 @@ struct ScheduleOptions {
   /// the greedy router (cheap, still monotone in practice) and verifies the
   /// final point exactly.
   bool exact_scoring = false;
-  mcf::PathLpOptions lp;
 };
 
 /// Orders `solution`'s repair set by greedy marginal restored demand.

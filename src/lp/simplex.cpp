@@ -25,6 +25,15 @@ const char* to_string(SolveStatus status) {
 
 namespace {
 
+constexpr double kFeasibilityTol = 1e-7;
+constexpr double kOptimalityTol = 1e-7;
+/// Minimum |pivot| accepted; smaller candidates are skipped.
+constexpr double kPivotTol = 1e-8;
+/// Rebuild the basis inverse from scratch every this many pivots.
+constexpr int kRefactorInterval = 256;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+constexpr int kDegeneracyThreshold = 64;
+
 /// Internal variable layout: [0, n_struct) structural, [n_struct,
 /// n_struct+m) slacks, [n_struct+m, n_struct+2m) phase-1 artificials.
 class SimplexEngine {
@@ -129,7 +138,7 @@ class SimplexEngine {
 
     for (int col = 0; col < m_; ++col) {
       int pivot_row = -1;
-      double best = opt_.pivot_tol;
+      double best = kPivotTol;
       for (int r = col; r < m_; ++r) {
         if (std::abs(w(r, col)) > best) {
           best = std::abs(w(r, col));
@@ -250,7 +259,7 @@ class SimplexEngine {
       // Pricing: pick entering variable and direction.
       int entering = -1;
       double entering_dir = 0.0;
-      double best_violation = opt_.optimality_tol;
+      double best_violation = kOptimalityTol;
       std::vector<char> basic(static_cast<std::size_t>(n_total_), 0);
       for (int r = 0; r < m_; ++r) {
         basic[static_cast<std::size_t>(
@@ -267,10 +276,10 @@ class SimplexEngine {
         const bool can_decrease = xv > lo + 1e-14;
         double dir = 0.0;
         double violation = 0.0;
-        if (d < -opt_.optimality_tol && can_increase) {
+        if (d < -kOptimalityTol && can_increase) {
           dir = 1.0;
           violation = -d;
-        } else if (d > opt_.optimality_tol && can_decrease) {
+        } else if (d > kOptimalityTol && can_decrease) {
           dir = -1.0;
           violation = d;
         } else {
@@ -302,7 +311,7 @@ class SimplexEngine {
       for (int r = 0; r < m_; ++r) {
         const double rate =
             -entering_dir * w[static_cast<std::size_t>(r)];
-        if (std::abs(rate) < opt_.pivot_tol) continue;
+        if (std::abs(rate) < kPivotTol) continue;
         const int b = basic_of_row_[static_cast<std::size_t>(r)];
         const double xb = x_[static_cast<std::size_t>(b)];
         double t_row;
@@ -345,7 +354,7 @@ class SimplexEngine {
 
       // Track degeneracy for the Bland switch.
       if (t_best < 1e-11) {
-        if (++degenerate_run >= opt_.degeneracy_threshold) use_bland = true;
+        if (++degenerate_run >= kDegeneracyThreshold) use_bland = true;
       } else {
         degenerate_run = 0;
         use_bland = false;
@@ -370,7 +379,7 @@ class SimplexEngine {
       basic_of_row_[static_cast<std::size_t>(leaving_row)] = entering;
       pivot_update(leaving_row, w);
 
-      if (++pivots_since_refactor >= opt_.refactor_interval) {
+      if (++pivots_since_refactor >= kRefactorInterval) {
         if (!refactorize()) {
           throw std::runtime_error("simplex: basis became singular");
         }
@@ -409,8 +418,7 @@ class SimplexEngine {
         const double xb = x_[static_cast<std::size_t>(b)];
         const double lo = lower_[static_cast<std::size_t>(b)];
         const double hi = upper_[static_cast<std::size_t>(b)];
-        if (xb >= lo - opt_.feasibility_tol &&
-            xb <= hi + opt_.feasibility_tol) {
+        if (xb >= lo - kFeasibilityTol && xb <= hi + kFeasibilityTol) {
           continue;
         }
         any_violation = true;
@@ -432,7 +440,7 @@ class SimplexEngine {
         for (int r = 0; r < m_; ++r) {
           const int b = basic_of_row_[static_cast<std::size_t>(r)];
           if (is_artificial(b) &&
-              x_[static_cast<std::size_t>(b)] > opt_.feasibility_tol) {
+              x_[static_cast<std::size_t>(b)] > kFeasibilityTol) {
             need_phase1 = true;
             break;
           }
@@ -551,7 +559,7 @@ Solution SimplexEngine::run(Basis* warm) {
         warm_started = warm_repair(warm_needs_phase1);
       } else if (refactorize()) {
         recompute_basics();
-        if (basics_within_bounds(opt_.feasibility_tol)) warm_started = true;
+        if (basics_within_bounds(kFeasibilityTol)) warm_started = true;
       }
     }
   }

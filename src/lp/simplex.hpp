@@ -36,16 +36,10 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus status);
 
+/// The tolerances, the refactorisation interval and the anti-cycling switch
+/// are constants of simplex.cpp.
 struct SolveOptions {
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  /// Minimum |pivot| accepted; smaller candidates are skipped.
-  double pivot_tol = 1e-8;
   long max_iterations = 200'000;
-  /// Rebuild the basis inverse from scratch every this many pivots.
-  int refactor_interval = 256;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  int degeneracy_threshold = 64;
   /// Degraded warm starts instead of all-or-nothing: a warm basis recorded
   /// before rows were appended is extended with the new rows' slacks, and a
   /// basis left primal infeasible by rhs/bound drift is repaired by swapping

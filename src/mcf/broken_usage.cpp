@@ -22,9 +22,8 @@ graph::EdgeWeight broken_cost_view(const graph::Graph& g) {
 /// Eq. (8) over the full graph `view` on a fresh session used once.
 BrokenUsageResult solve_broken_usage(
     const graph::GraphView& view,
-    const std::vector<PathLpSession::DemandSpec>& specs,
-    const PathLpOptions& options) {
-  PathLpSession session(view.graph(), PathLpMode::kMinCost, options);
+    const std::vector<PathLpSession::DemandSpec>& specs) {
+  PathLpSession session(view.graph(), PathLpMode::kMinCost);
   session.set_min_cost_objective(broken_cost_view(view.graph()));
   PathLpResult r = session.solve(view, specs);
   BrokenUsageResult result;
@@ -37,10 +36,8 @@ BrokenUsageResult solve_broken_usage(
 }  // namespace
 
 BrokenUsageResult min_broken_usage(const graph::Graph& g,
-                                   const std::vector<Demand>& demands,
-                                   const PathLpOptions& options) {
-  return solve_broken_usage(graph::GraphView::build(g), indexed_specs(demands),
-                            options);
+                                   const std::vector<Demand>& demands) {
+  return solve_broken_usage(graph::GraphView::build(g), indexed_specs(demands));
 }
 
 ImpliedRepairs implied_repairs(const graph::Graph& g,
@@ -67,13 +64,12 @@ ImpliedRepairs implied_repairs(const graph::Graph& g,
 
 OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                      const std::vector<Demand>& demands,
-                                     std::size_t samples, util::Rng& rng,
-                                     const PathLpOptions& options) {
+                                     std::size_t samples, util::Rng& rng) {
   OptimalFaceBand band;
   // One full-graph view serves the eq. (8) solve and every sample.
   const graph::GraphView view = graph::GraphView::build(g);
   const std::vector<PathLpSession::DemandSpec> specs = indexed_specs(demands);
-  const BrokenUsageResult base = solve_broken_usage(view, specs, options);
+  const BrokenUsageResult base = solve_broken_usage(view, specs);
   if (!base.feasible) return band;
   band.feasible = true;
   band.relaxation_cost = base.cost;
@@ -104,7 +100,7 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                   : rng.uniform(0.5, 1.0);
       }
     }
-    PathLpSession session(g, PathLpMode::kMinCost, options);
+    PathLpSession session(g, PathLpMode::kMinCost);
     session.set_min_cost_objective([&noise](graph::EdgeId e) {
       return noise[static_cast<std::size_t>(e)];
     });

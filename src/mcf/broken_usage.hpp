@@ -29,8 +29,7 @@ struct BrokenUsageResult {
 /// graph is the *full* graph (broken elements usable — using them is what
 /// costs).
 BrokenUsageResult min_broken_usage(const graph::Graph& g,
-                                   const std::vector<Demand>& demands,
-                                   const PathLpOptions& options = {});
+                                   const std::vector<Demand>& demands);
 
 /// Repairs implied by a routing: broken edges carrying flow and broken
 /// nodes touched by flow-carrying paths.
@@ -57,7 +56,6 @@ struct OptimalFaceBand {
 /// solve runs on a fresh PathLpSession used once.
 OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                      const std::vector<Demand>& demands,
-                                     std::size_t samples, util::Rng& rng,
-                                     const PathLpOptions& options = {});
+                                     std::size_t samples, util::Rng& rng);
 
 }  // namespace netrec::mcf

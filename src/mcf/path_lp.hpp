@@ -18,13 +18,15 @@
 // all subject to edge capacities sum_{p ni e} x_p <= c_e.  Columns (paths)
 // are priced in by Dijkstra on the reduced-cost edge weights, which stay
 // nonnegative by LP duality, so pricing is exact and the converged master is
-// a true optimum over *all* paths, not just an enumerated pool.  Capacity
-// rows can be added lazily (violated-only), which keeps the master tiny on
+// a true optimum over *all* paths, not just an enumerated pool.  On graphs
+// of at most 160 edges every capacity row is created eagerly; above that
+// they are added lazily (violated-only), which keeps the master tiny on
 // large sparse graphs such as the CAIDA topology.
 //
 // Equality-row modes carry per-demand shortfall variables with a big-M
-// penalty so the master is always feasible and column generation can start
-// from an empty pool.
+// penalty so the master is always feasible.  Each new demand row is seeded
+// with up to 4 successive shortest paths before pricing starts.  These
+// values and the solver tolerances are constants of path_lp_session.cpp.
 //
 // mcf::PathLpSession (mcf/path_lp_session.hpp) is the one engine for this
 // master; a one-shot solve is a fresh session used once.  This header holds
@@ -39,18 +41,6 @@
 namespace netrec::mcf {
 
 enum class PathLpMode { kMaxRouted, kMinCost, kMaxSplit };
-
-struct PathLpOptions {
-  double tolerance = 1e-7;
-  /// Safety cap on column-generation rounds (each adds >=1 column or row).
-  std::size_t max_rounds = 2000;
-  /// Edge count at or below which all capacity rows are created eagerly.
-  std::size_t eager_capacity_threshold = 160;
-  /// Penalty cost for shortfall variables in equality modes.
-  double big_m = 1e6;
-  /// Initial paths seeded per demand before generation starts.
-  std::size_t seed_paths_per_demand = 4;
-};
 
 /// Extra row  sum_p (sum_{e in p} edge_cost(e)) x_p <= rhs  over all path
 /// columns; used to pin the eq. (8) objective while exploring its optimal

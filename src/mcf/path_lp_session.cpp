@@ -14,15 +14,25 @@ namespace netrec::mcf {
 
 namespace {
 constexpr double kEps = 1e-9;
+/// Load/flow tolerance of the master's capacity and column checks.
+constexpr double kTolerance = 1e-7;
+/// Safety cap on column-generation rounds (each adds >=1 column or row).
+constexpr std::size_t kMaxRounds = 2000;
+/// Edge count at or below which all capacity rows are created eagerly;
+/// above it capacity rows are added lazily, violated-only.
+constexpr std::size_t kEagerCapacityThreshold = 160;
+/// Penalty cost for shortfall variables in equality modes.
+constexpr double kBigM = 1e6;
+/// Initial paths seeded per demand before generation starts.
+constexpr std::size_t kSeedPathsPerDemand = 4;
 
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 }  // namespace
 
-PathLpSession::PathLpSession(const graph::Graph& g, PathLpMode mode,
-                             PathLpOptions options)
-    : g_(g), mode_(mode), opt_(options) {
+PathLpSession::PathLpSession(const graph::Graph& g, PathLpMode mode)
+    : g_(g), mode_(mode) {
   lp_options_.warm_append = true;  // appended rows degrade, not cold-start
   dirty_mark_.assign(g_.num_edges(), 0);
   columns_of_edge_.resize(g_.num_edges());
@@ -196,7 +206,7 @@ void PathLpSession::sync_demands(const std::vector<DemandSpec>& specs) {
         dr.row = model_.add_constraint(lp::Sense::kEqual, spec.demand.amount);
         // Shortfall keeps the master feasible with an empty column pool.
         dr.shortfall_var =
-            model_.add_variable(0.0, spec.demand.amount, opt_.big_m);
+            model_.add_variable(0.0, spec.demand.amount, kBigM);
         model_.set_coefficient(dr.row, dr.shortfall_var, 1.0);
       }
       demand_rows_.push_back(dr);
@@ -398,10 +408,10 @@ void PathLpSession::seed_binding(const graph::GraphView& view, int binding,
     auto it = pool_by_pair_.find(key);
     pooled = it != pool_by_pair_.end() && !it->second.empty();
   }
-  if (!pooled && opt_.seed_paths_per_demand > 0) {
+  if (!pooled) {
     ++stats_.seed_runs;
-    auto seeds = graph::successive_shortest_paths(
-        view, s, t, amount, opt_.seed_paths_per_demand);
+    auto seeds = graph::successive_shortest_paths(view, s, t, amount,
+                                                  kSeedPathsPerDemand);
     for (auto& p : seeds.paths) pool_add(s, t, std::move(p));
   }
   auto it = pool_by_pair_.find(key);
@@ -435,7 +445,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
   ++stats_.solves;
   const bool first = !initialized_;
   if (first) {
-    eager_ = g_.num_edges() <= opt_.eager_capacity_threshold;
+    eager_ = g_.num_edges() <= kEagerCapacityThreshold;
     initialized_ = true;
     // Mutations observed before the first master existed have nothing to
     // patch; the model below is built from the live view directly.
@@ -479,7 +489,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
     }
   }
 
-  for (std::size_t round = 0; round < opt_.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     ++stats_.rounds;
     lp_solution = lp::solve(model_, lp_options_, &basis_);
     if (lp_solution.status != lp::SolveStatus::kOptimal) {
@@ -506,7 +516,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
       for (std::size_t e = 0; e < g_.num_edges(); ++e) {
         if (capacity_row_[e] >= 0) continue;
         const auto id = static_cast<graph::EdgeId>(e);
-        if (load[e] > view.edge_capacity(id) + opt_.tolerance) {
+        if (load[e] > view.edge_capacity(id) + kTolerance) {
           add_capacity_row(view, id);
           added_row = true;
         }
@@ -574,7 +584,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
           lp_solution.duals[static_cast<std::size_t>(model_row(job.binding))];
       const double threshold =
           (mode_ == PathLpMode::kMaxRouted ? 1.0 + y_h : y_h) -
-          opt_.tolerance * 10.0;
+          kTolerance * 10.0;
       if (threshold <= 0.0) return;  // no path can improve
       auto tree = graph::dijkstra_to(view, job.s, job.t, edge_weight,
                                      view.edge_capacities());
@@ -620,7 +630,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
   for (const Column& col : columns_) {
     if (!col.active) continue;
     const double x = lp_solution.x[static_cast<std::size_t>(col.var)];
-    if (x <= opt_.tolerance) continue;
+    if (x <= kTolerance) continue;
     int demand_index;
     if (col.binding >= 0) {
       const int spec =
@@ -665,7 +675,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
     }
     case PathLpMode::kMinCost:
       result.objective =
-          lp_solution.objective - opt_.big_m * total_shortfall;
+          lp_solution.objective - kBigM * total_shortfall;
       result.routing.fully_routed = total_shortfall <= 1e-6;
       break;
     case PathLpMode::kMaxSplit:

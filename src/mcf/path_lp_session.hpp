@@ -22,9 +22,11 @@
 //
 // A one-shot solve (mcf::max_routed_flow, min_broken_usage, each
 // explore_optimal_face sample, ISP's exact completion) is a fresh session
-// used once; indexed_specs() binds a plain demand list to uids.  Lazy
-// capacity rows found violated mid-solve are appended to the warm basis,
-// never cold-restarted, in one-use and persistent sessions alike.
+// used once; indexed_specs() binds a plain demand list to uids.  A session
+// over a graph of at most 160 edges creates every capacity row eagerly;
+// above that, capacity rows are created lazily when found violated
+// mid-solve and appended to the warm basis, never cold-restarted, in
+// one-use and persistent sessions alike.
 //
 // Invalidation contract (the same mutation events graph::ViewCache
 // consumes; a session registers as a graph::MutationListener on the
@@ -88,8 +90,7 @@ class PathLpSession : public graph::MutationListener {
   /// The session prices and routes on borrowed views over `g` (passed per
   /// solve; typically ViewCache slots).  `mode` is fixed for the session's
   /// lifetime; kMinCost additionally needs set_min_cost_objective().
-  PathLpSession(const graph::Graph& g, PathLpMode mode,
-                PathLpOptions options = {});
+  PathLpSession(const graph::Graph& g, PathLpMode mode);
 
   /// kMinCost objective callback; retained, must outlive the session.
   void set_min_cost_objective(graph::EdgeWeight edge_cost);
@@ -211,7 +212,6 @@ class PathLpSession : public graph::MutationListener {
 
   const graph::Graph& g_;
   PathLpMode mode_;
-  PathLpOptions opt_;
   graph::EdgeWeight objective_edge_cost_;
   util::ThreadPool* thread_pool_ = nullptr;  ///< borrowed; see set_thread_pool
 

@@ -67,15 +67,13 @@ RoutingResult greedy_route(const graph::GraphView& view,
 }
 
 RoutingResult max_routed_flow(const graph::GraphView& view,
-                              const std::vector<Demand>& demands,
-                              const PathLpOptions& options) {
-  PathLpSession session(view.graph(), PathLpMode::kMaxRouted, options);
+                              const std::vector<Demand>& demands) {
+  PathLpSession session(view.graph(), PathLpMode::kMaxRouted);
   return session.solve(view, indexed_specs(demands)).routing;
 }
 
 RoutingResult route_demands(const graph::GraphView& view,
-                            const std::vector<Demand>& demands,
-                            const PathLpOptions& options) {
+                            const std::vector<Demand>& demands) {
   // Necessary condition, fast: endpoints connected over positive-residual
   // arcs of the borrowed view.
   for (const Demand& d : demands) {
@@ -90,13 +88,12 @@ RoutingResult route_demands(const graph::GraphView& view,
   }
   RoutingResult greedy = greedy_route(view, demands);
   if (greedy.fully_routed) return greedy;
-  return max_routed_flow(view, demands, options);
+  return max_routed_flow(view, demands);
 }
 
 bool is_routable(const graph::GraphView& view,
-                 const std::vector<Demand>& demands,
-                 const PathLpOptions& options) {
-  return route_demands(view, demands, options).fully_routed;
+                 const std::vector<Demand>& demands) {
+  return route_demands(view, demands).fully_routed;
 }
 
 bool is_routable(PathLpSession& session, const graph::GraphView& view,

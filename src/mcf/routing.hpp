@@ -42,17 +42,14 @@ RoutingResult greedy_route(const graph::GraphView& view,
 /// Exact maximum total routed flow (LP optimum over all paths), solved on a
 /// fresh PathLpSession used once.
 RoutingResult max_routed_flow(const graph::GraphView& view,
-                              const std::vector<Demand>& demands,
-                              const PathLpOptions& options = {});
+                              const std::vector<Demand>& demands);
 
 /// Routability with witness: reachability precheck, greedy, exact fallback.
 RoutingResult route_demands(const graph::GraphView& view,
-                            const std::vector<Demand>& demands,
-                            const PathLpOptions& options = {});
+                            const std::vector<Demand>& demands);
 
 /// The paper's routability test (eq. 2): true iff the whole demand fits.
 bool is_routable(const graph::GraphView& view,
-                 const std::vector<Demand>& demands,
-                 const PathLpOptions& options = {});
+                 const std::vector<Demand>& demands);
 
 }  // namespace netrec::mcf

@@ -12,6 +12,12 @@ namespace netrec::milp {
 
 namespace {
 
+/// A relaxation value this close to an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Nodes whose bound is within this of the incumbent are resolved; the
+/// tree is proven optimal when (incumbent - bound) <= kGapAbs.
+constexpr double kGapAbs = 1e-6;
+
 struct BoundChange {
   int var;
   double lower;
@@ -118,7 +124,7 @@ MilpResult MilpSolver::solve() {
     open.pop();
 
     // Bound-based prune without solving (resolved: cannot beat incumbent).
-    if (have_solution && node.parent_bound >= best_obj - opt_.gap_abs) {
+    if (have_solution && node.parent_bound >= best_obj - kGapAbs) {
       continue;
     }
 
@@ -126,7 +132,7 @@ MilpResult MilpSolver::solve() {
     apply(node.changes, true);
     // Warm-start from the last node's basis; the simplex cold-starts by
     // itself when the basis is infeasible under this node's bounds.
-    const lp::Solution relax = lp::solve(model_, opt_.lp, &shared_basis);
+    const lp::Solution relax = lp::solve(model_, {}, &shared_basis);
     restore();
 
     if (relax.status == lp::SolveStatus::kInfeasible) continue;
@@ -139,11 +145,11 @@ MilpResult MilpSolver::solve() {
       break;
     }
     const double lp_obj = relax.objective;
-    if (have_solution && lp_obj >= best_obj - opt_.gap_abs) continue;
+    if (have_solution && lp_obj >= best_obj - kGapAbs) continue;
 
     // Find most fractional integer variable.
     int branch_var = -1;
-    double branch_score = opt_.integrality_tol;
+    double branch_score = kIntegralityTol;
     for (int v : integer_vars_) {
       const double value = relax.x[static_cast<std::size_t>(v)];
       const double frac = value - std::floor(value);
@@ -218,7 +224,7 @@ MilpResult MilpSolver::solve() {
     // Best-first order: the top of the open queue is the least lower bound.
     result.bound = open.top().parent_bound;
     result.proven_optimal =
-        have_solution && result.bound >= best_obj - opt_.gap_abs;
+        have_solution && result.bound >= best_obj - kGapAbs;
   }
   result.wall_seconds = timer.elapsed_seconds();
   return result;

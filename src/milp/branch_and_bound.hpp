@@ -15,14 +15,11 @@
 
 namespace netrec::milp {
 
+/// The search budget.  The integrality tolerance and the absolute
+/// optimality gap are constants of branch_and_bound.cpp.
 struct MilpOptions {
   double time_limit_seconds = 10.0;
   long max_nodes = 200'000;
-  double integrality_tol = 1e-6;
-  /// Stop when (incumbent - bound) <= gap_abs or relative gap <= gap_rel.
-  double gap_abs = 1e-6;
-  double gap_rel = 1e-9;
-  lp::SolveOptions lp;
 };
 
 struct MilpResult {

@@ -29,7 +29,6 @@
 #include "graph/traversal.hpp"
 #include "heuristics/baselines.hpp"
 #include "heuristics/local_search.hpp"
-#include "heuristics/multicommodity.hpp"
 #include "heuristics/opt.hpp"
 #include "heuristics/schedule.hpp"
 #include "mcf/broken_usage.hpp"

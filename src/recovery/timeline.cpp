@@ -55,7 +55,7 @@ class Runtime {
         g_(live.graph),
         opt_(opt),
         cache_(live.graph),
-        session_(live.graph, mcf::PathLpMode::kMaxRouted, opt.lp) {
+        session_(live.graph, mcf::PathLpMode::kMaxRouted) {
     graph::ViewConfig operational;
     // Endpoints folded into the edge filter (no node filter): a node break
     // or repair reaches the cache as invalidate_node, which queues the

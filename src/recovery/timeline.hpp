@@ -48,7 +48,7 @@
 
 #include "core/problem.hpp"
 #include "disruption/disruption.hpp"
-#include "mcf/path_lp.hpp"
+#include "mcf/types.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::util {
@@ -110,10 +110,6 @@ struct TimelineOptions {
   std::size_t max_stages = 64;
   /// Repairs per stage (crew budget); 0 means unlimited.
   std::size_t stage_budget = 1;
-  /// Options of the routed-demand measurement LP (one persistent
-  /// PathLpSession across all stages: warm re-solves through repairs *and*
-  /// disruption events).
-  mcf::PathLpOptions lp;
   /// Intra-run parallelism for the measurement LP's pricing sweeps (and any
   /// policy that routes its embedded core::IspOptions::pool here).  Fixed
   /// install order keeps every restoration curve bit-identical to the

@@ -158,8 +158,7 @@ util::Json PlanningEngine::heuristic_plan(const PlanRequest& request) {
 }
 
 util::Json PlanningEngine::heuristic_plan_damaged() {
-  return isp_payload(problem_,
-                     heuristics::solve_srt(problem_, opt_.isp.lp));
+  return isp_payload(problem_, heuristics::solve_srt(problem_));
 }
 
 util::Json PlanningEngine::solve_isp(const PlanRequest&) {

@@ -15,6 +15,8 @@ namespace netrec::steiner {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Hard cap on distinct terminals (the DP is exponential in this).
+constexpr std::size_t kMaxTerminals = 16;
 
 /// Dreyfus-Wagner table with reconstruction choices.
 struct DwTable {
@@ -194,8 +196,7 @@ SteinerForestResult steiner_tree(const graph::Graph& g,
                                  const std::vector<graph::NodeId>& terminals,
                                  const graph::EdgeWeight& edge_cost,
                                  const NodeCost& node_cost,
-                                 const graph::EdgeFilter& edge_ok,
-                                 const SteinerOptions& options) {
+                                 const graph::EdgeFilter& edge_ok) {
   SteinerForestResult empty;
   if (terminals.empty()) {
     empty.solved = true;
@@ -204,7 +205,7 @@ SteinerForestResult steiner_tree(const graph::Graph& g,
   std::vector<graph::NodeId> unique = terminals;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  if (unique.size() > options.max_terminals) {
+  if (unique.size() > kMaxTerminals) {
     NETREC_LOG(kWarn) << "steiner_tree: " << unique.size()
                       << " terminals exceed the DP limit";
     return empty;
@@ -223,7 +224,7 @@ SteinerForestResult steiner_forest(
     const graph::Graph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
     const graph::EdgeWeight& edge_cost, const NodeCost& node_cost,
-    const graph::EdgeFilter& edge_ok, const SteinerOptions& options) {
+    const graph::EdgeFilter& edge_ok) {
   SteinerForestResult result;
   if (pairs.empty()) {
     result.solved = true;
@@ -250,7 +251,7 @@ SteinerForestResult steiner_forest(
     result.solved = true;
     return result;
   }
-  if (terminals.size() > options.max_terminals) {
+  if (terminals.size() > kMaxTerminals) {
     NETREC_LOG(kWarn) << "steiner_forest: " << terminals.size()
                       << " terminals exceed the DP limit";
     return result;

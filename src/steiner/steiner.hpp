@@ -9,7 +9,8 @@
 //
 // One DP over all 2t terminals prices every terminal subset, so the forest
 // layer (partition DP over demand pairs) reads group costs from the same
-// table.  Complexity O(3^t n + 2^t m log n); practical to ~16 terminals.
+// table.  Complexity O(3^t n + 2^t m log n), so both entry points refuse
+// (solved = false) more than 16 distinct terminals.
 #pragma once
 
 #include <functional>
@@ -29,19 +30,13 @@ struct SteinerForestResult {
   std::vector<graph::NodeId> nodes;  ///< all nodes touched by the forest
 };
 
-struct SteinerOptions {
-  /// Hard cap on distinct terminals (DP is exponential in this).
-  std::size_t max_terminals = 16;
-};
-
 /// Minimum-cost tree spanning `terminals`.  Cost = sum of edge_cost over
 /// tree edges + sum of node_cost over tree nodes (terminals included).
 SteinerForestResult steiner_tree(const graph::Graph& g,
                                  const std::vector<graph::NodeId>& terminals,
                                  const graph::EdgeWeight& edge_cost,
                                  const NodeCost& node_cost,
-                                 const graph::EdgeFilter& edge_ok = {},
-                                 const SteinerOptions& options = {});
+                                 const graph::EdgeFilter& edge_ok = {});
 
 /// Minimum-cost forest connecting each pair; optimises over all partitions
 /// of the pairs into connected groups (Bell-number many, read from one DP).
@@ -49,6 +44,6 @@ SteinerForestResult steiner_forest(
     const graph::Graph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
     const graph::EdgeWeight& edge_cost, const NodeCost& node_cost,
-    const graph::EdgeFilter& edge_ok = {}, const SteinerOptions& options = {});
+    const graph::EdgeFilter& edge_ok = {});
 
 }  // namespace netrec::steiner

@@ -248,9 +248,11 @@ inline core::RecoveryProblem damaged(core::RecoveryProblem p, double fraction,
 
 // --- ISP corpus ----------------------------------------------------------------
 
-/// The option matrix: default engine, both centrality modes, the LP in
-/// eager and lazy capacity-row regimes, prune/direct-repair ablations and
-/// jittered metrics.
+/// The option matrix: default engine, both centrality modes,
+/// prune/direct-repair ablations and jittered metrics.  The CAIDA and
+/// BA-2000 records run the LP's lazy capacity-row regime (graphs above its
+/// 160-edge eager threshold); LpGolden.LazyCaida pins that regime's
+/// routings.
 inline std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
   std::vector<std::pair<std::string, core::IspOptions>> combos;
   combos.emplace_back("default", core::IspOptions{});
@@ -258,16 +260,6 @@ inline std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
     core::IspOptions o;
     o.use_classic_betweenness = true;
     combos.emplace_back("classic-betweenness", o);
-  }
-  {
-    core::IspOptions o;
-    o.lp.eager_capacity_threshold = 0;  // force lazy capacity rows
-    combos.emplace_back("lp-lazy-rows", o);
-  }
-  {
-    core::IspOptions o;
-    o.lp.seed_paths_per_demand = 0;  // LP starts from an empty column pool
-    combos.emplace_back("lp-no-seeds", o);
   }
   {
     core::IspOptions o;

@@ -58,9 +58,9 @@ int main() {
         test::kGraphKernels,
         std::string(
             "# Graph-kernel golden corpus: Dijkstra trees (FNV-1a-64 digest\n"
-            "# of distance bits and parent edges), widest paths, Brandes\n"
-            "# betweenness, Dinic max flows and successive shortest paths on\n"
-            "# seeded broken ER and Bell-Canada graphs (tests/golden.hpp:\n"
+            "# of distance bits and parent edges), Brandes betweenness,\n"
+            "# Dinic max flows and successive shortest paths on seeded\n"
+            "# broken ER and Bell-Canada graphs (tests/golden.hpp:\n"
             "# graph_kernel_cases), checked by tests/test_graph_view.cpp.\n"
             "# First recorded while the CSR GraphView kernels and the\n"
             "# callback reference kernels agreed exactly.\n"

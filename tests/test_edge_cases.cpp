@@ -128,16 +128,16 @@ TEST(Srt, EmptyDemandRepairsNothing) {
 }
 
 TEST(Greedy, NoPathsWithinLimitsMeansNoRepairs) {
+  // The only path needs 21 hops, more than the greedy pool enumerates (20).
+  constexpr int kNodes = 22;
   core::RecoveryProblem p;
   graph::Builder builder;
-  for (int i = 0; i < 6; ++i) builder.add_node();
-  for (int i = 0; i + 1 < 6; ++i) builder.add_edge(i, i + 1, 10.0);
+  for (int i = 0; i < kNodes; ++i) builder.add_node();
+  for (int i = 0; i + 1 < kNodes; ++i) builder.add_edge(i, i + 1, 10.0);
   p.graph = builder.finalize();
   p.graph.break_everything();
-  p.demands = {{0, 5, 2.0}};
-  heuristics::GreedyOptions opt;
-  opt.max_hops = 2;  // the only path needs 5 hops
-  const auto s = heuristics::solve_grd_nc(p, opt);
+  p.demands = {{0, kNodes - 1, 2.0}};
+  const auto s = heuristics::solve_grd_nc(p);
   EXPECT_EQ(s.total_repairs(), 0u);
   EXPECT_LT(s.satisfied_fraction, 1.0);
 }

@@ -11,8 +11,8 @@
 #include "graph/builder.hpp"
 #include "heuristics/baselines.hpp"
 #include "heuristics/local_search.hpp"
-#include "heuristics/multicommodity.hpp"
 #include "heuristics/opt.hpp"
+#include "mcf/broken_usage.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::heuristics {
@@ -172,11 +172,12 @@ TEST(Opt, NeverWorseThanIspOnSharedCorridor) {
 TEST(Multicommodity, BandBracketsBetweenSomethingAndAll) {
   RecoveryProblem p = destroyed_square_with_diagonal();
   util::Rng rng(17);
-  const MulticommodityBand band = multicommodity_band(p, 6, rng);
+  const mcf::OptimalFaceBand band =
+      mcf::explore_optimal_face(p.graph, p.demands, 6, rng);
   ASSERT_TRUE(band.feasible);
-  EXPECT_GE(band.mcw_repairs, band.mcb_repairs);
-  EXPECT_LE(band.mcw_repairs, 9u);  // can't exceed ALL
-  EXPECT_GE(band.mcb_repairs, 1u); // complete destruction: must repair some
+  EXPECT_GE(band.worst_repairs, band.best_repairs);
+  EXPECT_LE(band.worst_repairs, 9u);  // can't exceed ALL
+  EXPECT_GE(band.best_repairs, 1u);  // complete destruction: must repair some
 }
 
 // Dominance sweep across random shared-corridor instances.

@@ -6,9 +6,9 @@
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
 #include "heuristics/baselines.hpp"
-#include "heuristics/multicommodity.hpp"
 #include "heuristics/opt.hpp"
 #include "graph/traversal.hpp"
+#include "mcf/broken_usage.hpp"
 #include "mcf/routing.hpp"
 #include "scenario/scenario.hpp"
 #include "topology/generator.hpp"
@@ -192,16 +192,16 @@ TEST(CaidaLike, IspNoLossWhereSrtLoses) {
 TEST(Multicommodity, BandWidensAgainstOptOnBellCanada) {
   const auto p = bell_instance(3, 10.0, 777);
   util::Rng rng(3);
-  const auto band = heuristics::multicommodity_band(p, 6, rng);
+  const auto band = mcf::explore_optimal_face(p.graph, p.demands, 6, rng);
   ASSERT_TRUE(band.feasible);
   heuristics::OptOptions oo;
   oo.time_limit_seconds = 5.0;
   const auto opt = heuristics::solve_opt(p, oo);
   // Fig. 3 shape: MCB within sight of OPT; MCW at or above MCB, below ALL.
-  EXPECT_GE(band.mcw_repairs, band.mcb_repairs);
-  EXPECT_LE(band.mcw_repairs,
+  EXPECT_GE(band.worst_repairs, band.best_repairs);
+  EXPECT_LE(band.worst_repairs,
             p.graph.num_broken_nodes() + p.graph.num_broken_edges());
-  EXPECT_GE(static_cast<double>(band.mcw_repairs),
+  EXPECT_GE(static_cast<double>(band.worst_repairs),
             0.5 * static_cast<double>(opt.solution.total_repairs()));
 }
 

@@ -335,24 +335,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsBellCanada, ::testing::Range(1, 6));
 
 TEST(IspThreadsOptions, VariantEnginePathsStayThreadInvariant) {
   // The kernels sit behind different engine paths depending on options:
-  // classic betweenness exercises the parallel Brandes ranking, empty seed
-  // pools force pricing to derive every column, lazy capacity rows grow
-  // the master mid-pricing.  Each must be thread-invariant.
+  // classic betweenness exercises the parallel Brandes ranking, and the
+  // CAIDA-like graph (1018 edges, above the 160-edge eager threshold) runs
+  // the LP with lazy capacity rows.  Each must be thread-invariant.
   {
     core::IspOptions o;
     o.use_classic_betweenness = true;
     expect_isp_thread_invariant(er_scenario(301), o, "classic-betweenness");
   }
-  {
-    core::IspOptions o;
-    o.lp.seed_paths_per_demand = 0;
-    expect_isp_thread_invariant(bell_canada_scenario(303), o, "lp-no-seeds");
-  }
-  {
-    core::IspOptions o;
-    o.lp.eager_capacity_threshold = 0;
-    expect_isp_thread_invariant(bell_canada_scenario(304), o, "lp-lazy-rows");
-  }
+  expect_isp_thread_invariant(test::caida_lazy_scenario(1),
+                              core::IspOptions{}, "lp-lazy-rows");
 }
 
 TEST(IspThreads, OwnedPoolMatchesBorrowedPool) {

@@ -34,9 +34,8 @@ Graph two_route_graph(double cap_a, double cap_b) {
 
 /// kMaxRouted on a fresh session over the static-capacity graph.
 PathLpResult max_routed_once(const Graph& g,
-                             const std::vector<Demand>& demands,
-                             const PathLpOptions& options = {}) {
-  PathLpSession lp(g, PathLpMode::kMaxRouted, options);
+                             const std::vector<Demand>& demands) {
+  PathLpSession lp(g, PathLpMode::kMaxRouted);
   return lp.solve(graph::GraphView::build(g), indexed_specs(demands));
 }
 
@@ -158,7 +157,8 @@ TEST(PathLp, CostBoundPinsTheOptimalFace) {
 }
 
 TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
-  // A long chain (> eager threshold edges) with one tight middle edge.
+  // A long chain (199 edges, above the 160-edge eager threshold) with one
+  // tight middle edge.
   const int n = 200;
   graph::Builder builder;
   for (int i = 0; i < n; ++i) builder.add_node();
@@ -166,9 +166,7 @@ TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
     builder.add_edge(i, i + 1, i == n / 2 ? 3.0 : 100.0);
   }
   const Graph g = builder.finalize();
-  PathLpOptions opt;
-  opt.eager_capacity_threshold = 50;  // force lazy mode
-  const auto r = max_routed_once(g, {Demand{0, n - 1, 10.0}}, opt);
+  const auto r = max_routed_once(g, {Demand{0, n - 1, 10.0}});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 3.0, 1e-6);  // the tight edge binds
 }
