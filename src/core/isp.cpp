@@ -220,11 +220,6 @@ class Engine {
                             current_demand_specs());
   }
 
-  bool routable_on_full() {
-    if (demands_.empty()) return true;
-    return mcf::is_routable(full_view(), current_demands());
-  }
-
   // --- prune ---------------------------------------------------------------
 
   /// Attempts a bubble prune of demand `h`; returns pruned amount.  The
@@ -699,14 +694,7 @@ RecoverySolution IspSolver::solve() {
 
   Engine engine(problem_, opt_, stats_, trace_);
 
-  // Theorem 4 premise: demand routable once everything is repaired.  When it
-  // fails we still run (the watchdog-backed loop degrades gracefully) but
-  // flag the instance.
-  if (!engine.routable_on_full()) {
-    solution.instance_feasible = false;
-    NETREC_LOG(kWarn) << "ISP: instance infeasible even with full repair";
-  }
-
+  bool routed = false;
   while (stats_.iterations < opt_.max_iterations) {
     if ((opt_.deadline != nullptr && opt_.deadline->expired()) ||
         FAULT_POINT("isp.deadline")) {
@@ -719,13 +707,24 @@ RecoverySolution IspSolver::solve() {
       engine.prune_phase();
       engine.compact_demands();
     }
-    if (engine.demands_empty() || engine.routable_on_working()) break;
+    if (engine.demands_empty() || engine.routable_on_working()) {
+      routed = true;
+      break;
+    }
 
     if (opt_.enable_direct_edge_repair && engine.direct_edge_repairs()) {
       continue;
     }
     if (engine.split_phase()) continue;
     if (!engine.watchdog()) break;  // nothing more can be done
+  }
+
+  // Theorem 4's premise (see isp.hpp): a loop that ends routed has proved
+  // it; one that stops unrouted tests it on static capacities, since the
+  // residuals are consumed by now.
+  if (!routed && !problem_.feasible_when_fully_repaired()) {
+    solution.instance_feasible = false;
+    NETREC_LOG(kWarn) << "ISP: instance infeasible even with full repair";
   }
 
   solution.repaired_nodes = engine.state().repaired_nodes();

@@ -19,8 +19,16 @@
 // Invariant maintained by every action: the (rewritten) demand stays
 // routable on the full graph with current residual capacities — i.e. the
 // instance stays solvable if everything remaining were repaired (Theorem 4's
-// premise).  The implementation adds a watchdog that force-repairs along a
-// cheapest path when an iteration makes no progress.  It is not a step of
+// premise).  The solver checks that premise only when the loop stops
+// unrouted (max_iterations, or the watchdog gives up): it then runs
+// RecoveryProblem::feasible_when_fully_repaired() and, if that fails,
+// clears RecoverySolution::instance_feasible and logs a warning.  A loop
+// that ends routed has proved the premise, because the pruned flows and
+// the routed remainder carry the original demand on a subgraph of the
+// full graph (split halves rejoin at their v_BC).
+//
+// The implementation adds a watchdog that force-repairs along a cheapest
+// path when an iteration makes no progress.  It is not a step of
 // the paper's ISP, and it fires often: in 52 of the 80 ER and
 // Bell-Canada records of tests/golden/isp_corpus.txt and in all 17 of its
 // netrec-bench preload records, about 8 times per solve on the CAIDA-like

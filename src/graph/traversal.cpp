@@ -6,6 +6,11 @@
 
 namespace netrec::graph {
 
+namespace {
+/// Arcs whose residual is at or below this count as drained.
+constexpr double kResidualEps = 1e-9;
+}  // namespace
+
 std::vector<int> bfs_hops(const GraphView& view, NodeId source) {
   view.graph().check_node(source);
   std::vector<int> dist(view.num_nodes(), -1);
@@ -34,7 +39,6 @@ bool reachable(const GraphView& view, NodeId source, NodeId target) {
 
 bool reachable(const GraphView& view, NodeId source, NodeId target,
                const std::vector<double>& edge_residual) {
-  constexpr double kResidualEps = 1e-9;
   view.graph().check_node(source);
   view.graph().check_node(target);
   if (source == target) return true;
@@ -56,6 +60,54 @@ bool reachable(const GraphView& view, NodeId source, NodeId target,
     }
   }
   return false;
+}
+
+ResidualReach::ResidualReach(const GraphView& view,
+                             const std::vector<double>& edge_residual)
+    : view_(view), residual_(edge_residual), label_(view.num_nodes(), -1) {}
+
+bool ResidualReach::reachable(NodeId source, NodeId target) {
+  view_.graph().check_node(source);
+  view_.graph().check_node(target);
+  if (source == target) return true;
+  if (view_.node_in_view(source)) {
+    const int source_label = label_of(source);
+    return source_label == label_[static_cast<std::size_t>(target)];
+  }
+  // Off-view source: its arc heads are in view, so each has a component.
+  const ArcId end = view_.arcs_end(source);
+  for (ArcId a = view_.arcs_begin(source); a < end; ++a) {
+    if (residual_[static_cast<std::size_t>(view_.arc_edge(a))] <=
+        kResidualEps) {
+      continue;
+    }
+    const int head_label = label_of(view_.arc_target(a));
+    if (head_label == label_[static_cast<std::size_t>(target)]) return true;
+  }
+  return false;
+}
+
+int ResidualReach::label_of(NodeId n) {
+  int& label = label_[static_cast<std::size_t>(n)];
+  if (label != -1) return label;
+  label = next_label_++;
+  stack_.assign(1, n);
+  while (!stack_.empty()) {
+    const NodeId at = stack_.back();
+    stack_.pop_back();
+    const ArcId end = view_.arcs_end(at);
+    for (ArcId a = view_.arcs_begin(at); a < end; ++a) {
+      if (residual_[static_cast<std::size_t>(view_.arc_edge(a))] <=
+          kResidualEps) {
+        continue;
+      }
+      int& next = label_[static_cast<std::size_t>(view_.arc_target(a))];
+      if (next != -1) continue;
+      next = label;
+      stack_.push_back(view_.arc_target(a));
+    }
+  }
+  return label;
 }
 
 std::vector<int> connected_components(const GraphView& view) {

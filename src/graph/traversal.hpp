@@ -31,10 +31,36 @@ std::vector<int> bfs_hops(const GraphView& view, NodeId source);
 bool reachable(const GraphView& view, NodeId source, NodeId target);
 
 /// Reachability over arcs whose `edge_residual` entry (indexed by original
-/// edge id) is > 1e-9 — the positive-capacity precheck of route_demands on
-/// a cached view whose arcs may include drained edges.
+/// edge id) is > 1e-9, on a cached view whose arcs may include drained
+/// edges.  One BFS per pair; ResidualReach answers many pairs at once.
 bool reachable(const GraphView& view, NodeId source, NodeId target,
                const std::vector<double>& edge_residual);
+
+/// The same residual reachability for many pairs of one view, one
+/// traversal per component instead of one BFS per pair.  Among in-view
+/// nodes every edge has both arcs, so the first query from an in-view
+/// source labels its whole component and later queries into a labelled
+/// component cost O(1).  A source outside the view keeps only its
+/// out-arcs (see view.hpp): it reaches the components of its
+/// positive-residual arc heads.  Each answer equals reachable(view,
+/// source, target, edge_residual).  Borrows `view` and `edge_residual`.
+class ResidualReach {
+ public:
+  ResidualReach(const GraphView& view,
+                const std::vector<double>& edge_residual);
+
+  bool reachable(NodeId source, NodeId target);
+
+ private:
+  /// Component label of in-view node `n`, labelling its component first.
+  int label_of(NodeId n);
+
+  const GraphView& view_;
+  const std::vector<double>& residual_;
+  std::vector<int> label_;  ///< -1 until labelled; never set off-view
+  std::vector<NodeId> stack_;
+  int next_label_ = 0;
+};
 
 /// Component label per node (-1 for nodes outside the view); labels dense.
 std::vector<int> connected_components(const GraphView& view);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 
 #include "core/repair_state.hpp"
 #include "graph/dijkstra.hpp"
@@ -44,6 +45,11 @@ std::string edge_label(const graph::Graph& g, graph::EdgeId e) {
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
                                   const core::RecoverySolution& solution,
                                   const ScheduleOptions& options) {
+  if (solution.routing.routed.size() != problem.demands.size()) {
+    throw std::invalid_argument(
+        "schedule_repairs: solution is not scored on this problem "
+        "(core::score_solution)");
+  }
   const graph::Graph& g = problem.graph;
   RecoverySchedule schedule;
   schedule.total_demand = problem.total_demand();
@@ -131,7 +137,9 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
     step.node = n;
     step.edge = e;
     step.label = is_node ? node_label(g, n) : edge_label(g, e);
-    step.restored_after = restored_now();
+    // The step that completes the repair set takes the referee's value
+    // below, so it is not scored here.
+    if (remaining > 0) step.restored_after = restored_now();
     schedule.steps.push_back(std::move(step));
   };
 
@@ -201,12 +209,11 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
     }
   }
 
-  // The final point is always scored exactly, so the schedule's endpoint
-  // agrees with the solution's referee satisfaction.
+  // The final point is the solution's referee routing: score_solution ran
+  // the same exact LP on the same repaired graph, so the schedule's endpoint
+  // agrees with the solution's satisfaction.
   if (!schedule.steps.empty()) {
-    schedule.steps.back().restored_after =
-        mcf::max_routed_flow(cache.view(scheduled_slot), problem.demands)
-            .total_routed;
+    schedule.steps.back().restored_after = solution.routing.total_routed;
   }
   return schedule;
 }

@@ -58,6 +58,12 @@ struct ScheduleOptions {
 
 /// Orders `solution`'s repair set by greedy marginal restored demand.
 /// The schedule contains every repair exactly once.
+///
+/// Precondition: `solution` was scored by core::score_solution on this same
+/// `problem` (every solver's result is).  The last step's restored_after is
+/// its `routing.total_routed`, the exact LP referee on the repaired graph,
+/// so it is not solved a second time.  Throws std::invalid_argument when
+/// `routing.routed.size() != problem.demands.size()`.
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
                                   const core::RecoverySolution& solution,
                                   const ScheduleOptions& options = {});

@@ -11,7 +11,27 @@ namespace netrec::mcf {
 
 namespace {
 constexpr double kEps = 1e-9;
+
+const Demand& demand_of(const Demand& d) { return d; }
+const Demand& demand_of(const PathLpSession::DemandSpec& spec) {
+  return spec.demand;
 }
+
+/// Necessary condition, fast: every nontrivial demand's endpoints are
+/// connected over positive-capacity arcs of the borrowed view.  One
+/// component labelling serves every demand.
+template <class Spec>
+bool endpoints_connected(const graph::GraphView& view,
+                         const std::vector<Spec>& demands) {
+  graph::ResidualReach reach(view, view.edge_capacities());
+  for (const Spec& spec : demands) {
+    const Demand& d = demand_of(spec);
+    if (d.amount <= kEps || d.source == d.target) continue;
+    if (!reach.reachable(d.source, d.target)) return false;
+  }
+  return true;
+}
+}  // namespace
 
 RoutingResult greedy_route(const graph::GraphView& view,
                            const std::vector<Demand>& demands) {
@@ -74,17 +94,11 @@ RoutingResult max_routed_flow(const graph::GraphView& view,
 
 RoutingResult route_demands(const graph::GraphView& view,
                             const std::vector<Demand>& demands) {
-  // Necessary condition, fast: endpoints connected over positive-residual
-  // arcs of the borrowed view.
-  for (const Demand& d : demands) {
-    if (d.amount <= kEps || d.source == d.target) continue;
-    if (!graph::reachable(view, d.source, d.target,
-                          view.edge_capacities())) {
-      RoutingResult result;
-      result.routed.assign(demands.size(), 0.0);
-      result.fully_routed = false;
-      return result;
-    }
+  if (!endpoints_connected(view, demands)) {
+    RoutingResult result;
+    result.routed.assign(demands.size(), 0.0);
+    result.fully_routed = false;
+    return result;
   }
   RoutingResult greedy = greedy_route(view, demands);
   if (greedy.fully_routed) return greedy;
@@ -105,14 +119,7 @@ bool is_routable(PathLpSession& session, const graph::GraphView& view,
   // answers a YES probe in one re-solve (pricing skipped via the early
   // stop) and a NO probe needs the exact LP anyway.  The verdict is the
   // same boolean on every branch because the LP is exact.
-  for (const PathLpSession::DemandSpec& spec : demands) {
-    const Demand& d = spec.demand;
-    if (d.amount <= kEps || d.source == d.target) continue;
-    if (!graph::reachable(view, d.source, d.target,
-                          view.edge_capacities())) {
-      return false;
-    }
-  }
+  if (!endpoints_connected(view, demands)) return false;
   return session.solve_routability(view, demands).routing.fully_routed;
 }
 

@@ -227,6 +227,20 @@ inline core::RecoveryProblem ba2000_problem() {
   return p;
 }
 
+/// CAIDA-like instance: well over the eager-row threshold, so every master
+/// runs with lazy capacity rows (the netrec-bench plan_fresh topology).
+/// Its 25-unit demands make capacities bind: ISP's repairs change when
+/// violated capacity rows are never appended.
+inline core::RecoveryProblem caida_lazy_scenario(std::uint64_t seed) {
+  core::RecoveryProblem p;
+  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, seed});
+  util::Rng demand_rng(7);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 25.0, demand_rng);
+  util::Rng damage_rng(1000);
+  disruption::random_failures(p.graph, 0.2, 0.2, damage_rng);
+  return p;
+}
+
 /// `p` with `fraction` of the nodes and, separately, of the edges broken,
 /// drawn as serve_request_body draws damage state `state` of `seed`.
 inline core::RecoveryProblem damaged(core::RecoveryProblem p, double fraction,
@@ -251,8 +265,8 @@ inline core::RecoveryProblem damaged(core::RecoveryProblem p, double fraction,
 /// The option matrix: default engine, both centrality modes,
 /// prune/direct-repair ablations and jittered metrics.  The CAIDA and
 /// BA-2000 records run the LP's lazy capacity-row regime (graphs above its
-/// 160-edge eager threshold); LpGolden.LazyCaida pins that regime's
-/// routings.
+/// 160-edge eager threshold); the caida-lazy record is the one whose
+/// capacities bind, and LpGolden.LazyCaida pins that regime's routings.
 inline std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
   std::vector<std::pair<std::string, core::IspOptions>> combos;
   combos.emplace_back("default", core::IspOptions{});
@@ -283,8 +297,9 @@ inline std::vector<std::pair<std::string, core::IspOptions>> option_combos() {
 /// Scenario family of an ISP corpus record.  kBa2000 and kCaida are the
 /// netrec-bench preloads (plan_scale and plan_fresh) under one seeded
 /// damage state: their hubs grow working bubbles far larger than the small
-/// ER and Bell-Canada scenarios do.
-enum class IspFamily { kEr, kBellCanada, kBa2000, kCaida };
+/// ER and Bell-Canada scenarios do.  kCaidaLazy is caida_lazy_scenario,
+/// whose binding capacities pin the LP's lazy capacity rows.
+enum class IspFamily { kEr, kBellCanada, kBa2000, kCaida, kCaidaLazy };
 
 struct IspCase {
   /// "<seed> <family> <combo>", or "<seed> <family> state <k> <combo>" for
@@ -303,6 +318,8 @@ struct IspCase {
         return bell_canada_scenario(seed);
       case IspFamily::kBa2000:
         return damaged(ba2000_problem(), 0.1, seed, state);
+      case IspFamily::kCaidaLazy:
+        return caida_lazy_scenario(seed);
       case IspFamily::kCaida:
         break;
     }
@@ -313,7 +330,8 @@ struct IspCase {
 /// ER seeds 1-12 and Bell-Canada seeds 1-8 under default options, then ER
 /// and Bell-Canada seeds 101-103 and 201-203 under every option combo, then
 /// two damage states of seeds 1 and 104729 on each netrec-bench preload
-/// (default and no-prune; one BA record with two solve threads).
+/// (default and no-prune; one BA record with two solve threads), then
+/// caida_lazy_scenario(1) under default options.
 inline std::vector<IspCase> isp_cases() {
   std::vector<IspCase> cases;
   const auto add = [&](bool bc, std::uint64_t seed, const std::string& combo,
@@ -355,6 +373,7 @@ inline std::vector<IspCase> isp_cases() {
       }
     }
   }
+  cases.push_back({"1 caida-lazy default", IspFamily::kCaidaLazy, 1, 0, {}});
   return cases;
 }
 
@@ -420,18 +439,6 @@ inline graph::Graph broken_bell_canada(std::uint64_t seed) {
     if (rng.chance(0.2)) g.set_edge_broken(static_cast<graph::EdgeId>(e), true);
   }
   return g;
-}
-
-/// CAIDA-like instance: well over the eager-row threshold, so every master
-/// runs with lazy capacity rows (the netrec-bench plan_fresh topology).
-inline core::RecoveryProblem caida_lazy_scenario(std::uint64_t seed) {
-  core::RecoveryProblem p;
-  p.graph = topology::make_topology({topology::CaidaLikeOptions{}, seed});
-  util::Rng demand_rng(7);
-  p.demands = scenario::far_apart_demands(p.graph, 8, 25.0, demand_rng);
-  util::Rng damage_rng(1000);
-  disruption::random_failures(p.graph, 0.2, 0.2, damage_rng);
-  return p;
 }
 
 /// Non-uniform deterministic length metric so ties are rare but present.

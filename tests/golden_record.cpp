@@ -35,7 +35,16 @@ std::vector<test::GoldenCase> isp_golden_cases() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Any argument, --help included, is a mistake: say so and write nothing.
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "usage: %s\n"
+                 "Rewrites every corpus under tests/golden/ from this build;\n"
+                 "it takes no arguments.\n",
+                 argv[0]);
+    return 2;
+  }
   try {
     test::write_golden(
         test::kIspCorpus,

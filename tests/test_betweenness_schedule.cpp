@@ -2,11 +2,20 @@
 // betweenness-ranking ISP ablation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/isp.hpp"
+#include "core/repair_state.hpp"
+#include "golden.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/builder.hpp"
+#include "heuristics/baselines.hpp"
 #include "heuristics/schedule.hpp"
 #include "mcf/routing.hpp"
 #include "util/rng.hpp"
@@ -166,6 +175,63 @@ TEST(Schedule, EmptySolutionYieldsEmptySchedule) {
   // so (it used to score the degenerate series as a perfect 1.0).
   EXPECT_DOUBLE_EQ(schedule.restoration_auc(), 0.0);
   EXPECT_EQ(schedule.steps_to_restore(0.5), 1u);
+}
+
+/// The last point of the schedule, with greedy and with exact scoring, is
+/// the solution's referee value: bit for bit an exact max_routed_flow on
+/// the graph that the schedule's steps repair.
+void expect_last_point_is_referee(const core::RecoveryProblem& p,
+                                  const core::RecoverySolution& solution,
+                                  const std::string& label) {
+  SCOPED_TRACE(label);
+  for (const bool exact : {false, true}) {
+    heuristics::ScheduleOptions opt;
+    opt.exact_scoring = exact;
+    const auto schedule = heuristics::schedule_repairs(p, solution, opt);
+    ASSERT_EQ(schedule.steps.size(), solution.total_repairs());
+    if (schedule.steps.empty()) continue;
+    core::RepairState repaired(p.graph);
+    for (const auto& step : schedule.steps) {
+      if (step.is_node) {
+        repaired.repair_node(step.node);
+      } else {
+        repaired.repair_edge(step.edge);
+      }
+    }
+    const double referee =
+        mcf::max_routed_flow(
+            graph::GraphView::build(p.graph,
+                                    {.edge_ok = repaired.edge_filter()}),
+            p.demands)
+            .total_routed;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(schedule.steps.back().restored_after),
+              std::bit_cast<std::uint64_t>(referee))
+        << "exact_scoring " << exact;
+  }
+}
+
+TEST(Schedule, LastPointIsTheRefereeOfScoredSolutions) {
+  std::vector<std::pair<std::string, core::RecoveryProblem>> problems;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    problems.emplace_back("er " + std::to_string(seed),
+                          test::er_scenario(seed));
+    problems.emplace_back("bell-canada " + std::to_string(seed),
+                          test::bell_canada_scenario(seed));
+  }
+  problems.emplace_back("caida-lazy 1", test::caida_lazy_scenario(1));
+  problems.emplace_back("caida-lazy 2", test::caida_lazy_scenario(2));
+  for (const auto& [name, p] : problems) {
+    expect_last_point_is_referee(p, core::IspSolver(p).solve(), name + " isp");
+    expect_last_point_is_referee(p, heuristics::solve_srt(p), name + " srt");
+  }
+}
+
+TEST(Schedule, RejectsAnUnscoredSolution) {
+  const auto p = scheduled_instance();
+  core::RecoverySolution unscored = core::IspSolver(p).solve();
+  unscored.routing = {};
+  EXPECT_THROW(heuristics::schedule_repairs(p, unscored),
+               std::invalid_argument);
 }
 
 TEST(Schedule, AucInUnitInterval) {

@@ -237,6 +237,79 @@ TEST(MultiSourceBfs, MatchesPerSourceBfsOnDisconnectedAndBrokenGraphs) {
   }
 }
 
+/// ResidualReach against one reachable(view, s, t, residual) BFS per pair,
+/// in a query order that repeats sources, on views whose capacities drain
+/// some arcs (to 0 or below the 1e-9 threshold) and whose node filter
+/// leaves off-view sources with out-arcs only.
+TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
+  std::size_t off_view_yes = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const Graph g = test::broken_er(seed, 60, 0.06);
+    std::vector<double> capacity(g.num_edges());
+    for (double& c : capacity) {
+      const double draw = rng.uniform();
+      c = draw < 0.15 ? 0.0 : draw < 0.3 ? 1e-10 : rng.uniform(0.5, 2.0);
+    }
+    const EdgeWeight drained = [&capacity](EdgeId e) {
+      return capacity[static_cast<std::size_t>(e)];
+    };
+    const NodeFilter working_nodes = [&g](NodeId v) {
+      return !g.node_broken(v);
+    };
+    const std::vector<std::pair<std::string, GraphView>> views = {
+        {"full", GraphView::build(g, {.capacity = drained})},
+        {"working edges",
+         GraphView::build(g, {.edge_ok = working_edge_filter(g),
+                              .capacity = drained})},
+        {"working nodes",
+         GraphView::build(g, {.node_ok = working_nodes, .capacity = drained})},
+        {"working", GraphView::build(g, {.edge_ok = working_edge_filter(g),
+                                         .node_ok = working_nodes,
+                                         .capacity = drained})},
+    };
+    // A few sources, each queried many times, off-view ones included.
+    std::vector<NodeId> sources;
+    for (int i = 0; i < 8; ++i) {
+      sources.push_back(static_cast<NodeId>(rng.uniform_int(0, 59)));
+    }
+    for (NodeId v = 0; v < 60; ++v) {
+      if (g.node_broken(v)) {
+        sources.push_back(v);
+        break;
+      }
+    }
+    for (const auto& [name, view] : views) {
+      SCOPED_TRACE(name);
+      ResidualReach reach(view, view.edge_capacities());
+      std::size_t yes = 0;
+      std::size_t no = 0;
+      std::size_t off_view_sources = 0;
+      for (int q = 0; q < 400; ++q) {
+        const NodeId s = sources[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(sources.size()) - 1))];
+        const auto t = static_cast<NodeId>(rng.uniform_int(0, 59));
+        const bool expected =
+            reachable(view, s, t, view.edge_capacities());
+        ASSERT_EQ(reach.reachable(s, t), expected)
+            << "query " << q << ": " << s << " -> " << t;
+        (expected ? yes : no) += 1;
+        if (!view.node_in_view(s)) {
+          ++off_view_sources;
+          if (expected && s != t) ++off_view_yes;
+        }
+      }
+      EXPECT_GT(yes, 0u);
+      EXPECT_GT(no, 0u);
+      if (name == "working nodes" || name == "working") {
+        EXPECT_GT(off_view_sources, 0u);
+      }
+    }
+  }
+  EXPECT_GT(off_view_yes, 0u);
+}
+
 TEST(Dijkstra, PrefersShortMetricOverFewHops) {
   // 0-1-2 each length 1 vs direct 0-2 length 5.
   Builder builder;

@@ -10,10 +10,12 @@
 // diverging record.
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "golden.hpp"
+#include "graph/builder.hpp"
 
 namespace {
 
@@ -120,6 +122,82 @@ TEST(IspDifferentialPreloads, CaidaSeed1) { expect_isp_golden("1 caida ", 0); }
 
 TEST(IspDifferentialPreloads, CaidaSeed104729) {
   expect_isp_golden("104729 caida ", 0);
+}
+
+// CAIDA-like with 25-unit demands: capacities bind, so the LP's lazy
+// capacity rows decide which repairs ISP makes.
+
+TEST(IspDifferentialLazyRows, CaidaBindingCapacities) {
+  expect_isp_golden("1 caida-lazy ", 0);
+}
+
+// Theorem 4's premise is tested only when the ISP loop stops unrouted; a
+// loop that ends routed has proved it.  Either way the flag must equal the
+// full-repair routability test.
+
+void expect_flag_matches_full_repair(const core::RecoveryProblem& problem,
+                                     const core::IspOptions& options,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const core::RecoverySolution s = core::IspSolver(problem, options).solve();
+  EXPECT_EQ(s.instance_feasible, problem.feasible_when_fully_repaired());
+}
+
+TEST(IspFeasibility, FlagMatchesFullRepairOnEveryCorpusCase) {
+  for (const test::IspCase& c : test::isp_cases()) {
+    expect_flag_matches_full_repair(c.problem(), c.options, c.key);
+  }
+}
+
+TEST(IspFeasibility, FlagMatchesFullRepairOnInfeasibleInstances) {
+  // Two broken triangles with no edge between them; the demand crosses.
+  {
+    core::RecoveryProblem p;
+    graph::Builder builder;
+    builder.add_nodes(6);
+    for (const auto& [u, v] : {std::pair{0, 1}, {1, 2}, {2, 0}, {3, 4},
+                              {4, 5}, {5, 3}}) {
+      builder.add_edge(u, v, 10.0);
+    }
+    p.graph = builder.finalize();
+    p.graph.break_everything();
+    p.demands = {{0, 1, 2.0}, {1, 4, 3.0}};
+    ASSERT_FALSE(p.feasible_when_fully_repaired());
+    expect_flag_matches_full_repair(p, {}, "disconnected components");
+  }
+  // Two parallel broken routes of capacity 4 (min cut 8) under 9 units.
+  {
+    core::RecoveryProblem p;
+    graph::Builder builder;
+    builder.add_nodes(4);
+    builder.add_edge(0, 1, 4.0);
+    builder.add_edge(1, 3, 4.0);
+    builder.add_edge(0, 2, 4.0);
+    builder.add_edge(2, 3, 4.0);
+    p.graph = builder.finalize();
+    p.graph.break_everything();
+    p.demands = {{0, 3, 9.0}};
+    ASSERT_FALSE(p.feasible_when_fully_repaired());
+    expect_flag_matches_full_repair(p, {}, "demand above min cut");
+  }
+}
+
+TEST(IspFeasibility, IterationCapOnFeasibleInstanceKeepsTheFlag) {
+  // One iteration cannot repair a 6-hop path, so the loop stops unrouted
+  // and the premise is checked on the feasible instance.
+  core::RecoveryProblem p;
+  graph::Builder builder;
+  builder.add_nodes(7);
+  for (int i = 0; i < 6; ++i) builder.add_edge(i, i + 1, 10.0);
+  p.graph = builder.finalize();
+  p.graph.break_everything();
+  p.demands = {{0, 6, 5.0}};
+  ASSERT_TRUE(p.feasible_when_fully_repaired());
+  core::IspOptions one_iteration;
+  one_iteration.max_iterations = 1;
+  const core::RecoverySolution s = core::IspSolver(p, one_iteration).solve();
+  EXPECT_LT(s.satisfied_fraction, 1.0);
+  EXPECT_TRUE(s.instance_feasible);
 }
 
 }  // namespace
