@@ -1215,13 +1215,16 @@ inline util::Json serve_request_body(const core::RecoveryProblem& p,
 
 /// What netrecd derives from one request body: the body bytes, the parsed
 /// request's canonical key and fingerprint, and an FNV-1a-64 digest and
-/// size of the solved payload's dump.
+/// size of the solved payload's dump.  `solve_threads` sizes the engine's
+/// intra-solve pool; the record is the same at any count.
 inline std::string serve_record(const core::RecoveryProblem& p,
-                                const util::Json& body) {
+                                const util::Json& body,
+                                std::size_t solve_threads = 1) {
   const std::string text = body.dump();
   const serve::PlanRequest request =
       serve::parse_plan_request(util::Json::parse(text), p);
-  serve::PlanningEngine engine(p);
+  serve::PlanningEngine engine(
+      p, serve::EngineOptions{.solve_threads = solve_threads});
   const std::string payload = engine.solve(request).payload.dump();
   Fnv1a64 digest;
   digest.add_text(payload);
@@ -1232,8 +1235,8 @@ inline std::string serve_record(const core::RecoveryProblem& p,
 
 /// Two damage states per seed (1 and the held-out 104729) on Bell-Canada
 /// and the CAIDA-like preload, each in isp mode and in timeline mode with
-/// the replay and replan policies.
-inline std::vector<GoldenCase> serve_cases() {
+/// the replay and replan policies, solved at `solve_threads`.
+inline std::vector<GoldenCase> serve_cases(std::size_t solve_threads = 1) {
   struct Instance {
     const char* name;
     core::RecoveryProblem (*problem)();
@@ -1253,12 +1256,13 @@ inline std::vector<GoldenCase> serve_cases() {
           cases.push_back(
               {std::string(in.name) + " seed " + std::to_string(seed) +
                    " state " + std::to_string(state) + " " + variant,
-               [in, seed, state, variant] {
+               [in, seed, state, variant, solve_threads] {
                  const core::RecoveryProblem p = in.problem();
                  return serve_record(
-                     p, serve_request_body(p, in.fraction, seed, state,
-                                           variant, in.stage_budget,
-                                           in.max_stages));
+                     p,
+                     serve_request_body(p, in.fraction, seed, state, variant,
+                                        in.stage_budget, in.max_stages),
+                     solve_threads);
                }});
         }
       }

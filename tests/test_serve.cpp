@@ -214,6 +214,15 @@ TEST(ServeGolden, CaidaRequestPathMatchesCorpus) {
   expect_serve_golden("caida ");
 }
 
+// plan_scale serves at 2 solve threads: the engine's pool reaches the ISP
+// kernels and the Timeline's session, and every record must stay the same.
+TEST(ServeGolden, TwoSolveThreadsMatchCorpus) {
+  for (const std::string& diff :
+       test::golden_diffs(test::kServeCorpus, test::serve_cases(2), "")) {
+    ADD_FAILURE() << diff;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache.
 
