@@ -50,12 +50,10 @@ std::vector<graph::NodeId> CentralityResult::ranking() const {
 
 CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
-    const CentralityOptions& options) {
+    util::ThreadPool* pool) {
   const graph::Graph& g = view.graph();
   CentralityResult result(g.num_nodes(), demands.size());
-  util::ThreadPool* pool =
-      options.pool != nullptr && options.pool->size() > 1 ? options.pool
-                                                          : nullptr;
+  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
 
   // One shared first-path tree per source that two or more demands start
   // from (their first Dijkstras see identical inputs).  Each tree is a pure

@@ -23,17 +23,6 @@ class ThreadPool;
 
 namespace netrec::core {
 
-struct CentralityOptions {
-  /// Intra-evaluation parallelism: the shared first-path trees and the
-  /// per-demand successive-shortest-path enumerations are pure functions of
-  /// (view, demand), so they fan out on this pool into per-demand slots;
-  /// the eq.-(3) score accumulation then runs serially in demand order.
-  /// Fixed merge order means the result is bit-identical to the serial
-  /// evaluation at any thread count.  nullptr (the default) keeps the whole
-  /// evaluation on the calling thread.
-  util::ThreadPool* pool = nullptr;
-};
-
 struct DemandPathSet {
   std::vector<graph::Path> paths;
   std::vector<double> capacities;  ///< residual c(p) when selected
@@ -91,8 +80,16 @@ class CentralityResult {
 /// graph.  These shortcuts select exactly the paths a full Dijkstra per
 /// round would (tests/golden/isp_corpus.txt was recorded while the two
 /// computations agreed).
+///
+/// The shared first-path trees and the per-demand successive-shortest-path
+/// enumerations are pure functions of (view, demand), so they fan out on
+/// `pool` into per-demand slots; the eq.-(3) score accumulation then runs
+/// serially in demand order.  Fixed merge order means the result is
+/// bit-identical to the serial evaluation at any thread count.  A null pool,
+/// or one of a single worker, keeps the whole evaluation on the calling
+/// thread.
 CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
-    const CentralityOptions& options = {});
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace netrec::core

@@ -340,13 +340,13 @@ class Engine {
     // the pool fans the per-demand enumerations out (fixed-order merge:
     // bit-identical).
     const auto centrality = demand_based_centrality(
-        metric_view(), current_demands(), {.pool = pool_});
+        metric_view(), current_demands(), pool_);
     std::vector<graph::NodeId> ranking;
     std::vector<double> ranking_score;
     if (opt_.use_classic_betweenness) {
       // Ablation: classic betweenness ignores demands and capacities; the
       // demand path sets are still needed for split-candidate selection.
-      ranking_score = graph::betweenness_centrality(usable_view(), pool_);
+      ranking_score = graph::betweenness_centrality(usable_view());
       ranking.resize(g_.num_nodes());
       std::iota(ranking.begin(), ranking.end(), 0);
       std::stable_sort(ranking.begin(), ranking.end(),

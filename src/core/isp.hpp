@@ -81,9 +81,9 @@ struct IspOptions {
   /// ISP restarts to diversify solutions on instances too large for MILP.
   double length_jitter = 0.0;
   std::uint64_t jitter_seed = 1;
-  /// Intra-solve parallelism: fans the hot kernels of ONE solve — Brandes
-  /// source passes, per-demand centrality path enumeration, per-binding LP
-  /// pricing Dijkstras — out on a thread pool.  Every parallel kernel
+  /// Intra-solve parallelism: fans the two hot kernels of ONE solve —
+  /// per-demand centrality path enumeration and per-binding LP pricing
+  /// Dijkstras — out on a thread pool.  Every parallel kernel
   /// merges its per-task results serially in a fixed order, so the solve
   /// is bit-identical to the serial one at any thread count.  `pool`
   /// borrows a caller-owned pool (must outlive the solve; scenario runners

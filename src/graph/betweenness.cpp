@@ -5,14 +5,12 @@
 #include <limits>
 
 #include "graph/heap.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netrec::graph {
 
 namespace {
 
-/// Per-source Brandes state, reusable across passes.  One instance per
-/// concurrent pass; the serial kernel owns a single one.  All workspaces
+/// Per-source Brandes state, reusable across passes.  All workspaces
 /// (heap included: a vector drained with std::push_heap/std::pop_heap pops
 /// in the same order as std::priority_queue) persist across run() calls so
 /// the |V| passes share their allocations.  Predecessor lists live in one
@@ -101,10 +99,7 @@ struct BrandesPass {
     }
   }
 
-  /// Adds this pass's dependencies into `centrality`.  Every node in
-  /// `order` is distinct, so the per-node addition order within one source
-  /// does not affect the floating-point result — only the source order
-  /// does, and callers merge in increasing source order.
+  /// Adds this pass's dependencies into `centrality`.
   void merge_into(NodeId source, std::vector<double>& centrality) const {
     for (const NodeId w : order) {
       if (w == source) continue;
@@ -114,55 +109,21 @@ struct BrandesPass {
   }
 };
 
-std::vector<double> brandes(const GraphView& view, util::ThreadPool* pool,
-                            std::size_t source_limit) {
-  const std::size_t n = view.num_nodes();
-  const std::size_t sources = source_limit == 0 ? n : std::min(source_limit, n);
-  std::vector<double> centrality(n, 0.0);
-
-  if (pool == nullptr || pool->size() <= 1 || sources <= 1) {
-    BrandesPass pass;
-    pass.bind(view);
-    for (std::size_t s = 0; s < sources; ++s) {
-      const auto source = static_cast<NodeId>(s);
-      pass.run(view, source);
-      pass.merge_into(source, centrality);
-    }
-  } else {
-    // Window the sources so per-pass buffers stay bounded: `slots` passes
-    // run concurrently, then the window merges serially in source order.
-    // The window size only trades memory against barrier frequency — the
-    // merge order, and with it every floating-point addition, is the same
-    // at any window size and any thread count.
-    const std::size_t slots = std::min(sources, 4 * pool->size());
-    std::vector<BrandesPass> passes(slots);
-    for (auto& pass : passes) pass.bind(view);
-    for (std::size_t window = 0; window < sources; window += slots) {
-      const std::size_t count = std::min(slots, sources - window);
-      pool->parallel_for(count, [&](std::size_t i) {
-        passes[i].run(view, static_cast<NodeId>(window + i));
-      });
-      for (std::size_t i = 0; i < count; ++i) {
-        passes[i].merge_into(static_cast<NodeId>(window + i), centrality);
-      }
-    }
-  }
-
-  // Undirected graph: each pair counted from both endpoints.
-  for (double& c : centrality) c /= 2.0;
-  return centrality;
-}
-
 }  // namespace
 
 std::vector<double> betweenness_centrality(const GraphView& view) {
-  return brandes(view, nullptr, 0);
-}
-
-std::vector<double> betweenness_centrality(const GraphView& view,
-                                           util::ThreadPool* pool,
-                                           std::size_t source_limit) {
-  return brandes(view, pool, source_limit);
+  const std::size_t n = view.num_nodes();
+  std::vector<double> centrality(n, 0.0);
+  BrandesPass pass;
+  pass.bind(view);
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto source = static_cast<NodeId>(s);
+    pass.run(view, source);
+    pass.merge_into(source, centrality);
+  }
+  // Undirected graph: each pair counted from both endpoints.
+  for (double& c : centrality) c /= 2.0;
+  return centrality;
 }
 
 }  // namespace netrec::graph

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "graph/view_cache.hpp"
 #include "mcf/path_lp_session.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace netrec::recovery {
@@ -53,7 +51,6 @@ class Runtime {
   Runtime(core::RecoveryProblem& live, const TimelineOptions& opt)
       : live_(live),
         g_(live.graph),
-        opt_(opt),
         cache_(live.graph),
         session_(live.graph, mcf::PathLpMode::kMaxRouted) {
     graph::ViewConfig operational;
@@ -62,9 +59,7 @@ class Runtime {
     // incident edges, and the flipped verdict escalates to a rebuild.
     operational.edge_ok = graph::working_edge_filter(g_);
     slot_ = cache_.add_config("operational", std::move(operational));
-    pool_ = util::ThreadPool::acquire(owned_pool_, opt_.solve_threads,
-                                      opt_.pool);
-    session_.set_thread_pool(pool_);
+    session_.set_thread_pool(opt.pool);
     cache_.add_listener(&session_);
     // Demand amounts never change across stages, so the original index is
     // a stable session uid.
@@ -152,14 +147,8 @@ class Runtime {
  private:
   core::RecoveryProblem& live_;
   graph::Graph& g_;
-  const TimelineOptions& opt_;
   graph::ViewCache cache_;
   graph::ViewCache::SlotId slot_ = 0;
-  /// Intra-run pricing pool (see TimelineOptions); owned_pool_ engages only
-  /// when solve_threads requests workers without a lent pool.  Declared
-  /// before the session that borrows it.
-  std::optional<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;
   /// Registered cache listener.  Declared after cache_ (both die with the
   /// Runtime, cache last).
   mcf::PathLpSession session_;

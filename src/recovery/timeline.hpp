@@ -110,15 +110,11 @@ struct TimelineOptions {
   std::size_t max_stages = 64;
   /// Repairs per stage (crew budget); 0 means unlimited.
   std::size_t stage_budget = 1;
-  /// Intra-run parallelism for the measurement LP's pricing sweeps (and any
-  /// policy that routes its embedded core::IspOptions::pool here).  Fixed
-  /// install order keeps every restoration curve bit-identical to the
-  /// serial run at any thread count.  `pool` borrows a caller-owned pool
-  /// (must outlive the run); when null and solve_threads != 1 the engine
-  /// owns one per run (0 = auto: NETREC_THREADS or hardware concurrency).
-  /// Default: serial.
+  /// Intra-run parallelism for the measurement LP's pricing sweeps: a
+  /// caller-owned pool that must outlive the run; null (the default) means
+  /// serial.  Fixed install order keeps every restoration curve
+  /// bit-identical to the serial run at any thread count.
   util::ThreadPool* pool = nullptr;
-  std::size_t solve_threads = 1;
 };
 
 /// What one stage did to the network.

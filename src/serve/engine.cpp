@@ -183,7 +183,6 @@ util::Json PlanningEngine::solve_timeline(const PlanRequest& request) {
   topt.stage_budget = request.stage_budget;
   topt.max_stages = request.max_stages;
   topt.pool = pool_;
-  topt.solve_threads = opt_.solve_threads;
 
   util::Rng rng(request.seed);
   const recovery::TimelineResult result =

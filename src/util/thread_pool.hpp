@@ -1,13 +1,12 @@
 // Fixed-size worker pool behind the parallel scenario engine and the
-// intra-solve kernels (parallel Brandes, batched SSP trees, concurrent LP
-// pricing).
+// intra-solve kernels (batched SSP trees, concurrent LP pricing).
 //
 // The pool is a plain task queue (no work stealing: tasks are coarse — one
-// (run, algorithm) solve, one Brandes source, one pricing Dijkstra — so a
-// single mutex-protected queue never becomes the bottleneck).  Determinism
-// is the caller's job: tasks must write to pre-assigned slots and derive
-// randomness from seeds fixed before submission, never from execution
-// order.
+// (run, algorithm) solve, one demand's path enumeration, one pricing
+// Dijkstra — so a single mutex-protected queue never becomes the
+// bottleneck).  Determinism is the caller's job: tasks must write to
+// pre-assigned slots and derive randomness from seeds fixed before
+// submission, never from execution order.
 #pragma once
 
 #include <condition_variable>
@@ -23,7 +22,7 @@ namespace netrec::util {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means default_threads().
+  /// Spawns `threads` workers; 0 means resolve_threads(0).
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding tasks, then joins the workers.
@@ -63,14 +62,12 @@ class ThreadPool {
   /// Throws std::invalid_argument above kMaxThreads (typo guard).
   static std::size_t resolve_threads(std::size_t requested = 0);
 
-  static std::size_t default_threads() { return resolve_threads(0); }
-
   /// Upper bound on worker counts; requests beyond it are almost certainly
   /// flag typos and fail fast instead of exhausting the process.
   static constexpr std::size_t kMaxThreads = 512;
 
   /// Pool-selection policy shared by every pool user (scenario::run_matrix,
-  /// SweepRunner, IspSolver, recovery::Timeline, serve::PlanningEngine):
+  /// SweepRunner, IspSolver, serve::PlanningEngine):
   /// returns `existing` when the caller already has a pool, spawns one in
   /// `storage` when the resolved count warrants parallelism, and returns
   /// nullptr for serial execution.

@@ -1,6 +1,5 @@
 // Thread-invariance differential suites for the intra-solve parallel
-// kernels: parallel Brandes betweenness (ER, Bell-Canada, and pivot-limited
-// on RMAT), the batched per-demand centrality enumeration, and the
+// kernels: the batched per-demand centrality enumeration and the
 // session's concurrent LP pricing — each pinned bitwise against its serial
 // twin at thread counts {1, 2, 4, 8}, plus a Timeline-level end-to-end pin
 // (the full restoration curve must not move by a bit when the measurement
@@ -24,13 +23,11 @@
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
 #include "golden.hpp"
-#include "graph/betweenness.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/view.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
-#include "topology/generator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -103,96 +100,6 @@ TEST(ThreadPoolNesting, NestedParallelForDoesNotDeadlock) {
   }
 }
 
-// --- parallel Brandes betweenness ------------------------------------------
-
-/// A weighted, partially filtered view of the scenario graph with tie-rich
-/// lengths (quantised weights force many equal-length shortest paths, the
-/// hardest case for sigma/delta accumulation order).
-graph::GraphView weighted_view(const graph::Graph& g, std::uint64_t seed,
-                               std::vector<double>& lengths,
-                               std::vector<char>& node_in) {
-  util::Rng rng(seed * 48611 + 7);
-  lengths.resize(g.num_edges());
-  for (double& w : lengths) {
-    w = 0.5 * static_cast<double>(rng.uniform_int(1, 3));  // {0.5, 1, 1.5}
-  }
-  node_in.assign(g.num_nodes(), 1);
-  for (auto& keep : node_in) keep = rng.chance(0.9) ? 1 : 0;
-  graph::ViewConfig config;
-  config.length = [&lengths](graph::EdgeId e) {
-    return lengths[static_cast<std::size_t>(e)];
-  };
-  config.node_ok = [&node_in](graph::NodeId n) {
-    return node_in[static_cast<std::size_t>(n)] != 0;
-  };
-  return graph::GraphView::build(g, config);
-}
-
-void expect_betweenness_thread_invariant(const graph::Graph& g,
-                                         std::uint64_t seed,
-                                         const std::string& label) {
-  SCOPED_TRACE(label);
-  std::vector<double> lengths;
-  std::vector<char> node_in;
-  const graph::GraphView view = weighted_view(g, seed, lengths, node_in);
-  const std::vector<double> serial = graph::betweenness_centrality(view);
-  EXPECT_EQ(graph::betweenness_centrality(view, nullptr), serial);
-  for (const std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool(threads);
-    EXPECT_EQ(graph::betweenness_centrality(view, &pool), serial)
-        << "threads " << threads;
-  }
-  // Pivot-style partial accumulation: the parallel merge of sources
-  // [0, limit) must equal the serial fold over the same prefix.
-  const std::size_t limit = g.num_nodes() / 2;
-  const std::vector<double> partial_serial =
-      graph::betweenness_centrality(view, nullptr, limit);
-  util::ThreadPool pool(4);
-  EXPECT_EQ(graph::betweenness_centrality(view, &pool, limit),
-            partial_serial);
-  EXPECT_EQ(graph::betweenness_centrality(view, &pool, g.num_nodes()),
-            serial);
-}
-
-class BetweennessThreadsEr : public ::testing::TestWithParam<int> {};
-
-TEST_P(BetweennessThreadsEr, BitIdenticalAtAnyThreadCount) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_betweenness_thread_invariant(er_scenario(seed).graph, seed,
-                                      "er seed " + std::to_string(seed));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsEr, ::testing::Range(1, 9));
-
-class BetweennessThreadsBellCanada : public ::testing::TestWithParam<int> {};
-
-TEST_P(BetweennessThreadsBellCanada, BitIdenticalAtAnyThreadCount) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  expect_betweenness_thread_invariant(
-      bell_canada_scenario(seed).graph, seed,
-      "bell-canada seed " + std::to_string(seed));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsBellCanada,
-                         ::testing::Range(1, 6));
-
-// RMAT, the internet-scale shape, with the passes limited to 24 pivot
-// sources as on graphs too large for all |V| passes.
-TEST(BetweennessThreadsRmat, PivotLimitedBitIdenticalAtAnyThreadCount) {
-  util::Rng rng(43);
-  topology::RmatOptions rmat;
-  rmat.nodes = 20000;
-  const graph::Graph g = topology::make_topology({rmat}, rng);
-  const graph::GraphView view = graph::GraphView::working(g);
-  const std::vector<double> serial =
-      graph::betweenness_centrality(view, nullptr, 24);
-  for (const std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool(threads);
-    EXPECT_EQ(graph::betweenness_centrality(view, &pool, 24), serial)
-        << "threads " << threads;
-  }
-}
-
 // --- batched demand-based centrality ---------------------------------------
 
 void expect_centrality_thread_invariant(
@@ -200,15 +107,12 @@ void expect_centrality_thread_invariant(
     const std::string& label) {
   SCOPED_TRACE(label);
   const graph::Graph& g = view.graph();
-  const core::CentralityOptions copt;
   const core::CentralityResult serial =
-      core::demand_based_centrality(view, demands, copt);
+      core::demand_based_centrality(view, demands);
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
-    core::CentralityOptions pooled = copt;
-    pooled.pool = &pool;
     const core::CentralityResult parallel =
-        core::demand_based_centrality(view, demands, pooled);
+        core::demand_based_centrality(view, demands, &pool);
     ASSERT_EQ(parallel.scores(), serial.scores()) << "threads " << threads;
     for (std::size_t n = 0; n < g.num_nodes(); ++n) {
       const auto id = static_cast<graph::NodeId>(n);
@@ -335,8 +239,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsBellCanada, ::testing::Range(1, 6));
 
 TEST(IspThreadsOptions, VariantEnginePathsStayThreadInvariant) {
   // The kernels sit behind different engine paths depending on options:
-  // classic betweenness exercises the parallel Brandes ranking, and the
-  // CAIDA-like graph (1018 edges, above the 160-edge eager threshold) runs
+  // classic betweenness ranks by serial Brandes while the centrality path
+  // sets and LP pricing still fan out, and the CAIDA-like graph (1018 edges, above the 160-edge eager threshold) runs
   // the LP with lazy capacity rows.  Each must be thread-invariant.
   {
     core::IspOptions o;
@@ -367,7 +271,6 @@ TEST(IspThreads, OwnedPoolMatchesBorrowedPool) {
 // --- Timeline end-to-end: restoration curve at any thread count ------------
 
 recovery::TimelineResult run_timeline(const core::RecoveryProblem& problem,
-                                      std::size_t threads,
                                       util::ThreadPool* pool) {
   recovery::ReplanOptions ropt;
   ropt.isp.pool = pool;  // policy re-plans with parallel kernels too
@@ -381,7 +284,6 @@ recovery::TimelineResult run_timeline(const core::RecoveryProblem& problem,
   topt.max_stages = 12;
   topt.stage_budget = 2;
   topt.pool = pool;
-  (void)threads;
   util::Rng rng(7);
   return recovery::Timeline(problem, policy, dynamics, topt).run(rng);
 }
@@ -418,12 +320,12 @@ TEST_P(TimelineThreads, RestorationCurveBitIdenticalAtAnyThreadCount) {
   const core::RecoveryProblem problem =
       seed % 2 == 0 ? bell_canada_scenario(seed) : er_scenario(seed);
   const recovery::TimelineResult reference =
-      run_timeline(problem, 1, nullptr);
+      run_timeline(problem, nullptr);
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
     SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                  std::to_string(threads));
-    expect_same_timeline(run_timeline(problem, threads, &pool), reference);
+    expect_same_timeline(run_timeline(problem, &pool), reference);
   }
 }
 
