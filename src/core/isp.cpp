@@ -112,14 +112,14 @@ class Engine {
       return state_.edge_ok(e);
     };
     working_config.capacity = residual_view();
-    slot_working_ = cache_.add_config("working", std::move(working_config));
+    slot_working_ = cache_.add_config(std::move(working_config));
     graph::ViewConfig full_config;
     full_config.capacity = residual_view();
-    slot_full_ = cache_.add_config("full", std::move(full_config));
+    slot_full_ = cache_.add_config(std::move(full_config));
     graph::ViewConfig metric_config;
     metric_config.length = dynamic_length();
     metric_config.capacity = residual_view();
-    slot_metric_ = cache_.add_config("metric", std::move(metric_config));
+    slot_metric_ = cache_.add_config(std::move(metric_config));
     if (opt_.use_classic_betweenness) {
       // Residual-positive membership: a residual hitting zero flips the
       // verdict and the cache escalates the refresh to a rebuild.
@@ -128,7 +128,7 @@ class Engine {
         return residual_[static_cast<std::size_t>(e)] > kEps;
       };
       usable_config.length = dynamic_length();
-      slot_usable_ = cache_.add_config("usable", std::move(usable_config));
+      slot_usable_ = cache_.add_config(std::move(usable_config));
     }
     state_.publish_to(&cache_);
     // Intra-solve worker pool.  Borrowed or privately owned, every kernel

@@ -7,9 +7,8 @@ namespace netrec::graph {
 
 ViewCache::ViewCache(const Graph& g) : g_(&g) {}
 
-ViewCache::SlotId ViewCache::add_config(std::string name, ViewConfig config) {
+ViewCache::SlotId ViewCache::add_config(ViewConfig config) {
   auto slot = std::make_unique<Slot>();
-  slot->name = std::move(name);
   slot->config = std::move(config);
   slot->rebuild = true;  // nothing built yet
   slot->dirty_mark.assign(g_->num_edges(), 0);
@@ -23,19 +22,6 @@ const GraphView& ViewCache::view(SlotId slot) {
   }
   sync(*slots_[slot]);
   return slots_[slot]->view;
-}
-
-const GraphView& ViewCache::view(std::string_view name) {
-  for (auto& slot : slots_) {
-    if (slot->name == name) {
-      sync(*slot);
-      return slot->view;
-    }
-  }
-  std::string message = "ViewCache: unknown slot '";
-  message.append(name);
-  message += '\'';
-  throw std::invalid_argument(message);
 }
 
 void ViewCache::mark_edge(Slot& slot, EdgeId e) {
@@ -99,7 +85,6 @@ void ViewCache::sync(Slot& slot) {
 
   if (slot.rebuild) {
     slot.view = GraphView::build(*g_, slot.config);
-    slot.built = true;
     slot.rebuild = false;
     ++stats_.builds;
   } else if (!slot.dirty.empty()) {
@@ -124,7 +109,6 @@ void ViewCache::sync(Slot& slot) {
     }
     slot.dirty.clear();
   }
-  slot.synced_epoch = epoch_;
 }
 
 }  // namespace netrec::graph

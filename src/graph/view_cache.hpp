@@ -1,4 +1,4 @@
-// Mutation-aware GraphView reuse: an epoch-based cache of named view
+// Mutation-aware GraphView reuse: an epoch-based cache of view
 // configurations over one Graph.
 //
 // Every graph kernel runs on a GraphView, but a consumer that *mutates*
@@ -35,9 +35,9 @@
 //     Topology itself never changes: a Graph's node and edge sets are fixed
 //     when graph::Builder makes it.
 //
-// Epochs: every published mutation advances epoch(); each slot records the
-// epoch it last synced to.  Consumers that hold derived data (not the view
-// itself) can compare epochs to decide staleness.
+// Epochs: every published mutation advances epoch().  Consumers that hold
+// derived data (not the view itself) can compare epochs to decide
+// staleness.
 //
 // Lifetime rules:
 //   * Unlike GraphView::build, the cache RETAINS the ViewConfig callbacks
@@ -54,8 +54,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/view.hpp"
@@ -90,17 +88,13 @@ class ViewCache {
 
   explicit ViewCache(const Graph& g);
 
-  /// Registers a named configuration; the callbacks are retained (see
-  /// header).  Building is lazy — a slot that is never viewed never pays.
-  SlotId add_config(std::string name, ViewConfig config);
+  /// Registers a configuration; the callbacks are retained (see header).
+  /// Building is lazy — a slot that is never viewed never pays.
+  SlotId add_config(ViewConfig config);
 
   /// The up-to-date view of a slot: synchronises (hit / refresh / rebuild)
   /// and returns an address-stable reference.
   const GraphView& view(SlotId slot);
-
-  /// Name-based lookup (linear in the slot count; prefer SlotId in loops).
-  /// Throws std::invalid_argument for unknown names.
-  const GraphView& view(std::string_view name);
 
   // --- mutation hooks ------------------------------------------------------
 
@@ -118,11 +112,6 @@ class ViewCache {
   /// Monotone counter of published mutations.
   std::uint64_t epoch() const { return epoch_; }
 
-  std::size_t num_slots() const { return slots_.size(); }
-  const std::string& slot_name(SlotId slot) const {
-    return slots_[slot]->name;
-  }
-
   /// Cache effectiveness counters (cumulative).
   struct Stats {
     std::size_t builds = 0;     ///< full O(V+E) view (re)builds
@@ -133,14 +122,11 @@ class ViewCache {
 
  private:
   struct Slot {
-    std::string name;
     ViewConfig config;
     GraphView view;          ///< empty until first sync
-    bool built = false;
     bool rebuild = false;    ///< a filter verdict (possibly) flipped
     std::vector<EdgeId> dirty;      ///< queued edges, deduplicated
     std::vector<char> dirty_mark;   ///< membership bitmap for `dirty`
-    std::uint64_t synced_epoch = 0;
   };
 
   void mark_edge(Slot& slot, EdgeId e);

@@ -98,14 +98,12 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
   graph::ViewConfig available_config;
   available_config.edge_ok = edge_available;
   available_config.length = pending_length;
-  const auto available_slot =
-      cache.add_config("available", std::move(available_config));
+  const auto available_slot = cache.add_config(std::move(available_config));
   graph::ViewConfig scheduled_config;
   scheduled_config.edge_ok = [&](graph::EdgeId e) {
     return scheduled.edge_ok(e);
   };
-  const auto scheduled_slot =
-      cache.add_config("scheduled", std::move(scheduled_config));
+  const auto scheduled_slot = cache.add_config(std::move(scheduled_config));
   scheduled.publish_to(&cache);
 
   // Greedy routing over the scheduled view, kept until an emit changes

@@ -58,7 +58,7 @@ class Runtime {
     // or repair reaches the cache as invalidate_node, which queues the
     // incident edges, and the flipped verdict escalates to a rebuild.
     operational.edge_ok = graph::working_edge_filter(g_);
-    slot_ = cache_.add_config("operational", std::move(operational));
+    slot_ = cache_.add_config(std::move(operational));
     session_.set_thread_pool(opt.pool);
     cache_.add_listener(&session_);
     // Demand amounts never change across stages, so the original index is

@@ -231,7 +231,7 @@ struct SessionFixture {
     config.capacity = [this](EdgeId e) {
       return residual[static_cast<std::size_t>(e)];
     };
-    slot = cache.add_config("full", std::move(config));
+    slot = cache.add_config(std::move(config));
   }
 
   const graph::GraphView& view() { return cache.view(slot); }

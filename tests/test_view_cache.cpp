@@ -123,7 +123,7 @@ TEST(ViewCache, RandomInterleavingsMatchFreshBuilds) {
 
     graph::ViewCache cache(g);
     for (std::size_t s = 0; s < slot_configs.size(); ++s) {
-      cache.add_config("slot" + std::to_string(s), slot_configs[s]);
+      cache.add_config(slot_configs[s]);
     }
     state.repairs.publish_to(&cache);
 
@@ -169,7 +169,7 @@ TEST(ViewCache, BellCanadaRepairSweepMatchesFreshBuilds) {
   auto slot_configs = configs(state);
   graph::ViewCache cache(g);
   for (std::size_t s = 0; s < slot_configs.size(); ++s) {
-    cache.add_config("slot" + std::to_string(s), slot_configs[s]);
+    cache.add_config(slot_configs[s]);
   }
   state.repairs.publish_to(&cache);
 
@@ -216,7 +216,7 @@ TEST(ViewCache, ResidualOnlyUpdatesRefreshNotRebuild) {
     return state.residual[static_cast<std::size_t>(e)];
   };
   graph::ViewCache cache(g);
-  const auto slot = cache.add_config("working", working);
+  const auto slot = cache.add_config(working);
   (void)cache.view(slot);
   ASSERT_EQ(cache.stats().builds, 1u);
 
@@ -254,7 +254,7 @@ TEST(ViewCache, UnchangedViewIsServedWithoutWork) {
   graph::ViewCache cache(g);
   graph::ViewConfig config;
   config.edge_ok = graph::working_edge_filter(g);
-  const auto slot = cache.add_config("working", config);
+  const auto slot = cache.add_config(config);
   const graph::GraphView& first = cache.view(slot);
   const graph::GraphView& second = cache.view(slot);
   EXPECT_EQ(&first, &second);  // address-stable
@@ -278,10 +278,7 @@ TEST(ViewCache, NamedLookupAndErrors) {
   const graph::Graph g = broken_er(8);
   graph::ViewCache cache(g);
   graph::ViewConfig config;
-  const auto slot = cache.add_config("full", config);
-  EXPECT_EQ(&cache.view("full"), &cache.view(slot));
-  EXPECT_EQ(cache.slot_name(slot), "full");
-  EXPECT_THROW(cache.view("nope"), std::invalid_argument);
+  const auto slot = cache.add_config(config);
   EXPECT_THROW(cache.view(slot + 1), std::invalid_argument);
   EXPECT_THROW(cache.invalidate_edge(static_cast<graph::EdgeId>(
                    g.num_edges())),
