@@ -8,8 +8,19 @@
 
 namespace netrec::disruption {
 
-void complete_destruction(graph::Graph& g) { g.break_everything(); }
+namespace {
 
+/// Variance at which the Gaussian's failure-probability peak is 1.
+constexpr double kReferenceVariance = 50.0;
+/// Normalised distance of the farthest node from the barycentre.
+constexpr double kSceneRadius = 15.0;
+/// Re-route/break rounds per cascade advance(); the cascade usually
+/// settles far earlier.
+constexpr std::size_t kCascadeMaxRounds = 8;
+/// Load above overload_factor * capacity by more than this breaks an edge.
+constexpr double kCascadeTolerance = 1e-9;
+
+/// Barycentre of the node coordinates (the paper's default epicentre).
 std::pair<double, double> barycenter(const graph::Graph& g) {
   double sx = 0.0;
   double sy = 0.0;
@@ -22,6 +33,10 @@ std::pair<double, double> barycenter(const graph::Graph& g) {
   return {sx * inv, sy * inv};
 }
 
+}  // namespace
+
+void complete_destruction(graph::Graph& g) { g.break_everything(); }
+
 DisruptionReport gaussian_disaster(graph::Graph& g,
                                    const GaussianDisasterOptions& options,
                                    util::Rng& rng) {
@@ -29,18 +44,18 @@ DisruptionReport gaussian_disaster(graph::Graph& g,
   if (g.num_nodes() == 0) return report;
   const auto [ex, ey] = options.epicenter.value_or(barycenter(g));
 
-  // Scene normalisation: farthest node -> distance scene_radius.
+  // Scene normalisation: farthest node -> distance kSceneRadius.
   double max_dist = 0.0;
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
     const auto id = static_cast<graph::NodeId>(i);
     max_dist =
         std::max(max_dist, std::hypot(g.node_x(id) - ex, g.node_y(id) - ey));
   }
-  const double scale = max_dist > 0.0 ? options.scene_radius / max_dist : 0.0;
+  const double scale = max_dist > 0.0 ? kSceneRadius / max_dist : 0.0;
 
   // "Scaled the probability accordingly": the Gaussian's peak grows linearly
   // with the variance, so wider disasters are also more intense.
-  const double peak = options.variance / options.reference_variance;
+  const double peak = options.variance / kReferenceVariance;
   auto failure_probability = [&](double x, double y) {
     const double d = std::hypot(x - ex, y - ey) * scale;
     return std::min(1.0, peak * std::exp(-d * d / (2.0 * options.variance)));
@@ -60,30 +75,6 @@ DisruptionReport gaussian_disaster(graph::Graph& g,
     const double mx = (g.node_x(eu) + g.node_x(ev)) / 2.0;
     const double my = (g.node_y(eu) + g.node_y(ev)) / 2.0;
     if (!g.edge_broken(id) && rng.chance(failure_probability(mx, my))) {
-      g.set_edge_broken(id, true);
-      ++report.broken_edges;
-    }
-  }
-  return report;
-}
-
-DisruptionReport circular_disaster(graph::Graph& g, double cx, double cy,
-                                   double radius) {
-  DisruptionReport report;
-  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    const auto id = static_cast<graph::NodeId>(i);
-    if (!g.node_broken(id) &&
-        std::hypot(g.node_x(id) - cx, g.node_y(id) - cy) <= radius) {
-      g.set_node_broken(id, true);
-      ++report.broken_nodes;
-    }
-  }
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    const auto id = static_cast<graph::EdgeId>(e);
-    const auto [eu, ev] = g.edge_endpoints(id);
-    const double mx = (g.node_x(eu) + g.node_x(ev)) / 2.0;
-    const double my = (g.node_y(eu) + g.node_y(ev)) / 2.0;
-    if (!g.edge_broken(id) && std::hypot(mx - cx, my - cy) <= radius) {
       g.set_edge_broken(id, true);
       ++report.broken_edges;
     }
@@ -135,7 +126,7 @@ DisruptionReport CascadeModel::advance(
   DisruptionReport report;
   if (demands.empty()) return report;
   std::vector<double> load(g.num_edges(), 0.0);
-  for (std::size_t round = 0; round < opt_.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kCascadeMaxRounds; ++round) {
     // Working subgraph, unit hop lengths: the re-routing model, not the
     // capacity-feasible referee.
     const graph::GraphView view = graph::GraphView::working(g);
@@ -153,7 +144,7 @@ DisruptionReport CascadeModel::advance(
       const auto id = static_cast<graph::EdgeId>(e);
       if (g.edge_broken(id)) continue;
       if (load[e] >
-          opt_.overload_factor * g.edge_capacity(id) + opt_.tolerance) {
+          opt_.overload_factor * g.edge_capacity(id) + kCascadeTolerance) {
         g.set_edge_broken(id, true);
         ++broke;
       }

@@ -8,8 +8,8 @@
 // ~150) the network is almost completely destroyed.
 //
 // The Gaussian model normalises the scene so the farthest node sits at
-// distance `scene_radius` from the barycentre; failure probability is
-//   p(d) = min(1, (variance / reference_variance) * exp(-d^2 / 2 variance)).
+// distance 15 from the barycentre; failure probability is
+//   p(d) = min(1, (variance / 50) * exp(-d^2 / 2 variance)).
 // The first factor is the paper's "scaled the probability accordingly";
 // DESIGN.md records this interpretation.
 #pragma once
@@ -30,9 +30,6 @@ void complete_destruction(graph::Graph& g);
 
 struct GaussianDisasterOptions {
   double variance = 50.0;
-  double reference_variance = 50.0;
-  /// Normalised distance of the farthest node from the barycentre.
-  double scene_radius = 15.0;
   /// Epicentre in original coordinates; defaults to the node barycentre.
   std::optional<std::pair<double, double>> epicenter;
 };
@@ -49,18 +46,9 @@ DisruptionReport gaussian_disaster(graph::Graph& g,
                                    const GaussianDisasterOptions& options,
                                    util::Rng& rng);
 
-/// Deterministic circular disaster: everything within `radius` of the
-/// centre (original coordinates) breaks; edges break when their midpoint is
-/// inside the circle.
-DisruptionReport circular_disaster(graph::Graph& g, double cx, double cy,
-                                   double radius);
-
 /// Uniformly random failures: each element breaks independently.
 DisruptionReport random_failures(graph::Graph& g, double node_probability,
                                  double edge_probability, util::Rng& rng);
-
-/// Barycentre of the node coordinates (the paper's default epicentre).
-std::pair<double, double> barycenter(const graph::Graph& g);
 
 // --- recovery-time dynamics --------------------------------------------------
 //
@@ -74,10 +62,9 @@ std::pair<double, double> barycenter(const graph::Graph& g);
 
 struct AftershockOptions {
   /// Parameters of the first aftershock.  `first.variance` is the initial
-  /// magnitude; keep `first.reference_variance` fixed across the sequence
-  /// so a decaying variance also decays the failure-probability peak (the
-  /// gaussian_disaster scaling rule) — shocks shrink in both radius and
-  /// intensity.
+  /// magnitude; the failure-probability peak scales with the variance (the
+  /// gaussian_disaster scaling rule), so a decaying variance makes shocks
+  /// shrink in both radius and intensity.
   GaussianDisasterOptions first;
   /// Variance multiplier per shock (magnitude decay), in (0, 1].
   double decay = 0.5;
@@ -114,12 +101,8 @@ class AftershockProcess {
 
 struct CascadeOptions {
   /// An edge breaks when its re-routed load exceeds
-  /// overload_factor * capacity (strictly, beyond `tolerance`).
+  /// overload_factor * capacity (strictly, beyond a 1e-9 tolerance).
   double overload_factor = 1.0;
-  /// Re-route/break rounds per advance() call; the cascade usually settles
-  /// far earlier.
-  std::size_t max_rounds = 8;
-  double tolerance = 1e-9;
 };
 
 /// Capacity-overload cascade: each round routes every demand fully along
@@ -128,7 +111,7 @@ struct CascadeOptions {
 /// admission-controlled — sums per-edge loads, and breaks every operational
 /// edge whose load exceeds overload_factor * capacity.  Broken edges force
 /// re-routing, which may overload further edges; rounds repeat until no
-/// edge breaks (or max_rounds).  Deterministic given graph and demands;
+/// edge breaks (or 8 rounds).  Deterministic given graph and demands;
 /// only edges break (a broken edge is equipment overload, a node outage is
 /// not this model's failure mode).
 class CascadeModel {

@@ -10,6 +10,11 @@
 
 namespace netrec::graph {
 
+namespace {
+/// Repair cost for the (implicit) nodes.
+constexpr double kNodeRepairCost = 1.0;
+}  // namespace
+
 Graph parse_edge_list(const std::string& text,
                       const EdgeListOptions& options) {
   struct Row {
@@ -50,8 +55,7 @@ Graph parse_edge_list(const std::string& text,
 
   Builder builder;
   builder.reserve(static_cast<std::size_t>(max_id + 1), rows.size());
-  builder.add_nodes(static_cast<std::size_t>(max_id + 1),
-                    options.node_repair_cost);
+  builder.add_nodes(static_cast<std::size_t>(max_id + 1), kNodeRepairCost);
   for (const Row& row : rows) {
     builder.add_edge(static_cast<NodeId>(row.u), static_cast<NodeId>(row.v),
                      row.capacity, row.repair_cost);

@@ -15,8 +15,6 @@ namespace netrec::graph {
 struct EdgeListOptions {
   double default_capacity = 1.0;
   double default_repair_cost = 1.0;
-  /// Repair cost for the (implicit) nodes.
-  double node_repair_cost = 1.0;
 };
 
 /// Parses edge-list text through Builder (batch duplicate detection).

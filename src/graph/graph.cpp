@@ -46,14 +46,6 @@ void Graph::set_node_broken(NodeId id, bool broken) {
   broken_node_count_ += broken ? 1 : -1;
 }
 
-void Graph::set_edge_capacity(EdgeId id, double capacity) {
-  check_edge(id);
-  if (!(capacity >= 0.0)) {
-    throw std::invalid_argument("Graph: capacity must be >= 0 and not NaN");
-  }
-  edge_capacity_[index_e(id)] = capacity;
-}
-
 void Graph::set_edge_repair_cost(EdgeId id, double repair_cost) {
   check_edge(id);
   if (!(repair_cost >= 0.0)) {

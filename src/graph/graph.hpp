@@ -110,7 +110,6 @@ class Graph {
   }
   bool edge_broken(EdgeId id) const { return edge_broken_[index_e(id)] != 0; }
 
-  void set_edge_capacity(EdgeId id, double capacity);
   void set_edge_repair_cost(EdgeId id, double repair_cost);
   void set_edge_broken(EdgeId id, bool broken);
 

@@ -17,12 +17,11 @@ struct Path {
   std::vector<EdgeId> edges;
 
   bool empty() const { return edges.empty(); }
-  std::size_t hop_count() const { return edges.size(); }
 
   /// End node; equals start for an empty path.
   NodeId end(const Graph& g) const;
 
-  /// Ordered node sequence start..end (hop_count()+1 entries).
+  /// Ordered node sequence start..end (edges.size()+1 entries).
   std::vector<NodeId> nodes(const Graph& g) const;
 
   /// Bottleneck capacity with a caller-supplied capacity view (residual

@@ -124,9 +124,8 @@ class GraphView {
   double edge_capacity(EdgeId e) const {
     return edge_capacities_[static_cast<std::size_t>(e)];
   }
-  /// Per-edge metric arrays indexed by original edge id (0 for edges
+  /// Per-edge capacity array indexed by original edge id (0 for edges
   /// failing the edge filter, whose weights were never evaluated).
-  const std::vector<double>& edge_lengths() const { return edge_lengths_; }
   const std::vector<double>& edge_capacities() const {
     return edge_capacities_;
   }

@@ -2,6 +2,9 @@
 
 namespace netrec::mcf {
 
+namespace {
+
+/// Sums routed amounts per edge; index = EdgeId.
 std::vector<double> edge_loads(const graph::Graph& g,
                                const std::vector<PathFlow>& flows) {
   std::vector<double> load(g.num_edges(), 0.0);
@@ -12,6 +15,8 @@ std::vector<double> edge_loads(const graph::Graph& g,
   }
   return load;
 }
+
+}  // namespace
 
 bool routing_is_valid(const graph::Graph& g, const std::vector<Demand>& demands,
                       const std::vector<PathFlow>& flows,

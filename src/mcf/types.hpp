@@ -32,11 +32,6 @@ struct RoutingResult {
   std::vector<PathFlow> flows;
 };
 
-/// Sums routed amounts per edge; index = EdgeId.  Used by verification and
-/// by the residual-capacity bookkeeping after pruning.
-std::vector<double> edge_loads(const graph::Graph& g,
-                               const std::vector<PathFlow>& flows);
-
 /// Checks a routing end to end: every flow path connects its demand's
 /// endpoints, uses only edges passing `edge_ok`, and no edge load exceeds
 /// `capacity(e) + tol`.  Returns false with no diagnostics (callers log).

@@ -11,6 +11,9 @@ namespace netrec::serve {
 
 namespace {
 
+/// Growth factor of the backoff per retry.
+constexpr double kBackoffMultiplier = 2.0;
+
 /// Parses a Retry-After header value in seconds; returns < 0 when absent
 /// or malformed (HTTP-date forms are not supported — netrecd only emits
 /// delta-seconds).
@@ -44,7 +47,7 @@ double Client::backoff_ms(int retry_index, const HttpResponse* last) {
   }
   const double base =
       std::min(opt_.initial_backoff_ms *
-                   std::pow(opt_.backoff_multiplier, retry_index),
+                   std::pow(kBackoffMultiplier, retry_index),
                opt_.max_backoff_ms);
   // Jitter in [0.5, 1.0) of the base: desynchronises a fleet of retrying
   // clients without ever retrying sooner than half the nominal backoff.

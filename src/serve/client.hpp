@@ -25,10 +25,9 @@ namespace netrec::serve {
 struct ClientOptions {
   /// Total tries (first attempt + retries).
   int max_attempts = 4;
-  /// Backoff before retry k (0-based) is initial * multiplier^k, capped.
+  /// Backoff before retry k (0-based) is initial * 2^k, capped.
   double initial_backoff_ms = 25.0;
   double max_backoff_ms = 1000.0;
-  double backoff_multiplier = 2.0;
   /// Jitter stream seed; the actual sleep is backoff * [0.5, 1.0).
   std::uint64_t jitter_seed = 0x5eedu;
   /// Upper bound applied to server-advertised Retry-After waits so a

@@ -7,6 +7,11 @@ namespace netrec::topology {
 
 namespace {
 
+/// The paper's capacity plan: two backbones and the access links.
+constexpr double kBackboneCapacity = 50.0;
+constexpr double kSecondaryCapacity = 30.0;
+constexpr double kAccessCapacity = 20.0;
+
 struct City {
   const char* name;
   double lon;
@@ -108,9 +113,9 @@ graph::Graph bell_canada_impl(const BellCanadaOptions& options) {
     builder.add_node(city.name, city.lon, city.lat, options.repair_cost);
   }
   for (const Link& link : kLinks) {
-    double capacity = options.access_capacity;
-    if (link.tier == 0) capacity = options.backbone_capacity;
-    if (link.tier == 1) capacity = options.secondary_capacity;
+    double capacity = kAccessCapacity;
+    if (link.tier == 0) capacity = kBackboneCapacity;
+    if (link.tier == 1) capacity = kSecondaryCapacity;
     builder.add_edge(link.u, link.v, capacity, options.repair_cost);
   }
   if (builder.num_nodes() != 48 || builder.num_edges() != 64) {

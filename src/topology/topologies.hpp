@@ -22,9 +22,6 @@
 namespace netrec::topology {
 
 struct BellCanadaOptions {
-  double backbone_capacity = 50.0;
-  double secondary_capacity = 30.0;
-  double access_capacity = 20.0;
   double repair_cost = 1.0;
 };
 

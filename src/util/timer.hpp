@@ -5,7 +5,7 @@
 
 namespace netrec::util {
 
-/// Starts on construction; elapsed_*() may be read repeatedly.
+/// Starts on construction; elapsed_seconds() may be read repeatedly.
 class Timer {
  public:
   Timer() : start_(clock::now()) {}
@@ -15,8 +15,6 @@ class Timer {
   double elapsed_seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;
@@ -32,11 +30,6 @@ class Deadline {
 
   bool expired() const {
     return enabled_ && timer_.elapsed_seconds() >= budget_;
-  }
-
-  double remaining_seconds() const {
-    if (!enabled_) return 1e18;
-    return budget_ - timer_.elapsed_seconds();
   }
 
  private:

@@ -105,19 +105,6 @@ TEST(Disruption, GaussianGrowsWithVariance) {
   EXPECT_GE(g.num_broken_nodes() + g.num_broken_edges(), 90u);
 }
 
-TEST(Disruption, CircularBreaksInsideOnly) {
-  graph::Builder builder;
-  builder.add_node("in", 0.0, 0.0);
-  builder.add_node("out", 10.0, 0.0);
-  builder.add_edge(0, 1, 1.0);
-  graph::Graph g = builder.finalize();
-  const auto report = disruption::circular_disaster(g, 0.0, 0.0, 2.0);
-  EXPECT_EQ(report.broken_nodes, 1u);
-  EXPECT_TRUE(g.node_broken(0));
-  EXPECT_FALSE(g.node_broken(1));
-  EXPECT_EQ(report.broken_edges, 0u);  // midpoint at distance 5
-}
-
 TEST(Disruption, RandomFailuresRespectProbabilityExtremes) {
   util::Rng rng(5);
   graph::Graph g = topology::make_topology({topology::BellCanadaOptions{}});
