@@ -48,7 +48,7 @@ namespace {
 /// by the cache's mutation fan-out.
 class Runtime {
  public:
-  Runtime(core::RecoveryProblem& live, const TimelineOptions& opt)
+  Runtime(core::RecoveryProblem& live, util::ThreadPool* pool)
       : live_(live),
         g_(live.graph),
         cache_(live.graph),
@@ -59,7 +59,7 @@ class Runtime {
     // incident edges, and the flipped verdict escalates to a rebuild.
     operational.edge_ok = graph::working_edge_filter(g_);
     slot_ = cache_.add_config(std::move(operational));
-    session_.set_thread_pool(opt.pool);
+    session_.set_thread_pool(pool);
     cache_.add_listener(&session_);
     // Demand amounts never change across stages, so the original index is
     // a stable session uid.
@@ -178,7 +178,7 @@ TimelineResult Timeline::run(util::Rng& rng) {
   result.dynamics = dynamics_.name();
   result.total_demand = live.total_demand();
 
-  Runtime runtime(live, opt_);
+  Runtime runtime(live, opt_.pool);
   result.initial_routed = runtime.measure();
 
   const std::size_t budget = opt_.stage_budget == 0
