@@ -53,7 +53,6 @@ CentralityResult demand_based_centrality(
     util::ThreadPool* pool) {
   const graph::Graph& g = view.graph();
   CentralityResult result(g.num_nodes(), demands.size());
-  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
 
   // One shared first-path tree per source that two or more demands start
   // from (their first Dijkstras see identical inputs).  Each tree is a pure
@@ -76,11 +75,7 @@ CentralityResult demand_based_centrality(
         view, shared_sources[i], targets_of.at(shared_sources[i]),
         view.edge_capacities());
   };
-  if (pool != nullptr && shared_sources.size() > 1) {
-    pool->parallel_for(shared_sources.size(), build_tree);
-  } else {
-    for (std::size_t i = 0; i < shared_sources.size(); ++i) build_tree(i);
-  }
+  util::ThreadPool::for_each(pool, shared_sources.size(), build_tree);
   std::unordered_map<graph::NodeId, graph::ShortestPathTree> source_trees;
   for (std::size_t i = 0; i < shared_sources.size(); ++i) {
     source_trees.emplace(shared_sources[i], std::move(trees[i]));
@@ -99,11 +94,7 @@ CentralityResult demand_based_centrality(
         view, d.source, d.target, d.amount, kMaxPathsPerDemand,
         it == source_trees.end() ? nullptr : &it->second);
   };
-  if (pool != nullptr && demands.size() > 1) {
-    pool->parallel_for(demands.size(), enumerate);
-  } else {
-    for (std::size_t h = 0; h < demands.size(); ++h) enumerate(h);
-  }
+  util::ThreadPool::for_each(pool, demands.size(), enumerate);
 
   // Serial merge in demand order: the eq.-(3) score additions happen in
   // exactly the order the all-serial evaluation performs them.

@@ -335,6 +335,13 @@ class Engine {
 
   // --- split ---------------------------------------------------------------
 
+  /// A contributor of v_BC that may split through it, with its path
+  /// capacity through v_BC.
+  struct Admissible {
+    std::size_t demand;
+    double through;
+  };
+
   bool split_phase() {
     // The metric view carries the dynamic lengths and residual capacities;
     // the pool fans the per-demand enumerations out (fixed-order merge:
@@ -369,11 +376,7 @@ class Engine {
 
       // Candidate demands: contributors whose endpoints differ from v_BC,
       // ranked by decision 1.
-      struct Candidate {
-        std::size_t demand;
-        double ratio;
-      };
-      std::vector<Candidate> candidates;
+      std::vector<Admissible> admissible;
       for (int h : centrality.contributors(vbc)) {
         const auto& dem = demands_[static_cast<std::size_t>(h)];
         if (dem.source == vbc || dem.target == vbc) continue;
@@ -381,22 +384,20 @@ class Engine {
         const double through =
             centrality.capacity_through(h, vbc, g_);
         if (through <= kEps) continue;
-        // The full view has no filters, so its max flows depend only on
-        // the residual capacities: one value per demand uid stays exact
-        // until the next consume_residual (value-identical reuse across
-        // candidate nodes *and* across prune-free iterations).
-        auto [it, fresh] = full_flow_cache_.try_emplace(dem.uid);
-        if (fresh || it->second.first != residual_epoch_) {
-          it->second = {
-              residual_epoch_,
-              graph::max_flow(full_view(), dem.source, dem.target, residual_)
-                  .value};
-        }
-        const double flow_value = it->second.second;
+        admissible.push_back({static_cast<std::size_t>(h), through});
+      }
+      refresh_full_flows(admissible);
+      struct Candidate {
+        std::size_t demand;
+        double ratio;
+      };
+      std::vector<Candidate> candidates;
+      for (const Admissible& a : admissible) {
+        const auto& dem = demands_[a.demand];
+        const double flow_value = full_flow_cache_.at(dem.uid).second;
         if (flow_value <= kEps) continue;  // infeasible even on full graph
         candidates.push_back(
-            {static_cast<std::size_t>(h),
-             std::min(dem.amount, through) / flow_value});
+            {a.demand, std::min(dem.amount, a.through) / flow_value});
       }
       std::stable_sort(candidates.begin(), candidates.end(),
                        [](const Candidate& a, const Candidate& b) {
@@ -426,6 +427,34 @@ class Engine {
       if (repaired_vbc) return true;
     }
     return false;
+  }
+
+  /// Brings full_flow_cache_ up to date for the given demands.  The full
+  /// view has no filters, so its max flows depend only on the residual
+  /// capacities: one value per demand uid stays exact until the next
+  /// consume_residual (value-identical reuse across candidate nodes *and*
+  /// across prune-free iterations).  The stale flows fan out on the pool
+  /// into per-demand slots, then land in the memo serially.
+  void refresh_full_flows(const std::vector<Admissible>& admissible) {
+    std::vector<std::size_t> stale;
+    for (const Admissible& a : admissible) {
+      const auto it = full_flow_cache_.find(demands_[a.demand].uid);
+      if (it == full_flow_cache_.end() ||
+          it->second.first != residual_epoch_) {
+        stale.push_back(a.demand);
+      }
+    }
+    if (stale.empty()) return;
+    const graph::GraphView& full = full_view();  // synced before the fan-out
+    std::vector<double> flows(stale.size());
+    util::ThreadPool::for_each(pool_, stale.size(), [&](std::size_t i) {
+      const auto& dem = demands_[stale[i]];
+      flows[i] =
+          graph::max_flow(full, dem.source, dem.target, residual_).value;
+    });
+    for (std::size_t i = 0; i < stale.size(); ++i) {
+      full_flow_cache_[demands_[stale[i]].uid] = {residual_epoch_, flows[i]};
+    }
   }
 
   bool repair_node_listed(graph::NodeId v) {
@@ -477,14 +506,21 @@ class Engine {
   /// on the working graph, preserving ISP's no-demand-loss guarantee.
   bool watchdog() {
     ++stats_.watchdog_activations;
-    // Hardest = largest unroutable amount on the working graph.
+    // Hardest = largest unroutable amount on the working graph.  The
+    // per-demand flows are independent reads of one synced view (fetched
+    // here: the cache's lazy sync is not thread-safe), so they fan out;
+    // the argmax stays a serial pass in demand order.
+    const graph::GraphView& working = working_view();
+    std::vector<double> flows(demands_.size());
+    util::ThreadPool::for_each(pool_, demands_.size(), [&](std::size_t h) {
+      const auto& dem = demands_[h];
+      flows[h] =
+          graph::max_flow(working, dem.source, dem.target, residual_).value;
+    });
     std::size_t worst = demands_.size();
     double worst_gap = kTolerance;
     for (std::size_t h = 0; h < demands_.size(); ++h) {
-      const auto& dem = demands_[h];
-      const auto flow =
-          graph::max_flow(working_view(), dem.source, dem.target, residual_);
-      const double gap = dem.amount - flow.value;
+      const double gap = demands_[h].amount - flows[h];
       if (gap > worst_gap) {
         worst_gap = gap;
         worst = h;

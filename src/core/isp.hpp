@@ -81,11 +81,14 @@ struct IspOptions {
   /// ISP restarts to diversify solutions on instances too large for MILP.
   double length_jitter = 0.0;
   std::uint64_t jitter_seed = 1;
-  /// Intra-solve parallelism: fans the two hot kernels of ONE solve —
-  /// per-demand centrality path enumeration and per-binding LP pricing
-  /// Dijkstras — out on a thread pool.  Every parallel kernel
-  /// merges its per-task results serially in a fixed order, so the solve
-  /// is bit-identical to the serial one at any thread count.  `pool`
+  /// Intra-solve parallelism: fans the independent per-demand kernels of
+  /// ONE solve out on a thread pool — centrality path enumeration (and its
+  /// shared source trees), LP seed enumeration for unpooled endpoint pairs,
+  /// per-binding LP pricing Dijkstras, the split phase's full-graph max
+  /// flows and the watchdog's per-demand working-graph max flows.  Each
+  /// computes into per-task slots; every merge runs serially in a fixed
+  /// order (demand, row or job order), so the solve is bit-identical to
+  /// the serial one at any thread count.  `pool`
   /// borrows a caller-owned pool (must outlive the solve; scenario runners
   /// share one across solves); when null and solve_threads != 1 the solver
   /// owns a private pool for the solve's duration (0 = auto: NETREC_THREADS

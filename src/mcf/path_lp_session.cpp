@@ -240,7 +240,7 @@ void PathLpSession::sync_demands(const std::vector<DemandSpec>& specs) {
 }
 
 void PathLpSession::wire_split(const graph::GraphView& view, int split_index,
-                               graph::NodeId via) {
+                               graph::NodeId via, SeedTable& seeds) {
   if (half_row_[0] < 0) {
     half_row_[0] = model_.add_constraint(lp::Sense::kEqual, 0.0);
     half_row_[1] = model_.add_constraint(lp::Sense::kEqual, 0.0);
@@ -272,8 +272,8 @@ void PathLpSession::wire_split(const graph::GraphView& view, int split_index,
     for (int c : half_columns_) deactivate_column(c);
   }
 
-  seed_binding(view, kHalfA, d.source, via, d.amount);
-  seed_binding(view, kHalfB, via, d.target, d.amount);
+  seed_binding(view, kHalfA, d.source, via, d.amount, seeds);
+  seed_binding(view, kHalfB, via, d.target, d.amount, seeds);
 }
 
 void PathLpSession::add_capacity_row(const graph::GraphView& view,
@@ -398,21 +398,62 @@ void PathLpSession::deactivate_column(int column_index) {
   ++stats_.columns_deactivated;
 }
 
+bool PathLpSession::pair_pooled(std::uint64_t key) const {
+  const auto it = pool_by_pair_.find(key);
+  return it != pool_by_pair_.end() && !it->second.empty();
+}
+
+PathLpSession::SeedTable PathLpSession::enumerate_seeds(
+    const graph::GraphView& view) const {
+  struct Request {
+    graph::NodeId s;
+    graph::NodeId t;
+    double amount;
+  };
+  std::vector<Request> requests;
+  if (mode_ == PathLpMode::kMaxSplit) {
+    const auto split = static_cast<std::size_t>(pending_split_index_);
+    const auto row = static_cast<std::size_t>(row_of_spec_[split]);
+    const Demand& d = demand_rows_[row].demand;
+    requests.push_back({d.source, pending_split_via_, d.amount});
+    requests.push_back({pending_split_via_, d.target, d.amount});
+  }
+  for (const DemandRow& dr : demand_rows_) {
+    if (dr.spec_index >= 0 && !dr.seeded) {
+      requests.push_back({dr.demand.source, dr.demand.target,
+                          dr.demand.amount});
+    }
+  }
+  // A later request of an enumerated pair finds it pooled, so only the
+  // first request's amount is ever used — unless the enumeration found no
+  // path, which no other amount would find either.
+  SeedTable table;
+  std::vector<std::pair<Request, std::vector<graph::Path>*>> fresh;
+  for (const Request& r : requests) {
+    if (r.s == r.t || r.amount <= kEps) continue;
+    const std::uint64_t key = pair_key(r.s, r.t);
+    if (pair_pooled(key)) continue;
+    const auto [it, inserted] = table.try_emplace(key);
+    if (inserted) fresh.emplace_back(r, &it->second);
+  }
+  util::ThreadPool::for_each(thread_pool_, fresh.size(), [&](std::size_t i) {
+    const Request& r = fresh[i].first;
+    *fresh[i].second = graph::successive_shortest_paths(
+                           view, r.s, r.t, r.amount, kSeedPathsPerDemand)
+                           .paths;
+  });
+  return table;
+}
+
 void PathLpSession::seed_binding(const graph::GraphView& view, int binding,
                                  graph::NodeId s, graph::NodeId t,
-                                 double amount) {
+                                 double amount, SeedTable& seeds) {
   if (s == t || amount <= kEps) return;
   const std::uint64_t key = pair_key(s, t);
-  bool pooled = false;
-  {
-    auto it = pool_by_pair_.find(key);
-    pooled = it != pool_by_pair_.end() && !it->second.empty();
-  }
+  const bool pooled = pair_pooled(key);
   if (!pooled) {
     ++stats_.seed_runs;
-    auto seeds = graph::successive_shortest_paths(view, s, t, amount,
-                                                  kSeedPathsPerDemand);
-    for (auto& p : seeds.paths) pool_add(s, t, std::move(p));
+    for (auto& p : seeds.at(key)) pool_add(s, t, std::move(p));
   }
   auto it = pool_by_pair_.find(key);
   if (it == pool_by_pair_.end()) return;
@@ -431,11 +472,12 @@ void PathLpSession::seed_binding(const graph::GraphView& view, int binding,
   }
 }
 
-void PathLpSession::seed_row(const graph::GraphView& view, int row_index) {
+void PathLpSession::seed_row(const graph::GraphView& view, int row_index,
+                             SeedTable& seeds) {
   DemandRow& dr = demand_rows_[static_cast<std::size_t>(row_index)];
   dr.seeded = true;
   seed_binding(view, row_index, dr.demand.source, dr.demand.target,
-               dr.demand.amount);
+               dr.demand.amount, seeds);
 }
 
 // --- the master --------------------------------------------------------------
@@ -458,8 +500,9 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
   }
 
   sync_demands(specs);
+  SeedTable seeds = enumerate_seeds(view);
   if (mode_ == PathLpMode::kMaxSplit) {
-    wire_split(view, pending_split_index_, pending_split_via_);
+    wire_split(view, pending_split_index_, pending_split_via_, seeds);
   }
   if (first) {
     for (const PathCostBound& bound : cost_bounds_) {
@@ -475,7 +518,9 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
   }
   for (std::size_t i = 0; i < demand_rows_.size(); ++i) {
     const DemandRow& dr = demand_rows_[i];
-    if (dr.spec_index >= 0 && !dr.seeded) seed_row(view, static_cast<int>(i));
+    if (dr.spec_index >= 0 && !dr.seeded) {
+      seed_row(view, static_cast<int>(i), seeds);
+    }
   }
 
   // --- column generation (exact pricing; the basis and pool carry over
@@ -593,12 +638,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
         job.path = std::move(*tree.path_to(g_, job.t));
       }
     };
-    if (thread_pool_ != nullptr && thread_pool_->size() > 1 &&
-        jobs.size() > 1) {
-      thread_pool_->parallel_for(jobs.size(), price_job);
-    } else {
-      for (std::size_t j = 0; j < jobs.size(); ++j) price_job(j);
-    }
+    util::ThreadPool::for_each(thread_pool_, jobs.size(), price_job);
     bool added_column = false;
     for (PricingJob& job : jobs) {
       if (!job.path.has_value()) continue;

@@ -100,15 +100,17 @@ class PathLpSession : public graph::MutationListener {
   /// rows in the master, ahead of any capacity row.
   void add_cost_bound(PathCostBound bound);
 
-  /// Intra-round pricing parallelism.  Within one pricing round every
-  /// binding's threshold and target-stopped Dijkstra read only that
-  /// round's duals, the borrowed view and the reduced-cost weights —
-  /// installing a column never changes another binding's compute — so the
-  /// per-binding shortest paths fan out on `pool` and the resulting
-  /// columns install serially in the serial sweep's binding order (demand
-  /// rows ascending, then the split half rows).  Same install order means
-  /// the same pool indices, master columns and simplex trajectory: results
-  /// are bit-identical to the serial session at any thread count.
+  /// Seeding and pricing parallelism.  A call's seed enumerations (one per
+  /// unpooled endpoint pair, in the serial request order: split halves,
+  /// then unseeded rows ascending) read only the view, and within one
+  /// pricing round every binding's threshold and target-stopped Dijkstra
+  /// read only that round's duals, the borrowed view and the reduced-cost
+  /// weights — installing a column never changes another pair's or
+  /// binding's compute.  So both fan out on `pool`, and the resulting
+  /// paths pool and install serially in the serial sweep's order.  Same
+  /// install order means the same pool indices, master columns and simplex
+  /// trajectory: results are bit-identical to the serial session at any
+  /// thread count.
   /// nullptr (the default) restores the all-serial sweep; the pool must
   /// outlive the session or a later set_thread_pool(nullptr).
   void set_thread_pool(util::ThreadPool* pool) { thread_pool_ = pool; }
@@ -188,8 +190,10 @@ class PathLpSession : public graph::MutationListener {
   void mark_dirty(graph::EdgeId e);
   void process_dirty(const graph::GraphView& view);
   void sync_demands(const std::vector<DemandSpec>& specs);
+  /// Fresh seed paths of one master call, keyed by endpoint pair.
+  using SeedTable = std::unordered_map<std::uint64_t, std::vector<graph::Path>>;
   void wire_split(const graph::GraphView& view, int split_index,
-                  graph::NodeId via);
+                  graph::NodeId via, SeedTable& seeds);
   void add_capacity_row(const graph::GraphView& view, graph::EdgeId e);
   double column_cost(const graph::Path& path) const;
   int model_row(int binding) const;
@@ -201,11 +205,20 @@ class PathLpSession : public graph::MutationListener {
   /// the pooled path is dead.
   int install_column(const graph::GraphView& view, int binding,
                      int pool_index);
-  /// Seeds a binding from the pool, running successive-shortest-path
-  /// enumeration only when the endpoint pair has no pooled paths yet.
+  bool pair_pooled(std::uint64_t key) const;
+  /// Runs the successive-shortest-path enumerations this call's seeding
+  /// will ask for — the split's half bindings, then the unseeded rows
+  /// ascending — once per unpooled endpoint pair, from its first request's
+  /// amount.  The enumerations fan out on the pool; the table is consumed
+  /// serially by seed_binding.
+  SeedTable enumerate_seeds(const graph::GraphView& view) const;
+  /// Seeds a binding from the pool, first pooling the pair's enumerated
+  /// seeds from `seeds` when the endpoint pair has no pooled paths yet.
   void seed_binding(const graph::GraphView& view, int binding,
-                    graph::NodeId s, graph::NodeId t, double amount);
-  void seed_row(const graph::GraphView& view, int row_index);
+                    graph::NodeId s, graph::NodeId t, double amount,
+                    SeedTable& seeds);
+  void seed_row(const graph::GraphView& view, int row_index,
+                SeedTable& seeds);
   void deactivate_column(int column_index);
   PathLpResult run_master(const graph::GraphView& view,
                           const std::vector<DemandSpec>& specs);

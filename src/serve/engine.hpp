@@ -6,8 +6,14 @@
 // request never touches shared mutable state: concurrency comes from many
 // engines side by side, determinism from each engine being single-request
 // at a time.  The underlying solver layers (ViewCache snapshots,
-// PathLpSession column pools, the PR 7 parallel kernels) are constructed
-// per solve inside IspSolver/Timeline and reuse state *within* a request.
+// PathLpSession column pools) are constructed per solve inside
+// IspSolver/Timeline and reuse state *within* a request.
+//
+// With solve_threads >= 2 the engine lends its pool to every solve, which
+// fans out centrality path enumeration, LP seed enumeration and pricing,
+// the split phase's full-graph max flows and the watchdog's per-demand max
+// flows.  Each kernel fills per-task slots and every merge runs serially in
+// a fixed order, so payloads are byte-identical at any solve_threads.
 //
 // The baseline topology is treated as fully operational: the request is the
 // complete damage state (engine construction clears any broken flags the

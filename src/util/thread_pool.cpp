@@ -116,6 +116,15 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::for_each(ThreadPool* pool, std::size_t n,
+                          const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->size() > 1 && n > 1) {
+    pool->parallel_for(n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
+
 bool ThreadPool::try_run_one() {
   std::function<void()> task;
   {

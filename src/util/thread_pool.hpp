@@ -1,5 +1,6 @@
 // Fixed-size worker pool behind the parallel scenario engine and the
-// intra-solve kernels (batched SSP trees, concurrent LP pricing).
+// intra-solve kernels (centrality enumeration, LP seeding and pricing,
+// per-demand max flows).
 //
 // The pool is a plain task queue (no work stealing: tasks are coarse — one
 // (run, algorithm) solve, one demand's path enumeration, one pricing
@@ -55,6 +56,14 @@ class ThreadPool {
   /// its own chunk (other chunks still run).  Grain 0 is treated as 1.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
+
+  /// Runs fn(i) for i in [0, n): on `pool` via parallel_for when it has at
+  /// least two workers and n >= 2, else serially on the calling thread in
+  /// index order.  Every intra-solve fan-out goes through here, so the
+  /// serial and pooled paths run the same `fn`; determinism still requires
+  /// `fn` to write only to slot i.
+  static void for_each(ThreadPool* pool, std::size_t n,
+                       const std::function<void(std::size_t)>& fn);
 
   /// Thread count resolution used across the project: the explicit request
   /// if positive, else the NETREC_THREADS environment variable if set and

@@ -1,9 +1,10 @@
 // Thread-invariance differential suites for the intra-solve parallel
-// kernels: the batched per-demand centrality enumeration and the
-// session's concurrent LP pricing — each pinned bitwise against its serial
-// twin at thread counts {1, 2, 4, 8}, plus a Timeline-level end-to-end pin
-// (the full restoration curve must not move by a bit when the measurement
-// LP prices in parallel).
+// kernels: the batched per-demand centrality enumeration, the session's
+// concurrent LP seeding and pricing, and the ISP solve whose split-phase
+// full-view flows and watchdog gap scan fan out too — each pinned bitwise
+// against its serial twin at thread counts {1, 2, 4, 8}, plus a
+// Timeline-level end-to-end pin (the full restoration curve must not move
+// by a bit when the measurement LP prices in parallel).
 //
 // The determinism contract under test: every parallel kernel computes
 // per-task results into pre-assigned slots and merges them serially in a
@@ -15,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "golden.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/view.hpp"
+#include "mcf/path_lp_session.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
@@ -199,6 +202,93 @@ TEST(MaxflowWorkspaces, InterleavedOnPoolWorkersMatchIsolatedCalls) {
   }
 }
 
+// --- LP seeding: fresh pairs enumerated on the pool ------------------------
+
+/// Barabasi-Albert with 300 nodes, eight far-apart pairs of 10 units and
+/// 10% of the nodes and edges broken: a small plan_scale.  Its hubs make
+/// ISP split repeatedly and fire the watchdog, so the solve runs every
+/// fan-out — centrality, LP seeding and pricing, the split phase's
+/// full-view flows and the watchdog's per-demand gap scan.
+core::RecoveryProblem ba_scenario(std::uint64_t seed) {
+  core::RecoveryProblem p;
+  topology::BarabasiAlbertOptions ba;
+  ba.nodes = 300;
+  p.graph = topology::make_topology({ba, seed});
+  util::Rng rng(seed);
+  p.demands = scenario::far_apart_demands(p.graph, 8, 10.0, rng);
+  return test::damaged(std::move(p), 0.1, seed, 0);
+}
+
+void expect_same_stats(const mcf::PathLpSession::Stats& a,
+                       const mcf::PathLpSession::Stats& b) {
+  EXPECT_EQ(a.solves, b.solves);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.columns_installed, b.columns_installed);
+  EXPECT_EQ(a.columns_reused, b.columns_reused);
+  EXPECT_EQ(a.columns_deactivated, b.columns_deactivated);
+  EXPECT_EQ(a.duplicates_skipped, b.duplicates_skipped);
+  EXPECT_EQ(a.seed_runs, b.seed_runs);
+  EXPECT_EQ(a.resets, b.resets);
+}
+
+void expect_same_result(const mcf::PathLpResult& a,
+                        const mcf::PathLpResult& b) {
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.routing.routed, b.routing.routed);
+  ASSERT_EQ(a.routing.flows.size(), b.routing.flows.size());
+  for (std::size_t f = 0; f < a.routing.flows.size(); ++f) {
+    EXPECT_EQ(a.routing.flows[f].demand_index,
+              b.routing.flows[f].demand_index);
+    EXPECT_EQ(a.routing.flows[f].path.edges, b.routing.flows[f].path.edges);
+    EXPECT_EQ(a.routing.flows[f].amount, b.routing.flows[f].amount);
+  }
+}
+
+// A first solve seeds every pair at once: eight fresh pairs plus a repeated
+// pair that must reuse the first one's seeds, and a split probe adds its two
+// half pairs.  On the working view some pairs are cut off by the damage,
+// and their empty enumerations count as seed runs too; on the intact view
+// every pair enumerates paths.  Pool indices and column order decide the
+// simplex trajectory, so every counter and every flow must match the
+// serial run.
+TEST(PathLpSeedThreads, FirstSolveSeedsMatchSerialSession) {
+  const core::RecoveryProblem p = ba_scenario(1);
+  std::vector<mcf::Demand> demands = p.demands;
+  demands.push_back(demands.front());
+  const auto specs = mcf::indexed_specs(demands);
+  const graph::NodeId via = p.graph.edge_endpoints(0).first;
+
+  const auto run = [&](const graph::GraphView& view,
+                       util::ThreadPool* pool) {
+    mcf::PathLpSession routed(p.graph, mcf::PathLpMode::kMaxRouted);
+    routed.set_thread_pool(pool);
+    const mcf::PathLpResult routed_result = routed.solve(view, specs);
+    mcf::PathLpSession split(p.graph, mcf::PathLpMode::kMaxSplit);
+    split.set_thread_pool(pool);
+    const mcf::PathLpResult split_result =
+        split.solve_split(view, specs, 0, via);
+    return std::make_tuple(routed.stats(), routed_result, split.stats(),
+                           split_result);
+  };
+  const graph::GraphView working = graph::GraphView::working(p.graph);
+  const graph::GraphView intact = capacity_view(p.graph);
+  for (const graph::GraphView* view : {&working, &intact}) {
+    SCOPED_TRACE(view == &working ? "working view" : "intact view");
+    const auto [routed_stats, routed_ref, split_stats, split_ref] =
+        run(*view, nullptr);
+    EXPECT_GE(routed_stats.seed_runs, demands.size() - 1);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      const auto [rs, rr, ss, sr] = run(*view, &pool);
+      expect_same_stats(rs, routed_stats);
+      expect_same_result(rr, routed_ref);
+      expect_same_stats(ss, split_stats);
+      expect_same_result(sr, split_ref);
+    }
+  }
+}
+
 // --- ISP end-to-end: concurrent LP pricing + all kernels combined ----------
 
 /// One serial reference solve, then one solve per thread count — repair
@@ -226,6 +316,22 @@ TEST_P(IspThreadsEr, SolveBitIdenticalAtAnyThreadCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsEr, ::testing::Range(1, 9));
+
+class IspThreadsBa : public ::testing::TestWithParam<int> {};
+
+TEST_P(IspThreadsBa, WatchdogSolveBitIdenticalAtAnyThreadCount) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const core::RecoveryProblem problem = ba_scenario(seed);
+  core::IspSolver serial(problem, core::IspOptions{});
+  serial.solve();
+  // Keeps the instance exercising the split phase and the gap scan.
+  EXPECT_GT(serial.stats().watchdog_activations, 0u);
+  EXPECT_GE(serial.stats().splits, 2u);
+  expect_isp_thread_invariant(problem, core::IspOptions{},
+                              "ba seed " + std::to_string(seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsBa, ::testing::Range(1, 5));
 
 class IspThreadsBellCanada : public ::testing::TestWithParam<int> {};
 
