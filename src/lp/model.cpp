@@ -6,11 +6,6 @@
 
 namespace netrec::lp {
 
-void Model::reserve(std::size_t variables, std::size_t constraints) {
-  variables_.reserve(variables);
-  constraints_.reserve(constraints);
-}
-
 int Model::add_variable(double lower, double upper, double cost) {
   if (lower > upper) {
     throw std::invalid_argument("Model: variable lower bound exceeds upper");

@@ -39,10 +39,6 @@ class Model {
  public:
   Goal goal = Goal::kMinimize;
 
-  /// Pre-sizes the variable/constraint storage (column generation knows
-  /// its seed counts up front; avoids rehash/realloc in the add hot loop).
-  void reserve(std::size_t variables, std::size_t constraints);
-
   /// Adds a variable; returns its dense index.
   int add_variable(double lower, double upper, double cost);
 

@@ -26,8 +26,6 @@ const char* prefix(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level.store(level); }
 
-LogLevel log_level() { return g_level.load(); }
-
 bool log_enabled(LogLevel level) {
   return static_cast<int>(level) >= static_cast<int>(g_level.load());
 }

@@ -14,7 +14,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Sets the global threshold; messages below it are dropped.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 bool log_enabled(LogLevel level);
 
