@@ -215,8 +215,8 @@ BENCHMARK(BM_SimplexDense);
 /// The PathLpSession re-solve kernel: a master whose rhs drifts a little
 /// between solves (a few percent, the shape of residual consumption),
 /// re-solved either from scratch (cold, the shape of a fresh one-use
-/// session's first master solve) or from the previous basis with
-/// warm_append repairs (the persistent-session shape).
+/// session's first master solve) or from the previous basis, repaired
+/// where the drift broke it (the persistent-session shape).
 /// Same model sequence in both, so the timing difference is pure
 /// warm-start value (~1 pivot per warm re-solve vs a full two-phase
 /// cold solve; large drifts erase the advantage, which is the point of
@@ -254,15 +254,13 @@ BENCHMARK(BM_SimplexResolveCold);
 void BM_SimplexResolveWarm(benchmark::State& state) {
   lp::Model model = resolve_model();
   const double base = model.constraint(0).rhs;
-  lp::SolveOptions options;
-  options.warm_append = true;
   lp::Basis basis;
-  benchmark::DoNotOptimize(lp::solve(model, options, &basis));  // prime
+  benchmark::DoNotOptimize(lp::solve(model, {}, &basis));  // prime
   bool flip = false;
   for (auto _ : state) {
     model.constraint(0).rhs = flip ? base * 0.98 : base;
     flip = !flip;
-    benchmark::DoNotOptimize(lp::solve(model, options, &basis));
+    benchmark::DoNotOptimize(lp::solve(model, {}, &basis));
   }
 }
 BENCHMARK(BM_SimplexResolveWarm);

@@ -214,15 +214,15 @@ void Builder::apply_degree_order() {
     return deg[static_cast<std::size_t>(a)] >
            deg[static_cast<std::size_t>(b)];
   });
-  permutation_.assign(n, kInvalidNode);
+  std::vector<NodeId> permutation(n, kInvalidNode);  // old id -> new id
   for (std::size_t rank = 0; rank < n; ++rank) {
-    permutation_[static_cast<std::size_t>(order[rank])] =
+    permutation[static_cast<std::size_t>(order[rank])] =
         static_cast<NodeId>(rank);
   }
   auto permute_doubles = [&](std::vector<double>& col) {
     std::vector<double> out(n);
     for (std::size_t i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(permutation_[i])] = col[i];
+      out[static_cast<std::size_t>(permutation[i])] = col[i];
     }
     col = std::move(out);
   };
@@ -231,7 +231,7 @@ void Builder::apply_degree_order() {
   permute_doubles(g_.node_repair_cost_);
   std::vector<std::uint8_t> broken(n);
   for (std::size_t i = 0; i < n; ++i) {
-    broken[static_cast<std::size_t>(permutation_[i])] = g_.node_broken_[i];
+    broken[static_cast<std::size_t>(permutation[i])] = g_.node_broken_[i];
   }
   g_.node_broken_ = std::move(broken);
   if (!g_.name_off_.empty()) {
@@ -249,8 +249,8 @@ void Builder::apply_degree_order() {
     g_.name_off_ = std::move(offsets);
   }
   for (std::size_t e = 0; e < m; ++e) {
-    g_.edge_u_[e] = permutation_[static_cast<std::size_t>(g_.edge_u_[e])];
-    g_.edge_v_[e] = permutation_[static_cast<std::size_t>(g_.edge_v_[e])];
+    g_.edge_u_[e] = permutation[static_cast<std::size_t>(g_.edge_u_[e])];
+    g_.edge_v_[e] = permutation[static_cast<std::size_t>(g_.edge_v_[e])];
   }
 }
 
@@ -307,12 +307,7 @@ Graph Builder::finalize() {
     g_ = Graph{};  // a rejected batch is discarded, not kept for a retry
     throw;
   }
-  if (options_.degree_order) {
-    apply_degree_order();
-  } else {
-    permutation_.resize(g_.num_nodes());
-    std::iota(permutation_.begin(), permutation_.end(), 0);
-  }
+  if (options_.degree_order) apply_degree_order();
   // Normalise adopted flags (binary loaders may hand us arbitrary nonzero
   // bytes) and recompute the O(1) broken counters from scratch.
   for (auto& b : g_.node_broken_) b = b ? 1 : 0;

@@ -11,8 +11,7 @@
 // Options::degree_order relabels node ids by descending degree (ties by
 // original id) before packing — the GAPBS-style layout that puts hub
 // adjacency slices at the front of the arc array for locality.  Edge ids
-// keep their append order either way; node_permutation() exposes the
-// old-id -> new-id map so callers can translate externally-held ids.
+// keep their append order either way.
 #pragma once
 
 #include <cstdint>
@@ -83,10 +82,6 @@ class Builder {
   /// offending element named; the Builder is left empty either way.
   Graph finalize();
 
-  /// Old-id -> new-id node map of the last finalize() (identity when
-  /// degree_order is off).
-  const std::vector<NodeId>& node_permutation() const { return permutation_; }
-
  private:
   void append_name(std::string_view name);
   void validate_columns() const;
@@ -96,7 +91,6 @@ class Builder {
 
   Options options_;
   Graph g_;  // used as an SoA column store; incidence packed at finalize only
-  std::vector<NodeId> permutation_;
 };
 
 }  // namespace netrec::graph

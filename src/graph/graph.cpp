@@ -23,35 +23,12 @@ NodeId Graph::find_node(std::string_view name) const {
   return kInvalidNode;
 }
 
-void Graph::set_node_position(NodeId id, double x, double y) {
-  const std::size_t i = index(id);
-  check_node(id);
-  node_x_[i] = x;
-  node_y_[i] = y;
-}
-
-void Graph::set_node_repair_cost(NodeId id, double repair_cost) {
-  check_node(id);
-  if (!(repair_cost >= 0.0)) {
-    throw std::invalid_argument("Graph: node repair cost must be >= 0");
-  }
-  node_repair_cost_[index(id)] = repair_cost;
-}
-
 void Graph::set_node_broken(NodeId id, bool broken) {
   check_node(id);
   std::uint8_t& flag = node_broken_[index(id)];
   if ((flag != 0) == broken) return;
   flag = broken ? 1 : 0;
   broken_node_count_ += broken ? 1 : -1;
-}
-
-void Graph::set_edge_repair_cost(EdgeId id, double repair_cost) {
-  check_edge(id);
-  if (!(repair_cost >= 0.0)) {
-    throw std::invalid_argument("Graph: edge repair cost must be >= 0");
-  }
-  edge_repair_cost_[index_e(id)] = repair_cost;
 }
 
 void Graph::set_edge_broken(EdgeId id, bool broken) {
@@ -90,26 +67,11 @@ EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   return kInvalidEdge;
 }
 
-std::size_t Graph::max_degree() const {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < num_nodes(); ++i) {
-    best = std::max(best, degree(static_cast<NodeId>(i)));
-  }
-  return best;
-}
-
 void Graph::break_everything() {
   std::fill(node_broken_.begin(), node_broken_.end(), 1);
   std::fill(edge_broken_.begin(), edge_broken_.end(), 1);
   broken_node_count_ = num_nodes();
   broken_edge_count_ = num_edges();
-}
-
-void Graph::repair_everything() {
-  std::fill(node_broken_.begin(), node_broken_.end(), 0);
-  std::fill(edge_broken_.begin(), edge_broken_.end(), 0);
-  broken_node_count_ = 0;
-  broken_edge_count_ = 0;
 }
 
 std::vector<NodeId> Graph::broken_nodes() const {

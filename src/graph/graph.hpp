@@ -19,8 +19,8 @@
 // (builder.hpp) is the one way to make a Graph: it validates a batch of node
 // and edge columns and packs the incidence lists into a CSR pair (offsets +
 // edge ids) plus a neighbour-sorted secondary index, making degree O(1) and
-// find_edge O(log d).  Element *state* — broken flags, costs, capacities —
-// stays mutable through the setters below.
+// find_edge O(log d).  Capacities, repair costs and coordinates are fixed
+// there too; the broken flags are the only state that changes afterwards.
 //
 // incident_edges yields a node's edge ids in increasing id order, i.e. the
 // order the edges were appended to the Builder, so every downstream
@@ -89,8 +89,6 @@ class Graph {
   }
   bool node_broken(NodeId id) const { return node_broken_[index(id)] != 0; }
 
-  void set_node_position(NodeId id, double x, double y);
-  void set_node_repair_cost(NodeId id, double repair_cost);
   void set_node_broken(NodeId id, bool broken);
 
   /// First node whose name equals `name`, or kInvalidNode (linear scan —
@@ -110,7 +108,6 @@ class Graph {
   }
   bool edge_broken(EdgeId id) const { return edge_broken_[index_e(id)] != 0; }
 
-  void set_edge_repair_cost(EdgeId id, double repair_cost);
   void set_edge_broken(EdgeId id, bool broken);
 
   // --- topology queries --------------------------------------------------
@@ -134,16 +131,10 @@ class Graph {
     return inc_off_[i + 1] - inc_off_[i];
   }
 
-  /// Maximum degree over all nodes (the paper's eta_max).
-  std::size_t max_degree() const;
-
   // --- disruption bookkeeping -------------------------------------------
 
   /// Marks every node and edge broken (the "complete destruction" scenario).
   void break_everything();
-
-  /// Restores every element to working state.
-  void repair_everything();
 
   std::vector<NodeId> broken_nodes() const;
   std::vector<EdgeId> broken_edges() const;

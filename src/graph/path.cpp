@@ -4,7 +4,6 @@
 #include <string_view>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
 
 namespace netrec::graph {
 
@@ -36,14 +35,6 @@ double Path::length(const EdgeWeight& edge_length) const {
   double total = 0.0;
   for (EdgeId e : edges) total += edge_length(e);
   return total;
-}
-
-bool Path::is_simple(const Graph& g) const {
-  std::unordered_set<NodeId> seen;
-  for (NodeId n : nodes(g)) {
-    if (!seen.insert(n).second) return false;
-  }
-  return true;
 }
 
 bool Path::connects(const Graph& g, NodeId from, NodeId to) const {

@@ -31,9 +31,6 @@ struct Path {
   /// Sum of metric over edges.
   double length(const EdgeWeight& edge_length) const;
 
-  /// True if no node repeats (the paper considers acyclic paths only).
-  bool is_simple(const Graph& g) const;
-
   /// True if the path actually connects `from` to `to` in g.
   bool connects(const Graph& g, NodeId from, NodeId to) const;
 

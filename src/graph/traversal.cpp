@@ -11,57 +11,6 @@ namespace {
 constexpr double kResidualEps = 1e-9;
 }  // namespace
 
-std::vector<int> bfs_hops(const GraphView& view, NodeId source) {
-  view.graph().check_node(source);
-  std::vector<int> dist(view.num_nodes(), -1);
-  dist[static_cast<std::size_t>(source)] = 0;
-  std::deque<NodeId> queue{source};
-  while (!queue.empty()) {
-    const NodeId at = queue.front();
-    queue.pop_front();
-    const int next_dist = dist[static_cast<std::size_t>(at)] + 1;
-    const ArcId end = view.arcs_end(at);
-    for (ArcId a = view.arcs_begin(at); a < end; ++a) {
-      const NodeId next = view.arc_target(a);
-      if (dist[static_cast<std::size_t>(next)] != -1) continue;
-      dist[static_cast<std::size_t>(next)] = next_dist;
-      queue.push_back(next);
-    }
-  }
-  return dist;
-}
-
-bool reachable(const GraphView& view, NodeId source, NodeId target) {
-  if (source == target) return true;
-  const auto dist = bfs_hops(view, source);
-  return dist[static_cast<std::size_t>(target)] != -1;
-}
-
-bool reachable(const GraphView& view, NodeId source, NodeId target,
-               const std::vector<double>& edge_residual) {
-  view.graph().check_node(source);
-  view.graph().check_node(target);
-  if (source == target) return true;
-  std::vector<char> seen(view.num_nodes(), 0);
-  seen[static_cast<std::size_t>(source)] = 1;
-  std::deque<NodeId> queue{source};
-  while (!queue.empty()) {
-    const NodeId at = queue.front();
-    queue.pop_front();
-    const ArcId end = view.arcs_end(at);
-    for (ArcId a = view.arcs_begin(at); a < end; ++a) {
-      const auto e = static_cast<std::size_t>(view.arc_edge(a));
-      if (edge_residual[e] <= kResidualEps) continue;
-      const NodeId next = view.arc_target(a);
-      if (seen[static_cast<std::size_t>(next)]) continue;
-      if (next == target) return true;
-      seen[static_cast<std::size_t>(next)] = 1;
-      queue.push_back(next);
-    }
-  }
-  return false;
-}
-
 ResidualReach::ResidualReach(const GraphView& view,
                              const std::vector<double>& edge_residual)
     : view_(view), residual_(edge_residual), label_(view.num_nodes(), -1) {}

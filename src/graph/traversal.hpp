@@ -1,4 +1,4 @@
-// Breadth-first traversal utilities: reachability, hop distances, connected
+// Breadth-first traversal utilities: residual reachability, connected
 // components, diameter, and which nodes lie within a hop limit of which.
 // Every routine runs on a GraphView, so the view's filters decide whether
 // it sees the working subgraph, the full graph, or ISP's bubble search
@@ -22,28 +22,17 @@
 
 namespace netrec::graph {
 
-/// Hop distance from `source` to every node (-1 when unreachable).  The
-/// source is always distance 0, even when it fails the view's node filter
-/// (its outgoing arcs are preserved; see view.hpp).
-std::vector<int> bfs_hops(const GraphView& view, NodeId source);
-
-/// True iff `target` is reachable from `source` in the view.
-bool reachable(const GraphView& view, NodeId source, NodeId target);
-
 /// Reachability over arcs whose `edge_residual` entry (indexed by original
 /// edge id) is > 1e-9, on a cached view whose arcs may include drained
-/// edges.  One BFS per pair; ResidualReach answers many pairs at once.
-bool reachable(const GraphView& view, NodeId source, NodeId target,
-               const std::vector<double>& edge_residual);
-
-/// The same residual reachability for many pairs of one view, one
-/// traversal per component instead of one BFS per pair.  Among in-view
+/// edges, for many pairs of one view: one traversal per component instead
+/// of one BFS per pair.  Among in-view
 /// nodes every edge has both arcs, so the first query from an in-view
 /// source labels its whole component and later queries into a labelled
 /// component cost O(1).  A source outside the view keeps only its
 /// out-arcs (see view.hpp): it reaches the components of its
-/// positive-residual arc heads.  Each answer equals reachable(view,
-/// source, target, edge_residual).  Borrows `view` and `edge_residual`.
+/// positive-residual arc heads.  Each answer equals that of a BFS from
+/// `source` over the positive-residual arcs.  Borrows `view` and
+/// `edge_residual`.
 class ResidualReach {
  public:
   ResidualReach(const GraphView& view,
@@ -99,11 +88,11 @@ class NearMatrix {
   std::vector<std::uint64_t> words_;
 };
 
-/// near(s, t) iff s is in the view and bfs_hops(view, s)[t] lies in
-/// [0, max_hops]; all clear when max_hops < 0.  Every edge between two
-/// in-view nodes has both arcs, so among in-view nodes hop distance is
-/// symmetric and sources_near(b, i) is also the set of targets 64 * b + k
-/// within max_hops of source i — one word per 64 targets.
+/// near(s, t) iff s is in the view and the hop distance from s to t in the
+/// view lies in [0, max_hops]; all clear when max_hops < 0.  Every edge
+/// between two in-view nodes has both arcs, so among in-view nodes hop
+/// distance is symmetric and sources_near(b, i) is also the set of targets
+/// 64 * b + k within max_hops of source i — one word per 64 targets.
 NearMatrix near_matrix(const GraphView& view, int max_hops);
 
 }  // namespace netrec::graph

@@ -1,6 +1,5 @@
 #include "graph/view_cache.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace netrec::graph {
@@ -62,12 +61,6 @@ void ViewCache::bump_epoch() {
 void ViewCache::add_listener(MutationListener* listener) {
   if (!listener) return;
   listeners_.push_back(listener);
-}
-
-void ViewCache::remove_listener(MutationListener* listener) {
-  listeners_.erase(
-      std::remove(listeners_.begin(), listeners_.end(), listener),
-      listeners_.end());
 }
 
 void ViewCache::sync(Slot& slot) {

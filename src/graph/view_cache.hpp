@@ -102,12 +102,10 @@ class ViewCache {
   void invalidate_node(NodeId n);
   void bump_epoch();
 
-  /// Registers a mutation listener (borrowed, not owned; must outlive the
-  /// cache or be removed first).  Listeners are notified after the cache's
-  /// own slots are marked, in registration order.
+  /// Registers a mutation listener (borrowed, not owned; it must outlive
+  /// every later mutation hook call).  Listeners are notified after the
+  /// cache's own slots are marked, in registration order.
   void add_listener(MutationListener* listener);
-  /// Removes a previously registered listener; unknown pointers are a no-op.
-  void remove_listener(MutationListener* listener);
 
   /// Monotone counter of published mutations.
   std::uint64_t epoch() const { return epoch_; }

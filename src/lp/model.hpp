@@ -62,14 +62,8 @@ class Model {
     return constraints_[static_cast<std::size_t>(r)];
   }
 
-  /// Row activity A x for a full assignment (used by verification).
-  std::vector<double> row_activity(const std::vector<double>& x) const;
-
   /// Objective value c'x (in the model's own goal orientation).
   double objective_value(const std::vector<double>& x) const;
-
-  /// True when x satisfies all rows and bounds within `tol`.
-  bool is_feasible(const std::vector<double>& x, double tol = 1e-6) const;
 
  private:
   std::vector<Variable> variables_;

@@ -390,16 +390,6 @@ class SimplexEngine {
     return SolveStatus::kIterationLimit;
   }
 
-  bool basics_within_bounds(double tol) const {
-    for (int r = 0; r < m_; ++r) {
-      const int b = basic_of_row_[static_cast<std::size_t>(r)];
-      const double xb = x_[static_cast<std::size_t>(b)];
-      if (xb < lower_[static_cast<std::size_t>(b)] - tol) return false;
-      if (xb > upper_[static_cast<std::size_t>(b)] + tol) return false;
-    }
-    return true;
-  }
-
   /// Repairs a decoded warm basis left primal infeasible by appended rows or
   /// rhs/bound drift: every row whose basic variable sits outside its bounds
   /// hands the row to an (opened) artificial, with the old basic snapped to
@@ -501,16 +491,15 @@ Solution SimplexEngine::run(Basis* warm) {
   bool warm_started = false;
   bool warm_needs_phase1 = false;
 
-  // Try the caller's basis: decode (negative ids are slacks), rebuild the
-  // inverse, accept only if it is nonsingular and primal feasible.  With
-  // warm_append, a basis recorded for fewer rows is extended (new rows get
-  // their slacks) and infeasibility is repaired instead of rejected; a basis
-  // recorded for *more* rows than the model has is always discarded.
+  // Try the caller's basis: decode (negative ids are slacks), extend a
+  // basis recorded for fewer rows with the new rows' slacks, rebuild the
+  // inverse and repair primal infeasibility instead of rejecting it.  A
+  // basis recorded for *more* rows than the model has is discarded.
   const int warm_rows = warm ? warm->rows : 0;
   const bool warm_usable =
       warm && warm_rows > 0 &&
       static_cast<int>(warm->basic_of_row.size()) == warm_rows &&
-      (warm_rows == m_ || (opt_.warm_append && warm_rows < m_));
+      warm_rows <= m_;
   if (warm_usable) {
     basic_of_row_.assign(static_cast<std::size_t>(m_), 0);
     bool decodable = true;
@@ -555,12 +544,7 @@ Solution SimplexEngine::run(Basis* warm) {
           x_[s] = upper_[s];
         }
       }
-      if (opt_.warm_append) {
-        warm_started = warm_repair(warm_needs_phase1);
-      } else if (refactorize()) {
-        recompute_basics();
-        if (basics_within_bounds(kFeasibilityTol)) warm_started = true;
-      }
+      warm_started = warm_repair(warm_needs_phase1);
     }
   }
 
@@ -635,54 +619,41 @@ Solution SimplexEngine::run(Basis* warm) {
   if (warm) {
     warm->rows = m_;
     warm->basic_of_row.assign(static_cast<std::size_t>(m_), 0);
-    bool exportable = true;
     for (int r = 0; r < m_; ++r) {
       int v = basic_of_row_[static_cast<std::size_t>(r)];
       if (is_artificial(v)) {
-        if (opt_.warm_append) {
-          // A degenerate artificial (basic at 0) occupies a unit column on
-          // its own row — structurally identical to the row's slack, so
-          // export the slack instead of discarding the whole basis.  Any
-          // resulting infeasibility is what warm_repair exists for.
-          v = slack_index(v - n_struct_ - m_);
-        } else {
-          exportable = false;  // degenerate artificial basic; skip export
-          break;
-        }
+        // A degenerate artificial (basic at 0) occupies a unit column on its
+        // own row — structurally identical to the row's slack, so export
+        // the slack.  Any resulting infeasibility is what warm_repair
+        // exists for.
+        v = slack_index(v - n_struct_ - m_);
       }
       warm->basic_of_row[static_cast<std::size_t>(r)] =
           v < n_struct_ ? v : -(v - n_struct_) - 1;
     }
-    if (exportable) {
-      warm->structural_status.assign(static_cast<std::size_t>(n_struct_),
-                                     VarStatus::kAtLower);
-      warm->slack_status.assign(static_cast<std::size_t>(m_),
-                                VarStatus::kAtLower);
-      std::vector<char> basic(static_cast<std::size_t>(n_total_), 0);
-      for (int r = 0; r < m_; ++r) {
-        basic[static_cast<std::size_t>(
-            basic_of_row_[static_cast<std::size_t>(r)])] = 1;
-      }
-      auto status_of = [&](int v) {
-        if (basic[static_cast<std::size_t>(v)]) return VarStatus::kBasic;
-        const double hi = upper_[static_cast<std::size_t>(v)];
-        const bool at_upper =
-            std::isfinite(hi) &&
-            std::abs(x_[static_cast<std::size_t>(v)] - hi) < 1e-9;
-        return at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-      };
-      for (int v = 0; v < n_struct_; ++v) {
-        warm->structural_status[static_cast<std::size_t>(v)] = status_of(v);
-      }
-      for (int i = 0; i < m_; ++i) {
-        warm->slack_status[static_cast<std::size_t>(i)] =
-            status_of(slack_index(i));
-      }
-    } else {
-      warm->rows = 0;  // mark unusable
-      warm->basic_of_row.clear();
-      warm->structural_status.clear();
-      warm->slack_status.clear();
+    warm->structural_status.assign(static_cast<std::size_t>(n_struct_),
+                                   VarStatus::kAtLower);
+    warm->slack_status.assign(static_cast<std::size_t>(m_),
+                              VarStatus::kAtLower);
+    std::vector<char> basic(static_cast<std::size_t>(n_total_), 0);
+    for (int r = 0; r < m_; ++r) {
+      basic[static_cast<std::size_t>(
+          basic_of_row_[static_cast<std::size_t>(r)])] = 1;
+    }
+    auto status_of = [&](int v) {
+      if (basic[static_cast<std::size_t>(v)]) return VarStatus::kBasic;
+      const double hi = upper_[static_cast<std::size_t>(v)];
+      const bool at_upper =
+          std::isfinite(hi) &&
+          std::abs(x_[static_cast<std::size_t>(v)] - hi) < 1e-9;
+      return at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+    };
+    for (int v = 0; v < n_struct_; ++v) {
+      warm->structural_status[static_cast<std::size_t>(v)] = status_of(v);
+    }
+    for (int i = 0; i < m_; ++i) {
+      warm->slack_status[static_cast<std::size_t>(i)] =
+          status_of(slack_index(i));
     }
   }
   return solution;

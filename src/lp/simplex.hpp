@@ -7,8 +7,8 @@
 //
 //  * bounded variables (l <= x <= u, either side may be infinite) so flow
 //    models need no bound rows;
-//  * two-phase method with per-row artificials, so any warm basis that turns
-//    out infeasible simply falls back to a cold phase 1;
+//  * two-phase method with per-row artificials, so a warm basis that turns
+//    out infeasible is repaired by a phase 1 over its violated rows only;
 //  * explicit dense basis inverse with product-form pivot updates and
 //    periodic refactorisation (Gauss-Jordan with partial pivoting) — simple,
 //    numerically observable, and fast enough for the paper's model sizes
@@ -40,28 +40,21 @@ const char* to_string(SolveStatus status);
 /// are constants of simplex.cpp.
 struct SolveOptions {
   long max_iterations = 200'000;
-  /// Degraded warm starts instead of all-or-nothing: a warm basis recorded
-  /// before rows were appended is extended with the new rows' slacks, and a
-  /// basis left primal infeasible by rhs/bound drift is repaired by swapping
-  /// artificials into the violated rows and running phase 1 from there — a
-  /// partial restart proportional to the damage, not a full cold start.  A
-  /// basis recorded for *more* rows than the model has is still discarded
-  /// (stale dimensions; cold start).  Off by default: the classic behavior
-  /// (same-dimension feasible warm start or full cold start) is preserved
-  /// bit for bit.
-  bool warm_append = false;
 };
 
 /// Nonbasic variables rest at one of their bounds.
 enum class VarStatus : unsigned char { kBasic, kAtLower, kAtUpper };
 
-/// Opaque warm-start state; valid for re-solves of the same model possibly
-/// extended with *new variables* (they start nonbasic at a bound).  If the
-/// number of rows changed, the solver ignores it and cold-starts — unless
-/// SolveOptions::warm_append is set, in which case a basis recorded before
-/// rows were appended degrades to a partial restart (see there).  Slack
-/// statuses are kept separate from structural ones so the record survives
-/// column additions (their indices would otherwise shift).
+/// Opaque warm-start state for re-solves of the same model, possibly with
+/// changed bounds, rhs or costs and extended with new variables (they start
+/// nonbasic at a bound) or new rows (their slacks enter the basis).  The
+/// warm start degrades instead of failing: a basis left primal infeasible
+/// is repaired by swapping artificials into the violated rows and running
+/// phase 1 from there — a partial restart proportional to the damage, not a
+/// full cold start.  A basis recorded for *more* rows than the model has is
+/// discarded (stale dimensions; cold start).  Slack statuses are kept
+/// separate from structural ones so the record survives column additions
+/// (their indices would otherwise shift).
 struct Basis {
   /// Variable per row: index >= 0 is structural, -(i+1) is row i's slack.
   std::vector<int> basic_of_row;

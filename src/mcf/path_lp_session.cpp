@@ -33,7 +33,6 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
 
 PathLpSession::PathLpSession(const graph::Graph& g, PathLpMode mode)
     : g_(g), mode_(mode) {
-  lp_options_.warm_append = true;  // appended rows degrade, not cold-start
   dirty_mark_.assign(g_.num_edges(), 0);
   columns_of_edge_.resize(g_.num_edges());
   capacity_row_.assign(g_.num_edges(), -1);
@@ -536,7 +535,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
 
   for (std::size_t round = 0; round < kMaxRounds; ++round) {
     ++stats_.rounds;
-    lp_solution = lp::solve(model_, lp_options_, &basis_);
+    lp_solution = lp::solve(model_, {}, &basis_);
     if (lp_solution.status != lp::SolveStatus::kOptimal) {
       NETREC_LOG(kWarn) << "PathLpSession master returned "
                         << lp::to_string(lp_solution.status);

@@ -18,7 +18,7 @@
 //     coefficients;
 //   * the lp::Basis persists — re-solves warm-start from the previous
 //     optimum, and appended rows/columns degrade to a partial (not full)
-//     cold start via lp::SolveOptions::warm_append.
+//     cold start (lp::Basis).
 //
 // A one-shot solve (mcf::max_routed_flow, min_broken_usage, each
 // explore_optimal_face sample, ISP's exact completion) is a fresh session
@@ -232,7 +232,6 @@ class PathLpSession : public graph::MutationListener {
   bool eager_ = false;
   lp::Model model_;
   lp::Basis basis_;
-  lp::SolveOptions lp_options_;
 
   std::vector<DemandRow> demand_rows_;
   std::unordered_map<int, int> row_of_uid_;

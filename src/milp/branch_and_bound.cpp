@@ -61,16 +61,6 @@ void MilpSolver::set_cutoff(double objective) {
   cutoff_ = objective;
 }
 
-void MilpSolver::set_incumbent(const std::vector<double>& x) {
-  if (static_cast<int>(x.size()) != model_.num_variables()) {
-    throw std::invalid_argument("MilpSolver: incumbent size mismatch");
-  }
-  has_incumbent_ = true;
-  incumbent_ = x;
-  incumbent_objective_ = model_.objective_value(x);
-  set_cutoff(incumbent_objective_);
-}
-
 MilpResult MilpSolver::solve() {
   util::Timer timer;
   MilpResult result;
@@ -79,11 +69,6 @@ MilpResult MilpSolver::solve() {
   double best_obj = has_cutoff_ ? cutoff_ : lp::kInfinity;
   std::vector<double> best_x;
   bool have_solution = false;
-  if (has_incumbent_) {
-    best_x = incumbent_;
-    best_obj = incumbent_objective_;
-    have_solution = true;
-  }
 
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
   long next_id = 0;
@@ -130,8 +115,8 @@ MilpResult MilpSolver::solve() {
 
     ++result.nodes_explored;
     apply(node.changes, true);
-    // Warm-start from the last node's basis; the simplex cold-starts by
-    // itself when the basis is infeasible under this node's bounds.
+    // Warm-start from the last node's basis; the simplex repairs the rows
+    // that this node's bounds leave infeasible instead of cold-starting.
     const lp::Solution relax = lp::solve(model_, {}, &shared_basis);
     restore();
 

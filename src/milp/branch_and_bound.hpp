@@ -44,10 +44,6 @@ class MilpSolver {
   /// with LP bound above it are pruned immediately.
   void set_cutoff(double objective);
 
-  /// Seeds a full incumbent assignment (stronger than a cutoff: the solver
-  /// returns it if nothing better is found).  Must be integral-feasible.
-  void set_incumbent(const std::vector<double>& x);
-
   MilpResult solve();
 
  private:
@@ -56,9 +52,6 @@ class MilpSolver {
   MilpOptions opt_;
   bool has_cutoff_ = false;
   double cutoff_ = 0.0;
-  bool has_incumbent_ = false;
-  std::vector<double> incumbent_;
-  double incumbent_objective_ = 0.0;
 };
 
 }  // namespace netrec::milp

@@ -121,6 +121,9 @@ namespace {
 // derived from one run seed; Rng's SplitMix64 seeding scrambles the rest.
 constexpr std::uint64_t kCellSalt = 0x9e3779b97f4a7c15ULL;
 
+/// Redraws per run when RunnerOptions::require_feasible rejects a draw.
+constexpr std::size_t kMaxRedraws = 25;
+
 /// One run's constructed problem (ok == false when no feasible draw was
 /// found within the redraw budget).
 struct BuiltRun {
@@ -135,7 +138,7 @@ BuiltRun build_run(const ProblemFactory& factory, const RunnerOptions& options,
                    std::size_t run, std::uint64_t run_seed) {
   util::Rng run_master(run_seed);
   BuiltRun slot;
-  for (std::size_t attempt = 0; attempt <= options.max_redraws; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxRedraws; ++attempt) {
     util::Rng attempt_rng = run_master.fork();
     slot.problem = factory(attempt_rng);
     if (!options.require_feasible ||

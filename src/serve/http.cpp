@@ -282,7 +282,7 @@ HttpResponse http_fetch(const std::string& host, int port,
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    throw std::runtime_error("http_request: bad host '" + host + "'");
+    throw std::runtime_error("http_fetch: bad host '" + host + "'");
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int saved = errno;
@@ -296,7 +296,7 @@ HttpResponse http_fetch(const std::string& host, int port,
                         "\r\nConnection: close\r\n\r\n" + body;
   if (!send_all(fd, request.data(), request.size())) {
     ::close(fd);
-    throw std::runtime_error("http_request: send failed");
+    throw std::runtime_error("http_fetch: send failed");
   }
 
   std::string response;
@@ -313,7 +313,7 @@ HttpResponse http_fetch(const std::string& host, int port,
     response.append(chunk, static_cast<std::size_t>(n));
     if (response.size() > kMaxHeaderBytes + kMaxBodyBytes) {
       ::close(fd);
-      throw std::runtime_error("http_request: oversized response");
+      throw std::runtime_error("http_fetch: oversized response");
     }
   }
   ::close(fd);
@@ -325,18 +325,18 @@ HttpResponse http_fetch(const std::string& host, int port,
     skip = 2;
   }
   if (header_end == std::string::npos) {
-    throw std::runtime_error("http_request: malformed response");
+    throw std::runtime_error("http_fetch: malformed response");
   }
   const std::vector<std::string> lines =
       header_lines(response.substr(0, header_end));
   if (lines.empty()) {
-    throw std::runtime_error("http_request: empty response head");
+    throw std::runtime_error("http_fetch: empty response head");
   }
   // "HTTP/1.1 NNN ...".
   const std::string& status_line = lines.front();
   const std::size_t sp = status_line.find(' ');
   if (sp == std::string::npos || status_line.size() < sp + 4) {
-    throw std::runtime_error("http_request: malformed status line");
+    throw std::runtime_error("http_fetch: malformed status line");
   }
   HttpResponse out;
   out.status = std::stoi(status_line.substr(sp + 1, 3));
@@ -348,14 +348,6 @@ HttpResponse http_fetch(const std::string& host, int port,
   }
   out.body = response.substr(header_end + skip);
   return out;
-}
-
-int http_request(const std::string& host, int port, const std::string& method,
-                 const std::string& target, const std::string& body,
-                 std::string& response_body) {
-  HttpResponse response = http_fetch(host, port, method, target, body);
-  response_body = std::move(response.body);
-  return response.status;
 }
 
 }  // namespace netrec::serve

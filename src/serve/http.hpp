@@ -84,9 +84,4 @@ HttpResponse http_fetch(const std::string& host, int port,
                         const std::string& method, const std::string& target,
                         const std::string& body);
 
-/// Status-and-body convenience wrapper over http_fetch.
-int http_request(const std::string& host, int port, const std::string& method,
-                 const std::string& target, const std::string& body,
-                 std::string& response_body);
-
 }  // namespace netrec::serve

@@ -40,6 +40,10 @@ std::string format_latency_ms(double seconds) {
   return buf;
 }
 
+/// Per-connection receive and send timeout: a stalled reader must not be
+/// able to block a worker in send_all forever.
+constexpr int kSocketTimeoutSeconds = 30;
+
 void set_socket_timeout(int fd, int option, int seconds) {
   timeval timeout{};
   timeout.tv_sec = seconds;
@@ -183,10 +187,10 @@ void Server::acceptor_loop() {
       // kill the acceptor; anything persistent will just spin back here.
       continue;
     }
-    set_socket_timeout(fd, SO_RCVTIMEO, opt_.receive_timeout_seconds);
+    set_socket_timeout(fd, SO_RCVTIMEO, kSocketTimeoutSeconds);
     // SO_SNDTIMEO too: without it a stalled reader blocks send_all in the
     // worker forever.
-    set_socket_timeout(fd, SO_SNDTIMEO, opt_.send_timeout_seconds);
+    set_socket_timeout(fd, SO_SNDTIMEO, kSocketTimeoutSeconds);
     bool shed = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);

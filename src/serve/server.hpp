@@ -72,10 +72,6 @@ struct ServerOptions {
   /// Allow POST /v1/shutdown (netrecd turns this on; embedded test servers
   /// usually stop via stop()).
   bool enable_shutdown_endpoint = true;
-  /// Per-connection receive/send timeouts (a stalled reader must not be
-  /// able to block a worker in send_all forever).
-  int receive_timeout_seconds = 30;
-  int send_timeout_seconds = 30;
   /// Admission control: accepted connections queued beyond this depth are
   /// shed with 503 + Retry-After.  0 = auto (2x workers).
   std::size_t queue_budget = 0;

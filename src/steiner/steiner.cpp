@@ -192,34 +192,6 @@ SteinerForestResult extract(const graph::Graph& g, const DwTable& table,
 
 }  // namespace
 
-SteinerForestResult steiner_tree(const graph::Graph& g,
-                                 const std::vector<graph::NodeId>& terminals,
-                                 const graph::EdgeWeight& edge_cost,
-                                 const NodeCost& node_cost,
-                                 const graph::EdgeFilter& edge_ok) {
-  SteinerForestResult empty;
-  if (terminals.empty()) {
-    empty.solved = true;
-    return empty;
-  }
-  std::vector<graph::NodeId> unique = terminals;
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  if (unique.size() > kMaxTerminals) {
-    NETREC_LOG(kWarn) << "steiner_tree: " << unique.size()
-                      << " terminals exceed the DP limit";
-    return empty;
-  }
-  if (unique.size() == 1) {
-    empty.solved = true;
-    empty.cost = node_cost(unique[0]);
-    empty.nodes = {unique[0]};
-    return empty;
-  }
-  const DwTable table = build_table(g, unique, edge_cost, node_cost, edge_ok);
-  return extract(g, table, {(1 << unique.size()) - 1});
-}
-
 SteinerForestResult steiner_forest(
     const graph::Graph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,

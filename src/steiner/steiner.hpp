@@ -9,8 +9,8 @@
 //
 // One DP over all 2t terminals prices every terminal subset, so the forest
 // layer (partition DP over demand pairs) reads group costs from the same
-// table.  Complexity O(3^t n + 2^t m log n), so both entry points refuse
-// (solved = false) more than 16 distinct terminals.
+// table.  Complexity O(3^t n + 2^t m log n), so it refuses (solved = false)
+// more than 16 distinct terminals.
 #pragma once
 
 #include <functional>
@@ -30,16 +30,11 @@ struct SteinerForestResult {
   std::vector<graph::NodeId> nodes;  ///< all nodes touched by the forest
 };
 
-/// Minimum-cost tree spanning `terminals`.  Cost = sum of edge_cost over
-/// tree edges + sum of node_cost over tree nodes (terminals included).
-SteinerForestResult steiner_tree(const graph::Graph& g,
-                                 const std::vector<graph::NodeId>& terminals,
-                                 const graph::EdgeWeight& edge_cost,
-                                 const NodeCost& node_cost,
-                                 const graph::EdgeFilter& edge_ok = {});
-
 /// Minimum-cost forest connecting each pair; optimises over all partitions
 /// of the pairs into connected groups (Bell-number many, read from one DP).
+/// Cost = sum of edge_cost over forest edges + sum of node_cost over forest
+/// nodes (terminals included).  Star pairs {(r, t1), (r, t2), ...} give the
+/// Steiner tree spanning r, t1, t2, ...
 SteinerForestResult steiner_forest(
     const graph::Graph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,

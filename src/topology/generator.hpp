@@ -32,9 +32,6 @@ struct RmatOptions {
   double c = 0.19;
   double capacity = 40.0;
   double repair_cost = 1.0;
-  /// Hub-first node relabeling (Builder degree_order): the default for this
-  /// family — RMAT ids carry no meaning and the skewed degrees profit most.
-  bool degree_order = true;
 };
 
 struct BarabasiAlbertOptions {
@@ -63,12 +60,9 @@ graph::Graph make_topology(const GeneratorParams& params);
 /// thread one Rng through problem construction.
 graph::Graph make_topology(const GeneratorOptions& options, util::Rng& rng);
 
-/// Family name of the selected alternative: "bell_canada", "erdos_renyi",
-/// "caida", "rmat" or "barabasi_albert".
-std::string family_name(const GeneratorOptions& options);
-
-/// Default params for a family name (the names family_name emits, plus the
-/// shorthands "er" and "ba").  Throws std::invalid_argument on unknown.
+/// Default params for a family name: "bell_canada", "erdos_renyi", "caida",
+/// "rmat", "barabasi_albert", or the shorthands "er" and "ba".  Throws
+/// std::invalid_argument on unknown.
 GeneratorParams params_for(std::string_view family);
 
 namespace detail {

@@ -1,6 +1,5 @@
 #include "util/fault.hpp"
 
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 
@@ -166,17 +165,6 @@ void disarm_all() {
   for (Site& s : reg.sites) {
     s.armed_.store(false, std::memory_order_release);
   }
-}
-
-bool arm_from_env() {
-  const char* spec = std::getenv("NETREC_FAULTS");
-  if (spec == nullptr || *spec == '\0') return false;
-  std::uint64_t seed = 1;
-  if (const char* env_seed = std::getenv("NETREC_FAULT_SEED")) {
-    seed = std::strtoull(env_seed, nullptr, 10);
-  }
-  arm(spec, seed);
-  return true;
 }
 
 std::vector<SiteStats> stats() {

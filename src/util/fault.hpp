@@ -3,8 +3,8 @@
 // A fault *site* is a named program point — `FAULT_POINT("serve.recv")` —
 // that normally does nothing: when the site is disarmed the macro compiles
 // down to one relaxed atomic load (no counters, no locks), so sites can sit
-// on hot paths permanently.  Arming happens from a spec string
-// (`--faults` / the NETREC_FAULTS environment variable):
+// on hot paths permanently.  Arming happens from a spec string (netrecd's
+// `--faults`, or arm() / ScopedArm in tests):
 //
 //   serve.recv=p0.1,engine.solve=every8,isp.deadline=once3
 //
@@ -110,10 +110,6 @@ void arm(const std::string& spec, std::uint64_t seed = 1);
 
 /// Disarms every site (counters are left readable for post-mortems).
 void disarm_all();
-
-/// Arms from NETREC_FAULTS / NETREC_FAULT_SEED; returns true when a spec
-/// was present.  Throws like arm() on a malformed value.
-bool arm_from_env();
 
 struct SiteStats {
   std::string name;

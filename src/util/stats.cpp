@@ -32,23 +32,6 @@ double RunningStats::stderr_mean() const {
   return stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / total;
-  mean_ += delta * static_cast<double>(other.n_) / total;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
-
 double restoration_auc(const std::vector<double>& restored, double total) {
   // Degenerate input — no measurements, or nothing to restore — must not
   // score as "fully restored": a failed solve that produced no series would

@@ -28,9 +28,6 @@ class RunningStats {
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -49,16 +49,6 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for(n, 1, fn);
-}
-
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -119,7 +109,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
 void ThreadPool::for_each(ThreadPool* pool, std::size_t n,
                           const std::function<void(std::size_t)>& fn) {
   if (pool != nullptr && pool->size() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
+    pool->parallel_for(n, 1, fn);
     return;
   }
   for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -132,14 +122,8 @@ bool ThreadPool::try_run_one() {
     if (queue_.empty()) return false;
     task = std::move(queue_.front());
     queue_.pop_front();
-    ++in_flight_;
   }
   task();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-  }
   return true;
 }
 
@@ -180,14 +164,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
   }
 }
 

@@ -5,9 +5,12 @@
 // The pool is a plain task queue (no work stealing: tasks are coarse — one
 // (run, algorithm) solve, one demand's path enumeration, one pricing
 // Dijkstra — so a single mutex-protected queue never becomes the
-// bottleneck).  Determinism is the caller's job: tasks must write to
-// pre-assigned slots and derive randomness from seeds fixed before
-// submission, never from execution order.
+// bottleneck).  Callers reach it only through the blocking parallel_for
+// and for_each, which return when their own tasks are done, so no caller
+// submits a bare task or waits for the pool to go idle.  Determinism is the
+// caller's job: tasks must write to pre-assigned slots and derive
+// randomness from seeds fixed before submission, never from execution
+// order.
 #pragma once
 
 #include <condition_variable>
@@ -34,34 +37,24 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; runs on some worker at an unspecified time.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
-
-  /// Runs fn(i) for i in [0, n).  Blocks until all iterations complete and
-  /// rethrows the first exception any iteration produced (every other
-  /// iteration still runs; later exceptions are dropped).  The caller
-  /// participates in draining the queue while it waits, so nesting — a
-  /// parallel kernel inside a task that itself runs on this pool — cannot
+  /// Runs fn(i) for i in [0, n), submitted in chunks of `grain`
+  /// consecutive iterations, so V-sized kernel loops pay one std::function
+  /// dispatch per chunk instead of per element.  Grain 0 is treated as 1.
+  /// Blocks until all chunks complete and rethrows the first exception any
+  /// iteration produced: an exception skips the remainder of its own chunk,
+  /// every other chunk still runs, and later exceptions are dropped.  The
+  /// caller participates in draining the queue while it waits, so nesting —
+  /// a parallel kernel inside a task that itself runs on this pool — cannot
   /// deadlock, and concurrent parallel_for calls from different threads are
   /// safe.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Chunked parallel_for: iterations are submitted in batches of `grain`,
-  /// so V-sized kernel loops pay one std::function dispatch per chunk
-  /// instead of per element.  Completion and rethrow semantics match the
-  /// per-element overload, except that an exception skips the remainder of
-  /// its own chunk (other chunks still run).  Grain 0 is treated as 1.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Runs fn(i) for i in [0, n): on `pool` via parallel_for when it has at
-  /// least two workers and n >= 2, else serially on the calling thread in
-  /// index order.  Every intra-solve fan-out goes through here, so the
-  /// serial and pooled paths run the same `fn`; determinism still requires
-  /// `fn` to write only to slot i.
+  /// Runs fn(i) for i in [0, n): on `pool` via parallel_for (grain 1) when
+  /// it has at least two workers and n >= 2, else serially on the calling
+  /// thread in index order.  Every intra-solve fan-out goes through here, so
+  /// the serial and pooled paths run the same `fn`; determinism still
+  /// requires `fn` to write only to slot i.
   static void for_each(ThreadPool* pool, std::size_t n,
                        const std::function<void(std::size_t)>& fn);
 
@@ -84,6 +77,8 @@ class ThreadPool {
                              std::size_t threads, ThreadPool* existing);
 
  private:
+  /// Enqueues a task; runs on some worker at an unspecified time.
+  void submit(std::function<void()> task);
   void worker_loop();
   /// Pops and runs one queued task on the calling thread; false when the
   /// queue was empty.  Lets parallel_for callers help drain while waiting.
@@ -93,8 +88,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

@@ -1,0 +1,121 @@
+// Plain reference implementations that the suites check the library
+// against: one BFS per query for reachability and hop distance, a node
+// scan for path simplicity, and a row-by-row check of an LP assignment.
+// No program needs them; each is the slow, obvious version of something a
+// library kernel does faster (MS-BFS, ResidualReach, the simplex).
+#pragma once
+
+#include <cmath>
+#include <deque>
+#include <unordered_set>
+#include <vector>
+
+#include "graph/graph.hpp"
+#include "graph/path.hpp"
+#include "graph/view.hpp"
+#include "lp/model.hpp"
+
+namespace netrec::graph {
+
+/// Hop distance from `source` to every node (-1 when unreachable).  The
+/// source is always distance 0, even when it fails the view's node filter
+/// (its outgoing arcs are preserved; see view.hpp).
+inline std::vector<int> bfs_hops(const GraphView& view, NodeId source) {
+  view.graph().check_node(source);
+  std::vector<int> dist(view.num_nodes(), -1);
+  dist[static_cast<std::size_t>(source)] = 0;
+  std::deque<NodeId> queue{source};
+  while (!queue.empty()) {
+    const NodeId at = queue.front();
+    queue.pop_front();
+    const int next_dist = dist[static_cast<std::size_t>(at)] + 1;
+    const ArcId end = view.arcs_end(at);
+    for (ArcId a = view.arcs_begin(at); a < end; ++a) {
+      const NodeId next = view.arc_target(a);
+      if (dist[static_cast<std::size_t>(next)] != -1) continue;
+      dist[static_cast<std::size_t>(next)] = next_dist;
+      queue.push_back(next);
+    }
+  }
+  return dist;
+}
+
+/// True iff `target` is reachable from `source` in the view.
+inline bool reachable(const GraphView& view, NodeId source, NodeId target) {
+  if (source == target) return true;
+  return bfs_hops(view, source)[static_cast<std::size_t>(target)] != -1;
+}
+
+/// Reachability over arcs whose `edge_residual` entry (indexed by original
+/// edge id) is > 1e-9: the one-BFS-per-pair referee of ResidualReach.
+inline bool reachable(const GraphView& view, NodeId source, NodeId target,
+                      const std::vector<double>& edge_residual) {
+  view.graph().check_node(source);
+  view.graph().check_node(target);
+  if (source == target) return true;
+  std::vector<char> seen(view.num_nodes(), 0);
+  seen[static_cast<std::size_t>(source)] = 1;
+  std::deque<NodeId> queue{source};
+  while (!queue.empty()) {
+    const NodeId at = queue.front();
+    queue.pop_front();
+    const ArcId end = view.arcs_end(at);
+    for (ArcId a = view.arcs_begin(at); a < end; ++a) {
+      const auto e = static_cast<std::size_t>(view.arc_edge(a));
+      if (edge_residual[e] <= 1e-9) continue;
+      const NodeId next = view.arc_target(a);
+      if (seen[static_cast<std::size_t>(next)]) continue;
+      if (next == target) return true;
+      seen[static_cast<std::size_t>(next)] = 1;
+      queue.push_back(next);
+    }
+  }
+  return false;
+}
+
+/// True if no node repeats (the paper considers acyclic paths only).
+inline bool is_simple(const Graph& g, const Path& path) {
+  std::unordered_set<NodeId> seen;
+  for (NodeId n : path.nodes(g)) {
+    if (!seen.insert(n).second) return false;
+  }
+  return true;
+}
+
+}  // namespace netrec::graph
+
+namespace netrec::lp {
+
+/// True when x satisfies all rows and bounds of `model` within `tol`.
+inline bool is_feasible(const Model& model, const std::vector<double>& x,
+                        double tol) {
+  if (static_cast<int>(x.size()) != model.num_variables()) return false;
+  std::vector<double> activity(
+      static_cast<std::size_t>(model.num_constraints()), 0.0);
+  for (int v = 0; v < model.num_variables(); ++v) {
+    const double xv = x[static_cast<std::size_t>(v)];
+    const Variable& var = model.variable(v);
+    if (xv < var.lower - tol || xv > var.upper + tol) return false;
+    for (const Entry& entry : var.column) {
+      activity[static_cast<std::size_t>(entry.row)] += entry.value * xv;
+    }
+  }
+  for (int r = 0; r < model.num_constraints(); ++r) {
+    const Constraint& c = model.constraint(r);
+    const double a = activity[static_cast<std::size_t>(r)];
+    switch (c.sense) {
+      case Sense::kLessEqual:
+        if (a > c.rhs + tol) return false;
+        break;
+      case Sense::kGreaterEqual:
+        if (a < c.rhs - tol) return false;
+        break;
+      case Sense::kEqual:
+        if (std::abs(a - c.rhs) > tol) return false;
+        break;
+    }
+  }
+  return true;
+}
+
+}  // namespace netrec::lp

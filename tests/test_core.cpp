@@ -31,9 +31,15 @@ Graph path_graph(int n, double capacity = 10.0) {
 }
 
 TEST(RepairState, TracksRepairsAndCosts) {
-  Graph g = path_graph(3);
+  // Path 0-1-2 whose middle node costs 4 to repair.
+  graph::Builder builder;
+  builder.add_node();
+  builder.add_node({}, 0.0, 0.0, 4.0);
+  builder.add_node();
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  Graph g = builder.finalize();
   g.break_everything();
-  g.set_node_repair_cost(1, 4.0);
   RepairState state(g);
   EXPECT_FALSE(state.node_ok(0));
   EXPECT_TRUE(state.repair_node(0));
@@ -129,13 +135,12 @@ TEST(Centrality, DynamicMetricSteersAwayFromExpensiveRepairs) {
   // detour is shorter, so the shortcut contributes nothing.
   graph::Builder builder;
   for (int i = 0; i < 4; ++i) builder.add_node();
-  const EdgeId direct = builder.add_edge(0, 3, 10.0);
+  const EdgeId direct = builder.add_edge(0, 3, 10.0, 100.0);
   builder.add_edge(0, 1, 10.0);
   builder.add_edge(1, 2, 10.0);
   builder.add_edge(2, 3, 10.0);
   Graph g = builder.finalize();
   g.set_edge_broken(direct, true);
-  g.set_edge_repair_cost(direct, 100.0);
   auto metric = [&g](EdgeId e) {
     return (1.0 + (g.edge_broken(e) ? g.edge_repair_cost(e) : 0.0)) /
            g.edge_capacity(e);

@@ -170,7 +170,6 @@ TEST(Scenario, InfeasibleFactoryIsSkippedGracefully) {
   scenario::RunnerOptions opt;
   opt.runs = 2;
   opt.require_feasible = true;
-  opt.max_redraws = 2;
   const auto result = scenario::run_experiment(
       [](util::Rng&) {
         graph::Builder builder;

@@ -11,7 +11,6 @@
 // sites are never destroyed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,21 +160,6 @@ TEST(Fault, ScopedArmDisarmsOnDestruction) {
   }
   EXPECT_FALSE(fault::site("test.scoped").armed());
   EXPECT_FALSE(fault::site("test.scoped").fire());
-}
-
-TEST(Fault, ArmFromEnvironment) {
-  ASSERT_EQ(::setenv("NETREC_FAULTS", "test.env=once2", 1), 0);
-  ASSERT_EQ(::setenv("NETREC_FAULT_SEED", "17", 1), 0);
-  EXPECT_TRUE(fault::arm_from_env());
-  fault::Site& site = fault::site("test.env");
-  EXPECT_TRUE(site.armed());
-  EXPECT_FALSE(site.fire());
-  EXPECT_TRUE(site.fire());
-  EXPECT_FALSE(site.fire());
-  fault::disarm_all();
-  ASSERT_EQ(::unsetenv("NETREC_FAULTS"), 0);
-  ASSERT_EQ(::unsetenv("NETREC_FAULT_SEED"), 0);
-  EXPECT_FALSE(fault::arm_from_env());
 }
 
 TEST(Fault, StatsExposeEveryTouchedSite) {

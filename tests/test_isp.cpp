@@ -50,7 +50,8 @@ TEST(Isp, RepairsExactlyThePathOnALine) {
 
 TEST(Isp, NoRepairsWhenNetworkIsIntact) {
   RecoveryProblem p = destroyed_path(4, 10.0, 5.0);
-  p.graph.repair_everything();
+  for (NodeId n : p.graph.broken_nodes()) p.graph.set_node_broken(n, false);
+  for (EdgeId e : p.graph.broken_edges()) p.graph.set_edge_broken(e, false);
   IspSolver solver(p);
   const RecoverySolution s = solver.solve();
   EXPECT_EQ(s.total_repairs(), 0u);
@@ -90,9 +91,8 @@ TEST(Isp, ConcentratesTwoDemandsOnSharedCorridor) {
   builder.add_edge(3, 4, 20.0);
   builder.add_edge(3, 5, 20.0);
   // Expensive private bypass that a naive shortest-path approach might use.
-  builder.add_edge(0, 4, 20.0);
+  builder.add_edge(0, 4, 20.0, 10.0);
   p.graph = builder.finalize();
-  p.graph.set_edge_repair_cost(5, 10.0);
   p.graph.break_everything();
   p.demands = {{0, 4, 5.0}, {1, 5, 5.0}};
 

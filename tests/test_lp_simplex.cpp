@@ -11,6 +11,7 @@
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "referees.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::lp {
@@ -254,7 +255,7 @@ BruteForceResult brute_force(const Model& m) {
             a[static_cast<std::size_t>(i)][static_cast<std::size_t>(n)] /
             a[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
       }
-      if (!m.is_feasible(x, 1e-6)) return;
+      if (!is_feasible(m, x, 1e-6)) return;
       const double obj = m.objective_value(x);
       if (!best.feasible || sign * obj < sign * best.objective) {
         best.feasible = true;
@@ -304,7 +305,7 @@ TEST_P(SimplexRandomLp, MatchesBruteForceOnBoundedRandomLps) {
         << "simplex says " << to_string(s.status)
         << " but brute force found objective " << reference.objective;
     EXPECT_NEAR(s.objective, reference.objective, 1e-5);
-    EXPECT_TRUE(m.is_feasible(s.x, 1e-5));
+    EXPECT_TRUE(is_feasible(m, s.x, 1e-5));
   } else {
     // All variables bounded -> unboundedness impossible; must be infeasible.
     EXPECT_EQ(s.status, SolveStatus::kInfeasible);

@@ -247,10 +247,9 @@ TEST(BrokenUsage, PaysForBrokenEdgeWhenForced) {
   for (int i = 0; i < 3; ++i) builder.add_node();
   builder.add_edge(0, 1, 10.0);
   builder.add_edge(1, 2, 4.0);
-  const EdgeId direct = builder.add_edge(0, 2, 10.0);
+  const EdgeId direct = builder.add_edge(0, 2, 10.0, 3.0);
   Graph g = builder.finalize();
   g.set_edge_broken(direct, true);
-  g.set_edge_repair_cost(direct, 3.0);
   // Demand 8 > working capacity 4: at least 4 units cross the broken edge,
   // each paying cost 3 -> objective 12.
   const auto r = min_broken_usage(g, {Demand{0, 2, 8.0}});

@@ -82,17 +82,6 @@ TEST(Milp, CutoffPrunesToIncumbent) {
   EXPECT_GE(r.bound, -9.0 - 1e-6);
 }
 
-TEST(Milp, IncumbentIsReturnedWhenOptimal) {
-  std::vector<int> binaries;
-  Model m = knapsack({6, 5, 4}, {3, 2, 2}, 4, &binaries);
-  MilpSolver solver(std::move(m), binaries);
-  solver.set_incumbent({0.0, 1.0, 1.0});
-  const MilpResult r = solver.solve();
-  ASSERT_TRUE(r.feasible);
-  EXPECT_TRUE(r.proven_optimal);
-  EXPECT_NEAR(r.objective, -9.0, 1e-6);
-}
-
 TEST(Milp, MixedIntegerContinuous) {
   // min -x - 2y, x binary, y continuous <= 1.5, x + y <= 2.
   Model m;

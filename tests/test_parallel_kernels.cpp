@@ -74,16 +74,15 @@ TEST(ThreadPoolChunked, PropagatesExceptionsSkippingOnlyTheFailedChunkTail) {
 }
 
 TEST(ThreadPoolChunked, PerElementOverloadStillRethrows) {
+  // ThreadPool::for_each, the per-element entry point of every intra-solve
+  // fan-out, keeps parallel_for's rethrow contract on a pool.
   util::ThreadPool pool(4);
   std::atomic<int> completed{0};
-  EXPECT_THROW(pool.parallel_for(16,
-                                 [&completed](std::size_t i) {
-                                   if (i == 7) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                   completed.fetch_add(1);
-                                 }),
-               std::runtime_error);
+  const auto fn = [&completed](std::size_t i) {
+    if (i == 7) throw std::runtime_error("boom");
+    completed.fetch_add(1);
+  };
+  EXPECT_THROW(util::ThreadPool::for_each(&pool, 16, fn), std::runtime_error);
   EXPECT_EQ(completed.load(), 15);
 }
 
@@ -96,7 +95,7 @@ TEST(ThreadPoolNesting, NestedParallelForDoesNotDeadlock) {
                                     std::size_t{4}}) {
     util::ThreadPool pool(workers);
     std::atomic<int> counter{0};
-    pool.parallel_for(4, [&](std::size_t) {
+    pool.parallel_for(4, 1, [&](std::size_t) {
       pool.parallel_for(8, 3, [&](std::size_t) { counter.fetch_add(1); });
     });
     EXPECT_EQ(counter.load(), 32) << "workers " << workers;
@@ -192,7 +191,7 @@ TEST(MaxflowWorkspaces, InterleavedOnPoolWorkersMatchIsolatedCalls) {
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool pool(threads);
     std::vector<std::string> pooled(kCalls);
-    pool.parallel_for(kCalls, [&](std::size_t i) {
+    pool.parallel_for(kCalls, 1, [&](std::size_t i) {
       pooled[i] = test::flow_bits(flow(i));
     });
     for (std::size_t i = 0; i < kCalls; ++i) {

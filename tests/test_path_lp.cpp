@@ -266,7 +266,6 @@ TEST(PathLpSession, WarmMatchesFreshSessionAcrossResidualMutations) {
   // After two drains route A is dry: only route B's 5.0 remains.
   const auto final_result = session.solve(fx.view(), specs);
   EXPECT_NEAR(final_result.objective, 5.0, 1e-6);
-  fx.cache.remove_listener(&session);
 }
 
 TEST(PathLpSession, DemandUidsBindRowsAcrossCalls) {
@@ -283,7 +282,6 @@ TEST(PathLpSession, DemandUidsBindRowsAcrossCalls) {
       solve({{7, Demand{0, 3, 2.0}}, {9, Demand{1, 2, 1.0}}}).objective, 3.0,
       1e-6);
   EXPECT_NEAR(solve({{9, Demand{1, 2, 1.0}}}).objective, 1.0, 1e-6);
-  fx.cache.remove_listener(&session);
 }
 
 TEST(PathLpSession, WarmSplitProbesMatchFreshSession) {
@@ -309,7 +307,6 @@ TEST(PathLpSession, WarmSplitProbesMatchFreshSession) {
     EXPECT_EQ(s.objective, reference.objective) << "via " << via;
     EXPECT_EQ(s.routing.fully_routed, reference.routing.fully_routed);
   }
-  fx.cache.remove_listener(&session);
 }
 
 TEST(PathLpSession, MinCostRepricesAfterInvalidation) {
@@ -345,7 +342,6 @@ TEST(PathLpSession, MinCostRepricesAfterInvalidation) {
     }
   }
   EXPECT_NEAR(on_route_a, 8.0, 1e-6);
-  fx.cache.remove_listener(&session);
 }
 
 TEST(PathLpSession, EpochBumpResetsAllState) {
@@ -358,7 +354,6 @@ TEST(PathLpSession, EpochBumpResetsAllState) {
   fx.cache.bump_epoch();
   EXPECT_EQ(session.stats().resets, 1u);
   EXPECT_NEAR(session.solve(fx.view(), specs).objective, 12.0, 1e-6);
-  fx.cache.remove_listener(&session);
 }
 
 }  // namespace

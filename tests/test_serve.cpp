@@ -380,9 +380,15 @@ class ServeServerTest : public ::testing::Test {
   }
   void TearDown() override { server_->stop(); }
 
+  serve::HttpResponse fetch(const std::string& method,
+                            const std::string& target,
+                            const std::string& body = "") const {
+    return serve::http_fetch("127.0.0.1", port_, method, target, body);
+  }
   int post_plan(const std::string& body, std::string& response) const {
-    return serve::http_request("127.0.0.1", port_, "POST", "/v1/plan", body,
-                               response);
+    serve::HttpResponse r = fetch("POST", "/v1/plan", body);
+    response = std::move(r.body);
+    return r.status;
   }
 
   core::RecoveryProblem problem_;
@@ -391,19 +397,16 @@ class ServeServerTest : public ::testing::Test {
 };
 
 TEST_F(ServeServerTest, HealthAndTopology) {
-  std::string body;
-  ASSERT_EQ(serve::http_request("127.0.0.1", port_, "GET", "/v1/health", "",
-                                body),
-            200);
-  util::Json health = util::Json::parse(body);
+  const serve::HttpResponse health_response = fetch("GET", "/v1/health");
+  ASSERT_EQ(health_response.status, 200);
+  util::Json health = util::Json::parse(health_response.body);
   EXPECT_EQ(health.at("status").as_string(), "ok");
   EXPECT_EQ(health.at("nodes").as_number(),
             static_cast<double>(problem_.graph.num_nodes()));
 
-  ASSERT_EQ(serve::http_request("127.0.0.1", port_, "GET", "/v1/topology", "",
-                                body),
-            200);
-  util::Json topology = util::Json::parse(body);
+  const serve::HttpResponse topology_response = fetch("GET", "/v1/topology");
+  ASSERT_EQ(topology_response.status, 200);
+  util::Json topology = util::Json::parse(topology_response.body);
   EXPECT_EQ(topology.at("demands").as_number(),
             static_cast<double>(problem_.demands.size()));
 }
@@ -448,15 +451,9 @@ TEST_F(ServeServerTest, ErrorMapping) {
   EXPECT_EQ(post_plan("{\"broken_node\":[1]}", body), 400);  // unknown field
   EXPECT_EQ(post_plan("{\"broken_nodes\":[99999]}", body), 400);  // bad id
 
-  EXPECT_EQ(serve::http_request("127.0.0.1", port_, "GET", "/v1/nope", "",
-                                body),
-            404);
-  EXPECT_EQ(serve::http_request("127.0.0.1", port_, "GET", "/v1/plan", "",
-                                body),
-            405);
-  EXPECT_EQ(serve::http_request("127.0.0.1", port_, "PUT", "/v1/plan", "{}",
-                                body),
-            405);
+  EXPECT_EQ(fetch("GET", "/v1/nope").status, 404);
+  EXPECT_EQ(fetch("GET", "/v1/plan").status, 405);
+  EXPECT_EQ(fetch("PUT", "/v1/plan", "{}").status, 405);
 }
 
 TEST_F(ServeServerTest, MalformedNumbersAndDuplicateKeysAre400) {
@@ -488,10 +485,9 @@ TEST_F(ServeServerTest, MetricsReflectTraffic) {
   ASSERT_EQ(post_plan(request_body, response), 200);
   post_plan("{bad", response);
 
-  ASSERT_EQ(serve::http_request("127.0.0.1", port_, "GET", "/v1/metrics", "",
-                                response),
-            200);
-  const util::Json metrics = util::Json::parse(response);
+  const serve::HttpResponse metrics_response = fetch("GET", "/v1/metrics");
+  ASSERT_EQ(metrics_response.status, 200);
+  const util::Json metrics = util::Json::parse(metrics_response.body);
   const util::Json& plan = metrics.at("endpoints").at("POST /v1/plan");
   EXPECT_EQ(plan.at("requests").as_number(), 3.0);
   EXPECT_EQ(plan.at("errors").as_number(), 1.0);
@@ -503,11 +499,10 @@ TEST_F(ServeServerTest, MetricsReflectTraffic) {
 }
 
 TEST_F(ServeServerTest, ShutdownEndpointReleasesWait) {
-  std::string body;
-  ASSERT_EQ(serve::http_request("127.0.0.1", port_, "POST", "/v1/shutdown",
-                                "", body),
-            200);
-  EXPECT_EQ(util::Json::parse(body).at("status").as_string(), "stopping");
+  const serve::HttpResponse response = fetch("POST", "/v1/shutdown");
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(util::Json::parse(response.body).at("status").as_string(),
+            "stopping");
   server_->wait();  // must return promptly now
 }
 
@@ -548,16 +543,16 @@ TEST(ServeConcurrency, ParallelMixedRequestsMatchSerialSolves) {
     clients.emplace_back([&, c] {
       for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
         const std::size_t which = (c + i) % bodies.size();
-        std::string response;
-        int status = 0;
+        serve::HttpResponse fetched;
         try {
-          status = serve::http_request("127.0.0.1", server.port(), "POST",
-                                       "/v1/plan", bodies[which].dump(),
-                                       response);
+          fetched = serve::http_fetch("127.0.0.1", server.port(), "POST",
+                                      "/v1/plan", bodies[which].dump());
         } catch (const std::exception&) {
           ++mismatches;
           continue;
         }
+        const int status = fetched.status;
+        const std::string& response = fetched.body;
         const std::string prefix = "{\"result\":";
         const std::size_t meta =
             response.rfind(",\"meta\":{\"fingerprint\":");

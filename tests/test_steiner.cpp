@@ -1,5 +1,7 @@
 // Steiner tree/forest tests: hand-checked instances plus a brute-force
-// cross-check (enumerate edge subsets) on random small graphs.
+// cross-check (enumerate edge subsets) on random small graphs.  The
+// SteinerTree cases are forests of one pair or of star pairs, which span a
+// single tree.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +9,7 @@
 #include <vector>
 
 #include "graph/builder.hpp"
-#include "graph/traversal.hpp"
+#include "referees.hpp"
 #include "steiner/steiner.hpp"
 #include "util/rng.hpp"
 
@@ -37,21 +39,23 @@ TEST(SteinerTree, TwoTerminalsIsShortestPath) {
   const EdgeId direct = builder.add_edge(0, 2, 1.0);
   Graph g = builder.finalize();
   auto cost = [&](EdgeId e) { return e == direct ? 3.0 : 1.0; };
-  const auto r = steiner_tree(g, {0, 2}, cost, free_nodes());
+  const auto r = steiner_forest(g, {{0, 2}}, cost, free_nodes());
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 2.0, 1e-9);
   EXPECT_EQ(r.edges.size(), 2u);
 }
 
 TEST(SteinerTree, StarUsesSteinerPoint) {
-  // Terminals 1,2,3 around hub 0; pairwise paths cost 2 via hub.
+  // Terminals 1,2,3 around hub 0 as star pairs (1,2), (1,3); pairwise
+  // paths cost 2 via hub.
   graph::Builder builder;
   for (int i = 0; i < 4; ++i) builder.add_node();
   builder.add_edge(0, 1, 1.0);
   builder.add_edge(0, 2, 1.0);
   builder.add_edge(0, 3, 1.0);
   Graph g = builder.finalize();
-  const auto r = steiner_tree(g, {1, 2, 3}, unit_edges(), free_nodes());
+  const auto r = steiner_forest(g, {{1, 2}, {1, 3}}, unit_edges(),
+                                free_nodes());
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 3.0, 1e-9);  // the three spokes
   EXPECT_EQ(r.edges.size(), 3u);
@@ -65,7 +69,7 @@ TEST(SteinerTree, NodeCostsCountEachNodeOnce) {
   builder.add_edge(0, 1, 1.0);
   builder.add_edge(1, 2, 1.0);
   Graph g = builder.finalize();
-  const auto r = steiner_tree(g, {0, 2}, unit_edges(), unit_nodes());
+  const auto r = steiner_forest(g, {{0, 2}}, unit_edges(), unit_nodes());
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 5.0, 1e-9);
 }
@@ -80,7 +84,7 @@ TEST(SteinerTree, ExpensiveNodeAvoided) {
   builder.add_edge(2, 3, 1.0);
   Graph g = builder.finalize();
   auto node_cost = [](NodeId n) { return n == 1 ? 10.0 : 1.0; };
-  const auto r = steiner_tree(g, {0, 3}, unit_edges(), node_cost);
+  const auto r = steiner_forest(g, {{0, 3}}, unit_edges(), node_cost);
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.cost, 2.0 + 3.0, 1e-9);
   for (NodeId n : r.nodes) EXPECT_NE(n, 1);
@@ -91,7 +95,7 @@ TEST(SteinerTree, DisconnectedTerminalsFail) {
   builder.add_node();
   builder.add_node();
   Graph g = builder.finalize();
-  const auto r = steiner_tree(g, {0, 1}, unit_edges(), free_nodes());
+  const auto r = steiner_forest(g, {{0, 1}}, unit_edges(), free_nodes());
   EXPECT_FALSE(r.solved);
 }
 

@@ -14,21 +14,27 @@ namespace netrec::util {
 namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
+  // for_each submits one task per index on a pool of two or more workers,
+  // and runs them in index order on the calling thread otherwise.
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  ThreadPool::for_each(&pool, 100,
+                       [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
+  ThreadPool single(1);
+  for (ThreadPool* serial : {static_cast<ThreadPool*>(nullptr), &single}) {
+    std::vector<std::size_t> order;
+    ThreadPool::for_each(serial, 5,
+                         [&order](std::size_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(3);
   std::vector<int> hits(257, 0);
-  pool.parallel_for(hits.size(),
-                    [&hits](std::size_t i) { hits[i] += 1; });
+  pool.parallel_for(hits.size(), 1, [&hits](std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
             static_cast<int>(hits.size()));
   for (const int h : hits) EXPECT_EQ(h, 1);
@@ -36,14 +42,14 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 
 TEST(ThreadPool, ParallelForZeroIterationsIsANoop) {
   ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
+  pool.parallel_for(0, 1, [](std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
   ThreadPool pool(2);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      pool.parallel_for(16,
+      pool.parallel_for(16, 1,
                         [&completed](std::size_t i) {
                           if (i == 7) throw std::runtime_error("boom");
                           completed.fetch_add(1);
@@ -51,17 +57,6 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
       std::runtime_error);
   // Every non-throwing iteration still ran.
   EXPECT_EQ(completed.load(), 15);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPool, ResolveThreadsPrefersExplicitRequest) {

@@ -102,22 +102,6 @@ TEST(RunningStats, MatchesClosedForm) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeEqualsBulk) {
-  Rng rng(31);
-  RunningStats bulk, left, right;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-3.0, 8.0);
-    bulk.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), bulk.count());
-  EXPECT_NEAR(left.mean(), bulk.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), bulk.variance(), 1e-9);
-  EXPECT_NEAR(left.min(), bulk.min(), 1e-12);
-  EXPECT_NEAR(left.max(), bulk.max(), 1e-12);
-}
-
 TEST(RunningStats, EmptyIsSafe) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);

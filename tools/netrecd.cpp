@@ -78,11 +78,7 @@ int main(int argc, char** argv) {
     options.retry_after_seconds = flags.get_int("retry-after");
     options.shutdown_grace_seconds = flags.get_double("grace");
 
-    // Chaos testing: arm fault sites from the environment first, then let
-    // an explicit --faults spec override/extend it.
-    if (util::fault::arm_from_env()) {
-      std::fprintf(stderr, "netrecd: armed faults from NETREC_FAULTS\n");
-    }
+    // Chaos testing: arm fault sites from --faults / --fault-seed.
     if (!flags.get("faults").empty()) {
       util::fault::arm(flags.get("faults"),
                        static_cast<std::uint64_t>(
