@@ -86,7 +86,7 @@ struct RunnerOptions {
   /// Redraw instances that are infeasible even under full repair (the
   /// paper's scenarios are feasible by construction; at high demand
   /// intensities random far-apart draws occasionally collide on a narrow
-  /// regional cut and are re-rolled, up to 25 times per run).
+  /// regional cut and are re-rolled, a bounded number of times per run).
   bool require_feasible = false;
   /// Worker threads for the runs x cells matrix; 0 resolves via
   /// NETREC_THREADS / hardware_concurrency (util::ThreadPool).  Ignored

@@ -40,8 +40,7 @@ std::string format_latency_ms(double seconds) {
   return buf;
 }
 
-/// Per-connection receive and send timeout: a stalled reader must not be
-/// able to block a worker in send_all forever.
+/// Per-connection receive and send timeout.
 constexpr int kSocketTimeoutSeconds = 30;
 
 void set_socket_timeout(int fd, int option, int seconds) {
