@@ -42,13 +42,11 @@ int main(int argc, char** argv) {
   recovery::StaticDynamics statics;
   util::Rng timeline_rng(0);  // static runs consume no randomness
 
-  recovery::ReplayOptions ropt;
-  ropt.schedule.exact_scoring = true;
-  recovery::ReplayPolicy policy(ropt);
+  recovery::ReplayPolicy policy;
   const auto result =
       recovery::Timeline(problem, policy, statics, topt).run(timeline_rng);
   const auto restored = result.step_series();
-  std::vector<recovery::RepairAction> steps;
+  std::vector<heuristics::ScheduleStep> steps;
   for (const auto& rec : result.stages) {
     steps.insert(steps.end(), rec.repairs.begin(), rec.repairs.end());
   }

@@ -28,23 +28,33 @@ std::vector<double> RecoverySchedule::restored_series() const {
   return series;
 }
 
-std::string node_label(const graph::Graph& g, graph::NodeId n) {
-  return "site " + (g.node_name(n).empty() ? std::to_string(n)
-                                           : std::string(g.node_name(n)));
+namespace {
+
+std::string node_name(const graph::Graph& g, graph::NodeId n) {
+  return g.node_name(n).empty() ? std::to_string(n)
+                                : std::string(g.node_name(n));
 }
 
-std::string edge_label(const graph::Graph& g, graph::EdgeId e) {
+}  // namespace
+
+ScheduleStep node_step(const graph::Graph& g, graph::NodeId n) {
+  ScheduleStep step;
+  step.is_node = true;
+  step.node = n;
+  step.label = "site " + node_name(g, n);
+  return step;
+}
+
+ScheduleStep edge_step(const graph::Graph& g, graph::EdgeId e) {
   const auto [eu, ev] = g.edge_endpoints(e);
-  auto name = [&](graph::NodeId n) {
-    return g.node_name(n).empty() ? std::to_string(n)
-                                  : std::string(g.node_name(n));
-  };
-  return "link " + name(eu) + " - " + name(ev);
+  ScheduleStep step;
+  step.edge = e;
+  step.label = "link " + node_name(g, eu) + " - " + node_name(g, ev);
+  return step;
 }
 
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
-                                  const core::RecoverySolution& solution,
-                                  const ScheduleOptions& options) {
+                                  const core::RecoverySolution& solution) {
   if (solution.routing.routed.size() != problem.demands.size()) {
     throw std::invalid_argument(
         "schedule_repairs: solution is not scored on this problem "
@@ -116,28 +126,16 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
     return *greedy;
   };
 
-  auto restored_now = [&]() {
-    if (options.exact_scoring) {
-      return mcf::max_routed_flow(cache.view(scheduled_slot), problem.demands)
-          .total_routed;
-    }
-    return greedy_routing().total_routed;
-  };
-
   auto emit = [&](bool is_node, graph::NodeId n, graph::EdgeId e) {
     const bool changed =
         is_node ? scheduled.repair_node(n) : scheduled.repair_edge(e);
     if (!changed) return;
     greedy.reset();
     --remaining;
-    ScheduleStep step;
-    step.is_node = is_node;
-    step.node = n;
-    step.edge = e;
-    step.label = is_node ? node_label(g, n) : edge_label(g, e);
+    ScheduleStep step = is_node ? node_step(g, n) : edge_step(g, e);
     // The step that completes the repair set takes the referee's value
     // below, so it is not scored here.
-    if (remaining > 0) step.restored_after = restored_now();
+    if (remaining > 0) step.restored_after = greedy_routing().total_routed;
     schedule.steps.push_back(std::move(step));
   };
 

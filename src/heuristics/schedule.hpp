@@ -16,6 +16,8 @@
 
 namespace netrec::heuristics {
 
+/// One repair in execution order: the record shared by the scheduler, the
+/// recovery::Timeline policies and the crew-facing payloads.
 struct ScheduleStep {
   bool is_node = false;
   graph::NodeId node = graph::kInvalidNode;
@@ -44,28 +46,22 @@ struct RecoverySchedule {
   std::vector<double> restored_series() const;
 };
 
-/// Human-readable repair labels ("site X" / "link X - Y"), shared by the
-/// scheduler and the recovery::Timeline policies.
-std::string node_label(const graph::Graph& g, graph::NodeId n);
-std::string edge_label(const graph::Graph& g, graph::EdgeId e);
-
-struct ScheduleOptions {
-  /// Score candidate prefixes with the exact LP referee; the default uses
-  /// the greedy router (cheap, still monotone in practice) and verifies the
-  /// final point exactly.
-  bool exact_scoring = false;
-};
+/// An unscored step repairing node `n` / edge `e` of `g`, labelled
+/// "site X" / "link X - Y" (the node name, or its id when unnamed).
+ScheduleStep node_step(const graph::Graph& g, graph::NodeId n);
+ScheduleStep edge_step(const graph::Graph& g, graph::EdgeId e);
 
 /// Orders `solution`'s repair set by greedy marginal restored demand.
 /// The schedule contains every repair exactly once.
 ///
-/// Precondition: `solution` was scored by core::score_solution on this same
-/// `problem` (every solver's result is).  The last step's restored_after is
-/// its `routing.total_routed`, the exact LP referee on the repaired graph,
-/// so it is not solved a second time.  Throws std::invalid_argument when
+/// Every step but the last is scored with the greedy router (cheap, still
+/// monotone in practice).  Precondition: `solution` was scored by
+/// core::score_solution on this same `problem` (every solver's result is).
+/// The last step's restored_after is its `routing.total_routed`, the exact
+/// LP referee on the repaired graph, so it is not solved a second time.
+/// Throws std::invalid_argument when
 /// `routing.routed.size() != problem.demands.size()`.
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
-                                  const core::RecoverySolution& solution,
-                                  const ScheduleOptions& options = {});
+                                  const core::RecoverySolution& solution);
 
 }  // namespace netrec::heuristics

@@ -7,50 +7,26 @@
 
 namespace netrec::recovery {
 
+using heuristics::ScheduleStep;
+
 namespace {
 
-RepairAction node_action(const graph::Graph& g, graph::NodeId n) {
-  RepairAction action;
-  action.is_node = true;
-  action.node = n;
-  action.label = heuristics::node_label(g, n);
-  return action;
-}
-
-RepairAction edge_action(const graph::Graph& g, graph::EdgeId e) {
-  RepairAction action;
-  action.is_node = false;
-  action.edge = e;
-  action.label = heuristics::edge_label(g, e);
-  return action;
-}
-
-RepairAction step_action(const heuristics::ScheduleStep& step) {
-  RepairAction action;
-  action.is_node = step.is_node;
-  action.node = step.node;
-  action.edge = step.edge;
-  action.label = step.label;
-  return action;
-}
-
 /// All currently broken elements, nodes first, id order.
-std::vector<RepairAction> broken_in_list_order(const graph::Graph& g) {
-  std::vector<RepairAction> out;
+std::vector<ScheduleStep> broken_in_list_order(const graph::Graph& g) {
+  std::vector<ScheduleStep> out;
   for (std::size_t n = 0; n < g.num_nodes(); ++n) {
     const auto id = static_cast<graph::NodeId>(n);
-    if (g.node_broken(id)) out.push_back(node_action(g, id));
+    if (g.node_broken(id)) out.push_back(heuristics::node_step(g, id));
   }
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const auto id = static_cast<graph::EdgeId>(e);
-    if (g.edge_broken(id)) out.push_back(edge_action(g, id));
+    if (g.edge_broken(id)) out.push_back(heuristics::edge_step(g, id));
   }
   return out;
 }
 
-void truncate_to_budget(std::vector<RepairAction>& actions,
-                        std::size_t budget) {
-  if (actions.size() > budget) actions.resize(budget);
+void truncate_to_budget(std::vector<ScheduleStep>& steps, std::size_t budget) {
+  if (steps.size() > budget) steps.resize(budget);
 }
 
 }  // namespace
@@ -63,29 +39,25 @@ std::string ReplayPolicy::name() const {
   return opt_.schedule_order ? "replay" : "replay-list";
 }
 
-std::vector<RepairAction> ReplayPolicy::plan_stage(
+std::vector<ScheduleStep> ReplayPolicy::plan_stage(
     const core::RecoveryProblem& problem, std::size_t /*stage*/,
     std::size_t budget, util::Rng& /*rng*/) {
   if (!planned_) {
     planned_ = true;
     plan_ = core::IspSolver(problem, opt_.isp).solve();
     if (opt_.schedule_order) {
-      schedule_ = heuristics::schedule_repairs(problem, plan_, opt_.schedule);
-      queue_.reserve(schedule_.steps.size());
-      for (const heuristics::ScheduleStep& step : schedule_.steps) {
-        queue_.push_back(step_action(step));
-      }
+      queue_ = heuristics::schedule_repairs(problem, plan_).steps;
     } else {
       queue_.reserve(plan_.total_repairs());
       for (graph::NodeId n : plan_.repaired_nodes) {
-        queue_.push_back(node_action(problem.graph, n));
+        queue_.push_back(heuristics::node_step(problem.graph, n));
       }
       for (graph::EdgeId e : plan_.repaired_edges) {
-        queue_.push_back(edge_action(problem.graph, e));
+        queue_.push_back(heuristics::edge_step(problem.graph, e));
       }
     }
   }
-  std::vector<RepairAction> out;
+  std::vector<ScheduleStep> out;
   while (next_ < queue_.size() && out.size() < budget) {
     out.push_back(queue_[next_++]);
   }
@@ -94,30 +66,24 @@ std::vector<RepairAction> ReplayPolicy::plan_stage(
 
 // --- ReplanPolicy ------------------------------------------------------------
 
-ReplanPolicy::ReplanPolicy(ReplanOptions options) : opt_(std::move(options)) {}
+ReplanPolicy::ReplanPolicy(core::IspOptions isp) : isp_(std::move(isp)) {}
 
-std::vector<RepairAction> ReplanPolicy::plan_stage(
+std::vector<ScheduleStep> ReplanPolicy::plan_stage(
     const core::RecoveryProblem& problem, std::size_t /*stage*/,
     std::size_t budget, util::Rng& /*rng*/) {
   // Fresh one-shot solve on the current damage: ISP terminates immediately
   // (empty plan) once the demand routes on the working subgraph.
-  const core::RecoverySolution plan =
-      core::IspSolver(problem, opt_.isp).solve();
+  const core::RecoverySolution plan = core::IspSolver(problem, isp_).solve();
   if (plan.total_repairs() == 0) return {};
-  const heuristics::RecoverySchedule schedule =
-      heuristics::schedule_repairs(problem, plan, opt_.schedule);
-  std::vector<RepairAction> out;
-  out.reserve(std::min<std::size_t>(budget, schedule.steps.size()));
-  for (const heuristics::ScheduleStep& step : schedule.steps) {
-    if (out.size() >= budget) break;
-    out.push_back(step_action(step));
-  }
+  std::vector<ScheduleStep> out =
+      heuristics::schedule_repairs(problem, plan).steps;
+  truncate_to_budget(out, budget);
   return out;
 }
 
 // --- BetweennessGreedyPolicy -------------------------------------------------
 
-std::vector<RepairAction> BetweennessGreedyPolicy::plan_stage(
+std::vector<ScheduleStep> BetweennessGreedyPolicy::plan_stage(
     const core::RecoveryProblem& problem, std::size_t /*stage*/,
     std::size_t budget, util::Rng& /*rng*/) {
   const graph::Graph& g = problem.graph;
@@ -133,54 +99,53 @@ std::vector<RepairAction> BetweennessGreedyPolicy::plan_stage(
   };
   struct Scored {
     double score;
-    RepairAction action;
+    ScheduleStep step;
   };
   std::vector<Scored> candidates;
   for (std::size_t n = 0; n < g.num_nodes(); ++n) {
     const auto id = static_cast<graph::NodeId>(n);
     if (!g.node_broken(id)) continue;
-    candidates.push_back({node_score(id), node_action(g, id)});
+    candidates.push_back({node_score(id), heuristics::node_step(g, id)});
   }
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const auto id = static_cast<graph::EdgeId>(e);
     if (!g.edge_broken(id)) continue;
     const auto [eu, ev] = g.edge_endpoints(id);
     const double score = 0.5 * (node_score(eu) + node_score(ev));
-    candidates.push_back({score, edge_action(g, id)});
+    candidates.push_back({score, heuristics::edge_step(g, id)});
   }
   // Stable: ties settle nodes-then-edges in id order (the insertion order).
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Scored& a, const Scored& b) {
                      return a.score > b.score;
                    });
-  std::vector<RepairAction> out;
+  std::vector<ScheduleStep> out;
   for (Scored& c : candidates) {
     if (out.size() >= budget) break;
-    out.push_back(std::move(c.action));
+    out.push_back(std::move(c.step));
   }
   return out;
 }
 
 // --- ListOrderPolicy ---------------------------------------------------------
 
-std::vector<RepairAction> ListOrderPolicy::plan_stage(
+std::vector<ScheduleStep> ListOrderPolicy::plan_stage(
     const core::RecoveryProblem& problem, std::size_t /*stage*/,
     std::size_t budget, util::Rng& /*rng*/) {
-  std::vector<RepairAction> out = broken_in_list_order(problem.graph);
+  std::vector<ScheduleStep> out = broken_in_list_order(problem.graph);
   truncate_to_budget(out, budget);
   return out;
 }
 
 // --- RandomPolicy ------------------------------------------------------------
 
-std::vector<RepairAction> RandomPolicy::plan_stage(
+std::vector<ScheduleStep> RandomPolicy::plan_stage(
     const core::RecoveryProblem& problem, std::size_t /*stage*/,
     std::size_t budget, util::Rng& rng) {
-  const std::vector<RepairAction> broken =
-      broken_in_list_order(problem.graph);
+  const std::vector<ScheduleStep> broken = broken_in_list_order(problem.graph);
   const std::size_t take = std::min(budget, broken.size());
   const auto picks = rng.sample_without_replacement(broken.size(), take);
-  std::vector<RepairAction> out;
+  std::vector<ScheduleStep> out;
   out.reserve(take);
   for (std::size_t index : picks) out.push_back(broken[index]);
   return out;

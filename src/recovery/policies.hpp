@@ -20,8 +20,9 @@
 //   * RandomPolicy      — a uniformly random broken subset per stage, drawn
 //                         from the run's deterministic stream.
 //
-// All policies label actions with heuristics::node_label / edge_label and
-// are single-run (ReplayPolicy owns its queue position).
+// All policies return heuristics::ScheduleStep records (built by
+// heuristics::node_step / edge_step, or taken from schedule_repairs) and are
+// single-run (ReplayPolicy owns its queue position).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +37,6 @@ namespace netrec::recovery {
 
 struct ReplayOptions {
   core::IspOptions isp;
-  heuristics::ScheduleOptions schedule;
   /// true: execute the plan in schedule_repairs marginal-gain order;
   /// false: plain list order (nodes then edges, decision order) — the
   /// progressive_recovery example's baseline.
@@ -47,47 +47,39 @@ class ReplayPolicy : public Policy {
  public:
   explicit ReplayPolicy(ReplayOptions options = {});
   std::string name() const override;
-  std::vector<RepairAction> plan_stage(const core::RecoveryProblem& problem,
-                                       std::size_t stage, std::size_t budget,
-                                       util::Rng& rng) override;
+  std::vector<heuristics::ScheduleStep> plan_stage(
+      const core::RecoveryProblem& problem, std::size_t stage,
+      std::size_t budget, util::Rng& rng) override;
 
-  /// The one-shot ISP plan / its schedule; valid after the first
-  /// plan_stage call (the schedule only in schedule_order mode).
+  /// The one-shot ISP plan; valid after the first plan_stage call.
   const core::RecoverySolution& plan() const { return plan_; }
-  const heuristics::RecoverySchedule& schedule() const { return schedule_; }
 
  private:
   ReplayOptions opt_;
   bool planned_ = false;
   core::RecoverySolution plan_;
-  heuristics::RecoverySchedule schedule_;
-  std::vector<RepairAction> queue_;
+  std::vector<heuristics::ScheduleStep> queue_;
   std::size_t next_ = 0;
-};
-
-struct ReplanOptions {
-  core::IspOptions isp;
-  heuristics::ScheduleOptions schedule;
 };
 
 class ReplanPolicy : public Policy {
  public:
-  explicit ReplanPolicy(ReplanOptions options = {});
+  explicit ReplanPolicy(core::IspOptions isp = {});
   std::string name() const override { return "replan"; }
-  std::vector<RepairAction> plan_stage(const core::RecoveryProblem& problem,
-                                       std::size_t stage, std::size_t budget,
-                                       util::Rng& rng) override;
+  std::vector<heuristics::ScheduleStep> plan_stage(
+      const core::RecoveryProblem& problem, std::size_t stage,
+      std::size_t budget, util::Rng& rng) override;
 
  private:
-  ReplanOptions opt_;
+  core::IspOptions isp_;
 };
 
 class BetweennessGreedyPolicy : public Policy {
  public:
   std::string name() const override { return "betweenness"; }
-  std::vector<RepairAction> plan_stage(const core::RecoveryProblem& problem,
-                                       std::size_t stage, std::size_t budget,
-                                       util::Rng& rng) override;
+  std::vector<heuristics::ScheduleStep> plan_stage(
+      const core::RecoveryProblem& problem, std::size_t stage,
+      std::size_t budget, util::Rng& rng) override;
 
  private:
   /// Brandes scores over the full topology (broken elements included, unit
@@ -99,17 +91,17 @@ class BetweennessGreedyPolicy : public Policy {
 class ListOrderPolicy : public Policy {
  public:
   std::string name() const override { return "list"; }
-  std::vector<RepairAction> plan_stage(const core::RecoveryProblem& problem,
-                                       std::size_t stage, std::size_t budget,
-                                       util::Rng& rng) override;
+  std::vector<heuristics::ScheduleStep> plan_stage(
+      const core::RecoveryProblem& problem, std::size_t stage,
+      std::size_t budget, util::Rng& rng) override;
 };
 
 class RandomPolicy : public Policy {
  public:
   std::string name() const override { return "random"; }
-  std::vector<RepairAction> plan_stage(const core::RecoveryProblem& problem,
-                                       std::size_t stage, std::size_t budget,
-                                       util::Rng& rng) override;
+  std::vector<heuristics::ScheduleStep> plan_stage(
+      const core::RecoveryProblem& problem, std::size_t stage,
+      std::size_t budget, util::Rng& rng) override;
 };
 
 }  // namespace netrec::recovery

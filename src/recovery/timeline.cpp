@@ -23,8 +23,9 @@ std::vector<double> TimelineResult::stage_series(std::size_t horizon) const {
 std::vector<double> TimelineResult::step_series() const {
   std::vector<double> series;
   for (const StageRecord& rec : stages) {
-    series.insert(series.end(), rec.routed_after.begin(),
-                  rec.routed_after.end());
+    for (const heuristics::ScheduleStep& step : rec.repairs) {
+      series.push_back(step.restored_after);
+    }
   }
   return series;
 }
@@ -79,22 +80,22 @@ class Runtime {
 
   /// Executes one repair; returns false (and does nothing) when the target
   /// is already working.  `cost` receives the element's repair cost.
-  bool apply_repair(const RepairAction& action, double* cost) {
+  bool apply_repair(const heuristics::ScheduleStep& step, double* cost) {
     bool revive = false;
-    if (action.is_node) {
-      if (!g_.node_broken(action.node)) return false;
-      g_.set_node_broken(action.node, false);
-      *cost = g_.node_repair_cost(action.node);
-      for (graph::EdgeId e : g_.incident_edges(action.node)) {
+    if (step.is_node) {
+      if (!g_.node_broken(step.node)) return false;
+      g_.set_node_broken(step.node, false);
+      *cost = g_.node_repair_cost(step.node);
+      for (graph::EdgeId e : g_.incident_edges(step.node)) {
         revive |= edge_died_[static_cast<std::size_t>(e)] != 0;
       }
-      cache_.invalidate_node(action.node);
+      cache_.invalidate_node(step.node);
     } else {
-      if (!g_.edge_broken(action.edge)) return false;
-      g_.set_edge_broken(action.edge, false);
-      *cost = g_.edge_repair_cost(action.edge);
-      revive = edge_died_[static_cast<std::size_t>(action.edge)] != 0;
-      cache_.invalidate_edge(action.edge);
+      if (!g_.edge_broken(step.edge)) return false;
+      g_.set_edge_broken(step.edge, false);
+      *cost = g_.edge_repair_cost(step.edge);
+      revive = edge_died_[static_cast<std::size_t>(step.edge)] != 0;
+      cache_.invalidate_edge(step.edge);
     }
     // Non-monotone revival: the session's column pool marks paths through
     // a dead edge as dead forever (correct while usability only grows, as
@@ -187,15 +188,14 @@ TimelineResult Timeline::run(util::Rng& rng) {
   for (std::size_t stage = 0; stage < opt_.max_stages; ++stage) {
     StageRecord rec;
     rec.stage = stage;
-    const std::vector<RepairAction> actions =
-        policy_.plan_stage(live, stage, budget, rng);
-    for (const RepairAction& action : actions) {
+    for (heuristics::ScheduleStep& step :
+         policy_.plan_stage(live, stage, budget, rng)) {
       if (rec.repairs.size() >= budget) break;
       double cost = 0.0;
-      if (!runtime.apply_repair(action, &cost)) continue;
-      rec.repairs.push_back(action);
+      if (!runtime.apply_repair(step, &cost)) continue;
       rec.repair_cost += cost;
-      rec.routed_after.push_back(runtime.measure());
+      step.restored_after = runtime.measure();
+      rec.repairs.push_back(std::move(step));
     }
     // Fixed point: the policy is idle and no future shock can change
     // anything (reactive dynamics are always exhausted — with no repairs

@@ -48,6 +48,7 @@
 
 #include "core/problem.hpp"
 #include "disruption/disruption.hpp"
+#include "heuristics/schedule.hpp"
 #include "mcf/types.hpp"
 #include "util/rng.hpp"
 
@@ -56,15 +57,6 @@ class ThreadPool;
 }  // namespace netrec::util
 
 namespace netrec::recovery {
-
-/// One crew intervention: repair a node or an edge.
-struct RepairAction {
-  bool is_node = false;
-  graph::NodeId node = graph::kInvalidNode;
-  graph::EdgeId edge = graph::kInvalidEdge;
-  /// Human-readable description (heuristics::node_label / edge_label).
-  std::string label;
-};
 
 /// Per-stage repair selection.  Implementations are stateful (the replay
 /// policy owns its precomputed queue) and single-run: construct one policy
@@ -78,8 +70,10 @@ class Policy {
   /// `problem` (the engine's live copy: broken flags = current damage).
   /// Called once per stage; returning an empty vector signals the policy
   /// has nothing left to do.  Must not mutate the problem.  `rng` is the
-  /// run's deterministic stream (randomised policies draw from it).
-  virtual std::vector<RepairAction> plan_stage(
+  /// run's deterministic stream (randomised policies draw from it).  The
+  /// engine measures each executed step itself, overwriting the step's
+  /// restored_after.
+  virtual std::vector<heuristics::ScheduleStep> plan_stage(
       const core::RecoveryProblem& problem, std::size_t stage,
       std::size_t budget, util::Rng& rng) = 0;
 };
@@ -120,12 +114,10 @@ struct TimelineOptions {
 /// What one stage did to the network.
 struct StageRecord {
   std::size_t stage = 0;
-  /// Repairs actually executed (actions targeting working elements are
-  /// dropped), in execution order.
-  std::vector<RepairAction> repairs;
-  /// Routed demand measured after each executed repair (same length as
-  /// `repairs`) — the intra-stage restoration curve.
-  std::vector<double> routed_after;
+  /// Repairs actually executed (steps targeting working elements are
+  /// dropped), in execution order, each with the routed demand measured
+  /// right after it in restored_after — the intra-stage restoration curve.
+  std::vector<heuristics::ScheduleStep> repairs;
   /// What the dynamics process broke after the repairs.
   disruption::DisruptionReport shock;
   /// Routed demand at the end of the stage (after the dynamics).
@@ -152,7 +144,7 @@ struct TimelineResult {
   /// stays up), so AUCs of runs with different stage counts compare on one
   /// time axis.
   std::vector<double> stage_series(std::size_t horizon = 0) const;
-  /// Per-repair routed demand flattened across stages (the granularity of
+  /// Per-repair restored_after flattened across stages (the granularity of
   /// heuristics::RecoverySchedule).
   std::vector<double> step_series() const;
 

@@ -58,12 +58,11 @@ class ScopedDeadline {
   core::IspOptions& isp_;
 };
 
-util::Json repair_entry(const char* kind, std::int32_t id,
-                        const std::string& label) {
+util::Json repair_entry(const heuristics::ScheduleStep& step) {
   util::Json entry = util::Json::object();
-  entry.set("kind", kind);
-  entry.set("id", static_cast<double>(id));
-  entry.set("label", label);
+  entry.set("kind", step.is_node ? "node" : "edge");
+  entry.set("id", static_cast<double>(step.is_node ? step.node : step.edge));
+  entry.set("label", step.label);
   return entry;
 }
 
@@ -78,9 +77,7 @@ util::Json isp_payload(const core::RecoveryProblem& problem,
 
   util::Json repairs = util::Json::array();
   for (const heuristics::ScheduleStep& step : schedule.steps) {
-    util::Json entry = repair_entry(step.is_node ? "node" : "edge",
-                                    step.is_node ? step.node : step.edge,
-                                    step.label);
+    util::Json entry = repair_entry(step);
     entry.set("restored_after", step.restored_after);
     repairs.push_back(std::move(entry));
   }
@@ -173,9 +170,7 @@ util::Json PlanningEngine::solve_timeline(const PlanRequest& request) {
     ropt.isp = opt_.isp;
     policy = std::make_unique<recovery::ReplayPolicy>(ropt);
   } else {
-    recovery::ReplanOptions ropt;
-    ropt.isp = opt_.isp;
-    policy = std::make_unique<recovery::ReplanPolicy>(ropt);
+    policy = std::make_unique<recovery::ReplanPolicy>(opt_.isp);
   }
   recovery::StaticDynamics dynamics;
 
@@ -190,11 +185,8 @@ util::Json PlanningEngine::solve_timeline(const PlanRequest& request) {
 
   util::Json repairs = util::Json::array();
   for (const recovery::StageRecord& stage : result.stages) {
-    for (const recovery::RepairAction& action : stage.repairs) {
-      util::Json entry = repair_entry(action.is_node ? "node" : "edge",
-                                      action.is_node ? action.node
-                                                     : action.edge,
-                                      action.label);
+    for (const heuristics::ScheduleStep& step : stage.repairs) {
+      util::Json entry = repair_entry(step);
       entry.set("stage", stage.stage);
       repairs.push_back(std::move(entry));
     }

@@ -48,6 +48,7 @@
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
+#include "referees.hpp"
 #include "scenarios.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -980,13 +981,15 @@ inline std::string routing_fields(const mcf::RoutingResult& r) {
          "\n";
 }
 
+/// The schedule's own (greedy-scored) restoration series, or with `exact`
+/// the referee's fresh LP per repaired prefix of the same schedule.
 inline std::vector<double> schedule_series(
     const core::RecoveryProblem& problem,
-    const core::RecoverySolution& solution, bool exact_scoring) {
-  heuristics::ScheduleOptions options;
-  options.exact_scoring = exact_scoring;
-  return heuristics::schedule_repairs(problem, solution, options)
-      .restored_series();
+    const core::RecoverySolution& solution, bool exact) {
+  const heuristics::RecoverySchedule schedule =
+      heuristics::schedule_repairs(problem, solution);
+  return exact ? heuristics::exact_restored_series(problem, solution, schedule)
+               : schedule.restored_series();
 }
 
 /// Everything the one-shot LP consumers return on an eager-row instance,
@@ -1120,10 +1123,15 @@ inline std::string timeline_record(const recovery::TimelineResult& r) {
       << "shock_breaks " << r.shock_breaks << "\n";
   for (const recovery::StageRecord& s : r.stages) {
     out << "stage " << s.stage << " repairs";
-    for (const recovery::RepairAction& a : s.repairs) {
-      out << (a.is_node ? " n" : " e") << (a.is_node ? a.node : a.edge);
+    for (const heuristics::ScheduleStep& step : s.repairs) {
+      out << (step.is_node ? " n" : " e")
+          << (step.is_node ? step.node : step.edge);
     }
-    out << " routed_after" << join_hex(s.routed_after) << " routed_end "
+    out << " routed_after";
+    for (const heuristics::ScheduleStep& step : s.repairs) {
+      out << " " << hex(step.restored_after);
+    }
+    out << " routed_end "
         << hex(s.routed_end) << " shock " << s.shock.broken_nodes << " "
         << s.shock.broken_edges << " cost " << hex(s.repair_cost) << "\n";
   }

@@ -1,8 +1,10 @@
 // Plain reference implementations that the suites check the library
 // against: one BFS per query for reachability and hop distance, a node
-// scan for path simplicity, and a row-by-row check of an LP assignment.
-// No program needs them; each is the slow, obvious version of something a
-// library kernel does faster (MS-BFS, ResidualReach, the simplex).
+// scan for path simplicity, a row-by-row check of an LP assignment, and a
+// fresh LP per repaired prefix of a schedule.  No program needs them; each
+// is the slow, obvious version of something a library kernel does faster
+// (MS-BFS, ResidualReach, the simplex, the Timeline's warm measurement
+// session).
 #pragma once
 
 #include <cmath>
@@ -10,10 +12,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/problem.hpp"
+#include "core/repair_state.hpp"
 #include "graph/graph.hpp"
 #include "graph/path.hpp"
 #include "graph/view.hpp"
+#include "heuristics/schedule.hpp"
 #include "lp/model.hpp"
+#include "mcf/routing.hpp"
 
 namespace netrec::graph {
 
@@ -119,3 +125,37 @@ inline bool is_feasible(const Model& model, const std::vector<double>& x,
 }
 
 }  // namespace netrec::lp
+
+namespace netrec::heuristics {
+
+/// Routed demand after each step of `schedule`: an exact max_routed_flow
+/// over the working-or-repaired subgraph of every repaired prefix, except
+/// the last point, which is the solution's own referee value
+/// (`solution.routing.total_routed`, core::score_solution's LP on the same
+/// graph).
+inline std::vector<double> exact_restored_series(
+    const core::RecoveryProblem& problem,
+    const core::RecoverySolution& solution,
+    const RecoverySchedule& schedule) {
+  std::vector<double> series;
+  series.reserve(schedule.steps.size());
+  core::RepairState repaired(problem.graph);
+  for (const ScheduleStep& step : schedule.steps) {
+    if (step.is_node) {
+      repaired.repair_node(step.node);
+    } else {
+      repaired.repair_edge(step.edge);
+    }
+    series.push_back(
+        series.size() + 1 == schedule.steps.size()
+            ? solution.routing.total_routed
+            : mcf::max_routed_flow(
+                  graph::GraphView::build(problem.graph,
+                                          {.edge_ok = repaired.edge_filter()}),
+                  problem.demands)
+                  .total_routed);
+  }
+  return series;
+}
+
+}  // namespace netrec::heuristics

@@ -18,7 +18,9 @@
 #include "heuristics/baselines.hpp"
 #include "heuristics/schedule.hpp"
 #include "mcf/routing.hpp"
+#include "referees.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace netrec {
 namespace {
@@ -140,15 +142,15 @@ TEST(Schedule, ContainsEveryRepairExactlyOnce) {
 TEST(Schedule, RestorationIsMonotoneAndEndsComplete) {
   const auto p = scheduled_instance();
   const auto plan = core::IspSolver(p).solve();
-  heuristics::ScheduleOptions opt;
-  opt.exact_scoring = true;
-  const auto schedule = heuristics::schedule_repairs(p, plan, opt);
+  const auto series = heuristics::exact_restored_series(
+      p, plan, heuristics::schedule_repairs(p, plan));
+  ASSERT_FALSE(series.empty());
   double prev = 0.0;
-  for (const auto& step : schedule.steps) {
-    EXPECT_GE(step.restored_after, prev - 1e-9);
-    prev = step.restored_after;
+  for (const double restored : series) {
+    EXPECT_GE(restored, prev - 1e-9);
+    prev = restored;
   }
-  EXPECT_NEAR(schedule.steps.back().restored_after, p.total_demand(), 1e-6);
+  EXPECT_NEAR(series.back(), p.total_demand(), 1e-6);
 }
 
 TEST(Schedule, GreedyPrefersTheBiggerDemandFirst) {
@@ -156,13 +158,13 @@ TEST(Schedule, GreedyPrefersTheBiggerDemandFirst) {
   // schedule restores the 8-unit service first.
   const auto p = scheduled_instance();
   const auto plan = core::IspSolver(p).solve();
-  heuristics::ScheduleOptions opt;
-  opt.exact_scoring = true;
-  const auto schedule = heuristics::schedule_repairs(p, plan, opt);
-  const std::size_t to_80pct = schedule.steps_to_restore(0.8);
+  const auto series = heuristics::exact_restored_series(
+      p, plan, heuristics::schedule_repairs(p, plan));
+  const std::size_t to_80pct =
+      util::steps_to_fraction(series, p.total_demand(), 0.8);
   EXPECT_LE(to_80pct, 5u);  // the first completed route already gives 80%
   // AUC strictly better than the worst possible order (big demand last).
-  EXPECT_GT(schedule.restoration_auc(), 0.3);
+  EXPECT_GT(util::restoration_auc(series, p.total_demand()), 0.3);
 }
 
 TEST(Schedule, EmptySolutionYieldsEmptySchedule) {
@@ -177,36 +179,38 @@ TEST(Schedule, EmptySolutionYieldsEmptySchedule) {
   EXPECT_EQ(schedule.steps_to_restore(0.5), 1u);
 }
 
-/// The last point of the schedule, with greedy and with exact scoring, is
-/// the solution's referee value: bit for bit an exact max_routed_flow on
-/// the graph that the schedule's steps repair.
+/// The last point of the schedule's greedy series, and of the exact
+/// referee series over the same schedule, is the solution's referee value:
+/// bit for bit an exact max_routed_flow on the graph that the schedule's
+/// steps repair.
 void expect_last_point_is_referee(const core::RecoveryProblem& p,
                                   const core::RecoverySolution& solution,
                                   const std::string& label) {
   SCOPED_TRACE(label);
-  for (const bool exact : {false, true}) {
-    heuristics::ScheduleOptions opt;
-    opt.exact_scoring = exact;
-    const auto schedule = heuristics::schedule_repairs(p, solution, opt);
-    ASSERT_EQ(schedule.steps.size(), solution.total_repairs());
-    if (schedule.steps.empty()) continue;
-    core::RepairState repaired(p.graph);
-    for (const auto& step : schedule.steps) {
-      if (step.is_node) {
-        repaired.repair_node(step.node);
-      } else {
-        repaired.repair_edge(step.edge);
-      }
+  const auto schedule = heuristics::schedule_repairs(p, solution);
+  ASSERT_EQ(schedule.steps.size(), solution.total_repairs());
+  if (schedule.steps.empty()) return;
+  core::RepairState repaired(p.graph);
+  for (const auto& step : schedule.steps) {
+    if (step.is_node) {
+      repaired.repair_node(step.node);
+    } else {
+      repaired.repair_edge(step.edge);
     }
-    const double referee =
-        mcf::max_routed_flow(
-            graph::GraphView::build(p.graph,
-                                    {.edge_ok = repaired.edge_filter()}),
-            p.demands)
-            .total_routed;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(schedule.steps.back().restored_after),
+  }
+  const double referee =
+      mcf::max_routed_flow(
+          graph::GraphView::build(p.graph,
+                                  {.edge_ok = repaired.edge_filter()}),
+          p.demands)
+          .total_routed;
+  const std::pair<const char*, std::vector<double>> series[] = {
+      {"greedy", schedule.restored_series()},
+      {"exact", heuristics::exact_restored_series(p, solution, schedule)}};
+  for (const auto& [name, values] : series) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values.back()),
               std::bit_cast<std::uint64_t>(referee))
-        << "exact_scoring " << exact;
+        << name;
   }
 }
 

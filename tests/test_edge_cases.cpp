@@ -13,10 +13,12 @@
 #include "heuristics/schedule.hpp"
 #include "lp/simplex.hpp"
 #include "mcf/routing.hpp"
+#include "referees.hpp"
 #include "scenario/scenario.hpp"
 #include "topology/generator.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace netrec {
 namespace {
@@ -157,13 +159,12 @@ TEST(Schedule, LeftoverCapacityRepairsAreAppended) {
   p.demands = {{0, 3, 15.0}};
   const auto plan = core::IspSolver(p).solve();
   ASSERT_EQ(plan.total_repairs(), 8u);
-  heuristics::ScheduleOptions sopt;
-  sopt.exact_scoring = true;
-  const auto schedule = heuristics::schedule_repairs(p, plan, sopt);
+  const auto schedule = heuristics::schedule_repairs(p, plan);
   EXPECT_EQ(schedule.steps.size(), 8u);
-  EXPECT_NEAR(schedule.steps.back().restored_after, 15.0, 1e-6);
+  const auto series = heuristics::exact_restored_series(p, plan, schedule);
+  EXPECT_NEAR(series.back(), 15.0, 1e-6);
   // Partial restoration appears mid-schedule (first route = 10 units).
-  EXPECT_LE(schedule.steps_to_restore(10.0 / 15.0), 6u);
+  EXPECT_LE(util::steps_to_fraction(series, 15.0, 10.0 / 15.0), 6u);
 }
 
 TEST(Scenario, InfeasibleFactoryIsSkippedGracefully) {

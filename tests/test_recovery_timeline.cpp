@@ -4,8 +4,9 @@
 //   * TimelineDifferential* — the engine in its degenerate one-shot
 //     configuration (single stage, unlimited budget, static dynamics,
 //     replay policy) must reproduce the one-shot IspSolver +
-//     schedule_repairs pipeline bit-identically: same repair order, same
-//     per-step routed demand.
+//     schedule_repairs pipeline bit-identically: same repair order, and
+//     per-step routed demand equal to heuristics::exact_restored_series
+//     (tests/referees.hpp), a fresh LP per repaired prefix.
 //   * TimelineSessionDifferential — restoration curves under *evolving*
 //     dynamics (aftershocks, cascades) must reproduce
 //     tests/golden/timeline_restoration.txt, recorded while the persistent
@@ -30,6 +31,7 @@
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
+#include "referees.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/timeline_runner.hpp"
 #include "topology/generator.hpp"
@@ -57,13 +59,9 @@ void expect_matches_schedule(const core::RecoveryProblem& problem,
   SCOPED_TRACE(label);
   // Reference: the one-shot pipeline, executed by hand.
   const core::RecoverySolution plan = core::IspSolver(problem).solve();
-  heuristics::ScheduleOptions sopt;
-  sopt.exact_scoring = true;
-  const auto schedule = heuristics::schedule_repairs(problem, plan, sopt);
+  const auto schedule = heuristics::schedule_repairs(problem, plan);
 
-  recovery::ReplayOptions ropt;
-  ropt.schedule.exact_scoring = true;
-  recovery::ReplayPolicy policy(ropt);
+  recovery::ReplayPolicy policy;
   const auto result = run_one_shot(problem, policy);
 
   // Single stage executed everything; nothing evolved.
@@ -76,7 +74,7 @@ void expect_matches_schedule(const core::RecoveryProblem& problem,
   EXPECT_EQ(policy.plan().repaired_edges, plan.repaired_edges);
 
   // Repair order: the schedule's, step for step.
-  std::vector<recovery::RepairAction> executed;
+  std::vector<heuristics::ScheduleStep> executed;
   for (const auto& rec : result.stages) {
     executed.insert(executed.end(), rec.repairs.begin(), rec.repairs.end());
   }
@@ -88,20 +86,23 @@ void expect_matches_schedule(const core::RecoveryProblem& problem,
     EXPECT_EQ(executed[i].label, schedule.steps[i].label) << "step " << i;
   }
 
-  // Per-step routed demand, exact equality (the engine's measurement and
-  // the schedule's exact scoring must be the same LP verdicts).
+  // Per-step routed demand, exact equality (the engine's warm measurement
+  // and the referee's fresh LP per repaired prefix must be the same LP
+  // verdicts).
   const auto restored = result.step_series();
-  const auto reference = schedule.restored_series();
+  const auto reference =
+      heuristics::exact_restored_series(problem, plan, schedule);
   ASSERT_EQ(restored.size(), reference.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
     EXPECT_EQ(restored[i], reference[i]) << "step " << i;
   }
 
   // Derived statistics flow through the same shared helpers.
+  EXPECT_EQ(result.total_demand, schedule.total_demand);
   EXPECT_EQ(util::restoration_auc(restored, result.total_demand),
-            schedule.restoration_auc());
+            util::restoration_auc(reference, schedule.total_demand));
   EXPECT_EQ(util::steps_to_fraction(restored, result.total_demand, 0.5),
-            schedule.steps_to_restore(0.5));
+            util::steps_to_fraction(reference, schedule.total_demand, 0.5));
 }
 
 class TimelineDifferentialEr : public ::testing::TestWithParam<int> {};
@@ -235,9 +236,9 @@ TEST(TimelineRevival, RepairedEdgeRebrokenAndRepairedAgainStaysExact) {
   // re-breaks).  Stage 2: repair sa again — service back.
   ASSERT_GE(result.stages.size(), 3u);
   EXPECT_EQ(result.stages[0].routed_end, 0.0);
-  EXPECT_EQ(result.stages[1].routed_after.back(), 5.0);
+  EXPECT_EQ(result.stages[1].repairs.back().restored_after, 5.0);
   EXPECT_EQ(result.stages[1].routed_end, 0.0);  // re-broken
-  EXPECT_EQ(result.stages[2].routed_after.back(), 5.0);
+  EXPECT_EQ(result.stages[2].repairs.back().restored_after, 5.0);
   EXPECT_EQ(result.final_routed, 5.0);
   // sa, at, sa again, then the three detour edges.
   EXPECT_EQ(result.total_repairs, 6u);
@@ -311,11 +312,16 @@ TEST(Timeline, SeriesHelpersPadAndFlatten) {
   recovery::TimelineResult result;
   result.total_demand = 10.0;
   result.final_routed = 8.0;
+  auto step = [](double restored_after) {
+    heuristics::ScheduleStep s;
+    s.restored_after = restored_after;
+    return s;
+  };
   recovery::StageRecord s0;
-  s0.routed_after = {2.0, 5.0};
+  s0.repairs = {step(2.0), step(5.0)};
   s0.routed_end = 5.0;
   recovery::StageRecord s1;
-  s1.routed_after = {8.0};
+  s1.repairs = {step(8.0)};
   s1.routed_end = 8.0;
   result.stages = {s0, s1};
   EXPECT_EQ(result.step_series(),
