@@ -142,7 +142,6 @@ inline void add_paper_algorithms(scenario::SweepRunner& sweep,
       [opt_seconds](const core::RecoveryProblem& p, scenario::RunContext&) {
         heuristics::OptOptions oo;
         oo.time_limit_seconds = opt_seconds;
-        oo.use_milp = opt_seconds > 0.0;
         return heuristics::solve_opt(p, oo).solution;
       });
   sweep.add_algorithm(

@@ -86,7 +86,6 @@ int run(int argc, char** argv) {
       [opt_seconds](const core::RecoveryProblem& p, scenario::RunContext&) {
         heuristics::OptOptions oo;
         oo.time_limit_seconds = opt_seconds;
-        oo.use_milp = opt_seconds > 0.0;
         return heuristics::solve_opt(p, oo).solution;
       });
   sweep.add_algorithm("MCB", [cache](const core::RecoveryProblem& p,

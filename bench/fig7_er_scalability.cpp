@@ -33,8 +33,9 @@ int run(int argc, char** argv) {
   flags.define("solve-threads", "1",
                "intra-solve worker threads for ISP (parallel pricing, "
                "batched SSP trees); any value reproduces the serial repair "
-               "series byte-for-byte — the CI determinism smoke diffs the "
-               "CSVs at 1 vs 4 (0 = NETREC_THREADS or hardware concurrency)");
+               "series byte-for-byte — the golden_csv test compares the "
+               "CSV at 4 with the serial golden (0 = NETREC_THREADS or "
+               "hardware concurrency)");
   flags.define("nodes", "100", "Erdos-Renyi node count");
   flags.define("probabilities", "0.1,0.3,0.5,0.7,0.9,1.0",
                "edge probabilities swept");
@@ -63,7 +64,7 @@ int run(int argc, char** argv) {
   sweep.add_algorithm(
       "OPT(exact)", [](const core::RecoveryProblem& p, scenario::RunContext&) {
         heuristics::OptOptions oo;
-        oo.use_milp = false;  // the generic MILP is intractable here
+        oo.time_limit_seconds = 0;  // the generic MILP is intractable here
         oo.isp_restarts = 0;
         return heuristics::solve_opt(p, oo).solution;
       });

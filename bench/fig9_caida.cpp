@@ -46,7 +46,7 @@ int run(int argc, char** argv) {
   sweep.add_algorithm(
       "OPT", [](const core::RecoveryProblem& p, scenario::RunContext&) {
         heuristics::OptOptions oo;
-        oo.use_milp = false;  // out of reach at 825 nodes; best-found
+        oo.time_limit_seconds = 0;  // no MILP at 825 nodes; best-found
         return heuristics::solve_opt(p, oo).solution;
       });
   sweep.add_algorithm(

@@ -77,7 +77,7 @@ std::vector<std::pair<std::string, scenario::DynamicsFactory>> make_dynamics(
 
 /// policy-rows × dynamics-columns matrix of one metric's per-cell means;
 /// first row is the header.  One builder feeds both the printed table and
-/// the CSV the CI determinism check compares, so they cannot desync.
+/// the CSV the golden_csv test compares, so they cannot desync.
 std::vector<std::vector<std::string>> cell_matrix(
     const scenario::AggregateResult& aggregate,
     const std::vector<std::pair<std::string, scenario::PolicyFactory>>&

@@ -92,17 +92,6 @@ std::vector<EdgeId> Graph::broken_edges() const {
   return out;
 }
 
-double Graph::total_repair_cost() const {
-  double cost = 0.0;
-  for (std::size_t i = 0; i < node_broken_.size(); ++i) {
-    if (node_broken_[i] != 0) cost += node_repair_cost_[i];
-  }
-  for (std::size_t e = 0; e < edge_broken_.size(); ++e) {
-    if (edge_broken_[e] != 0) cost += edge_repair_cost_[e];
-  }
-  return cost;
-}
-
 void Graph::check_node(NodeId id) const {
   if (id < 0 || static_cast<std::size_t>(id) >= num_nodes()) {
     throw std::invalid_argument("Graph: node id " + std::to_string(id) +

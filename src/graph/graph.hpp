@@ -149,9 +149,6 @@ class Graph {
            node_broken_[static_cast<std::size_t>(edge_v_[e])] == 0;
   }
 
-  /// Sum of repair costs over all broken elements (cost of the ALL policy).
-  double total_repair_cost() const;
-
   /// Throws std::invalid_argument if any id is out of range (debug aid).
   void check_node(NodeId id) const;
   void check_edge(EdgeId id) const;

@@ -254,7 +254,7 @@ OptOutcome solve_opt(const core::RecoveryProblem& problem,
   }
 
   // Engine 2: branch-and-bound on the arc-flow MILP.
-  if (options.use_milp && !problem.demands.empty()) {
+  if (options.time_limit_seconds > 0.0 && !problem.demands.empty()) {
     MinrModel minr = build_minr_milp(problem);
     milp::MilpSolver solver(
         std::move(minr.model), std::move(minr.integer_vars),

@@ -11,7 +11,7 @@
 //  2. Branch-and-bound on the arc-flow MILP with disaggregated linking rows
 //     (a strictly tighter relaxation than eq. 1(c)'s eta_max form), seeded
 //     with an ISP + local-search incumbent as cutoff, within
-//     OptOptions::time_limit_seconds.
+//     OptOptions::time_limit_seconds (skipped when that budget is 0).
 //  3. Fallback: the incumbent itself, i.e. ISP tightened by local search.
 //
 // The result records whether optimality was proven within the budget; bench
@@ -27,9 +27,8 @@
 namespace netrec::heuristics {
 
 struct OptOptions {
-  /// Branch-and-bound wall-clock budget.
+  /// Branch-and-bound wall-clock budget; 0 (or less) skips the MILP engine.
   double time_limit_seconds = 10.0;
-  bool use_milp = true;
   /// Extra randomised-metric ISP runs used to diversify the incumbent on
   /// instances where the MILP is out of reach (e.g. CAIDA scale).
   std::size_t isp_restarts = 2;

@@ -107,16 +107,16 @@ constexpr Link kLinks[] = {
 
 namespace detail {
 
-graph::Graph bell_canada_impl(const BellCanadaOptions& options) {
+graph::Graph bell_canada_impl() {
   graph::Builder builder;
   for (const City& city : kCities) {
-    builder.add_node(city.name, city.lon, city.lat, options.repair_cost);
+    builder.add_node(city.name, city.lon, city.lat, kRepairCost);
   }
   for (const Link& link : kLinks) {
     double capacity = kAccessCapacity;
     if (link.tier == 0) capacity = kBackboneCapacity;
     if (link.tier == 1) capacity = kSecondaryCapacity;
-    builder.add_edge(link.u, link.v, capacity, options.repair_cost);
+    builder.add_edge(link.u, link.v, capacity, kRepairCost);
   }
   if (builder.num_nodes() != 48 || builder.num_edges() != 64) {
     throw std::logic_error("bell_canada_like: node/edge table corrupted");

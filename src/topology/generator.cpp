@@ -9,16 +9,23 @@
 
 namespace netrec::topology {
 
+namespace {
+
+/// RMAT's recursive-partition probabilities (the Graph500 defaults;
+/// d = 1 - a - b - c = 0.05).
+constexpr double kRmatA = 0.57;
+constexpr double kRmatB = 0.19;
+constexpr double kRmatC = 0.19;
+/// Uniform link capacity of the scale families (RMAT, Barabasi-Albert).
+constexpr double kScaleCapacity = 40.0;
+
+}  // namespace
+
 namespace detail {
 
 graph::Graph rmat_impl(const RmatOptions& options, util::Rng& rng) {
   if (options.nodes < 2) {
     throw std::invalid_argument("rmat: need at least 2 nodes");
-  }
-  const double d = 1.0 - options.a - options.b - options.c;
-  if (options.a < 0.0 || options.b < 0.0 || options.c < 0.0 || d < 0.0) {
-    throw std::invalid_argument("rmat: partition probabilities must be a "
-                                "sub-distribution (a+b+c <= 1, all >= 0)");
   }
   const std::size_t n = options.nodes;
   // Smallest power-of-two quadrant grid covering n; draws landing outside
@@ -30,8 +37,8 @@ graph::Graph rmat_impl(const RmatOptions& options, util::Rng& rng) {
   const auto target =
       static_cast<std::size_t>(options.edge_factor *
                                static_cast<double>(n));
-  const double ab = options.a + options.b;
-  const double abc = ab + options.c;
+  const double ab = kRmatA + kRmatB;
+  const double abc = ab + kRmatC;
 
   // Draw undirected pairs as packed min<<32|max keys, then sort+unique:
   // the Graph500 idiom — duplicates of a skewed draw are discarded rather
@@ -43,7 +50,7 @@ graph::Graph rmat_impl(const RmatOptions& options, util::Rng& rng) {
     std::size_t v = 0;
     for (std::size_t bit = top_bit; bit > 0; bit >>= 1) {
       const double r = rng.uniform();
-      if (r < options.a) {
+      if (r < kRmatA) {
         // top-left: neither bit set
       } else if (r < ab) {
         v |= bit;
@@ -66,11 +73,11 @@ graph::Graph rmat_impl(const RmatOptions& options, util::Rng& rng) {
   // degrees profit most from the locality.
   graph::Builder builder(graph::Builder::Options{.degree_order = true});
   builder.reserve(n, keys.size());
-  builder.add_nodes(n, options.repair_cost);
+  builder.add_nodes(n, kRepairCost);
   for (const std::uint64_t key : keys) {
     builder.add_edge(static_cast<graph::NodeId>(key >> 32),
                      static_cast<graph::NodeId>(key & 0xffffffffu),
-                     options.capacity, options.repair_cost);
+                     kScaleCapacity, kRepairCost);
   }
   return builder.finalize();
 }
@@ -88,7 +95,7 @@ graph::Graph barabasi_albert_impl(const BarabasiAlbertOptions& options,
 
   graph::Builder builder;
   builder.reserve(n, m * n);
-  builder.add_nodes(n, options.repair_cost);
+  builder.add_nodes(n, kRepairCost);
 
   // Seed core: a path over the first m+1 nodes keeps the graph connected
   // and gives every early node nonzero degree in the attachment pool.
@@ -96,8 +103,8 @@ graph::Graph barabasi_albert_impl(const BarabasiAlbertOptions& options,
   pool.reserve(2 * m * n);
   for (std::size_t i = 1; i <= m; ++i) {
     builder.add_edge(static_cast<graph::NodeId>(i - 1),
-                     static_cast<graph::NodeId>(i), options.capacity,
-                     options.repair_cost);
+                     static_cast<graph::NodeId>(i), kScaleCapacity,
+                     kRepairCost);
     pool.push_back(static_cast<graph::NodeId>(i - 1));
     pool.push_back(static_cast<graph::NodeId>(i));
   }
@@ -126,7 +133,7 @@ graph::Graph barabasi_albert_impl(const BarabasiAlbertOptions& options,
       }
     }
     for (const graph::NodeId target : picked) {
-      builder.add_edge(node, target, options.capacity, options.repair_cost);
+      builder.add_edge(node, target, kScaleCapacity, kRepairCost);
       pool.push_back(node);
       pool.push_back(target);
     }
@@ -141,7 +148,7 @@ graph::Graph make_topology(const GeneratorOptions& options, util::Rng& rng) {
       [&rng](const auto& opt) -> graph::Graph {
         using T = std::decay_t<decltype(opt)>;
         if constexpr (std::is_same_v<T, BellCanadaOptions>) {
-          return detail::bell_canada_impl(opt);
+          return detail::bell_canada_impl();
         } else if constexpr (std::is_same_v<T, ErdosRenyiOptions>) {
           return detail::erdos_renyi_impl(opt, rng);
         } else if constexpr (std::is_same_v<T, CaidaLikeOptions>) {

@@ -9,7 +9,9 @@
 // nodes (topo_convert --topo rmat; netrec-bench's plan_scale preload is
 // Barabasi-Albert).  Their nodes are unnamed and sit at the origin: at a
 // million nodes, names and geography are pure overhead, and the scale
-// experiments use random (not geographic) failures.
+// experiments use random (not geographic) failures.  Both use the Graph500
+// R-MAT partition probabilities (a, b, c) = (0.57, 0.19, 0.19) and give
+// every link capacity 40, the CAIDA-like default.
 #pragma once
 
 #include <cstdint>
@@ -26,20 +28,12 @@ struct RmatOptions {
   /// Target edge draws = edge_factor * nodes; duplicate draws are discarded
   /// (Graph500 style), so the built edge count lands a little below.
   double edge_factor = 8.0;
-  /// Recursive-partition probabilities (Graph500 defaults); d = 1 - a-b-c.
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
-  double capacity = 40.0;
-  double repair_cost = 1.0;
 };
 
 struct BarabasiAlbertOptions {
   std::size_t nodes = 1024;
   /// Edges added per arriving node (the model's m); nodes > attach required.
   std::size_t attach = 2;
-  double capacity = 40.0;
-  double repair_cost = 1.0;
 };
 
 /// Family-tagged parameter set; the variant alternative selects the family.

@@ -16,14 +16,14 @@ graph::Graph erdos_renyi_impl(const ErdosRenyiOptions& options,
   graph::Builder builder;
   for (std::size_t i = 0; i < options.nodes; ++i) {
     builder.add_node("n" + std::to_string(i), rng.uniform(0.0, 100.0),
-                     rng.uniform(0.0, 100.0), options.repair_cost);
+                     rng.uniform(0.0, 100.0), kRepairCost);
   }
   for (std::size_t i = 0; i < options.nodes; ++i) {
     for (std::size_t j = i + 1; j < options.nodes; ++j) {
       if (rng.chance(options.edge_probability)) {
         builder.add_edge(static_cast<graph::NodeId>(i),
                          static_cast<graph::NodeId>(j), options.capacity,
-                         options.repair_cost);
+                         kRepairCost);
       }
     }
   }
@@ -49,7 +49,7 @@ graph::Graph caida_like_impl(const CaidaLikeOptions& options,
         centers[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(clusters) - 1))];
     builder.add_node("as" + std::to_string(i), cx + rng.normal(0.0, 6.0),
-                     cy + rng.normal(0.0, 6.0), options.repair_cost);
+                     cy + rng.normal(0.0, 6.0), kRepairCost);
   }
 
   // Preferential attachment on a growing prefix keeps the graph connected
@@ -58,7 +58,7 @@ graph::Graph caida_like_impl(const CaidaLikeOptions& options,
   // Endpoint pairs placed so far: the peering loop skips parallel links.
   std::unordered_set<std::uint64_t> placed;
   const auto link = [&](graph::NodeId a, graph::NodeId b) {
-    builder.add_edge(a, b, options.capacity, options.repair_cost);
+    builder.add_edge(a, b, options.capacity, kRepairCost);
     placed.insert(graph::endpoint_key(a, b));
   };
   link(0, 1);

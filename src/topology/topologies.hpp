@@ -3,7 +3,7 @@
 //
 //  * Bell-Canada-like: 48 nodes / 64 edges with geographic coordinates
 //    over Canadian cities and the paper's capacity plan — two backbones at
-//    50 and 30 units, access links at 20, unit repair costs.  The Internet
+//    50 and 30 units, access links at 20.  The Internet
 //    Topology Zoo original is not distributable offline; this synthetic
 //    stand-in preserves size, the backbone+access structure and rough
 //    planarity (see DESIGN.md substitution #2).  Real Topology Zoo GML files
@@ -14,6 +14,10 @@
 //    825 nodes / 1018 edges — the size of CAIDA AS28717's giant component
 //    (Section VII-C, substitution #3); heavy-tailed degrees, connected by
 //    construction.
+//
+// Every generated node and edge costs detail::kRepairCost = 1 to repair
+// (the paper's unit costs), so the repair counts the figures report are
+// also repair costs.
 #pragma once
 
 #include "graph/graph.hpp"
@@ -21,27 +25,28 @@
 
 namespace netrec::topology {
 
-struct BellCanadaOptions {
-  double repair_cost = 1.0;
-};
+/// Fixed topology: the variant's tag for the family, with nothing to set.
+struct BellCanadaOptions {};
 
 struct ErdosRenyiOptions {
   std::size_t nodes = 100;
   double edge_probability = 0.5;
   double capacity = 1000.0;
-  double repair_cost = 1.0;
 };
 
 struct CaidaLikeOptions {
   std::size_t nodes = 825;
   std::size_t edges = 1018;
   double capacity = 40.0;
-  double repair_cost = 1.0;
 };
 
 namespace detail {
+/// Repair cost of every element any family generates.
+inline constexpr double kRepairCost = 1.0;
+
+
 // The family implementations behind make_topology (topology/generator.hpp).
-graph::Graph bell_canada_impl(const BellCanadaOptions& options);
+graph::Graph bell_canada_impl();
 graph::Graph erdos_renyi_impl(const ErdosRenyiOptions& options,
                               util::Rng& rng);
 graph::Graph caida_like_impl(const CaidaLikeOptions& options, util::Rng& rng);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace netrec::util {
@@ -557,14 +556,6 @@ void write_json_file(const std::string& path, const Json& value) {
   if (!out) throw std::runtime_error("write_json_file: cannot open " + path);
   out << value.dump(2);
   if (!out) throw std::runtime_error("write_json_file: write failed: " + path);
-}
-
-Json read_json_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_json_file: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Json::parse(buffer.str());
 }
 
 }  // namespace netrec::util

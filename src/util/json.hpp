@@ -97,7 +97,4 @@ class Json {
 /// Writes `value.dump(2)` to `path`; throws std::runtime_error on failure.
 void write_json_file(const std::string& path, const Json& value);
 
-/// Reads and parses a JSON file; throws std::runtime_error on failure.
-Json read_json_file(const std::string& path);
-
 }  // namespace netrec::util

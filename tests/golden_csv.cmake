@@ -15,10 +15,13 @@
 #     column per IspOptions ablation knob) compares its repairs series;
 #   * fig7 compares only the repairs series — its time series measures real
 #     wall clock and is inherently machine-dependent;
-#   * fig_recovery uses CI's recovery-smoke arguments; its --json goes to the
-#     scratch directory and is not compared;
+#   * fig_recovery's --json goes to the scratch directory and is not
+#     compared;
 #   * --threads values are part of the determinism claim: a fixed seed must
-#     give identical CSVs at any thread count.
+#     give identical CSVs at any thread count.  So fig7 also runs at
+#     --threads 4 and at --solve-threads 4 (the intra-solve fan-outs merge
+#     per-task slots serially in fixed order), and fig_recovery also at
+#     --threads 1; each of those outputs is compared with the same golden.
 #
 # Invoked as:
 #   cmake -DFIG3=<bench_fig3 binary> -DFIG4=<bench_fig4 binary>
@@ -52,75 +55,67 @@ endforeach()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-execute_process(
-  COMMAND "${FIG3}" --runs 2 --flows 4,8 --samples 3 --opt-seconds 0
-          --threads 2 --csv "${WORK_DIR}/fig3"
-  RESULT_VARIABLE fig3_status
-  OUTPUT_QUIET)
-if(NOT fig3_status EQUAL 0)
-  message(FATAL_ERROR "golden_csv: fig3 driver failed (${fig3_status})")
-endif()
+function(run_driver label)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE status OUTPUT_QUIET)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "golden_csv: ${label} driver failed (${status})")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND "${FIG4}" --runs 2 --pairs-max 5 --opt-seconds 0 --threads 2
-          --csv "${WORK_DIR}/fig4"
-  RESULT_VARIABLE fig4_status
-  OUTPUT_QUIET)
-if(NOT fig4_status EQUAL 0)
-  message(FATAL_ERROR "golden_csv: fig4 driver failed (${fig4_status})")
-endif()
+run_driver(fig3 "${FIG3}" --runs 2 --flows 4,8 --samples 3 --opt-seconds 0
+           --threads 2 --csv "${WORK_DIR}/fig3")
+run_driver(fig4 "${FIG4}" --runs 2 --pairs-max 5 --opt-seconds 0 --threads 2
+           --csv "${WORK_DIR}/fig4")
+run_driver(fig7 "${FIG7}" --runs 1 --probabilities 0.1,0.3 --threads 1
+           --csv "${WORK_DIR}/fig7")
+run_driver("fig7 --threads 4" "${FIG7}" --runs 1 --probabilities 0.1,0.3
+           --threads 4 --csv "${WORK_DIR}/fig7_threads4")
+run_driver("fig7 --solve-threads 4" "${FIG7}" --runs 1
+           --probabilities 0.1,0.3 --threads 1 --solve-threads 4
+           --csv "${WORK_DIR}/fig7_solve4")
+run_driver(fig_recovery "${FIG_RECOVERY}" --runs 2 --nodes 60 --max-stages 16
+           --threads 4 --csv "${WORK_DIR}/fig_recovery"
+           --json "${WORK_DIR}/fig_recovery.json")
+run_driver("fig_recovery --threads 1" "${FIG_RECOVERY}" --runs 2 --nodes 60
+           --max-stages 16 --threads 1 --csv "${WORK_DIR}/fig_recovery_threads1"
+           --json "${WORK_DIR}/fig_recovery_threads1.json")
+run_driver(ablation "${ABLATION}" --runs 2 --pairs-max 4 --threads 2
+           --csv "${WORK_DIR}/ablation")
 
-execute_process(
-  COMMAND "${FIG7}" --runs 1 --probabilities 0.1,0.3 --threads 1
-          --csv "${WORK_DIR}/fig7"
-  RESULT_VARIABLE fig7_status
-  OUTPUT_QUIET)
-if(NOT fig7_status EQUAL 0)
-  message(FATAL_ERROR "golden_csv: fig7 driver failed (${fig7_status})")
-endif()
+# Each entry is <output>=<golden>: the runs at other thread counts compare
+# against the goldens of the pinned run.
+set(pairs fig3.csv=fig3.csv fig4.total.csv=fig4.total.csv
+          fig4.satisfied.csv=fig4.satisfied.csv
+          fig7.repairs.csv=fig7.repairs.csv
+          fig7_threads4.repairs.csv=fig7.repairs.csv
+          fig7_solve4.repairs.csv=fig7.repairs.csv
+          ablation.repairs.csv=ablation.repairs.csv)
+foreach(run fig_recovery fig_recovery_threads1)
+  foreach(series er.auc er.final bell_canada.auc bell_canada.final)
+    list(APPEND pairs ${run}.${series}.csv=fig_recovery.${series}.csv)
+  endforeach()
+endforeach()
 
-execute_process(
-  COMMAND "${FIG_RECOVERY}" --runs 2 --nodes 60 --max-stages 16 --threads 4
-          --csv "${WORK_DIR}/fig_recovery"
-          --json "${WORK_DIR}/fig_recovery.json"
-  RESULT_VARIABLE recovery_status
-  OUTPUT_QUIET)
-if(NOT recovery_status EQUAL 0)
-  message(FATAL_ERROR
-    "golden_csv: fig_recovery driver failed (${recovery_status})")
-endif()
-
-execute_process(
-  COMMAND "${ABLATION}" --runs 2 --pairs-max 4 --threads 2
-          --csv "${WORK_DIR}/ablation"
-  RESULT_VARIABLE ablation_status
-  OUTPUT_QUIET)
-if(NOT ablation_status EQUAL 0)
-  message(FATAL_ERROR
-    "golden_csv: ablation driver failed (${ablation_status})")
-endif()
-
-foreach(pair "fig3.csv" "fig4.total.csv" "fig4.satisfied.csv"
-             "fig7.repairs.csv"
-             "fig_recovery.er.auc.csv" "fig_recovery.er.final.csv"
-             "fig_recovery.bell_canada.auc.csv"
-             "fig_recovery.bell_canada.final.csv"
-             "ablation.repairs.csv")
+foreach(pair IN LISTS pairs)
+  string(REPLACE "=" ";" files "${pair}")
+  list(GET files 0 output)
+  list(GET files 1 golden)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${WORK_DIR}/${pair}" "${GOLDEN_DIR}/${pair}"
+            "${WORK_DIR}/${output}" "${GOLDEN_DIR}/${golden}"
     RESULT_VARIABLE diff_status)
   if(NOT diff_status EQUAL 0)
-    file(READ "${WORK_DIR}/${pair}" actual)
-    file(READ "${GOLDEN_DIR}/${pair}" expected)
+    file(READ "${WORK_DIR}/${output}" actual)
+    file(READ "${GOLDEN_DIR}/${golden}" expected)
     message(FATAL_ERROR
-      "golden_csv: ${pair} diverged from the committed golden.\n"
-      "--- expected (${GOLDEN_DIR}/${pair}):\n${expected}\n"
-      "--- actual (${WORK_DIR}/${pair}):\n${actual}\n"
+      "golden_csv: ${output} diverged from the committed golden.\n"
+      "--- expected (${GOLDEN_DIR}/${golden}):\n${expected}\n"
+      "--- actual (${WORK_DIR}/${output}):\n${actual}\n"
       "If the change is intentional, regenerate the goldens (see the header "
       "of tests/golden_csv.cmake).")
   endif()
 endforeach()
 
 message(STATUS
-  "golden_csv: fig3, fig4, fig7, fig_recovery and ablation CSVs match the goldens")
+  "golden_csv: fig3, fig4, fig7, fig_recovery and ablation CSVs match the "
+  "goldens, fig7 and fig_recovery also at other thread counts")

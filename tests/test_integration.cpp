@@ -127,7 +127,7 @@ TEST(ErdosRenyi, CliqueGivesTrivialSolutionForEveryAlgorithm) {
   const auto isp = core::IspSolver(p).solve();
   EXPECT_EQ(isp.total_repairs(), 15u);
   heuristics::OptOptions oo;
-  oo.use_milp = false;
+  oo.time_limit_seconds = 0;
   const auto opt = heuristics::solve_opt(p, oo);
   EXPECT_EQ(opt.solution.total_repairs(), 15u);
   EXPECT_STREQ(opt.engine, "steiner");
@@ -154,7 +154,7 @@ TEST(ErdosRenyi, SteinerOptNeverAboveIsp) {
 
     const auto isp = core::IspSolver(problem).solve();
     heuristics::OptOptions oo;
-    oo.use_milp = false;
+    oo.time_limit_seconds = 0;
     oo.isp_restarts = 0;
     const auto opt = heuristics::solve_opt(problem, oo);
     ASSERT_TRUE(opt.proven_optimal);

@@ -229,7 +229,9 @@ TEST(SweepRunner, JsonRoundTripPreservesTheFullResult) {
   const auto result = small_sweep(1);
   const std::string path = ::testing::TempDir() + "netrec_sweep.json";
   result.write_json(path);
-  const util::Json loaded = util::read_json_file(path);
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  const util::Json loaded = util::Json::parse(text.str());
   std::remove(path.c_str());
 
   EXPECT_TRUE(loaded == result.to_json());
