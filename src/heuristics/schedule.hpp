@@ -7,6 +7,14 @@
 // view to any MinR solution: greedily execute next the repair with the
 // largest marginal restored demand, so critical service comes back as early
 // as the chosen repair set allows.
+//
+// ScheduleStep is netrec's one repair-step record from planner to crew:
+// schedule_repairs emits it, the recovery::Timeline policies return it
+// (node_step / edge_step build unscored ones), the Timeline stores each
+// executed step with its measured routed demand, and netrecd's isp and
+// timeline payloads list it.  The schedule scores its steps with the
+// greedy router only; the exact per-prefix measurement is the Timeline's
+// (the test referee heuristics::exact_restored_series pins the two).
 #pragma once
 
 #include <string>

@@ -9,10 +9,11 @@
 //                         regardless of how the disaster evolves.  The
 //                         static-plan baseline — and, under static
 //                         dynamics, bit-identical to the one-shot pipeline.
-//   * ReplanPolicy      — fresh ISP solve + schedule per stage on the
-//                         *current* graph: repairs adapt to aftershocks and
-//                         cascades (and naturally stop once the demand
-//                         routes).  The adaptive upper bound.
+//   * ReplanPolicy      — fresh ISP solve (with the given core::IspOptions)
+//                         + schedule per stage on the *current* graph:
+//                         repairs adapt to aftershocks and cascades (and
+//                         naturally stop once the demand routes).  The
+//                         adaptive upper bound.
 //   * BetweennessGreedyPolicy — repair broken elements in decreasing
 //                         classic Brandes betweenness of the full topology
 //                         (demand-oblivious structural heuristic).

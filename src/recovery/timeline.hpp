@@ -12,7 +12,8 @@
 //      damage state (replay the one-shot ISP plan, re-plan from scratch,
 //      betweenness-greedy, list-order / random baselines — see policies.hpp);
 //   2. the engine executes them, measuring routed demand after every repair
-//      (the exact LP referee on static capacities);
+//      (the exact LP referee on static capacities) into the executed
+//      heuristics::ScheduleStep's restored_after;
 //   3. a pluggable Dynamics process mutates the graph (aftershock sequence,
 //      capacity-overload cascade, or the static no-op that reproduces the
 //      one-shot behaviour — see dynamics.hpp);
@@ -38,7 +39,8 @@
 // bumps the cache epoch (full session reset + view rebuild) instead of
 // risking a stale dead-column verdict.  Under static dynamics no edge ever
 // dies mid-run, the reset never fires, and the engine is pinned
-// bit-identical to the one-shot IspSolver + schedule_repairs pipeline by
+// bit-identical to the one-shot IspSolver + schedule_repairs pipeline, its
+// per-step values to a fresh LP per repaired prefix, by
 // tests/test_recovery_timeline.cpp.
 #pragma once
 

@@ -995,7 +995,7 @@ inline std::vector<double> schedule_series(
 /// Everything the one-shot LP consumers return on an eager-row instance,
 /// bit for bit: routability and max-flow referees (the full-graph
 /// max_routed_flow skips route_demands' greedy pass), eq. (8) and its face,
-/// the scored ISP plan and both schedule scorers.
+/// the scored ISP plan, and its schedule's greedy series and referee series.
 inline std::string lp_eager_record(const core::RecoveryProblem& problem) {
   const graph::Graph& g = problem.graph;
   std::ostringstream out;
