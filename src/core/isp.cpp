@@ -172,21 +172,27 @@ class Engine {
     };
   }
 
+  /// `base` plus the pending repair cost of edge e: its own cost if it is
+  /// broken and not yet listed, and half the cost of each such endpoint.
+  double pending_cost(graph::EdgeId e, double base) const {
+    const auto [eu, ev] = g_.edge_endpoints(e);
+    if (g_.edge_broken(e) && !state_.edge_repaired(e)) {
+      base += g_.edge_repair_cost(e);
+    }
+    if (g_.node_broken(eu) && !state_.node_repaired(eu)) {
+      base += g_.node_repair_cost(eu) / 2.0;
+    }
+    if (g_.node_broken(ev) && !state_.node_repaired(ev)) {
+      base += g_.node_repair_cost(ev) / 2.0;
+    }
+    return base;
+  }
+
   /// The dynamic length metric (Section IV-D): repair costs of still-broken,
   /// not-yet-listed elements, normalised by residual capacity.
   graph::EdgeWeight dynamic_length() const {
     return [this](graph::EdgeId e) {
-      const auto [eu, ev] = g_.edge_endpoints(e);
-      double k = opt_.metric_const;
-      if (g_.edge_broken(e) && !state_.edge_repaired(e)) {
-        k += g_.edge_repair_cost(e);
-      }
-      if (g_.node_broken(eu) && !state_.node_repaired(eu)) {
-        k += g_.node_repair_cost(eu) / 2.0;
-      }
-      if (g_.node_broken(ev) && !state_.node_repaired(ev)) {
-        k += g_.node_repair_cost(ev) / 2.0;
-      }
+      const double k = pending_cost(e, opt_.metric_const);
       const double c = residual_[static_cast<std::size_t>(e)];
       return k * jitter_[static_cast<std::size_t>(e)] / std::max(c, 1e-6);
     };
@@ -561,27 +567,14 @@ class Engine {
   /// witness routing uses.  Returns false iff the residual instance is
   /// infeasible even with every remaining element repaired.
   bool exact_completion() {
-    auto pending_cost = [this](graph::EdgeId e) {
-      const auto [eu, ev] = g_.edge_endpoints(e);
-      double c = 0.0;
-      if (g_.edge_broken(e) && !state_.edge_repaired(e)) {
-        c += g_.edge_repair_cost(e);
-      }
-      if (g_.node_broken(eu) && !state_.node_repaired(eu)) {
-        c += g_.node_repair_cost(eu) / 2.0;
-      }
-      if (g_.node_broken(ev) && !state_.node_repaired(ev)) {
-        c += g_.node_repair_cost(ev) / 2.0;
-      }
-      return c;
-    };
     // Per-call session: the completion re-prices every column against the
     // live repair state and its witness support drives discrete repair
     // choices, so nothing is carried across calls — the session API is
     // used for the shared machinery (pool install, warm rounds within this
     // one converging solve), not persistence.
     mcf::PathLpSession lp(g_, mcf::PathLpMode::kMinCost);
-    lp.set_min_cost_objective(pending_cost);
+    lp.set_min_cost_objective(
+        [this](graph::EdgeId e) { return pending_cost(e, 0.0); });
     lp.set_thread_pool(pool_);
     const mcf::PathLpResult result =
         lp.solve(full_view(), current_demand_specs());
