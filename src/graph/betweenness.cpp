@@ -16,7 +16,7 @@ namespace {
 /// the |V| passes share their allocations.  Predecessor lists live in one
 /// flat array aligned with the CSR arcs: node v's slots start at
 /// arcs_begin(v) (a node gains at most one live predecessor per incident
-/// in-view arc), so no per-relaxation vector bookkeeping is needed.
+/// arc), so no per-relaxation vector bookkeeping is needed.
 struct BrandesPass {
   std::vector<double> dist;
   std::vector<double> sigma;  // number of shortest paths
@@ -39,11 +39,9 @@ struct BrandesPass {
 
   /// One shortest-path DAG + dependency accumulation from `source`.  After
   /// the call, `order` lists the reached nodes and delta[w] is the final
-  /// dependency of every w in `order` (sources outside the view leave
-  /// `order` empty).
+  /// dependency of every w in `order`.
   void run(const GraphView& view, NodeId source) {
     order.clear();
-    if (!view.node_in_view(source)) return;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const auto s = static_cast<std::size_t>(source);
     std::fill(dist.begin(), dist.end(), kInf);

@@ -19,9 +19,9 @@
 namespace netrec::graph {
 
 /// Brandes betweenness over the view, under the view's edge lengths (>= 0).
-/// Runs |V| Dijkstra passes: O(V * (E log V)).  Nodes outside the view
-/// score 0 and contribute no source pass.  Endpoint pairs contribute to
-/// intermediate nodes only (standard definition).
+/// Runs |V| Dijkstra passes: O(V * (E log V)).  A node the edge filter
+/// isolates scores 0, and its pass reaches only itself.  Endpoint pairs
+/// contribute to intermediate nodes only (standard definition).
 std::vector<double> betweenness_centrality(const GraphView& view);
 
 }  // namespace netrec::graph

@@ -211,10 +211,9 @@ class Graph {
   std::vector<EdgeId> sorted_edge_;     ///< size 2E
 };
 
-/// Element predicates and metrics: the ViewConfig inputs a GraphView
-/// evaluates once per element (view.hpp), also taken by the mcf and steiner
-/// entry points.  A default-constructed filter accepts everything.
-using NodeFilter = std::function<bool(NodeId)>;
+/// Edge predicate and metric: the ViewConfig inputs a GraphView evaluates
+/// once per edge (view.hpp), also taken by the mcf and steiner entry
+/// points.  A default-constructed filter accepts everything.
 using EdgeFilter = std::function<bool(EdgeId)>;
 using EdgeWeight = std::function<double(EdgeId)>;
 

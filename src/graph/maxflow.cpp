@@ -29,7 +29,7 @@ DinicWorkspace& workspace() {
 
 /// Dinic directly on the view's CSR arcs.  An undirected edge is its two
 /// arcs, each starting at the full capacity and acting as the other's
-/// residual.  Arcs outside the network (filtered edges, one-sided arcs,
+/// residual.  Arcs outside the network (edges `member` rejects,
 /// capacities <= 1e-9) start at residual 0 and are never raised, so they
 /// are skipped exactly as if absent.  A node's arcs come in increasing edge
 /// id, which fixes the order of every floating-point flow update.
@@ -37,8 +37,8 @@ class Dinic {
  public:
   Dinic(const GraphView& view, DinicWorkspace& ws) : view_(view), ws_(ws) {}
 
-  /// Loads the network: arc u->v of edge e carries capacity[e] iff e is in
-  /// the view with both endpoints, capacity[e] > 1e-9 and `member(u, v)`.
+  /// Loads the network: arc u->v of edge e carries capacity[e] iff
+  /// capacity[e] > 1e-9 and `member(u, v)`.
   template <class Member>
   void load(const std::vector<double>& capacity, const Member& member) {
     const std::size_t n = view_.num_nodes();
@@ -52,8 +52,8 @@ class Dinic {
       for (ArcId a = view_.arcs_begin(u); a < end; ++a) {
         const EdgeId e = view_.arc_edge(a);
         const double cap = capacity[static_cast<std::size_t>(e)];
-        const bool in_network = cap > kFlowEps && view_.edge_in_view(e) &&
-                                member(u, view_.arc_target(a));
+        const bool in_network =
+            cap > kFlowEps && member(u, view_.arc_target(a));
         ws_.residual[a] = in_network ? cap : 0.0;
         ws_.twin[a] = view_.arc_twin(a);
       }
@@ -89,9 +89,8 @@ class Dinic {
         const EdgeId e = view_.arc_edge(a);
         if (g.edge_endpoints(e).first != u) continue;  // backward arc
         const ArcId back = ws_.twin[a];
-        // One-sided arcs and edges outside the network keep zero flow; a
-        // network edge's residuals sum to twice its capacity, never 0.
-        if (back == kInvalidArc) continue;
+        // Edges outside the network keep zero flow; a network edge's
+        // residuals sum to twice its capacity, never 0.
         if (ws_.residual[a] == 0.0 && ws_.residual[back] == 0.0) continue;
         const double flow = (ws_.residual[back] - ws_.residual[a]) / 2.0;
         if (std::abs(flow) > capacity[static_cast<std::size_t>(e)] + 1e-6) {
@@ -161,17 +160,13 @@ MaxflowResult run_max_flow(const GraphView& view, NodeId source, NodeId sink,
                            const std::vector<double>& edge_capacity,
                            const Member& member) {
   const Graph& g = view.graph();
-  // Validate before the bitset lookups: an out-of-range id must throw, not
-  // index node_in_view_ out of bounds.
+  // Validate first: `member` and Dinic index per-node arrays by these ids.
   g.check_node(source);
   g.check_node(sink);
   MaxflowResult result;
   result.edge_flow.assign(g.num_edges(), 0.0);
   if (source == sink) return result;
-  if (!view.node_in_view(source) || !view.node_in_view(sink) ||
-      !member(source, sink)) {
-    return result;
-  }
+  if (!member(source, sink)) return result;
   Dinic net(view, workspace());
   net.load(edge_capacity, member);
   result.value = net.run(source, sink);

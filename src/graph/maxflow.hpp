@@ -7,9 +7,9 @@
 // per-edge flow is net (opposite directions cancelled), so a flow
 // decomposition into simple paths always exists.
 //
-// Dinic runs directly on the view's CSR arcs: an edge's two arcs are each
-// other's residual, and arcs outside the network (filtered edges, one-sided
-// arcs left by a node filter, capacities <= 1e-9) start at residual zero.
+// Dinic runs directly on the view's CSR arcs: an in-view edge's two arcs are
+// each other's residual, and arcs outside the network (edges outside the
+// bubble, capacities <= 1e-9) start at residual zero.
 // Its residual, twin-arc, level, cursor and queue arrays live in a
 // per-thread workspace reused across calls, so a call allocates only its
 // result; the level BFS stops as soon as the sink is labelled.  The

@@ -19,21 +19,8 @@ bool ResidualReach::reachable(NodeId source, NodeId target) {
   view_.graph().check_node(source);
   view_.graph().check_node(target);
   if (source == target) return true;
-  if (view_.node_in_view(source)) {
-    const int source_label = label_of(source);
-    return source_label == label_[static_cast<std::size_t>(target)];
-  }
-  // Off-view source: its arc heads are in view, so each has a component.
-  const ArcId end = view_.arcs_end(source);
-  for (ArcId a = view_.arcs_begin(source); a < end; ++a) {
-    if (residual_[static_cast<std::size_t>(view_.arc_edge(a))] <=
-        kResidualEps) {
-      continue;
-    }
-    const int head_label = label_of(view_.arc_target(a));
-    if (head_label == label_[static_cast<std::size_t>(target)]) return true;
-  }
-  return false;
+  const int source_label = label_of(source);
+  return source_label == label_[static_cast<std::size_t>(target)];
 }
 
 int ResidualReach::label_of(NodeId n) {
@@ -64,7 +51,6 @@ std::vector<int> connected_components(const GraphView& view) {
   int next_label = 0;
   for (std::size_t start = 0; start < view.num_nodes(); ++start) {
     if (label[start] != -1) continue;
-    if (!view.node_in_view(static_cast<NodeId>(start))) continue;
     label[start] = next_label;
     std::deque<NodeId> queue{static_cast<NodeId>(start)};
     while (!queue.empty()) {
@@ -89,9 +75,7 @@ std::vector<NodeId> giant_component(const GraphView& view) {
   for (int l : label) max_label = std::max(max_label, l);
   if (max_label < 0) return {};
   std::vector<std::size_t> size(static_cast<std::size_t>(max_label) + 1, 0);
-  for (int l : label) {
-    if (l >= 0) ++size[static_cast<std::size_t>(l)];
-  }
+  for (int l : label) ++size[static_cast<std::size_t>(l)];
   const auto best = static_cast<int>(
       std::max_element(size.begin(), size.end()) - size.begin());
   std::vector<NodeId> out;
@@ -103,8 +87,8 @@ std::vector<NodeId> giant_component(const GraphView& view) {
 
 namespace {
 
-/// The MS-BFS kernel (see traversal.hpp): one batch of up to 64 in-view
-/// sources per run, over frontier/next words reused across batches.
+/// The MS-BFS kernel (see traversal.hpp): one batch of up to 64 sources
+/// per run, over frontier/next words reused across batches.
 class MultiSourceBfs {
  public:
   struct Batch {
@@ -115,9 +99,9 @@ class MultiSourceBfs {
   explicit MultiSourceBfs(const GraphView& view)
       : view_(view), frontier_(view.num_nodes()), next_(view.num_nodes()) {}
 
-  /// BFS from the in-view nodes among 64 * batch ... 64 * batch + 63,
-  /// stopped after `max_hops` levels.  On return seen[v] (V words) has bit
-  /// k set iff source 64 * batch + k reaches v within that limit.
+  /// BFS from the nodes 64 * batch ... 64 * batch + 63 (fewer in the last
+  /// batch), stopped after `max_hops` levels.  On return seen[v] (V words)
+  /// has bit k set iff source 64 * batch + k reaches v within that limit.
   Batch run(std::size_t batch, int max_hops, std::uint64_t* seen) {
     const std::size_t n = view_.num_nodes();
     std::fill_n(seen, n, 0);
@@ -126,12 +110,10 @@ class MultiSourceBfs {
     const std::size_t first = 64 * batch;
     const std::size_t last = std::min(n, first + 64);
     for (std::size_t s = first; s < last; ++s) {
-      if (!view_.node_in_view(static_cast<NodeId>(s))) continue;
       const std::uint64_t bit = std::uint64_t{1} << (s - first);
       seen[s] = frontier_[s] = bit;
       out.sources |= bit;
     }
-    if (out.sources == 0) return out;
     std::uint64_t* const frontier = frontier_.data();
     std::uint64_t* const next = next_.data();
     while (out.levels < max_hops) {
@@ -176,7 +158,6 @@ int hop_diameter(const GraphView& view) {
     const auto batch =
         bfs.run(b, std::numeric_limits<int>::max(), seen.data());
     for (std::size_t v = 0; v < view.num_nodes(); ++v) {
-      if (!view.node_in_view(static_cast<NodeId>(v))) continue;
       if ((seen[v] & batch.sources) != batch.sources) return -1;
     }
     diameter = std::max(diameter, batch.levels);

@@ -1,17 +1,17 @@
 // Breadth-first traversal utilities: residual reachability, connected
 // components, diameter, and which nodes lie within a hop limit of which.
-// Every routine runs on a GraphView, so the view's filters decide whether
-// it sees the working subgraph, the full graph, or ISP's bubble search
-// space — without copying the graph.
+// Every routine runs on a GraphView, so the view's edge filter decides
+// whether it sees the working subgraph, the full graph, or ISP's bubble
+// search space — without copying the graph.
 //
 // hop_diameter and near_matrix share one kernel, a bit-parallel
 // multi-source BFS (MS-BFS; Then et al., "The More the Merrier", VLDB
-// 2015).  The in-view nodes are taken as sources in batches of 64
-// consecutive ids, one bit of a uint64_t each.  Per node the kernel keeps
-// three words — sources that have reached it (seen), reached it at the
-// current level (frontier) and reach it at the next level — so one pass
-// over the view's CSR arcs advances all 64 BFS by one level, and
-// ceil(V / 64) traversals replace V scalar ones.
+// 2015).  The nodes are taken as sources in batches of 64 consecutive
+// ids, one bit of a uint64_t each.  Per node the kernel keeps three
+// words — sources that have reached it (seen), reached it at the current
+// level (frontier) and reach it at the next level — so one pass over the
+// view's CSR arcs advances all 64 BFS by one level, and ceil(V / 64)
+// traversals replace V scalar ones.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +25,9 @@ namespace netrec::graph {
 /// Reachability over arcs whose `edge_residual` entry (indexed by original
 /// edge id) is > 1e-9, on a cached view whose arcs may include drained
 /// edges, for many pairs of one view: one traversal per component instead
-/// of one BFS per pair.  Among in-view
-/// nodes every edge has both arcs, so the first query from an in-view
-/// source labels its whole component and later queries into a labelled
-/// component cost O(1).  A source outside the view keeps only its
-/// out-arcs (see view.hpp): it reaches the components of its
-/// positive-residual arc heads.  Each answer equals that of a BFS from
+/// of one BFS per pair.  Every in-view edge has both arcs, so the first
+/// query from a source labels its whole component and later queries into
+/// a labelled component cost O(1).  Each answer equals that of a BFS from
 /// `source` over the positive-residual arcs.  Borrows `view` and
 /// `edge_residual`.
 class ResidualReach {
@@ -41,29 +38,29 @@ class ResidualReach {
   bool reachable(NodeId source, NodeId target);
 
  private:
-  /// Component label of in-view node `n`, labelling its component first.
+  /// Component label of node `n`, labelling its component first.
   int label_of(NodeId n);
 
   const GraphView& view_;
   const std::vector<double>& residual_;
-  std::vector<int> label_;  ///< -1 until labelled; never set off-view
+  std::vector<int> label_;  ///< -1 until labelled
   std::vector<NodeId> stack_;
   int next_label_ = 0;
 };
 
-/// Component label per node (-1 for nodes outside the view); labels dense.
+/// Component label per node (every node, isolated ones included, gets a
+/// label >= 0); labels dense, in order of each component's lowest node id.
 std::vector<int> connected_components(const GraphView& view);
 
 /// Node ids of the largest component in the view.
 std::vector<NodeId> giant_component(const GraphView& view);
 
-/// Hop diameter: the largest hop distance between two in-view nodes, -1
-/// if some in-view node cannot reach another, 0 for an empty view.  Nodes
-/// outside the view are neither sources nor targets, as in
-/// connected_components.
+/// Hop diameter: the largest hop distance between two nodes, -1 if some
+/// node cannot reach another (a node the filter isolated included), 0 for
+/// a graph with at most one node.
 int hop_diameter(const GraphView& view);
 
-/// Which in-view sources reach which nodes within a hop limit: a V x V bit
+/// Which sources reach which nodes within a hop limit: a V x V bit
 /// matrix, ceil(V / 64) * V words (about V^2 / 8 bytes), stored
 /// batch-major so each 64-source batch's words are contiguous.
 class NearMatrix {
@@ -71,8 +68,8 @@ class NearMatrix {
   std::size_t num_nodes() const { return num_nodes_; }
   /// Number of 64-source batches, ceil(V / 64).
   std::size_t num_batches() const { return (num_nodes_ + 63) / 64; }
-  /// Bit k set iff source 64 * batch + k is in the view and reaches
-  /// `target` within the limit.  Bits past the last node are clear.
+  /// Bit k set iff source 64 * batch + k reaches `target` within the
+  /// limit.  Bits past the last node are clear.
   std::uint64_t sources_near(std::size_t batch, NodeId target) const {
     return words_[batch * num_nodes_ + static_cast<std::size_t>(target)];
   }
@@ -88,11 +85,11 @@ class NearMatrix {
   std::vector<std::uint64_t> words_;
 };
 
-/// near(s, t) iff s is in the view and the hop distance from s to t in the
-/// view lies in [0, max_hops]; all clear when max_hops < 0.  Every edge
-/// between two in-view nodes has both arcs, so among in-view nodes hop
-/// distance is symmetric and sources_near(b, i) is also the set of targets
-/// 64 * b + k within max_hops of source i — one word per 64 targets.
+/// near(s, t) iff the hop distance from s to t in the view lies in
+/// [0, max_hops]; all clear when max_hops < 0.  Every in-view edge has both
+/// arcs, so hop distance is symmetric and sources_near(b, i) is also the
+/// set of targets 64 * b + k within max_hops of source i — one word per 64
+/// targets.
 NearMatrix near_matrix(const GraphView& view, int max_hops);
 
 }  // namespace netrec::graph

@@ -8,49 +8,29 @@ GraphView GraphView::build(const Graph& g, const ViewConfig& config) {
   const std::size_t n = g.num_nodes();
   const std::size_t m = g.num_edges();
 
-  view.node_in_view_.assign(n, 1);
-  if (config.node_ok) {
-    for (std::size_t i = 0; i < n; ++i) {
-      view.node_in_view_[i] = config.node_ok(static_cast<NodeId>(i)) ? 1 : 0;
-    }
-  }
-
   // Edge verdicts and weights, one callback evaluation per edge.  Weights
-  // are consulted for edges passing the edge filter only; filtered edges
-  // keep 0.
-  view.edge_pass_.assign(m, 1);
-  view.edge_in_view_.assign(m, 0);
+  // are consulted for in-view edges only; the others keep 0.
+  view.edge_in_view_.assign(m, 1);
   view.edge_lengths_.assign(m, 0.0);
   view.edge_capacities_.assign(m, 0.0);
   for (std::size_t e = 0; e < m; ++e) {
     const auto id = static_cast<EdgeId>(e);
     if (config.edge_ok && !config.edge_ok(id)) {
-      view.edge_pass_[e] = 0;
+      view.edge_in_view_[e] = 0;
       continue;
     }
-    const auto [eu, ev] = g.edge_endpoints(id);
-    view.edge_in_view_[e] =
-        view.node_in_view_[static_cast<std::size_t>(eu)] &&
-                view.node_in_view_[static_cast<std::size_t>(ev)]
-            ? 1
-            : 0;
     view.edge_lengths_[e] = config.length ? config.length(id) : 1.0;
     view.edge_capacities_[e] =
         config.capacity ? config.capacity(id) : g.edge_capacity(id);
   }
 
-  // CSR over directed arcs: u -> v present iff the edge passes and the
-  // *head* endpoint passes (see header).
+  // CSR over directed arcs: an in-view edge u-v gives u -> v and v -> u.
   view.offsets_.assign(n + 1, 0);
   for (std::size_t e = 0; e < m; ++e) {
-    if (!view.edge_pass_[e]) continue;
+    if (!view.edge_in_view_[e]) continue;
     const auto [eu, ev] = g.edge_endpoints(static_cast<EdgeId>(e));
-    if (view.node_in_view_[static_cast<std::size_t>(ev)]) {
-      ++view.offsets_[static_cast<std::size_t>(eu) + 1];
-    }
-    if (view.node_in_view_[static_cast<std::size_t>(eu)]) {
-      ++view.offsets_[static_cast<std::size_t>(ev) + 1];
-    }
+    ++view.offsets_[static_cast<std::size_t>(eu) + 1];
+    ++view.offsets_[static_cast<std::size_t>(ev) + 1];
   }
   for (std::size_t i = 0; i < n; ++i) view.offsets_[i + 1] += view.offsets_[i];
 
@@ -64,11 +44,9 @@ GraphView GraphView::build(const Graph& g, const ViewConfig& config) {
   for (std::size_t i = 0; i < n; ++i) {
     const auto u = static_cast<NodeId>(i);
     for (EdgeId e : g.incident_edges(u)) {
-      if (!view.edge_pass_[static_cast<std::size_t>(e)]) continue;
-      const NodeId head = g.other_endpoint(e, u);
-      if (!view.node_in_view_[static_cast<std::size_t>(head)]) continue;
+      if (!view.edge_in_view_[static_cast<std::size_t>(e)]) continue;
       const ArcId a = cursor[i]++;
-      view.arcs_[a] = {head, e,
+      view.arcs_[a] = {g.other_endpoint(e, u), e,
                        view.edge_lengths_[static_cast<std::size_t>(e)]};
       view.arc_capacities_[a] =
           view.edge_capacities_[static_cast<std::size_t>(e)];
@@ -84,7 +62,6 @@ void GraphView::refresh_edge_metrics(EdgeId e, double length,
   edge_lengths_[static_cast<std::size_t>(e)] = length;
   edge_capacities_[static_cast<std::size_t>(e)] = capacity;
   for (ArcId a : edge_arcs_[static_cast<std::size_t>(e)]) {
-    if (a == kInvalidArc) continue;
     arcs_[a].length = length;
     arc_capacities_[a] = capacity;
   }

@@ -3,19 +3,19 @@
 //
 // The usability filters and per-edge metrics of an algorithm round are
 // constant for the duration of the round, so GraphView::build evaluates the
-// ViewConfig callbacks once per element, in O(V + E), into four parallel
-// arrays (CSR offsets / arc targets / arc edge ids / arc weights) plus node
-// and edge usability bitsets.  The kernels in graph/dijkstra.hpp,
+// ViewConfig callbacks once per edge, in O(V + E), into four parallel
+// arrays (CSR offsets / arc targets / arc edge ids / arc weights) plus an
+// edge membership bitset.  The kernels in graph/dijkstra.hpp,
 // graph/traversal.hpp, graph/betweenness.hpp, graph/maxflow.hpp and
 // graph/simple_paths.hpp then run on flat memory with zero per-edge
 // indirection.
 //
-// Arc semantics: the directed arc u -> v of edge e is present iff edge_ok(e)
-// passes and node_ok(v) passes.  Only the *head* endpoint is node-filtered,
-// so a node excluded by the filter can still act as a traversal source (its
-// outgoing arcs exist) but is never reached (arcs into it are dropped).
-// edge_in_view() additionally requires both endpoints, which is the
-// per-edge test the flow/LP layers use.  Arcs of a node appear in the
+// Membership is decided by edges alone: every node of the graph is in the
+// view, and an edge passing edge_ok contributes exactly two arcs, u -> v
+// and v -> u, each the other's twin.  A filter that should exclude a node
+// excludes its incident edges (RepairState::edge_ok and
+// Graph::edge_usable already fold endpoint state into the edge verdict,
+// as the paper's working graph G(n) does).  Arcs of a node appear in the
 // graph's incidence order (increasing edge id), which fixes every
 // floating-point tie-break downstream: distances, parents, scores and flows.
 //
@@ -31,7 +31,7 @@
 //     Rebuild it (or route the mutation through a ViewCache, which rebuilds
 //     or refreshes for you).  Bare views are cheap (one O(V+E) pass) and
 //     meant to be materialised once per algorithm round.
-//   * Filter and weight callbacks are evaluated exactly once per element at
+//   * Filter and weight callbacks are evaluated exactly once per edge at
 //     build time and never retained by the view itself, so temporaries may
 //     be passed freely (a ViewCache *does* retain its configs; see there).
 //     Weights are evaluated only for edges passing edge_ok, so a metric may
@@ -49,10 +49,10 @@ namespace netrec::graph {
 /// Arc index into a GraphView's CSR arrays.
 using ArcId = std::uint32_t;
 
-/// Sentinel arc id ("edge contributes no arc in this direction").
+/// Sentinel arc id ("no arc").
 inline constexpr ArcId kInvalidArc = static_cast<ArcId>(-1);
 
-/// Build-time configuration: which elements are in the view and what the
+/// Build-time configuration: which edges are in the view and what the
 /// per-edge length / capacity metrics are.  Empty callbacks mean "accept
 /// everything" / "length 1" / "static graph capacity".  The `{}`
 /// initializers let a one-off call name only the fields it sets —
@@ -60,7 +60,6 @@ inline constexpr ArcId kInvalidArc = static_cast<ArcId>(-1);
 /// -Wmissing-field-initializers warning.
 struct ViewConfig {
   EdgeFilter edge_ok{};
-  NodeFilter node_ok{};
   EdgeWeight length{};
   EdgeWeight capacity{};
 };
@@ -94,29 +93,16 @@ class GraphView {
   EdgeId arc_edge(ArcId a) const { return arcs_[a].edge; }
   double arc_length(ArcId a) const { return arcs_[a].length; }
   double arc_capacity(ArcId a) const { return arc_capacities_[a]; }
-  /// The opposite-direction arc of the same edge, or kInvalidArc when the
-  /// head-endpoint node filter dropped it (a one-sided arc).
+  /// The opposite-direction arc of the same edge.
   ArcId arc_twin(ArcId a) const {
     const auto& slots = edge_arcs_[static_cast<std::size_t>(arcs_[a].edge)];
     return slots[0] == a ? slots[1] : slots[0];
   }
 
   // --- per-element lookups ------------------------------------------------
-  /// Node passes the node filter (excluded nodes keep their outgoing arcs
-  /// but have none incoming; see header comment).
-  bool node_in_view(NodeId n) const {
-    return node_in_view_[static_cast<std::size_t>(n)] != 0;
-  }
-  /// Edge passes the edge filter and both endpoints pass the node filter.
+  /// Edge passes the edge filter (and so has both arcs).
   bool edge_in_view(EdgeId e) const {
     return edge_in_view_[static_cast<std::size_t>(e)] != 0;
-  }
-  /// Raw edge-filter verdict alone (endpoint node filters not applied) —
-  /// exactly the predicate that decided the edge's arcs.  ViewCache compares
-  /// this against the live filter to tell weight refreshes from membership
-  /// flips.
-  bool edge_passes_filter(EdgeId e) const {
-    return edge_pass_[static_cast<std::size_t>(e)] != 0;
   }
   double edge_length(EdgeId e) const {
     return edge_lengths_[static_cast<std::size_t>(e)];
@@ -137,8 +123,8 @@ class GraphView {
 
   /// In-place metric patch for one edge (ViewCache refresh path): rewrites
   /// the flat per-edge length/capacity entries and the (up to two) arc
-  /// records carrying the edge.  Must only be called for edges whose filter
-  /// verdict is unchanged — a membership flip needs a rebuild.
+  /// records carrying the edge.  Must only be called for in-view edges whose
+  /// filter verdict is unchanged — a membership flip needs a rebuild.
   void refresh_edge_metrics(EdgeId e, double length, double capacity);
 
   struct ArcRec {
@@ -151,14 +137,12 @@ class GraphView {
   std::vector<ArcId> offsets_;       ///< size V+1
   std::vector<ArcRec> arcs_;         ///< interleaved per-arc record
   std::vector<double> arc_capacities_;  ///< edge capacity per arc
-  std::vector<char> node_in_view_;   ///< node filter verdicts
-  std::vector<char> edge_in_view_;   ///< edge usable with both endpoints
-  std::vector<char> edge_pass_;      ///< raw edge filter verdicts
+  std::vector<char> edge_in_view_;   ///< edge filter verdicts
   std::vector<double> edge_lengths_;    ///< per original edge id
   std::vector<double> edge_capacities_;  ///< per original edge id
-  /// Arc ids of each edge's (up to two) directed arcs, kInvalidArc when the
-  /// direction was dropped by the head-endpoint node filter.  Lets the
-  /// ViewCache refresh path patch arcs without scanning the CSR.
+  /// Arc ids of each edge's two directed arcs, kInvalidArc for edges out of
+  /// the view.  Lets the ViewCache refresh path patch arcs without scanning
+  /// the CSR.
   std::vector<std::array<ArcId, 2>> edge_arcs_;
 };
 

@@ -41,12 +41,6 @@ void ViewCache::invalidate_node(NodeId n) {
   g_->check_node(n);
   ++epoch_;
   for (auto& slot : slots_) {
-    if (slot->rebuild) continue;
-    if (slot->config.node_ok) {
-      // Node verdicts shape the CSR itself; be conservative.
-      slot->rebuild = true;
-      continue;
-    }
     for (EdgeId e : g_->incident_edges(n)) mark_edge(*slot, e);
   }
   for (MutationListener* l : listeners_) l->on_node_invalidated(n);
@@ -69,7 +63,7 @@ void ViewCache::sync(Slot& slot) {
   if (!slot.rebuild && !slot.dirty.empty()) {
     for (EdgeId e : slot.dirty) {
       if (slot.config.edge_ok &&
-          slot.config.edge_ok(e) != slot.view.edge_passes_filter(e)) {
+          slot.config.edge_ok(e) != slot.view.edge_in_view(e)) {
         slot.rebuild = true;
         break;
       }
@@ -82,9 +76,9 @@ void ViewCache::sync(Slot& slot) {
     ++stats_.builds;
   } else if (!slot.dirty.empty()) {
     for (EdgeId e : slot.dirty) {
-      // Edges outside the filter keep weight 0 (never evaluated), exactly
-      // as at build time.
-      if (!slot.view.edge_passes_filter(e)) continue;
+      // Edges outside the view keep weight 0 (never evaluated), exactly as
+      // at build time.
+      if (!slot.view.edge_in_view(e)) continue;
       const double length =
           slot.config.length ? slot.config.length(e) : 1.0;
       const double capacity =

@@ -18,7 +18,7 @@
 //     live edge filter is re-evaluated for e:
 //       - verdict unchanged  -> REFRESH: the length/capacity callbacks are
 //         re-evaluated for e and patched into the flat per-edge arrays and
-//         the (≤ 2) arc records in place — O(dirty) total, no allocation.
+//         the two arc records in place — O(dirty) total, no allocation.
 //       - verdict flipped    -> REBUILD: e's arcs must appear or vanish, so
 //         the CSR layout is stale; one O(V + E) build.
 //     Residual-weight-only changes therefore stay refreshes for every slot
@@ -27,9 +27,8 @@
 //     residual skip instead.
 //   * invalidate_node(n) — a property of node n changed (typically its
 //     broken flag repaired).  Equivalent to invalidate_edge on every edge
-//     incident to n (their filter verdicts and weights may all depend on
-//     n).  Slots with a node filter rebuild conservatively: node verdicts
-//     shape the CSR itself.
+//     incident to n: their filter verdicts and weights may all depend on n,
+//     and node state reaches a view only through them.
 //   * bump_epoch() — any element state may have changed (a wholesale state
 //     swap such as a Timeline revival); every slot rebuilds on next use.
 //     Topology itself never changes: a Graph's node and edge sets are fixed

@@ -55,9 +55,9 @@ class Runtime {
         cache_(live.graph),
         session_(live.graph, mcf::PathLpMode::kMaxRouted) {
     graph::ViewConfig operational;
-    // Endpoints folded into the edge filter (no node filter): a node break
-    // or repair reaches the cache as invalidate_node, which queues the
-    // incident edges, and the flipped verdict escalates to a rebuild.
+    // Endpoints folded into the edge filter: a node break or repair reaches
+    // the cache as invalidate_node, which queues the incident edges, and
+    // the flipped verdict escalates to a rebuild.
     operational.edge_ok = graph::working_edge_filter(g_);
     slot_ = cache_.add_config(std::move(operational));
     session_.set_thread_pool(pool);

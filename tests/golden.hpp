@@ -449,7 +449,8 @@ inline graph::EdgeWeight test_length() {
   };
 }
 
-inline graph::NodeFilter working_node_filter(const graph::Graph& g) {
+inline std::function<bool(graph::NodeId)> working_node_filter(
+    const graph::Graph& g) {
   return [&g](graph::NodeId n) { return !g.node_broken(n); };
 }
 
@@ -466,7 +467,6 @@ inline std::string tree_digest(const graph::ShortestPathTree& tree) {
 inline std::string dijkstra_record(const graph::Graph& g) {
   graph::ViewConfig working;
   working.edge_ok = graph::working_edge_filter(g);
-  working.node_ok = working_node_filter(g);
   working.length = test_length();
   const auto filtered = graph::GraphView::build(g, working);
   const auto unfiltered = graph::GraphView::build(g, {.length = test_length()});
@@ -480,11 +480,9 @@ inline std::string dijkstra_record(const graph::Graph& g) {
   return out.str();
 }
 
-inline std::string betweenness_record(const graph::Graph& g,
-                                      bool node_filter) {
+inline std::string betweenness_record(const graph::Graph& g) {
   graph::ViewConfig config;
   config.edge_ok = graph::working_edge_filter(g);
-  if (node_filter) config.node_ok = working_node_filter(g);
   config.length = test_length();
   const auto view = graph::GraphView::build(g, config);
   return "scores" + join_hex(graph::betweenness_centrality(view)) + "\n";
@@ -519,10 +517,7 @@ inline graph::Graph small_flow_graph() {
 }
 
 inline std::string max_flow_record(const graph::Graph& g) {
-  graph::ViewConfig working;
-  working.edge_ok = graph::working_edge_filter(g);
-  working.node_ok = working_node_filter(g);
-  const auto view = graph::GraphView::build(g, working);
+  const auto view = graph::GraphView::working(g);
   const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
   return flow_fields(graph::max_flow(view, 0, last));
 }
@@ -589,24 +584,6 @@ inline std::string max_flow_bubble_record(const graph::Graph& g) {
   return out.str();
 }
 
-/// A node filter without a matching edge filter: the excluded nodes keep
-/// their outgoing arcs, and the flow must not use those one-sided arcs.
-/// The last pair starts at an excluded node (no flow).
-inline std::string max_flow_one_sided_record(const graph::Graph& g) {
-  const auto excluded = [](graph::NodeId n) { return n % 5 == 2; };
-  const auto view = graph::GraphView::build(
-      g, {.node_ok = [&](graph::NodeId n) { return !excluded(n); }});
-  std::ostringstream out;
-  out << "arcs " << view.num_arcs() << "\n";
-  auto pairs = flow_pairs(g, [&](graph::NodeId n) { return !excluded(n); });
-  pairs.emplace_back(2, static_cast<graph::NodeId>(g.num_nodes() - 1));
-  for (const auto& [s, t] : pairs) {
-    out << "pair " << s << " " << t << "\n"
-        << flow_fields(graph::max_flow(view, s, t));
-  }
-  return out.str();
-}
-
 /// Per-demand flows on plan_fresh's CAIDA-like topology: ISP's working view
 /// (prune, watchdog) and the full graph (split decision 1's f*(i,j)).
 inline std::string max_flow_caida_record(const core::RecoveryProblem& p) {
@@ -626,7 +603,6 @@ inline std::string max_flow_caida_record(const core::RecoveryProblem& p) {
 inline std::string shortest_path_record(const graph::Graph& g) {
   graph::ViewConfig working;
   working.edge_ok = graph::working_edge_filter(g);
-  working.node_ok = working_node_filter(g);
   working.length = test_length();
   const auto view = graph::GraphView::build(g, working);
   const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
@@ -921,11 +897,11 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
   }
   for (std::uint64_t s = 1; s <= 5; ++s) {
     add("betweenness er " + std::to_string(s),
-        [s] { return betweenness_record(broken_er(s), false); });
+        [s] { return betweenness_record(broken_er(s)); });
   }
   for (std::uint64_t s = 1; s <= 3; ++s) {
     add("betweenness bell-canada " + std::to_string(s),
-        [s] { return betweenness_record(broken_bell_canada(s), true); });
+        [s] { return betweenness_record(broken_bell_canada(s)); });
   }
   for (std::uint64_t s = 1; s <= 6; ++s) {
     add("max-flow er " + std::to_string(s),
@@ -942,10 +918,6 @@ inline std::vector<GoldenCase> graph_kernel_cases() {
   for (std::uint64_t s = 1; s <= 4; ++s) {
     add("max-flow bubble er " + std::to_string(s),
         [s] { return max_flow_bubble_record(broken_er(s, 30, 0.2)); });
-  }
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    add("max-flow one-sided er " + std::to_string(s),
-        [s] { return max_flow_one_sided_record(broken_er(s, 30, 0.2)); });
   }
   add("max-flow caida 1",
       [] { return max_flow_caida_record(caida_lazy_scenario(1)); });

@@ -81,14 +81,13 @@ int main(int argc, char** argv) {
             "# recorded while Graph still had an incremental add_node /\n"
             "# add_edge construction path next to graph::Builder.\n"
             "#\n"
-            "# `max-flow residual|bubble|one-sided|caida`, `shortest-path`\n"
-            "# and `centrality caida split` records (residual arrays with\n"
-            "# sub-threshold entries, the bubble node_ok overload, node\n"
-            "# filters that leave one-sided arcs, CAIDA-like flows, and\n"
-            "# demand-based centrality over shared first-path trees) were\n"
-            "# first recorded by the adjacency-list Dinic and the full-tree\n"
-            "# shortest-path reads that the CSR Dinic and the target-stopped\n"
-            "# trees replaced.\n"
+            "# `max-flow residual|bubble|caida`, `shortest-path` and\n"
+            "# `centrality caida split` records (residual arrays with\n"
+            "# sub-threshold entries, the bubble node_ok overload,\n"
+            "# CAIDA-like flows, and demand-based centrality over shared\n"
+            "# first-path trees) were first recorded by the adjacency-list\n"
+            "# Dinic and the full-tree shortest-path reads that the CSR\n"
+            "# Dinic and the target-stopped trees replaced.\n"
             "#\n"
             "# `placement` records pin scenario::far_apart_demands: an\n"
             "# FNV-1a-64 digest of every (source, target, amount bits) and\n"
@@ -118,8 +117,9 @@ int main(int argc, char** argv) {
             "# (verdict, total, per-demand routed, FNV-1a-64 digest of the\n"
             "# flows), min_broken_usage (eq. 8 cost, flow digest, implied\n"
             "# repairs), six explore_optimal_face samples, the feasibility\n"
-            "# verdict, the scored ISP plan and schedule_repairs'\n"
-            "# restored_after series with greedy and exact scoring.  `lazy`\n"
+            "# verdict, the scored ISP plan, schedule_repairs' greedy\n"
+            "# restored_after series and the series of the referee\n"
+            "# heuristics::exact_restored_series.  `lazy`\n"
             "# records (CAIDA-like, lazy capacity rows) keep only what every\n"
             "# optimal LP vertex shares: verdicts, ISP's repairs in decision\n"
             "# order and their cost, objectives and satisfied fractions to\n"

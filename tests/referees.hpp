@@ -24,8 +24,7 @@
 namespace netrec::graph {
 
 /// Hop distance from `source` to every node (-1 when unreachable).  The
-/// source is always distance 0, even when it fails the view's node filter
-/// (its outgoing arcs are preserved; see view.hpp).
+/// source is always distance 0, even when the view's filter isolates it.
 inline std::vector<int> bfs_hops(const GraphView& view, NodeId source) {
   view.graph().check_node(source);
   std::vector<int> dist(view.num_nodes(), -1);

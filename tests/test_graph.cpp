@@ -114,36 +114,26 @@ TEST(Traversal, DiameterRangesOverInViewNodes) {
   for (NodeId i = 0; i < 6; ++i) builder.add_edge(i, (i + 1) % 6, 1.0);
   Graph g = builder.finalize();
   g.set_node_broken(5, true);
-  const ViewConfig working_nodes{.edge_ok = working_edge_filter(g),
-                                 .node_ok = [&g](NodeId v) {
-                                   return !g.node_broken(v);
-                                 }};
   EXPECT_EQ(hop_diameter(GraphView::build(g)), 3);
-  EXPECT_EQ(hop_diameter(GraphView::build(g, working_nodes)), 4);
-  // GraphView::working filters edges only: node 5 stays in the view,
-  // isolated, so the view is disconnected.
+  // Every node is in every view: the working filter drops node 5's edges,
+  // so node 5 stays in the view, isolated, and the view is disconnected.
   EXPECT_EQ(hop_diameter(GraphView::working(g)), -1);
-  // A second broken node splits the remaining nodes.
-  g.set_node_broken(2, true);
-  EXPECT_EQ(hop_diameter(GraphView::build(g, working_nodes)), -1);
 }
 
-/// One bfs_hops per in-view source: the reference for the multi-source
-/// kernel behind hop_diameter and near_matrix.
+/// One bfs_hops per source: the reference for the multi-source kernel
+/// behind hop_diameter and near_matrix.
 struct HopReference {
-  std::vector<std::vector<int>> hops;  ///< empty rows for out-of-view sources
+  std::vector<std::vector<int>> hops;  ///< one row per source
   int diameter = 0;                    ///< -1 when some pair is unreachable
-  int max_finite = 0;                  ///< largest finite in-view distance
+  int max_finite = 0;                  ///< largest finite distance
 };
 
 HopReference per_source_hops(const GraphView& view) {
   HopReference ref;
   ref.hops.resize(view.num_nodes());
   for (std::size_t s = 0; s < view.num_nodes(); ++s) {
-    if (!view.node_in_view(static_cast<NodeId>(s))) continue;
     ref.hops[s] = bfs_hops(view, static_cast<NodeId>(s));
     for (std::size_t t = 0; t < view.num_nodes(); ++t) {
-      if (!view.node_in_view(static_cast<NodeId>(t))) continue;
       const int d = ref.hops[s][t];
       if (d < 0) {
         ref.diameter = -1;
@@ -171,8 +161,7 @@ void expect_matches_per_source_bfs(const GraphView& view,
     std::size_t mismatches = 0;
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t t = 0; t < n; ++t) {
-        const bool expected = !ref.hops[s].empty() && ref.hops[s][t] >= 0 &&
-                              ref.hops[s][t] <= limit;
+        const bool expected = ref.hops[s][t] >= 0 && ref.hops[s][t] <= limit;
         if (near.near(static_cast<NodeId>(s), static_cast<NodeId>(t)) !=
             expected) {
           ++mismatches;
@@ -196,16 +185,13 @@ Graph edgeless(std::size_t nodes) {
   return builder.finalize();
 }
 
-/// Plain, edge-filtered and node-filtered views of one graph.
+/// Plain and edge-filtered views of one graph.
 void expect_views_match_per_source_bfs(const Graph& g,
                                        const std::string& label) {
   expect_matches_per_source_bfs(GraphView::build(g), label);
   expect_matches_per_source_bfs(
       GraphView::build(g, {.edge_ok = [](EdgeId e) { return e % 3 != 0; }}),
       label + " edge-filtered");
-  expect_matches_per_source_bfs(
-      GraphView::build(g, {.node_ok = [](NodeId v) { return v % 5 != 2; }}),
-      label + " node-filtered");
 }
 
 TEST(MultiSourceBfs, MatchesPerSourceBfsAcrossBatchBoundaries) {
@@ -242,10 +228,9 @@ TEST(MultiSourceBfs, MatchesPerSourceBfsOnDisconnectedAndBrokenGraphs) {
 
 /// ResidualReach against one reachable(view, s, t, residual) BFS per pair,
 /// in a query order that repeats sources, on views whose capacities drain
-/// some arcs (to 0 or below the 1e-9 threshold) and whose node filter
-/// leaves off-view sources with out-arcs only.
+/// some arcs (to 0 or below the 1e-9 threshold), on the full graph and on
+/// the working edges, where broken nodes are in the view but isolated.
 TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
-  std::size_t off_view_yes = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(seed);
@@ -258,21 +243,13 @@ TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
     const EdgeWeight drained = [&capacity](EdgeId e) {
       return capacity[static_cast<std::size_t>(e)];
     };
-    const NodeFilter working_nodes = [&g](NodeId v) {
-      return !g.node_broken(v);
-    };
     const std::vector<std::pair<std::string, GraphView>> views = {
         {"full", GraphView::build(g, {.capacity = drained})},
         {"working edges",
          GraphView::build(g, {.edge_ok = working_edge_filter(g),
                               .capacity = drained})},
-        {"working nodes",
-         GraphView::build(g, {.node_ok = working_nodes, .capacity = drained})},
-        {"working", GraphView::build(g, {.edge_ok = working_edge_filter(g),
-                                         .node_ok = working_nodes,
-                                         .capacity = drained})},
     };
-    // A few sources, each queried many times, off-view ones included.
+    // A few sources, each queried many times, a broken node included.
     std::vector<NodeId> sources;
     for (int i = 0; i < 8; ++i) {
       sources.push_back(static_cast<NodeId>(rng.uniform_int(0, 59)));
@@ -288,7 +265,6 @@ TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
       ResidualReach reach(view, view.edge_capacities());
       std::size_t yes = 0;
       std::size_t no = 0;
-      std::size_t off_view_sources = 0;
       for (int q = 0; q < 400; ++q) {
         const NodeId s = sources[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(sources.size()) - 1))];
@@ -298,19 +274,11 @@ TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
         ASSERT_EQ(reach.reachable(s, t), expected)
             << "query " << q << ": " << s << " -> " << t;
         (expected ? yes : no) += 1;
-        if (!view.node_in_view(s)) {
-          ++off_view_sources;
-          if (expected && s != t) ++off_view_yes;
-        }
       }
       EXPECT_GT(yes, 0u);
       EXPECT_GT(no, 0u);
-      if (name == "working nodes" || name == "working") {
-        EXPECT_GT(off_view_sources, 0u);
-      }
     }
   }
-  EXPECT_GT(off_view_yes, 0u);
 }
 
 TEST(Dijkstra, PrefersShortMetricOverFewHops) {
@@ -378,9 +346,13 @@ TEST(Maxflow, ParallelPathsSum) {
 }
 
 TEST(Maxflow, RespectsNodeFilter) {
+  // A view excludes a node through its incident edges.
   Graph g = make_square_with_diagonal();
   ViewConfig config;
-  config.node_ok = [](NodeId n) { return n != 1; };
+  config.edge_ok = [&g](EdgeId e) {
+    const auto [u, v] = g.edge_endpoints(e);
+    return u != 1 && v != 1;
+  };
   const auto r = max_flow(GraphView::build(g, config), 0, 2);
   EXPECT_NEAR(r.value, 13.0, 1e-9);  // loses the 0-1-2 path
 }

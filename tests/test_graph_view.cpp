@@ -60,10 +60,6 @@ TEST(GraphViewMaxflow, BubbleNodeFilterMatchesGolden) {
   expect_kernel_golden("max-flow bubble er ");
 }
 
-TEST(GraphViewMaxflow, OneSidedArcsMatchGolden) {
-  expect_kernel_golden("max-flow one-sided er ");
-}
-
 TEST(GraphViewMaxflow, CaidaDemandsMatchGolden) {
   expect_kernel_golden("max-flow caida ");
 }
@@ -91,17 +87,53 @@ TEST(GraphTopology, GeneratorsAndGmlLoaderMatchGolden) {
 TEST(GraphViewStructure, WorkingViewMatchesEdgeUsable) {
   const graph::Graph g = test::broken_er(11);
   const auto view = graph::GraphView::working(g);
-  std::size_t usable_edges = 0;
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const auto id = static_cast<graph::EdgeId>(e);
     EXPECT_EQ(view.edge_in_view(id), g.edge_usable(id));
-    if (g.edge_usable(id)) ++usable_edges;
   }
-  // Every usable undirected edge contributes exactly two arcs (the working
-  // filter already excludes broken endpoints, so no head-check drops more).
-  EXPECT_EQ(view.num_arcs(), 2 * usable_edges);
-  EXPECT_EQ(view.num_nodes(), g.num_nodes());
-  EXPECT_EQ(view.num_edges(), g.num_edges());
+  // Broken nodes stay in the working view, with no arcs.
+  std::size_t broken_nodes = 0;
+  for (std::size_t n = 0; n < g.num_nodes(); ++n) {
+    const auto u = static_cast<graph::NodeId>(n);
+    if (!g.node_broken(u)) continue;
+    ++broken_nodes;
+    EXPECT_EQ(view.arcs_begin(u), view.arcs_end(u));
+  }
+  EXPECT_GT(broken_nodes, 0u);
+  // Membership is decided by edges alone, for the working filter (which
+  // folds in endpoint state) and for one that ignores element state: every
+  // node is in the view, and each in-view edge has exactly two arcs, each
+  // the other's twin.
+  const auto every_third_out = graph::GraphView::build(
+      g, {.edge_ok = [](graph::EdgeId e) { return e % 3 != 0; }});
+  for (const graph::GraphView* v : {&view, &every_third_out}) {
+    EXPECT_EQ(v->num_nodes(), g.num_nodes());
+    EXPECT_EQ(v->num_edges(), g.num_edges());
+    std::vector<int> arcs_of(g.num_edges(), 0);
+    for (std::size_t n = 0; n < g.num_nodes(); ++n) {
+      const auto u = static_cast<graph::NodeId>(n);
+      for (graph::ArcId a = v->arcs_begin(u); a < v->arcs_end(u); ++a) {
+        const graph::ArcId twin = v->arc_twin(a);
+        ASSERT_NE(twin, graph::kInvalidArc);
+        EXPECT_NE(twin, a);
+        EXPECT_EQ(v->arc_twin(twin), a);
+        EXPECT_EQ(v->arc_edge(twin), v->arc_edge(a));
+        EXPECT_EQ(v->arc_target(twin), u);
+        ++arcs_of[static_cast<std::size_t>(v->arc_edge(a))];
+      }
+    }
+    std::size_t in_view = 0;
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      const bool member = v->edge_in_view(static_cast<graph::EdgeId>(e));
+      EXPECT_EQ(arcs_of[e], member ? 2 : 0) << "edge " << e;
+      if (member) ++in_view;
+    }
+    EXPECT_EQ(v->num_arcs(), 2 * in_view);
+    // Nodes the filter isolates still get a component of their own.
+    for (const int label : graph::connected_components(*v)) {
+      EXPECT_GE(label, 0);
+    }
+  }
 }
 
 TEST(GraphViewStructure, ArcOrderFollowsAdjacency) {

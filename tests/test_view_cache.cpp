@@ -39,7 +39,7 @@ graph::Graph broken_er(std::uint64_t seed, std::size_t nodes = 30,
 }
 
 /// Exact structural equality: offsets, arc records, per-edge metric arrays
-/// and both usability bitsets.
+/// and the edge membership bitset.
 void expect_same_view(const graph::GraphView& cached,
                       const graph::GraphView& fresh) {
   ASSERT_EQ(cached.num_nodes(), fresh.num_nodes());
@@ -47,7 +47,6 @@ void expect_same_view(const graph::GraphView& cached,
   ASSERT_EQ(cached.num_arcs(), fresh.num_arcs());
   for (std::size_t n = 0; n < cached.num_nodes(); ++n) {
     const auto id = static_cast<graph::NodeId>(n);
-    EXPECT_EQ(cached.node_in_view(id), fresh.node_in_view(id));
     ASSERT_EQ(cached.arcs_begin(id), fresh.arcs_begin(id))
         << "offset mismatch at node " << n;
     ASSERT_EQ(cached.arcs_end(id), fresh.arcs_end(id));
@@ -63,7 +62,6 @@ void expect_same_view(const graph::GraphView& cached,
     const auto id = static_cast<graph::EdgeId>(e);
     EXPECT_EQ(cached.edge_in_view(id), fresh.edge_in_view(id))
         << "usability mismatch on edge " << e;
-    EXPECT_EQ(cached.edge_passes_filter(id), fresh.edge_passes_filter(id));
     EXPECT_EQ(cached.edge_length(id), fresh.edge_length(id))
         << "length mismatch on edge " << e;
     EXPECT_EQ(cached.edge_capacity(id), fresh.edge_capacity(id))
