@@ -3,9 +3,10 @@
 //
 // Expected shape (paper): (a) exact optimisation blows up with p while
 // ISP/SRT stay flat — here the general MILP becomes intractable already at
-// n=100 (its LP relaxation alone exceeds any laptop budget; see
-// EXPERIMENTS.md), so OPT uses the exact Steiner-forest engine, whose
-// runtime grows with p while ISP/SRT remain in milliseconds; (b) repairs:
+// n=100 (its LP relaxation alone exceeds any laptop budget; see README,
+// "Where netrec departs from the paper"), so OPT uses the exact
+// Steiner-forest engine, whose runtime grows with p while ISP/SRT remain
+// in milliseconds; (b) repairs:
 // ISP close to OPT on sparse (mostly planar) graphs, the gap widening as p
 // grows and the graph becomes strongly non-planar, SRT above both; at p=1
 // all algorithms find the trivial 3-per-pair solution.

@@ -6,7 +6,7 @@
 // pairs' shortest paths collide on capacity.  The greedy pool heuristics do
 // not scale to this topology and are skipped exactly as in the paper.
 // OPT at this scale is best-found (randomised ISP restarts + local search);
-// EXPERIMENTS.md carries the caveat.
+// README's "Where netrec departs from the paper" carries the caveat.
 #include "bench/bench_common.hpp"
 #include "disruption/disruption.hpp"
 #include "scenario/scenario.hpp"

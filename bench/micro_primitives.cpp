@@ -3,7 +3,8 @@
 // centrality pass, the exact routability test, the split LP and a dense
 // simplex solve.  These are the per-iteration costs behind Fig. 7(a)'s
 // "ISP time is negligible" claim.  BM_FarApartDemands and BM_HopDiameter
-// time the set-up side: demand placement on the netrec-bench preloads.
+// time the set-up side: demand placement on the netrec-bench preloads, and
+// (BM_FarApartDemands/2) on a Barabasi-Albert n=10^4 graph.
 // BM_JsonParsePlanRequest, BM_CanonicalKeyFingerprint and BM_JsonDumpPayload
 // time netrecd's request path on a plan_hot-shaped body.  BM_IspSolveBa2000
 // is one plan_scale-shaped solve, and BM_BubbleTestBa2000 the prune step's
@@ -267,15 +268,25 @@ BENCHMARK(BM_SimplexResolveWarm);
 
 /// netrec-bench's preload topologies: CAIDA-like seed 1 (plan_fresh,
 /// plan_hot) and Barabási–Albert 2000 seed 1 (plan_scale).
+/// The netrec-bench preloads (0: CAIDA-like seed 1, 1: BA-2000 seed 1), and
+/// 2: BA-10^4 seed 1, for placement at scale.
 const graph::Graph& preload_graph(std::int64_t which) {
+  const auto ba = [](std::size_t nodes) {
+    topology::BarabasiAlbertOptions options;
+    options.nodes = nodes;
+    return topology::make_topology({options, 1});
+  };
   static const graph::Graph caida_1 =
       topology::make_topology({topology::CaidaLikeOptions{}, 1});
-  static const graph::Graph ba_2000 = [] {
-    topology::BarabasiAlbertOptions options;
-    options.nodes = 2000;
-    return topology::make_topology({options, 1});
-  }();
-  return which == 0 ? caida_1 : ba_2000;
+  static const graph::Graph ba_2000 = ba(2000);
+  if (which == 0) return caida_1;
+  if (which == 1) return ba_2000;
+  static const graph::Graph ba_10000 = ba(10000);
+  return ba_10000;
+}
+
+const char* preload_label(std::int64_t which) {
+  return which == 0 ? "caida-825" : which == 1 ? "ba-2000" : "ba-10000";
 }
 
 void BM_FarApartDemands(benchmark::State& state) {
@@ -285,16 +296,20 @@ void BM_FarApartDemands(benchmark::State& state) {
     util::Rng rng(7);
     benchmark::DoNotOptimize(scenario::far_apart_demands(g, 8, 10.0, rng));
   }
-  state.SetLabel(state.range(0) == 0 ? "caida-825" : "ba-2000");
+  state.SetLabel(preload_label(state.range(0)));
 }
-BENCHMARK(BM_FarApartDemands)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FarApartDemands)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HopDiameter(benchmark::State& state) {
   const auto view = graph::GraphView::build(preload_graph(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::hop_diameter(view));
   }
-  state.SetLabel(state.range(0) == 0 ? "caida-825" : "ba-2000");
+  state.SetLabel(preload_label(state.range(0)));
 }
 BENCHMARK(BM_HopDiameter)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

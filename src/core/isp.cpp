@@ -317,10 +317,11 @@ class Engine {
       const auto flow =
           graph::max_flow(working_view(), dem.source, dem.target, residual_);
       if (flow.value >= dem.amount - kTolerance) continue;
-      // Interpretation choice (documented in DESIGN.md): only repair the
-      // direct edge when it is also a cheapest dynamic-metric route — with
-      // the paper's homogeneous costs this always holds, but it stops the
-      // rule from buying an expensive shortcut past a cheap corridor.
+      // Interpretation choice (README, "Where netrec departs from the
+      // paper"): only repair the direct edge when it is also a cheapest
+      // dynamic-metric route — with the paper's homogeneous costs this
+      // always holds, but it stops the rule from buying an expensive
+      // shortcut past a cheap corridor.
       const auto tree = graph::dijkstra_residual_to(
           metric_view(), dem.source, dem.target, residual_);
       if (tree.reached(dem.target) &&

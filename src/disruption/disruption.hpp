@@ -11,7 +11,8 @@
 // distance 15 from the barycentre; failure probability is
 //   p(d) = min(1, (variance / 50) * exp(-d^2 / 2 variance)).
 // The first factor is the paper's "scaled the probability accordingly";
-// DESIGN.md records this interpretation.
+// README's "Where netrec departs from the paper" records this
+// interpretation.
 #pragma once
 
 #include <cstddef>

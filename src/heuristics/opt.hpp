@@ -14,10 +14,11 @@
 //     OptOptions::time_limit_seconds (skipped when that budget is 0).
 //  3. Fallback: the incumbent itself, i.e. ISP tightened by local search.
 //
-// The result records whether optimality was proven within the budget; bench
-// drivers report that flag so EXPERIMENTS.md can label OPT data points as
-// exact or best-found — the paper's own 27-hour Gurobi runs get the same
-// caveat treatment.
+// The result records whether optimality was proven within the budget, which
+// tells exact OPT data points from best-found ones — the paper's own
+// 27-hour Gurobi runs get the same caveat.  The figure drivers do not
+// print it yet; README's "Where netrec departs from the paper" says which
+// figures' OPT points are proven.
 #pragma once
 
 #include <optional>

@@ -4,8 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/traversal.hpp"
 #include "graph/view.hpp"
@@ -17,45 +20,157 @@ namespace {
 
 using NodePair = std::pair<graph::NodeId, graph::NodeId>;
 
-/// Every pair (i, j), i < j, at least `min_hops` apart, in lexicographic
-/// order.  Pair (i, j) is out iff j is within min_hops - 1 hops of i.  Hop
-/// distance is symmetric on the full view, so the sources near i are also
-/// the targets near i: the clear bits of sources_near(b, i) are the
-/// admissible j of batch b, 64 per word.
-std::vector<NodePair> admissible_pairs(const graph::GraphView& view,
-                                       int min_hops) {
-  const graph::NearMatrix near = graph::near_matrix(view, min_hops - 1);
-  const std::size_t n = view.num_nodes();
-  const std::size_t batches = near.num_batches();
-  // Admissible j > i among nodes 64 * b ... 64 * b + 63.
-  const auto far_word = [&](std::size_t i, std::size_t b) {
-    std::uint64_t word = ~near.sources_near(b, static_cast<graph::NodeId>(i));
+/// The pairs (i, j), i < j, at least `min_hops` apart, addressed by their
+/// rank in lexicographic order.  Pair (i, j) is out iff j is within
+/// min_hops - 1 hops of i.  Hop distance is symmetric on the full view, so
+/// the sources near i are also the targets near i: the clear bits of
+/// sources_near(b, i) are the admissible j of batch b, 64 per word.
+class AdmissiblePairs {
+ public:
+  AdmissiblePairs(const graph::GraphView& view, int min_hops)
+      : near_(graph::near_matrix(view, min_hops - 1)),
+        row_start_(view.num_nodes() + 1, 0) {
+    for (std::size_t i = 0; i < near_.num_nodes(); ++i) {
+      std::uint64_t count = 0;
+      for (std::size_t b = i / 64; b < near_.num_batches(); ++b) {
+        count += static_cast<std::uint64_t>(std::popcount(far_word(i, b)));
+      }
+      row_start_[i + 1] = row_start_[i] + count;
+    }
+  }
+
+  std::uint64_t size() const { return row_start_.back(); }
+
+  /// The pair of rank `rank`: a binary search over the per-row prefix
+  /// counts, then a popcount walk and a select inside the row.
+  NodePair operator[](std::uint64_t rank) const {
+    const auto row = static_cast<std::size_t>(
+        std::upper_bound(row_start_.begin(), row_start_.end(), rank) -
+        row_start_.begin() - 1);
+    std::uint64_t offset = rank - row_start_[row];
+    for (std::size_t b = row / 64;; ++b) {
+      std::uint64_t word = far_word(row, b);
+      const auto count = static_cast<std::uint64_t>(std::popcount(word));
+      if (offset < count) {
+        for (; offset > 0; --offset) word &= word - 1;
+        return pair(row, b, word);
+      }
+      offset -= count;
+    }
+  }
+
+  /// Every pair, in rank order.
+  std::vector<NodePair> all() const {
+    std::vector<NodePair> out;
+    out.reserve(size());
+    for (std::size_t i = 0; i < near_.num_nodes(); ++i) {
+      for (std::size_t b = i / 64; b < near_.num_batches(); ++b) {
+        for (std::uint64_t word = far_word(i, b); word != 0;
+             word &= word - 1) {
+          out.push_back(pair(i, b, word));
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  /// Admissible j > i among nodes 64 * b ... 64 * b + 63.
+  std::uint64_t far_word(std::size_t i, std::size_t b) const {
+    std::uint64_t word = ~near_.sources_near(b, static_cast<graph::NodeId>(i));
     if (b == i / 64) word &= ~((std::uint64_t{2} << (i % 64)) - 1);
-    if (b + 1 == batches && n % 64 != 0) {
+    const std::size_t n = near_.num_nodes();
+    if (b + 1 == near_.num_batches() && n % 64 != 0) {
       word &= (std::uint64_t{1} << (n % 64)) - 1;
     }
     return word;
+  }
+
+  /// Row i's pair at the lowest set bit of its batch-b word.
+  static NodePair pair(std::size_t i, std::size_t b, std::uint64_t word) {
+    return {static_cast<graph::NodeId>(i),
+            static_cast<graph::NodeId>(
+                64 * b + static_cast<std::size_t>(std::countr_zero(word)))};
+  }
+
+  graph::NearMatrix near_;
+  std::vector<std::uint64_t> row_start_;  ///< rank of row i's first pair
+};
+
+/// The first `stored` slots of the sequence 0, 1, ..., size - 1 after
+/// std::shuffle(first, last, rng).  The shuffle runs over the whole
+/// virtual sequence, but a slot at or past `stored` reads as its own index
+/// and drops writes.  libstdc++'s std::shuffle is a forward Fisher-Yates:
+/// step p swaps slot p with a slot <= p, so the only value it moves into a
+/// lower slot is slot p's untouched original, p.  The stored slots
+/// therefore end equal to the first `stored` entries of the shuffled
+/// sequence, and the RNG makes exactly the draws of a full shuffle.  Other
+/// standard libraries may shuffle differently; the ScenarioPlacement
+/// differential tests (tests/test_scenario_engine.cpp) are the guard.
+class ShuffleWindow {
+ public:
+  ShuffleWindow(std::uint64_t size, std::uint64_t stored, util::Rng& rng)
+      : slots_(stored) {
+    std::iota(slots_.begin(), slots_.end(), std::uint64_t{0});
+    std::shuffle(Iterator{this, 0}, Iterator{this, size}, rng);
+  }
+
+  std::uint64_t operator[](std::uint64_t p) const { return slots_[p]; }
+
+ private:
+  /// Proxy reference to slot p.
+  struct Slot {
+    ShuffleWindow* window;
+    std::uint64_t p;
+
+    operator std::uint64_t() const {
+      return p < window->slots_.size() ? window->slots_[p] : p;
+    }
+    Slot& operator=(std::uint64_t value) {
+      if (p < window->slots_.size()) window->slots_[p] = value;
+      return *this;
+    }
+    Slot& operator=(const Slot& other) {
+      return *this = static_cast<std::uint64_t>(other);
+    }
+    friend void swap(Slot a, Slot b) {
+      const auto value = static_cast<std::uint64_t>(a);
+      a = static_cast<std::uint64_t>(b);
+      b = value;
+    }
   };
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = i / 64; b < batches; ++b) {
-      count += static_cast<std::size_t>(std::popcount(far_word(i, b)));
+
+  struct Iterator {
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = std::uint64_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Slot;
+
+    ShuffleWindow* window;
+    std::uint64_t p;
+
+    Slot operator*() const { return {window, p}; }
+    Iterator& operator++() {
+      ++p;
+      return *this;
     }
-  }
-  std::vector<NodePair> pairs;
-  pairs.reserve(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = i / 64; b < batches; ++b) {
-      for (std::uint64_t word = far_word(i, b); word != 0; word &= word - 1) {
-        pairs.emplace_back(
-            static_cast<graph::NodeId>(i),
-            static_cast<graph::NodeId>(64 * b + static_cast<std::size_t>(
-                                                    std::countr_zero(word))));
-      }
+    Iterator operator++(int) { return {window, p++}; }
+    Iterator operator+(difference_type n) const {
+      return {window, p + static_cast<std::uint64_t>(n)};
     }
-  }
-  return pairs;
-}
+    difference_type operator-(const Iterator& other) const {
+      return static_cast<difference_type>(p - other.p);
+    }
+    bool operator==(const Iterator& other) const { return p == other.p; }
+  };
+
+  std::vector<std::uint64_t> slots_;
+};
+
+/// Stored slots per requested pair in a windowed shuffle, and their floor.
+constexpr std::uint64_t kWindowPerPair = 64;
+constexpr std::uint64_t kMinWindow = 1024;
 
 }  // namespace
 
@@ -71,30 +186,57 @@ std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
   }
   const int min_hops = static_cast<int>(
       std::ceil(diameter * min_distance_factor));
-  auto admissible = admissible_pairs(view, min_hops);
-  std::shuffle(admissible.begin(), admissible.end(), rng);
+  const AdmissiblePairs admissible(view, min_hops);
+  const std::uint64_t total = admissible.size();
 
-  // Prefer pairs with fresh endpoints so demands do not collapse onto a few
-  // hubs; relax the restriction when the graph runs out of fresh nodes.
+  // Scans the shuffled pairs in order, twice: first taking only pairs with
+  // fresh endpoints, so demands do not collapse onto a few hubs, then any
+  // pair not yet taken.  pair_at(p) reads slot p; false when the scan needs
+  // slot `readable` or later.
   std::vector<mcf::Demand> demands;
-  std::vector<char> used(g.num_nodes(), 0);
-  for (int pass = 0; pass < 2 && demands.size() < pairs; ++pass) {
-    for (const auto& [a, b] : admissible) {
-      if (demands.size() >= pairs) break;
-      if (pass == 0 && (used[static_cast<std::size_t>(a)] ||
-                        used[static_cast<std::size_t>(b)])) {
-        continue;
+  const auto scan = [&](std::uint64_t readable, const auto& pair_at) {
+    demands.clear();
+    std::vector<char> used(g.num_nodes(), 0);
+    for (int pass = 0; pass < 2 && demands.size() < pairs; ++pass) {
+      for (std::uint64_t p = 0; p < total; ++p) {
+        if (demands.size() >= pairs) break;
+        if (p == readable) return false;
+        const auto [a, b] = pair_at(p);
+        if (pass == 0 && (used[static_cast<std::size_t>(a)] ||
+                          used[static_cast<std::size_t>(b)])) {
+          continue;
+        }
+        const bool duplicate =
+            std::any_of(demands.begin(), demands.end(), [&](const auto& d) {
+              return (d.source == a && d.target == b) ||
+                     (d.source == b && d.target == a);
+            });
+        if (duplicate) continue;
+        demands.push_back(mcf::Demand{a, b, amount});
+        used[static_cast<std::size_t>(a)] = 1;
+        used[static_cast<std::size_t>(b)] = 1;
       }
-      const bool duplicate =
-          std::any_of(demands.begin(), demands.end(), [&](const auto& d) {
-            return (d.source == a && d.target == b) ||
-                   (d.source == b && d.target == a);
-          });
-      if (duplicate) continue;
-      demands.push_back(mcf::Demand{a, b, amount});
-      used[static_cast<std::size_t>(a)] = 1;
-      used[static_cast<std::size_t>(b)] = 1;
     }
+    return true;
+  };
+
+  // The first pass takes at most n / 2 pairs; asking for more reads every
+  // slot, so only a smaller request tries a window first.
+  bool placed = false;
+  if (pairs < total / kWindowPerPair && 2 * pairs <= g.num_nodes()) {
+    const std::uint64_t window =
+        std::min(total, std::max(kMinWindow, kWindowPerPair * pairs));
+    util::Rng window_rng = rng;
+    const ShuffleWindow ranks(total, window, window_rng);
+    placed = scan(window,
+                  [&](std::uint64_t p) { return admissible[ranks[p]]; });
+    if (placed) rng = window_rng;
+  }
+  if (!placed) {
+    // Every slot: the whole list, shuffled with the same draws.
+    std::vector<NodePair> shuffled = admissible.all();
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    scan(total, [&](std::uint64_t p) { return shuffled[p]; });
   }
   if (demands.size() < pairs) {
     NETREC_LOG(kWarn) << "far_apart_demands: only " << demands.size() << "/"

@@ -37,16 +37,27 @@ namespace netrec::scenario {
 /// sampled without endpoint reuse while possible.  Throws when the graph is
 /// disconnected; returns fewer pairs when not enough far-apart pairs exist.
 ///
-/// Two passes of graph/traversal's bit-parallel multi-source BFS do the
-/// graph work: hop_diameter (which also checks connectivity), then
-/// near_matrix stopped at min_hops - 1 levels.  The matrix takes about
-/// V^2 / 8 bytes; the admissible pairs (i, j), i < j, are read from it in
-/// lexicographic order into an exact-size list, std::shuffle'd with `rng`,
-/// and scanned in order.  The list and its order equal what a per-source
-/// scalar BFS produces, and std::shuffle's swaps depend only on the list
-/// length and the RNG, so the demands and the state `rng` is left in are
-/// byte-identical to that construction (pinned by the `placement` records
-/// of tests/golden/graph_kernels.txt).
+/// The result is defined by a list: every admissible pair (i, j), i < j, in
+/// lexicographic order, std::shuffle'd with `rng`, then scanned twice, first
+/// for pairs with fresh endpoints, then for any pair not yet taken.  Two passes
+/// of graph/traversal's bit-parallel multi-source BFS do the graph work:
+/// hop_diameter (which also checks connectivity), then near_matrix stopped at
+/// min_hops - 1 levels, whose words address the P admissible pairs by rank
+/// (per-row prefix counts taken with popcounts, then a select inside the row).
+/// std::shuffle runs over a virtual sequence of the P ranks that stores only
+/// its first K slots, K = max(1024, 64 * pairs) capped at P; a later slot reads
+/// as its own rank and drops writes.  Because libstdc++'s std::shuffle is a
+/// forward Fisher-Yates, the K stored slots end equal to the head of the
+/// shuffled list, after exactly the same draws.  Memory: about V^2 / 8 bytes
+/// for the matrix, plus O(V + K).  Only when the scan needs a slot past K, or
+/// asks for more than V / 2 pairs (so that the first pass reads every slot), is
+/// the list itself built and shuffled with the same draws, at O(P) memory.
+///
+/// The demands and the state `rng` is left in are byte-identical to the
+/// list construction: pinned by the `placement` records of
+/// tests/golden/graph_kernels.txt, and checked against the list referee of
+/// tests/referees.hpp, which also guards the dependence on libstdc++'s
+/// shuffle.
 std::vector<mcf::Demand> far_apart_demands(const graph::Graph& g,
                                            std::size_t pairs, double amount,
                                            util::Rng& rng,

@@ -6,13 +6,14 @@
 //    50 and 30 units, access links at 20.  The Internet
 //    Topology Zoo original is not distributable offline; this synthetic
 //    stand-in preserves size, the backbone+access structure and rough
-//    planarity (see DESIGN.md substitution #2).  Real Topology Zoo GML files
-//    load through graph::load_gml_file when available.
+//    planarity (see README, "Where netrec departs from the paper").  Real
+//    Topology Zoo GML files load through graph::load_gml_file when
+//    available.
 //  * Erdős–Rényi: G(n, p) with uniform capacities and node coordinates
 //    uniform in [0, 100]^2 (Section VII-B).
 //  * CAIDA-like: preferential-attachment AS-style graph trimmed to exactly
 //    825 nodes / 1018 edges — the size of CAIDA AS28717's giant component
-//    (Section VII-C, substitution #3); heavy-tailed degrees, connected by
+//    (Section VII-C, a substitution); heavy-tailed degrees, connected by
 //    construction.
 //
 // Every generated node and edge costs detail::kRepairCost = 1 to repair

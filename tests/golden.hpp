@@ -808,9 +808,9 @@ inline graph::Graph two_triangles() {
 }
 
 /// Demand placement on the netrec-bench preloads (CAIDA-like seeds 1-3,
-/// BA-2000 seeds 1-3) and on BA-1024, ER-100 and Bell-Canada, each at four
-/// distance factors; then more pairs than far-apart pairs exist, and a
-/// disconnected graph.
+/// BA-2000 seeds 1-3) and on BA-1024, BA-10^4, ER-100 and Bell-Canada, each
+/// at four distance factors; then more pairs than far-apart pairs exist, and
+/// a disconnected graph.
 inline void add_placement_cases(std::vector<GoldenCase>& cases) {
   using Factory = std::function<graph::Graph()>;
   const auto ba = [](std::size_t nodes, std::uint64_t seed) -> Factory {
@@ -830,6 +830,7 @@ inline void add_placement_cases(std::vector<GoldenCase>& cases) {
     graphs.emplace_back("ba-2000 " + std::to_string(s), ba(2000, s));
   }
   graphs.emplace_back("ba-1024 1", ba(1024, 1));
+  graphs.emplace_back("ba-10000 1", ba(10000, 1));
   graphs.emplace_back("er-100 1", [] {
     return topology::make_topology({topology::ErdosRenyiOptions{}, 1});
   });

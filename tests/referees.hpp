@@ -1,15 +1,19 @@
 // Plain reference implementations that the suites check the library
 // against: one BFS per query for reachability and hop distance, a node
-// scan for path simplicity, a row-by-row check of an LP assignment, and a
-// fresh LP per repaired prefix of a schedule.  No program needs them; each
-// is the slow, obvious version of something a library kernel does faster
+// scan for path simplicity, a row-by-row check of an LP assignment, a
+// fresh LP per repaired prefix of a schedule, and demand placement from a
+// shuffled list of every admissible pair.  No program needs them; each is
+// the slow, obvious version of something a library kernel does faster
 // (MS-BFS, ResidualReach, the simplex, the Timeline's warm measurement
-// session).
+// session, far_apart_demands' ranked pairs and shuffle window).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -20,6 +24,7 @@
 #include "heuristics/schedule.hpp"
 #include "lp/model.hpp"
 #include "mcf/routing.hpp"
+#include "util/rng.hpp"
 
 namespace netrec::graph {
 
@@ -158,3 +163,71 @@ inline std::vector<double> exact_restored_series(
 }
 
 }  // namespace netrec::heuristics
+
+namespace netrec::scenario {
+
+/// Every pair (i, j), i < j, at hop distance >= ceil(diameter *
+/// min_distance_factor), in lexicographic order, from one BFS per source.
+/// Throws when the graph is disconnected, as far_apart_demands does.
+inline std::vector<std::pair<graph::NodeId, graph::NodeId>>
+listed_admissible_pairs(const graph::Graph& g, double min_distance_factor) {
+  const graph::GraphView view = graph::GraphView::build(g);
+  std::vector<std::vector<int>> hops;
+  int diameter = 0;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    hops.push_back(graph::bfs_hops(view, static_cast<graph::NodeId>(i)));
+    for (int d : hops.back()) {
+      if (d < 0) {
+        throw std::invalid_argument(
+            "far_apart_demands: disconnected supply graph");
+      }
+      diameter = std::max(diameter, d);
+    }
+  }
+  const int min_hops =
+      static_cast<int>(std::ceil(diameter * min_distance_factor));
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> admissible;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    for (std::size_t j = i + 1; j < g.num_nodes(); ++j) {
+      if (hops[i][j] >= min_hops) {
+        admissible.emplace_back(static_cast<graph::NodeId>(i),
+                                static_cast<graph::NodeId>(j));
+      }
+    }
+  }
+  return admissible;
+}
+
+/// far_apart_demands built the obvious way: the whole admissible list,
+/// std::shuffle'd with `rng`, then scanned twice, first for pairs with
+/// fresh endpoints and then for any pair not yet taken.  The library must
+/// give the same demands and leave `rng` in the same state.
+inline std::vector<mcf::Demand> listed_far_apart_demands(
+    const graph::Graph& g, std::size_t pairs, double amount, util::Rng& rng,
+    double min_distance_factor = 0.5) {
+  auto admissible = listed_admissible_pairs(g, min_distance_factor);
+  std::shuffle(admissible.begin(), admissible.end(), rng);
+  std::vector<mcf::Demand> demands;
+  std::vector<char> used(g.num_nodes(), 0);
+  for (int pass = 0; pass < 2 && demands.size() < pairs; ++pass) {
+    for (const auto& [a, b] : admissible) {
+      if (demands.size() >= pairs) break;
+      if (pass == 0 && (used[static_cast<std::size_t>(a)] ||
+                        used[static_cast<std::size_t>(b)])) {
+        continue;
+      }
+      const bool duplicate =
+          std::any_of(demands.begin(), demands.end(), [&](const auto& d) {
+            return (d.source == a && d.target == b) ||
+                   (d.source == b && d.target == a);
+          });
+      if (duplicate) continue;
+      demands.push_back(mcf::Demand{a, b, amount});
+      used[static_cast<std::size_t>(a)] = 1;
+      used[static_cast<std::size_t>(b)] = 1;
+    }
+  }
+  return demands;
+}
+
+}  // namespace netrec::scenario

@@ -107,7 +107,7 @@ TEST(Traversal, ComponentsSplitWhenCut) {
   EXPECT_EQ(giant.size(), 3u);
 }
 
-TEST(Traversal, DiameterRangesOverInViewNodes) {
+TEST(Traversal, DiameterSeesNodesIsolatedByTheEdgeFilter) {
   // Ring 0-1-2-3-4-5-0; breaking node 5 leaves the path 0-1-2-3-4.
   Builder builder;
   builder.add_nodes(6);
@@ -230,7 +230,7 @@ TEST(MultiSourceBfs, MatchesPerSourceBfsOnDisconnectedAndBrokenGraphs) {
 /// in a query order that repeats sources, on views whose capacities drain
 /// some arcs (to 0 or below the 1e-9 threshold), on the full graph and on
 /// the working edges, where broken nodes are in the view but isolated.
-TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndNodeFilteredViews) {
+TEST(ResidualReach, MatchesPerPairBfsOnDrainedAndEdgeFilteredViews) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(seed);
@@ -345,7 +345,7 @@ TEST(Maxflow, ParallelPathsSum) {
   EXPECT_NEAR(r.value, 23.0, 1e-9);
 }
 
-TEST(Maxflow, RespectsNodeFilter) {
+TEST(Maxflow, RespectsEdgeFilterAroundANode) {
   // A view excludes a node through its incident edges.
   Graph g = make_square_with_diagonal();
   ViewConfig config;

@@ -1,22 +1,27 @@
 // Tests for the parallel scenario engine: thread-count invariance of
-// aggregated results, per-task RNG determinism, far-apart demand sampling,
-// and SweepRunner CSV/JSON emission round-trips.
+// aggregated results, per-task RNG determinism, far-apart demand sampling
+// (against the list-and-shuffle referee of tests/referees.hpp), and
+// SweepRunner CSV/JSON emission round-trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "disruption/disruption.hpp"
+#include "graph/builder.hpp"
 #include "heuristics/baselines.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
 #include "topology/generator.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+
+#include "referees.hpp"
 
 namespace netrec {
 namespace {
@@ -156,6 +161,140 @@ TEST(ScenarioEngine, FarApartDemandsAreSeedDeterministic) {
                      dc[i].target != da[i].target;
   }
   EXPECT_TRUE(any_different);
+}
+
+/// far_apart_demands and the list-and-shuffle referee give the same
+/// demands (or the same exception) and leave their RNGs in the same state.
+void expect_placement_matches_referee(const graph::Graph& g,
+                                      std::size_t pairs, double factor,
+                                      std::uint64_t seed) {
+  SCOPED_TRACE("nodes " + std::to_string(g.num_nodes()) + " pairs " +
+               std::to_string(pairs) + " factor " + std::to_string(factor) +
+               " seed " + std::to_string(seed));
+  util::Rng rng(seed);
+  util::Rng referee_rng(seed);
+  std::vector<mcf::Demand> demands;
+  std::vector<mcf::Demand> expected;
+  std::string error;
+  std::string expected_error;
+  try {
+    demands = scenario::far_apart_demands(g, pairs, 10.0, rng, factor);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  try {
+    expected = scenario::listed_far_apart_demands(g, pairs, 10.0,
+                                                  referee_rng, factor);
+  } catch (const std::exception& e) {
+    expected_error = e.what();
+  }
+  EXPECT_EQ(error, expected_error);
+  ASSERT_EQ(demands.size(), expected.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    EXPECT_EQ(demands[i].source, expected[i].source) << "demand " << i;
+    EXPECT_EQ(demands[i].target, expected[i].target) << "demand " << i;
+    EXPECT_EQ(demands[i].amount, expected[i].amount) << "demand " << i;
+  }
+  EXPECT_EQ(rng.next(), referee_rng.next());
+}
+
+constexpr double kFactors[] = {0.0, 0.5, 0.8, 1.0};
+
+// The shuffle window relies on libstdc++'s std::shuffle being a forward
+// Fisher-Yates; these tests are the guard that it still is.
+TEST(ScenarioPlacement, FarApartDemandsMatchListReferee) {
+  util::Rng draw(31);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(draw.uniform_int(lo, hi));
+  };
+  for (double factor : kFactors) {
+    for (int round = 0; round < 2; ++round) {
+      topology::ErdosRenyiOptions er;
+      er.nodes = pick(20, 120);
+      er.edge_probability = draw.uniform(0.03, 0.3);
+      topology::BarabasiAlbertOptions ba;
+      ba.nodes = pick(50, 600);
+      ba.attach = pick(1, 3);
+      const graph::Graph graphs[] = {
+          topology::make_topology({er, draw.next()}),
+          topology::make_topology({ba, draw.next()}),
+          topology::make_topology(
+              {topology::CaidaLikeOptions{}, draw.next()}),
+          topology::make_topology({topology::BellCanadaOptions{}}),
+      };
+      for (const graph::Graph& g : graphs) {
+        expect_placement_matches_referee(g, pick(1, 12), factor,
+                                         draw.next());
+      }
+    }
+  }
+}
+
+TEST(ScenarioPlacement, ScanPastTheWindowReplaysTheWholeShuffle) {
+  // A star of 1500 leaves with a three-hop tail: at factor 1 every
+  // admissible pair joins a leaf to the tail's end, so the first pass takes
+  // one pair and then reads all 1500 slots, past the 1024 of the window.
+  graph::Builder builder;
+  builder.add_nodes(1504);
+  for (graph::NodeId leaf = 1; leaf <= 1500; ++leaf) {
+    builder.add_edge(0, leaf, 1.0);
+  }
+  builder.add_edge(0, 1501, 1.0);
+  builder.add_edge(1501, 1502, 1.0);
+  builder.add_edge(1502, 1503, 1.0);
+  const graph::Graph lollipop = builder.finalize();
+  ASSERT_EQ(scenario::listed_admissible_pairs(lollipop, 1.0).size(), 1500u);
+  for (std::size_t pairs : {2, 3}) {
+    expect_placement_matches_referee(lollipop, pairs, 1.0, 7);
+  }
+  // More pairs than fresh endpoints allow, or than admissible pairs
+  // exist: every slot is stored from the start.
+  const graph::Graph caida =
+      topology::make_topology({topology::CaidaLikeOptions{}, 1});
+  for (double factor : {0.0, 0.5}) {
+    expect_placement_matches_referee(caida, caida.num_nodes() / 2 + 1,
+                                     factor, 7);
+  }
+  const graph::Graph bell =
+      topology::make_topology({topology::BellCanadaOptions{}});
+  for (double factor : kFactors) {
+    const std::size_t admissible =
+        scenario::listed_admissible_pairs(bell, factor).size();
+    expect_placement_matches_referee(bell, admissible + 3, factor, 11);
+  }
+}
+
+TEST(ScenarioPlacement, TinyGraphsMatchListReferee) {
+  // Paths, stars and brooms (a path with a second leaf on node 1) of up to
+  // six nodes give 0-15 admissible pairs; libstdc++'s shuffle takes a
+  // different first step for odd and even lengths.
+  enum class Shape { kPath, kStar, kBroom };
+  std::set<std::size_t> sizes;
+  for (std::size_t nodes = 1; nodes <= 6; ++nodes) {
+    for (Shape shape : {Shape::kPath, Shape::kStar, Shape::kBroom}) {
+      graph::Builder builder;
+      builder.add_nodes(nodes);
+      for (std::size_t v = 1; v < nodes; ++v) {
+        std::size_t parent = v - 1;
+        if (shape == Shape::kStar) parent = 0;
+        if (shape == Shape::kBroom && nodes >= 3 && v + 1 == nodes) {
+          parent = 1;
+        }
+        builder.add_edge(static_cast<graph::NodeId>(parent),
+                         static_cast<graph::NodeId>(v), 1.0);
+      }
+      const graph::Graph g = builder.finalize();
+      for (double factor : {0.0, 0.5, 0.8, 1.0, 2.0}) {
+        sizes.insert(scenario::listed_admissible_pairs(g, factor).size());
+        for (std::size_t pairs : {0, 1, 2, 5}) {
+          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            expect_placement_matches_referee(g, pairs, factor, seed);
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t size : {0, 1, 2, 3}) EXPECT_EQ(sizes.count(size), 1u);
 }
 
 scenario::SweepResult small_sweep(std::size_t threads) {
