@@ -7,8 +7,11 @@
 // (BM_FarApartDemands/2) on a Barabasi-Albert n=10^4 graph.
 // BM_JsonParsePlanRequest, BM_CanonicalKeyFingerprint and BM_JsonDumpPayload
 // time netrecd's request path on a plan_hot-shaped body.  BM_IspSolveBa2000
-// is one plan_scale-shaped solve, and BM_BubbleTestBa2000 the prune step's
-// bubble test on the same instance.
+// is one plan_scale-shaped solve, BM_GreedyRouteBa2000 the schedule's
+// greedy router on the same instance (serial and on a 2-worker pool), and
+// BM_BubbleTestBa2000 the prune step's bubble test there.
+#include <optional>
+
 #include <benchmark/benchmark.h>
 
 #include "core/bubble.hpp"
@@ -433,6 +436,23 @@ void BM_IspSolveBa2000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IspSolveBa2000)->Unit(benchmark::kMillisecond);
+
+void BM_GreedyRouteBa2000(benchmark::State& state) {
+  // The greedy router that scores each repair-schedule step, on the
+  // working view of plan_scale's first damage state: serially (Arg 0) and
+  // with its first paths speculated on a 2-worker pool (Arg 2).
+  const core::RecoveryProblem& p = damaged_ba2000();
+  const auto view = graph::GraphView::working(p.graph);
+  std::optional<util::ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool.emplace(static_cast<std::size_t>(state.range(0)));
+  }
+  util::ThreadPool* const lent = pool ? &*pool : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mcf::greedy_route(view, p.demands, lent));
+  }
+}
+BENCHMARK(BM_GreedyRouteBa2000)->Arg(0)->Arg(2);
 
 void BM_BubbleTestBa2000(benchmark::State& state) {
   // ISP's first prune pass on plan_scale: each demand against the other

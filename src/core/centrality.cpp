@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "graph/dijkstra.hpp"
@@ -54,47 +55,44 @@ CentralityResult demand_based_centrality(
   const graph::Graph& g = view.graph();
   CentralityResult result(g.num_nodes(), demands.size());
 
-  // One shared first-path tree per source that two or more demands start
-  // from (their first Dijkstras see identical inputs).  Each tree is a pure
-  // function of (view, source) and stops once all of that source's targets
-  // have settled — only their paths are read.  The set is built up front —
-  // in first-appearance order, fanning out on the pool when one is
-  // available — before the demand sweep reads it.
-  std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> targets_of;
-  std::vector<graph::NodeId> shared_sources;
-  for (const mcf::Demand& d : demands) {
+  // Demands grouped by source, in first-appearance order.  Demands sharing
+  // a source reuse one first-path tree (their first Dijkstras see identical
+  // inputs); the tree is a pure function of (view, source) and stops once
+  // all of the group's targets have settled — only their paths are read.
+  std::unordered_map<graph::NodeId, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t h = 0; h < demands.size(); ++h) {
+    const mcf::Demand& d = demands[h];
     if (d.amount <= 1e-9 || d.source == d.target) continue;
-    std::vector<graph::NodeId>& targets = targets_of[d.source];
-    targets.push_back(d.target);
-    if (targets.size() == 2) shared_sources.push_back(d.source);
-  }
-  std::vector<graph::ShortestPathTree> trees(shared_sources.size());
-  const auto build_tree = [&](std::size_t i) {
-    // Read-only map access: the workers share targets_of.
-    trees[i] = graph::dijkstra_residual_to(
-        view, shared_sources[i], targets_of.at(shared_sources[i]),
-        view.edge_capacities());
-  };
-  util::ThreadPool::for_each(pool, shared_sources.size(), build_tree);
-  std::unordered_map<graph::NodeId, graph::ShortestPathTree> source_trees;
-  for (std::size_t i = 0; i < shared_sources.size(); ++i) {
-    source_trees.emplace(shared_sources[i], std::move(trees[i]));
+    const auto [it, fresh] = group_of.try_emplace(d.source, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(h);
   }
 
-  // Per-demand P̂* enumeration into pre-assigned slots: each demand's
-  // successive-shortest-path sweep reads only the view and the (now
-  // immutable) shared trees, so the slots are independent and the fan-out
-  // changes nothing about any slot's content.
+  // One task per source group: its shared tree (when two or more demands
+  // start there), then each member's P̂* enumeration into the demand's
+  // pre-assigned slot.  A task reads only the view and its own tree, so
+  // the slots are independent, and no enumeration waits for another
+  // group's tree.
   std::vector<graph::SuccessivePathsResult> selected(demands.size());
-  const auto enumerate = [&](std::size_t h) {
-    const mcf::Demand& d = demands[h];
-    if (d.amount <= 1e-9 || d.source == d.target) return;
-    const auto it = source_trees.find(d.source);
-    selected[h] = graph::successive_shortest_paths(
-        view, d.source, d.target, d.amount, kMaxPathsPerDemand,
-        it == source_trees.end() ? nullptr : &it->second);
+  const auto enumerate_group = [&](std::size_t gi) {
+    const std::vector<std::size_t>& members = groups[gi];
+    const graph::NodeId source = demands[members.front()].source;
+    std::optional<graph::ShortestPathTree> tree;
+    if (members.size() >= 2) {
+      std::vector<graph::NodeId> targets;
+      for (const std::size_t h : members) targets.push_back(demands[h].target);
+      tree = graph::dijkstra_residual_to(view, source, targets,
+                                         view.edge_capacities());
+    }
+    for (const std::size_t h : members) {
+      const mcf::Demand& d = demands[h];
+      selected[h] = graph::successive_shortest_paths(
+          view, d.source, d.target, d.amount, kMaxPathsPerDemand,
+          tree ? &*tree : nullptr);
+    }
   };
-  util::ThreadPool::for_each(pool, demands.size(), enumerate);
+  util::ThreadPool::for_each(pool, groups.size(), enumerate_group);
 
   // Serial merge in demand order: the eq.-(3) score additions happen in
   // exactly the order the all-serial evaluation performs them.

@@ -81,13 +81,15 @@ class CentralityResult {
 /// round would (tests/golden/isp_corpus.txt was recorded while the two
 /// computations agreed).
 ///
-/// The shared first-path trees and the per-demand successive-shortest-path
-/// enumerations are pure functions of (view, demand), so they fan out on
-/// `pool` into per-demand slots; the eq.-(3) score accumulation then runs
-/// serially in demand order.  Fixed merge order means the result is
-/// bit-identical to the serial evaluation at any thread count.  A null pool,
-/// or one of a single worker, keeps the whole evaluation on the calling
-/// thread.
+/// The demands are grouped by source, and each group (its shared tree,
+/// then its members' successive-shortest-path enumerations) is a pure
+/// function of the view, so the groups fan out on `pool` in one pass, with
+/// no barrier between building trees and enumerating; each enumeration
+/// fills its demand's pre-assigned slot.  The eq.-(3) score accumulation
+/// then runs serially in demand order.  Fixed merge order means the result
+/// is bit-identical to the serial evaluation at any thread count.  A null
+/// pool, or one of a single worker, keeps the whole evaluation on the
+/// calling thread.
 CentralityResult demand_based_centrality(
     const graph::GraphView& view, const std::vector<mcf::Demand>& demands,
     util::ThreadPool* pool = nullptr);

@@ -148,6 +148,7 @@ class Engine {
   }
 
   RepairState& state() { return state_; }
+  util::ThreadPool* pool() const { return pool_; }
 
   // --- cached views --------------------------------------------------------
 
@@ -760,7 +761,7 @@ RecoverySolution IspSolver::solve() {
   solution.repaired_nodes = engine.state().repaired_nodes();
   solution.repaired_edges = engine.state().repaired_edges();
   solution.iterations = stats_.iterations;
-  score_solution(problem_, solution);
+  score_solution(problem_, solution, engine.pool());
   solution.wall_seconds = timer.elapsed_seconds();
   return solution;
 }

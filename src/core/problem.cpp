@@ -14,7 +14,7 @@ bool RecoveryProblem::feasible_when_fully_repaired() const {
 }
 
 void score_solution(const RecoveryProblem& problem,
-                    RecoverySolution& solution) {
+                    RecoverySolution& solution, util::ThreadPool* pool) {
   RepairState state(problem.graph);
   solution.repair_cost = 0.0;
   for (graph::NodeId n : solution.repaired_nodes) {
@@ -27,7 +27,7 @@ void score_solution(const RecoveryProblem& problem,
   }
   solution.routing = mcf::max_routed_flow(
       graph::GraphView::build(problem.graph, {.edge_ok = state.edge_filter()}),
-      problem.demands);
+      problem.demands, pool);
   const double total = problem.total_demand();
   solution.satisfied_fraction =
       total > 0.0 ? solution.routing.total_routed / total : 1.0;

@@ -13,6 +13,10 @@
 #include "graph/graph.hpp"
 #include "mcf/types.hpp"
 
+namespace netrec::util {
+class ThreadPool;
+}  // namespace netrec::util
+
 namespace netrec::core {
 
 struct RecoveryProblem {
@@ -56,8 +60,11 @@ struct RecoverySolution {
 
 /// Scores `repaired_*` against the problem: recomputes the referee routing,
 /// satisfaction and repair cost.  Shared by all algorithms so no solver
-/// grades its own homework.
-void score_solution(const RecoveryProblem& problem, RecoverySolution& solution);
+/// grades its own homework.  The referee LP (mcf::max_routed_flow) seeds
+/// and prices on `pool` when one is given; the score is the same at any
+/// thread count.
+void score_solution(const RecoveryProblem& problem, RecoverySolution& solution,
+                    util::ThreadPool* pool = nullptr);
 
 /// Validates a solution: repairs reference broken elements only, no
 /// duplicates, routing is feasible on the repaired subgraph, and the claimed

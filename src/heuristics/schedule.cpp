@@ -10,6 +10,7 @@
 #include "graph/view_cache.hpp"
 #include "mcf/routing.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netrec::heuristics {
 
@@ -54,7 +55,8 @@ ScheduleStep edge_step(const graph::Graph& g, graph::EdgeId e) {
 }
 
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
-                                  const core::RecoverySolution& solution) {
+                                  const core::RecoverySolution& solution,
+                                  util::ThreadPool* pool) {
   if (solution.routing.routed.size() != problem.demands.size()) {
     throw std::invalid_argument(
         "schedule_repairs: solution is not scored on this problem "
@@ -121,7 +123,8 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
   std::optional<mcf::RoutingResult> greedy;
   auto greedy_routing = [&]() -> const mcf::RoutingResult& {
     if (!greedy) {
-      greedy = mcf::greedy_route(cache.view(scheduled_slot), problem.demands);
+      greedy =
+          mcf::greedy_route(cache.view(scheduled_slot), problem.demands, pool);
     }
     return *greedy;
   };
@@ -142,18 +145,30 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
   // Route-oriented greedy: repeatedly complete the route with the best
   // demand-per-remaining-repair ratio, so service restoration front-loads.
   std::size_t guard = 0;
+  std::vector<std::optional<graph::Path>> paths(problem.demands.size());
   while (remaining > 0 && guard++ < solution.total_repairs() + 8) {
     const std::vector<double> routed = greedy_routing().routed;
-    // Pick the most valuable unsatisfied demand per unit of pending work.
+    auto deficit_of = [&](std::size_t h) {
+      const auto& d = problem.demands[h];
+      return d.source == d.target ? 0.0 : d.amount - routed[h];
+    };
+    // Each unsatisfied demand's route on the synced `available` view, one
+    // slot per demand, fanned out on the pool.
+    const graph::GraphView& available = cache.view(available_slot);
+    util::ThreadPool::for_each(pool, paths.size(), [&](std::size_t h) {
+      const auto& d = problem.demands[h];
+      paths[h] = deficit_of(h) <= 1e-9
+                     ? std::nullopt
+                     : graph::shortest_path(available, d.source, d.target);
+    });
+    // Pick the most valuable unsatisfied demand per unit of pending work,
+    // serially in demand order.
     int best_demand = -1;
     double best_ratio = -1.0;
     graph::Path best_path;
-    const graph::GraphView& available = cache.view(available_slot);
     for (std::size_t h = 0; h < problem.demands.size(); ++h) {
-      const auto& d = problem.demands[h];
-      const double deficit = d.amount - routed[h];
-      if (deficit <= 1e-9 || d.source == d.target) continue;
-      auto path = graph::shortest_path(available, d.source, d.target);
+      const double deficit = deficit_of(h);
+      auto& path = paths[h];
       if (!path) continue;
       const double pending = path->length(pending_length);
       const double ratio = deficit / (1.0 + pending);

@@ -22,6 +22,10 @@
 
 #include "core/problem.hpp"
 
+namespace netrec::util {
+class ThreadPool;
+}  // namespace netrec::util
+
 namespace netrec::heuristics {
 
 /// One repair in execution order: the record shared by the scheduler, the
@@ -69,7 +73,14 @@ ScheduleStep edge_step(const graph::Graph& g, graph::EdgeId e);
 /// LP referee on the repaired graph, so it is not solved a second time.
 /// Throws std::invalid_argument when
 /// `routing.routed.size() != problem.demands.size()`.
+///
+/// With a `pool`, each round's per-demand shortest paths on the
+/// pending-work view fan out into per-demand slots, and the best demand is
+/// then picked serially in demand order; every greedy scoring speculates
+/// its first paths (mcf::greedy_route).  The schedule is bit-identical to
+/// the serial one at any thread count.
 RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
-                                  const core::RecoverySolution& solution);
+                                  const core::RecoverySolution& solution,
+                                  util::ThreadPool* pool = nullptr);
 
 }  // namespace netrec::heuristics

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <utility>
 
 #include "graph/dijkstra.hpp"
 #include "graph/traversal.hpp"
 #include "graph/view.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netrec::mcf {
 
@@ -34,7 +37,8 @@ bool endpoints_connected(const graph::GraphView& view,
 }  // namespace
 
 RoutingResult greedy_route(const graph::GraphView& view,
-                           const std::vector<Demand>& demands) {
+                           const std::vector<Demand>& demands,
+                           util::ThreadPool* pool) {
   const graph::Graph& g = view.graph();
   RoutingResult result;
   result.routed.assign(demands.size(), 0.0);
@@ -53,6 +57,27 @@ RoutingResult greedy_route(const graph::GraphView& view,
     return demands[a].amount > demands[b].amount;
   });
 
+  // Pooled: every demand's first path on the initial residual, fanned out
+  // (see greedy_route in routing.hpp for why a surviving one is exact).
+  const bool speculate = pool != nullptr && pool->size() >= 2;
+  std::vector<std::optional<graph::Path>> first_path;
+  if (speculate) {
+    first_path.resize(demands.size());
+    util::ThreadPool::for_each(pool, demands.size(), [&](std::size_t h) {
+      const Demand& d = demands[h];
+      if (d.amount <= kEps || d.source == d.target) return;
+      first_path[h] =
+          graph::dijkstra_residual_to(view, d.source, d.target, residual)
+              .path_to(g, d.target);
+    });
+  }
+  auto survives = [&](const std::optional<graph::Path>& path) {
+    return !path || std::all_of(path->edges.begin(), path->edges.end(),
+                                [&](graph::EdgeId e) {
+                                  return residual_view(e) > kEps;
+                                });
+  };
+
   for (std::size_t idx : order) {
     const Demand& d = demands[idx];
     if (d.amount <= kEps || d.source == d.target) {
@@ -61,9 +86,15 @@ RoutingResult greedy_route(const graph::GraphView& view,
       continue;
     }
     double remaining = d.amount;
+    bool first_round = speculate;
     while (remaining > kEps) {
-      auto sp = graph::dijkstra_residual_to(view, d.source, d.target, residual)
-                    .path_to(g, d.target);
+      std::optional<graph::Path> sp;
+      if (std::exchange(first_round, false) && survives(first_path[idx])) {
+        sp = std::move(first_path[idx]);
+      } else {
+        sp = graph::dijkstra_residual_to(view, d.source, d.target, residual)
+                 .path_to(g, d.target);
+      }
       if (!sp) break;
       const double cap = sp->capacity(residual_view);
       if (cap <= kEps) break;
@@ -87,8 +118,10 @@ RoutingResult greedy_route(const graph::GraphView& view,
 }
 
 RoutingResult max_routed_flow(const graph::GraphView& view,
-                              const std::vector<Demand>& demands) {
+                              const std::vector<Demand>& demands,
+                              util::ThreadPool* pool) {
   PathLpSession session(view.graph(), PathLpMode::kMaxRouted);
+  session.set_thread_pool(pool);
   return session.solve(view, indexed_specs(demands)).routing;
 }
 

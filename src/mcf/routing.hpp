@@ -21,6 +21,10 @@
 #include "mcf/path_lp_session.hpp"
 #include "mcf/types.hpp"
 
+namespace netrec::util {
+class ThreadPool;
+}  // namespace netrec::util
+
 namespace netrec::mcf {
 
 /// The paper's routability test (eq. 2) on a persistent PathLpSession
@@ -36,13 +40,28 @@ bool is_routable(PathLpSession& session, const graph::GraphView& view,
 /// successive shortest paths on residual capacities, starting from the
 /// view's capacities.  fully_routed == true is a proof of routability;
 /// false proves nothing.
+///
+/// With a `pool` of two or more workers, each demand's first path is
+/// speculated in parallel on the initial residual.  When the demand's turn
+/// comes, a speculative path is kept only if every one of its edges still
+/// has residual > 1e-9; otherwise the demand reruns its Dijkstra.  The
+/// result is bit-identical to the serial pass.  Residuals only fall, so the
+/// turn's graph is the initial one with edges removed.  If the speculative
+/// path survives, every node on it keeps its distance (hop lengths are
+/// exact), and its parent stays the earliest-settled minimal predecessor,
+/// because nodes settle in (distance, id) order and removal only shrinks
+/// the candidate set.  A speculative "no path" stays "no path".
 RoutingResult greedy_route(const graph::GraphView& view,
-                           const std::vector<Demand>& demands);
+                           const std::vector<Demand>& demands,
+                           util::ThreadPool* pool = nullptr);
 
 /// Exact maximum total routed flow (LP optimum over all paths), solved on a
-/// fresh PathLpSession used once.
+/// fresh PathLpSession used once.  `pool` goes to the session's
+/// set_thread_pool (LP seeding and pricing fan out; the routing is the same
+/// at any thread count).
 RoutingResult max_routed_flow(const graph::GraphView& view,
-                              const std::vector<Demand>& demands);
+                              const std::vector<Demand>& demands,
+                              util::ThreadPool* pool = nullptr);
 
 /// Routability with witness: reachability precheck, greedy, exact fallback.
 RoutingResult route_demands(const graph::GraphView& view,

@@ -46,7 +46,8 @@ std::vector<ScheduleStep> ReplayPolicy::plan_stage(
     planned_ = true;
     plan_ = core::IspSolver(problem, opt_.isp).solve();
     if (opt_.schedule_order) {
-      queue_ = heuristics::schedule_repairs(problem, plan_).steps;
+      queue_ =
+          heuristics::schedule_repairs(problem, plan_, opt_.isp.pool).steps;
     } else {
       queue_.reserve(plan_.total_repairs());
       for (graph::NodeId n : plan_.repaired_nodes) {
@@ -76,7 +77,7 @@ std::vector<ScheduleStep> ReplanPolicy::plan_stage(
   const core::RecoverySolution plan = core::IspSolver(problem, isp_).solve();
   if (plan.total_repairs() == 0) return {};
   std::vector<ScheduleStep> out =
-      heuristics::schedule_repairs(problem, plan).steps;
+      heuristics::schedule_repairs(problem, plan, isp_.pool).steps;
   truncate_to_budget(out, budget);
   return out;
 }

@@ -71,9 +71,10 @@ util::Json repair_entry(const heuristics::ScheduleStep& step) {
 /// schedule — which is what makes the degraded differential (response ==
 /// heuristic_plan byte-identically) checkable at all.
 util::Json isp_payload(const core::RecoveryProblem& problem,
-                       const core::RecoverySolution& solution) {
+                       const core::RecoverySolution& solution,
+                       util::ThreadPool* pool) {
   const heuristics::RecoverySchedule schedule =
-      heuristics::schedule_repairs(problem, solution);
+      heuristics::schedule_repairs(problem, solution, pool);
 
   util::Json repairs = util::Json::array();
   for (const heuristics::ScheduleStep& step : schedule.steps) {
@@ -155,12 +156,12 @@ util::Json PlanningEngine::heuristic_plan(const PlanRequest& request) {
 }
 
 util::Json PlanningEngine::heuristic_plan_damaged() {
-  return isp_payload(problem_, heuristics::solve_srt(problem_));
+  return isp_payload(problem_, heuristics::solve_srt(problem_), pool_);
 }
 
 util::Json PlanningEngine::solve_isp(const PlanRequest&) {
   core::IspSolver solver(problem_, opt_.isp);
-  return isp_payload(problem_, solver.solve());
+  return isp_payload(problem_, solver.solve(), pool_);
 }
 
 util::Json PlanningEngine::solve_timeline(const PlanRequest& request) {

@@ -53,7 +53,8 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n): on `pool` via parallel_for (grain 1) when
   /// it has at least two workers and n >= 2, else serially on the calling
   /// thread in index order.  Every intra-solve fan-out goes through here, so
-  /// the serial and pooled paths run the same `fn`; determinism still
+  /// the serial and pooled paths run the same `fn` (except mcf::greedy_route,
+  /// which speculates first paths only on a pool); determinism still
   /// requires `fn` to write only to slot i.
   static void for_each(ThreadPool* pool, std::size_t n,
                        const std::function<void(std::size_t)>& fn);

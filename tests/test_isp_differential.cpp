@@ -72,8 +72,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspDifferentialOptions,
                          ::testing::Range(1, 4));
 
 // The same records solved with a two-worker intra-solve pool: the LP
-// sessions' concurrent pricing, the shared-tree centrality and parallel
-// Brandes must land on the frozen one-shot reference too.  Seeds 201-203
+// sessions' concurrent pricing, the per-source centrality tasks with their
+// shared trees, the pooled scoring LP and parallel Brandes must land on
+// the frozen one-shot reference too.  Seeds 201-203
 // carry the option matrix here.
 
 class IspSessionDifferentialEr : public ::testing::TestWithParam<int> {};

@@ -1,16 +1,19 @@
 // Thread-invariance differential suites for the intra-solve parallel
 // kernels: the batched per-demand centrality enumeration, the session's
-// concurrent LP seeding and pricing, and the ISP solve whose split-phase
-// full-view flows and watchdog gap scan fan out too — each pinned bitwise
-// against its serial twin at thread counts {1, 2, 4, 8}, plus a
-// Timeline-level end-to-end pin (the full restoration curve must not move
-// by a bit when the measurement LP prices in parallel).
+// concurrent LP seeding and pricing, greedy routing's speculative first
+// paths, the repair schedule's per-round route fan-out, the pooled scoring
+// LP, and the ISP solve whose split-phase full-view flows and watchdog gap
+// scan fan out too — each pinned bitwise against its serial twin at thread
+// counts {1, 2, 4, 8}, plus a Timeline-level end-to-end pin (the full
+// restoration curve must not move by a bit when the measurement LP prices
+// in parallel).
 //
 // The determinism contract under test: every parallel kernel computes
 // per-task results into pre-assigned slots and merges them serially in a
 // fixed order, so the stream of floating-point operations that produces
 // the output is the serial kernel's stream — equality is exact, never
 // tolerance-based.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -25,9 +28,12 @@
 #include "core/isp.hpp"
 #include "disruption/disruption.hpp"
 #include "golden.hpp"
+#include "graph/builder.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/view.hpp"
+#include "heuristics/schedule.hpp"
 #include "mcf/path_lp_session.hpp"
+#include "mcf/routing.hpp"
 #include "recovery/dynamics.hpp"
 #include "recovery/policies.hpp"
 #include "recovery/timeline.hpp"
@@ -158,12 +164,113 @@ TEST_P(CentralityThreads, BitIdenticalAtAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CentralityThreads, ::testing::Range(1, 5));
 
 // Split demands share sources, so the shared first-path trees (stopped at
-// each source's target set) are built on the pool's workers.
+// each source's target set) are built inside the pool's per-source tasks.
 TEST(CentralityThreadsCaida, SplitDemandsBitIdenticalAtAnyThreadCount) {
   const core::RecoveryProblem p = test::caida_lazy_scenario(1);
   expect_centrality_thread_invariant(test::centrality_view(p.graph),
                                      test::split_demands(p.demands),
                                      "caida split demands");
+}
+
+// --- greedy routing: speculative first paths -------------------------------
+
+void expect_same_routing(const mcf::RoutingResult& a,
+                         const mcf::RoutingResult& b) {
+  EXPECT_EQ(a.fully_routed, b.fully_routed);
+  EXPECT_EQ(a.total_routed, b.total_routed);
+  EXPECT_EQ(a.routed, b.routed);
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    EXPECT_EQ(a.flows[f].demand_index, b.flows[f].demand_index) << "flow " << f;
+    EXPECT_EQ(a.flows[f].path.start, b.flows[f].path.start) << "flow " << f;
+    EXPECT_EQ(a.flows[f].path.edges, b.flows[f].path.edges) << "flow " << f;
+    EXPECT_EQ(a.flows[f].amount, b.flows[f].amount) << "flow " << f;
+  }
+}
+
+void expect_greedy_thread_invariant(const graph::GraphView& view,
+                                    const std::vector<mcf::Demand>& demands) {
+  const mcf::RoutingResult serial = mcf::greedy_route(view, demands);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    expect_same_routing(mcf::greedy_route(view, demands, &pool), serial);
+  }
+}
+
+/// Four disjoint gadgets, one per way a speculative first path can end:
+///   0-1-2 (10) with a detour 0-9-2 (5): demand 0 -> 2 keeps its
+///     speculative path, then needs a second round on the detour;
+///   3-4-5 (6) with 4-6 (5) and a detour 3-7-8-6 (5): demand 3 -> 5 (the
+///     largest, routed first) saturates 3-4, so demand 3 -> 6's
+///     speculative 3-4-6 is rejected and it routes on the detour;
+///   node 10 is isolated: demand 0 -> 10 has no path;
+///   11-12 (5), 12-13 (5) and a detour 11-14-15-13 (5): demands 11 -> 12
+///     and 11 -> 13 of equal amount race for 11-12, so the sort order of
+///     equal amounts decides which one takes it.
+core::RecoveryProblem speculation_case() {
+  graph::Builder builder;
+  builder.add_nodes(16);
+  builder.add_edge(0, 1, 10.0);
+  builder.add_edge(1, 2, 10.0);
+  builder.add_edge(0, 9, 5.0);
+  builder.add_edge(9, 2, 5.0);
+  builder.add_edge(3, 4, 6.0);
+  builder.add_edge(4, 5, 6.0);
+  builder.add_edge(4, 6, 5.0);
+  builder.add_edge(3, 7, 5.0);
+  builder.add_edge(7, 8, 5.0);
+  builder.add_edge(8, 6, 5.0);
+  builder.add_edge(11, 12, 5.0);
+  builder.add_edge(12, 13, 5.0);
+  builder.add_edge(11, 14, 5.0);
+  builder.add_edge(14, 15, 5.0);
+  builder.add_edge(15, 13, 5.0);
+  return {builder.finalize(),
+          {{0, 2, 12.0},
+           {3, 6, 2.0},
+           {3, 5, 20.0},
+           {0, 10, 3.0},
+           {11, 13, 5.0},
+           {11, 12, 5.0},
+           {7, 7, 1.0}}};
+}
+
+TEST(GreedySpeculation, MatchesSerialPassAtAnyThreadCount) {
+  const core::RecoveryProblem c = speculation_case();
+  const graph::GraphView view = graph::GraphView::build(c.graph);
+  // The serial pass takes the paths the gadgets were drawn for.
+  const mcf::RoutingResult serial = mcf::greedy_route(view, c.demands);
+  const auto path_of = [&](int demand) {
+    std::vector<std::vector<graph::EdgeId>> paths;
+    for (const mcf::PathFlow& f : serial.flows) {
+      if (f.demand_index == demand) paths.push_back(f.path.edges);
+    }
+    return paths;
+  };
+  using Paths = std::vector<std::vector<graph::EdgeId>>;
+  EXPECT_EQ(path_of(0), (Paths{{0, 1}, {2, 3}}));  // kept, then a detour
+  EXPECT_EQ(path_of(2), (Paths{{4, 5}}));          // saturates 3-4
+  EXPECT_EQ(path_of(1), (Paths{{7, 8, 9}}));       // speculation rejected
+  EXPECT_TRUE(path_of(3).empty());                 // disconnected
+  EXPECT_EQ(serial.routed[0], 12.0);
+  EXPECT_EQ(serial.routed[1], 2.0);
+  EXPECT_EQ(serial.routed[3], 0.0);
+  EXPECT_EQ(serial.routed[6], 1.0);
+  EXPECT_FALSE(serial.fully_routed);
+  expect_greedy_thread_invariant(view, c.demands);
+}
+
+TEST(GreedySpeculation, ReorderedDemandsMatchSerialPass) {
+  // The same gadgets under every rotation of the demand list: the sort of
+  // equal amounts and the position of the saturating demand both move.
+  core::RecoveryProblem c = speculation_case();
+  const graph::GraphView view = graph::GraphView::build(c.graph);
+  for (std::size_t r = 0; r < c.demands.size(); ++r) {
+    SCOPED_TRACE("rotation " + std::to_string(r));
+    expect_greedy_thread_invariant(view, c.demands);
+    std::rotate(c.demands.begin(), c.demands.begin() + 1, c.demands.end());
+  }
 }
 
 // --- max flow: per-thread Dinic workspaces ----------------------------------
@@ -233,14 +340,7 @@ void expect_same_stats(const mcf::PathLpSession::Stats& a,
 void expect_same_result(const mcf::PathLpResult& a,
                         const mcf::PathLpResult& b) {
   EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.routing.routed, b.routing.routed);
-  ASSERT_EQ(a.routing.flows.size(), b.routing.flows.size());
-  for (std::size_t f = 0; f < a.routing.flows.size(); ++f) {
-    EXPECT_EQ(a.routing.flows[f].demand_index,
-              b.routing.flows[f].demand_index);
-    EXPECT_EQ(a.routing.flows[f].path.edges, b.routing.flows[f].path.edges);
-    EXPECT_EQ(a.routing.flows[f].amount, b.routing.flows[f].amount);
-  }
+  expect_same_routing(a.routing, b.routing);
 }
 
 // A first solve seeds every pair at once: eight fresh pairs plus a repeated
@@ -286,6 +386,64 @@ TEST(PathLpSeedThreads, FirstSolveSeedsMatchSerialSession) {
       expect_same_result(sr, split_ref);
     }
   }
+}
+
+// --- the plan's tail: scoring LP and repair schedule on the preloads -------
+
+void expect_same_schedule(const heuristics::RecoverySchedule& a,
+                          const heuristics::RecoverySchedule& b) {
+  EXPECT_EQ(a.total_demand, b.total_demand);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(a.steps[i].is_node, b.steps[i].is_node);
+    EXPECT_EQ(a.steps[i].node, b.steps[i].node);
+    EXPECT_EQ(a.steps[i].edge, b.steps[i].edge);
+    EXPECT_EQ(a.steps[i].label, b.steps[i].label);
+    EXPECT_EQ(a.steps[i].restored_after, b.steps[i].restored_after);
+  }
+}
+
+// netrec-bench's BA-2000 (plan_scale) and CAIDA-like (plan_fresh) preloads
+// under the damage states of the ISP corpus: the serial plan's scoring LP,
+// its repair schedule and a greedy pass on its working view must come out
+// the same on a pool.
+TEST(PlanTailThreads, ScoreScheduleAndGreedyMatchSerialOnPreloads) {
+  std::size_t checked = 0;
+  std::size_t steps = 0;
+  for (const test::IspCase& c : test::isp_cases()) {
+    if ((c.family != test::IspFamily::kBa2000 &&
+         c.family != test::IspFamily::kCaida) ||
+        c.key.find(" default") == std::string::npos) {
+      continue;
+    }
+    SCOPED_TRACE(c.key);
+    ++checked;
+    const core::RecoveryProblem p = c.problem();
+    core::RecoverySolution plan = core::IspSolver(p, c.options).solve();
+    core::RecoverySolution serial_score = plan;
+    core::score_solution(p, serial_score);
+    const heuristics::RecoverySchedule serial_schedule =
+        heuristics::schedule_repairs(p, plan);
+    steps += serial_schedule.steps.size();
+    expect_greedy_thread_invariant(graph::GraphView::working(p.graph),
+                                   p.demands);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      core::RecoverySolution pooled_score = plan;
+      core::score_solution(p, pooled_score, &pool);
+      expect_same_routing(pooled_score.routing, serial_score.routing);
+      EXPECT_EQ(pooled_score.satisfied_fraction,
+                serial_score.satisfied_fraction);
+      EXPECT_EQ(pooled_score.repair_cost, serial_score.repair_cost);
+      expect_same_schedule(heuristics::schedule_repairs(p, plan, &pool),
+                           serial_schedule);
+    }
+  }
+  EXPECT_EQ(checked, 8u);
+  // Multi-round schedules (74 steps over the eight plans when pinned).
+  EXPECT_GE(steps, 50u);
 }
 
 // --- ISP end-to-end: concurrent LP pricing + all kernels combined ----------

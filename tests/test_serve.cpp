@@ -21,6 +21,7 @@
 //     like every other suite.
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -215,12 +216,40 @@ TEST(ServeGolden, CaidaRequestPathMatchesCorpus) {
 }
 
 // plan_scale serves at 2 solve threads: the engine's pool reaches the ISP
-// kernels and the Timeline's session, and every record must stay the same.
+// kernels, the repair schedule and the Timeline's session, and every record
+// must stay the same.
 TEST(ServeGolden, TwoSolveThreadsMatchCorpus) {
   for (const std::string& diff :
        test::golden_diffs(test::kServeCorpus, test::serve_cases(2), "")) {
     ADD_FAILURE() << diff;
   }
+}
+
+// plan_scale's own preload, BA-2000, as its worker serves it (2 solve
+// threads): its schedules run several greedy rounds, so the pooled scoring
+// LP, the schedule's route fan-out and greedy routing's speculative first
+// paths all run.  Every payload must equal the serial engine's byte for
+// byte, in isp mode and under both Timeline policies.
+TEST(ServeThreads, Ba2000PayloadsMatchSerial) {
+  const core::RecoveryProblem p = test::ba2000_problem();
+  serve::PlanningEngine serial(p, serve::EngineOptions{.solve_threads = 1});
+  serve::PlanningEngine pooled(p, serve::EngineOptions{.solve_threads = 2});
+  const auto expect_same = [&](std::uint64_t seed, std::uint64_t state,
+                               const std::string& variant) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " state " +
+                 std::to_string(state) + " " + variant);
+    const serve::PlanRequest request = serve::parse_plan_request(
+        test::serve_request_body(p, 0.1, seed, state, variant, 2, 4), p);
+    EXPECT_EQ(pooled.solve(request).payload.dump(),
+              serial.solve(request).payload.dump());
+  };
+  for (const std::uint64_t seed : {1ULL, 104729ULL}) {
+    for (std::uint64_t state = 0; state < 4; ++state) {
+      expect_same(seed, state, "isp");
+    }
+  }
+  expect_same(1, 0, "replay");
+  expect_same(1, 0, "replan");
 }
 
 // ---------------------------------------------------------------------------
